@@ -23,7 +23,7 @@ from typing import Optional
 
 from .domination import sigma_set, verify_efficient_domination
 from .errors import CapExceeded
-from .graphs import GeneratorFamily, Graph, build_graph
+from .graphs import GeneratorFamily, build_graph
 from .mstrings import MString, Params, render
 
 SCHREIER_SYM_CAP = 8
@@ -331,7 +331,7 @@ def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
     pc = build_graph(Params(k, 2), GeneratorFamily.pancake(), cap=cap)
     rep = PancakeReport(k=k)
     last = 2 * k - 1
-    rep.graph_regular_degree = _regular_degree_or_none(pc)
+    rep.graph_regular_degree = pc.regular_degree()
 
     black = sigma_set(pc, last)
     cert = verify_efficient_domination(pc, black, 1)
@@ -349,7 +349,7 @@ def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
     rep.all_lower_sigmas_fail = set(rep.failing_sigmas) == set(range(1, last))
 
     minus = pc.subgraph(delete_vertices=black)
-    rep.minus_sigma_regular_degree = _regular_degree_or_none(minus)
+    rep.minus_sigma_regular_degree = minus.regular_degree()
     black_edges = []
     for u, v, labels in minus.edges():
         if last in labels:
@@ -357,7 +357,7 @@ def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
             if len(labels) > 1:
                 rep.ambiguous_black_edges += 1
     remainder = minus.subgraph(delete_edges=black_edges)
-    rep.remainder_regular_degree = _regular_degree_or_none(remainder)
+    rep.remainder_regular_degree = remainder.regular_degree()
     covered: dict = {}
     for v in black:
         for x in pc.neighbors(v):
@@ -366,8 +366,3 @@ def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
         c == 1 for c in covered.values()
     )
     return rep
-
-
-def _regular_degree_or_none(g: Graph) -> Optional[int]:
-    kind, degs = g.regularity()
-    return degs[0] if kind == "regular" else None

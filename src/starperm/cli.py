@@ -9,7 +9,6 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -96,13 +95,17 @@ def cmd_verify(args) -> int:
     if args.input:
         with open(args.input) as fh:
             loaded = read_edge_list(fh)
-        g = build_graph(Params(args.k, args.l), cap=args.cap)
-        if set(loaded.vertices) != set(g.vertices) or {
-            (u, v) for u, v, _ in loaded.edges()
-        } != {(u, v) for u, v, _ in g.edges()}:
+        graph = build_graph(Params(args.k, args.l), cap=args.cap)
+        # both vertex tuples are in lexicographic order; labels are sorted
+        matches = (
+            loaded.vertices == graph.vertices
+            and loaded.m == graph.m
+            and all(graph.has_edge(u, v) and graph.edge_labels(u, v) == labels for u, v, labels in loaded.edges())
+        )
+        del loaded
+        if not matches:
             print("input file does not match the stated parameters", file=sys.stderr)
             return USAGE_EXIT
-        graph = g
     quad = tuple(int(x) for x in args.quad.split(",")) if args.quad else None
     report = run_suite(
         args.suite,
@@ -114,7 +117,6 @@ def cmd_verify(args) -> int:
         d1=args.d1,
         quad=quad,
     )
-    report.threads = int(os.environ.get("STARPERM_THREADS", "1"))
     print(report.format_lines())
     if args.json:
         with open(args.json, "w") as fh:
@@ -134,7 +136,7 @@ def cmd_search_codes(args) -> int:
     print(f"found {len(codes)} efficient dominating-{args.ell} sets")
     for code in codes:
         labels = sorted(code, key=g.index)
-        print("  {" + ", ".join(render(x) if isinstance(x, tuple) else str(x) for x in labels) + "}")
+        print("  {" + ", ".join(render(x) for x in labels) + "}")
     return 0
 
 

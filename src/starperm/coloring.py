@@ -24,8 +24,7 @@ from typing import Callable, Optional
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
 from .mstrings import MString, list_assignment, repeat_position
-
-WITNESS_CAP = 32
+from .report import WITNESS_CAP
 
 MODES = ("proper-edge", "proper-vertex", "total", "efficient")
 

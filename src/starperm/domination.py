@@ -24,8 +24,8 @@ from .coloring import TotalColoring
 from .errors import CapExceeded, GirthPrecondition
 from .graphs import Graph, PermGraph
 from .mstrings import MString, render, repeat_position
+from .report import WITNESS_CAP
 
-WITNESS_CAP = 32
 CODE_SEARCH_VERTEX_CAP = 1000
 CODE_SEARCH_NODE_BUDGET = 5_000_000
 
@@ -57,20 +57,16 @@ class DominationCertificate:
             self.truncated = True
 
 
-def _label_str(x) -> str:
-    return render(x) if isinstance(x, tuple) and all(isinstance(s, int) for s in x) else str(x)
-
-
 def certificate_to_json(cert: DominationCertificate) -> str:
     doc = {
-        "set": sorted(_label_str(v) for v in cert.candidate),
+        "set": sorted(render(v) for v in cert.candidate),
         "ell": cert.ell,
         "pass": cert.passed,
         "violations": [
             {
                 "kind": v.kind,
-                "where": [_label_str(x) for x in v.where],
-                "detail": [_label_str(x) for x in v.detail],
+                "where": [render(x) for x in v.where],
+                "detail": [render(x) for x in v.detail],
             }
             for v in cert.violations
         ],
@@ -101,7 +97,7 @@ def d_set(v: MString, s: Iterable, g: Graph) -> frozenset:
     """Dominators of v with respect to s: N(v) intersected with s."""
     s = frozenset(s)
     if v in s:
-        raise ValueError(f"{_label_str(v)} is a member of the candidate set")
+        raise ValueError(f"{render(v)} is a member of the candidate set")
     return frozenset(w for w in g.neighbors(v) if w in s)
 
 
@@ -335,24 +331,28 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return nbr
 
 
+def _is_code(nbr: list[int], in_mask: int, n: int, ell: int) -> bool:
+    """The oracle's bitmask form of the efficient dominating-ell predicate."""
+    ok = all(
+        (nbr[v] & in_mask).bit_count() == ell
+        for v in range(n)
+        if not in_mask >> v & 1
+    )
+    if ok and ell > 1:
+        ok = _check_unique_intersections(nbr, in_mask, n)
+    if ok and ell == 1:
+        ok = all(not nbr[v] & in_mask for v in _bit_indices(in_mask))
+    return ok
+
+
 def oracle_check(g: Graph, s: Iterable, ell: int) -> bool:
     """Re-verify one candidate set through the oracle's bitmask predicate,
     independent of :func:`verify_efficient_domination`'s set arithmetic."""
     require_girth_above_three(g)
-    nbr = _neighbor_masks(g)
     in_mask = 0
     for x in s:
         in_mask |= 1 << g.index(x)
-    ok = all(
-        (nbr[v] & in_mask).bit_count() == ell
-        for v in range(g.n)
-        if not in_mask >> v & 1
-    )
-    if ok and ell > 1:
-        ok = _check_unique_intersections(nbr, in_mask, g.n)
-    if ok and ell == 1:
-        ok = all(not nbr[v] & in_mask for v in _bit_indices(in_mask))
-    return ok
+    return _is_code(_neighbor_masks(g), in_mask, g.n, ell)
 
 
 def code_search(
@@ -419,16 +419,7 @@ def code_search(
             raise CapExceeded(f"code search exceeded node budget {node_budget}")
         undecided = full & ~(in_mask | out_mask)
         if not undecided:
-            ok = all(
-                (nbr[v] & in_mask).bit_count() == ell
-                for v in range(n)
-                if not in_mask >> v & 1
-            )
-            if ok and ell > 1:
-                ok = _check_unique_intersections(nbr, in_mask, n)
-            if ok and ell == 1:
-                ok = all(not nbr[v] & in_mask for v in _bit_indices(in_mask))
-            if ok:
+            if _is_code(nbr, in_mask, n, ell):
                 solutions.add(in_mask)
             return
         v = (undecided & -undecided).bit_length() - 1

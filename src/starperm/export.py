@@ -31,13 +31,7 @@ def write_edge_list(g: Graph, out: TextIO) -> None:
     out.write(f"{family} {k} {ell} {g.n} {g.m}\n")
     for u, v, labels in g.edges():
         lab = ",".join(str(x) for x in labels)
-        out.write(f"{_token(g, u)} {_token(g, v)} {lab}".rstrip() + "\n")
-
-
-def _token(g: Graph, u) -> str:
-    if isinstance(u, tuple) and all(isinstance(s, int) for s in u):
-        return render(u)
-    return str(u)
+        out.write(f"{render(u)} {render(v)} {lab}".rstrip() + "\n")
 
 
 def read_edge_list(src: TextIO) -> Graph:
@@ -74,7 +68,7 @@ def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: s
         for v in g.vertices:
             c = tc.vertex_colors.get(v)
             if c is not None:
-                out.write(f'  "{_token(g, v)}" [color={color_name(c)}];\n')
+                out.write(f'  "{render(v)}" [color={color_name(c)}];\n')
     for u, v, labels in g.edges():
         attrs = ""
         if tc is not None:
@@ -84,18 +78,16 @@ def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: s
                 attrs = ""
         elif labels:
             attrs = f' [label="{",".join(str(x) for x in labels)}"]'
-        out.write(f'  "{_token(g, u)}" -- "{_token(g, v)}"{attrs};\n')
+        out.write(f'  "{render(u)}" -- "{render(v)}"{attrs};\n')
     out.write("}\n")
 
 
 def write_coloring(tc: TotalColoring, out: TextIO) -> None:
     """Lines `V u color` then `E u v color`, canonical order."""
     for v in tc.vertex_colors:
-        out.write(f"V {render(v) if isinstance(v, tuple) else v} {tc.vertex_colors[v]}\n")
+        out.write(f"V {render(v)} {tc.vertex_colors[v]}\n")
     for (u, v), c in tc.edge_colors.items():
-        us = render(u) if isinstance(u, tuple) else u
-        vs = render(v) if isinstance(v, tuple) else v
-        out.write(f"E {us} {vs} {c}\n")
+        out.write(f"E {render(u)} {render(v)} {c}\n")
 
 
 def read_coloring(src: TextIO) -> TotalColoring:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
-from .mstrings import DEFAULT_VERTEX_CAP, Params, enumerate_vertices
+from .mstrings import DEFAULT_VERTEX_CAP, Params, enumerate_vertices, prefix_reversal, star_neighbors
 
 Label = Hashable
 Edge = tuple[Label, Label]
@@ -126,6 +126,11 @@ class Graph:
         if len(degs) == 2:
             return ("biregular", degs)
         return ("irregular", degs)
+
+    def regular_degree(self) -> Optional[int]:
+        """The common degree of a regular graph, None otherwise."""
+        kind, degs = self.regularity()
+        return degs[0] if kind == "regular" else None
 
     # -- traversal ---------------------------------------------------------
 
@@ -387,26 +392,18 @@ def build_graph(
         maps = family.position_maps(length)
 
     for iv, v in enumerate(verts):
-        v0 = v[0]
-        for j in range(1, length):
-            if family.kind == "star":
-                if v[j] == v0:
-                    continue
-                w = (v[j],) + v[1:j] + (v0,) + v[j + 1 :]
-            elif family.kind == "pancake":
-                if v[j] == v0:
-                    continue
-                w = v[j::-1] + v[j + 1 :]
-            else:
-                g = maps[j - 1]
-                w = tuple(v[g[i]] for i in range(length))
-                if w == v:
-                    continue
-                if v[j] == v0:
-                    iw = index[w]
-                    a, b = (v, w) if iv < iw else (w, v)
-                    nonstar.add((a, b))
+        if family.kind == "star":
+            moves = star_neighbors(v)
+        elif family.kind == "pancake":
+            moves = [(j, prefix_reversal(v, j)) for j in range(1, length) if v[j] != v[0]]
+        else:
+            moves = [(j, tuple(v[i] for i in g)) for j, g in enumerate(maps, start=1)]
+        for j, w in moves:
+            if w == v:
+                continue
             iw = index[w]
+            if family.kind == "custom" and v[j] == v[0]:
+                nonstar.add((v, w) if iv < iw else (w, v))
             if iw > iv:
                 prev = adj[iv].get(iw, ())
                 labels = prev + (j,) if j not in prev else prev

@@ -58,8 +58,14 @@ def mstring(text: str) -> MString:
     return tuple(int(c) for c in text)
 
 
-def render(v: MString) -> str:
-    """Inverse of :func:`mstring`: digits while every symbol fits in one."""
+def render(v: object) -> str:
+    """Inverse of :func:`mstring`: digits while every symbol fits in one.
+
+    Any other vertex label (a generic token, an apex tag) comes back as
+    ``str(v)``, so this is the one text form of every label written out.
+    """
+    if not (isinstance(v, tuple) and all(isinstance(s, int) for s in v)):
+        return str(v)
     if v and max(v) > 9:
         return ",".join(str(s) for s in v)
     return "".join(str(s) for s in v)

@@ -18,6 +18,9 @@ FAIL = "fail"
 SKIP = "skip"
 PRECONDITION = "precondition"
 
+#: Most witnesses any check, certificate or report keeps.
+WITNESS_CAP = 32
+
 
 @dataclass
 class CheckResult:
@@ -36,7 +39,6 @@ class SuiteReport:
     tool_version: str
     checks: list[CheckResult] = field(default_factory=list)
     seed: Optional[int] = None
-    threads: int = 1
 
     @property
     def passed(self) -> bool:
@@ -53,7 +55,6 @@ class SuiteReport:
             "suite": self.suite,
             "params": self.params,
             "seed": self.seed,
-            "threads": self.threads,
             "passed": self.passed,
             "checks": [
                 {

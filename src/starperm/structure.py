@@ -87,11 +87,6 @@ class DecompositionReport:
         )
 
 
-def _regular_degree(g: Graph) -> Optional[int]:
-    kind, degs = g.regularity()
-    return degs[0] if kind == "regular" else None
-
-
 def color_class_decomposition(
     g: Graph,
     tc: TotalColoring,
@@ -121,7 +116,7 @@ def color_class_decomposition(
 
         minus_w = g.subgraph(delete_vertices=w_class)
         case.minus_class_connected = minus_w.is_connected()
-        case.minus_class_regular_degree = _regular_degree(minus_w)
+        case.minus_class_regular_degree = minus_w.regular_degree()
 
         kept_edges = [e for e in e_class if minus_w.has_vertex(e[0]) and minus_w.has_vertex(e[1])]
         minus_we = minus_w.subgraph(delete_edges=kept_edges)
@@ -142,7 +137,7 @@ def color_class_decomposition(
             case.components.append(
                 ComponentAudit(
                     n=comp.n,
-                    regular_degree=_regular_degree(comp),
+                    regular_degree=comp.regular_degree(),
                     coloring_total=bool(audit.total),
                     coloring_efficient=bool(audit.efficient),
                     colors_used=used,

@@ -3,21 +3,25 @@
 Each suite turns the module-level operations into a deterministic list of
 timed checks.  Precondition failures (triangles, excluded instances, caps)
 are reported as status "precondition"/"skip", never as crashes; only a
-false claim yields status "fail".
+false claim yields status "fail".  The sub-suites of one run share a
+context, so the graph and its repeat-position coloring are built once.
 """
 
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Optional
 
 from . import __version__
 from .chains import pancake_chain_check, schreier_quotient_check, verify_chain
 from .coloring import (
+    TotalColoring,
     choosability_suite,
     efficiency_obstruction_witness,
     max_selector,
     min_selector,
+    positional_edge_coloring,
     sigma_total_coloring,
     verify_coloring,
 )
@@ -31,28 +35,16 @@ from .domination import (
 from .errors import CapExceeded, GirthPrecondition
 from .graphs import Params, PermGraph, build_graph
 from .mstrings import list_assignment
-from .report import FAIL, PASS, PRECONDITION, SKIP, CheckResult, SuiteReport
+from .report import FAIL, PASS, PRECONDITION, SKIP, WITNESS_CAP, CheckResult, SuiteReport
 from .structure import classify_six_cycles, color_class_decomposition, toroidal_assembly
-
-SUITES = (
-    "domination",
-    "coloring",
-    "chi",
-    "cycles",
-    "toroidal",
-    "chains",
-    "schreier",
-    "pancake",
-    "all",
-)
-
-
-WITNESS_CAP = 32
 
 
 class _Runner:
+    """Appends checks to a report, each name behind the current prefix."""
+
     def __init__(self, report: SuiteReport) -> None:
         self.report = report
+        self.prefix = ""
 
     def add(self, name: str, fn) -> CheckResult:
         t0 = time.perf_counter()
@@ -65,7 +57,7 @@ class _Runner:
             status, detail, witnesses = SKIP, str(exc), []
         truncated = len(witnesses) > WITNESS_CAP
         res = CheckResult(
-            name=name,
+            name=self.prefix + name,
             status=status,
             detail=detail,
             witnesses=list(witnesses)[:WITNESS_CAP],
@@ -76,69 +68,40 @@ class _Runner:
         return res
 
     def precondition(self, name: str, detail: str) -> None:
-        self.report.checks.append(CheckResult(name=name, status=PRECONDITION, detail=detail))
+        self.report.checks.append(CheckResult(name=self.prefix + name, status=PRECONDITION, detail=detail))
 
     def skip(self, name: str, detail: str) -> None:
-        self.report.checks.append(CheckResult(name=name, status=SKIP, detail=detail))
+        self.report.checks.append(CheckResult(name=self.prefix + name, status=SKIP, detail=detail))
 
 
-def _new_report(suite: str, k: int, ell: int, seed: Optional[int]) -> SuiteReport:
-    return SuiteReport(suite=suite, params={"k": k, "l": ell}, tool_version=__version__, seed=seed)
+class _Context:
+    """What the sub-suites of one run share: the parameters, the graph
+    (passed in, or built on first use) and its repeat-position coloring
+    (computed on first use).  Nothing larger is kept: the chains sub-suite
+    sets the run's peak memory, and whatever is cached lives through it."""
+
+    def __init__(
+        self, k: int, ell: int, graph: Optional[PermGraph], cap: int, d1: Optional[int], quad: Optional[tuple[int, ...]]
+    ) -> None:
+        self.k, self.ell, self.cap, self.d1, self.quad = k, ell, cap, d1, quad
+        if graph is not None:
+            self.graph = graph
+
+    @cached_property
+    def graph(self) -> PermGraph:
+        return build_graph(Params(self.k, self.ell), cap=self.cap)
+
+    @cached_property
+    def coloring(self) -> TotalColoring:
+        return sigma_total_coloring(self.graph)
 
 
-def run_suite(
-    suite: str,
-    k: int,
-    ell: int,
-    graph: Optional[PermGraph] = None,
-    cap: int = 10**7,
-    seed: Optional[int] = None,
-    d1: Optional[int] = None,
-    quad: Optional[tuple[int, ...]] = None,
-) -> SuiteReport:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
-    if suite == "all":
-        report = _new_report("all", k, ell, seed)
-        parts = ["domination", "coloring", "chi", "cycles", "toroidal", "chains", "schreier", "pancake"]
-        for part in parts:
-            sub = run_suite(part, k, ell, graph=graph, cap=cap, seed=seed, d1=d1, quad=quad)
-            for c in sub.checks:
-                c.name = f"{part}/{c.name}"
-                report.checks.append(c)
-        return report
-
-    report = _new_report(suite, k, ell, seed)
-    run = _Runner(report)
-    p = Params(k, ell)
-
-    def need_graph() -> PermGraph:
-        return graph if graph is not None else build_graph(p, cap=cap)
-
-    if suite == "domination":
-        _suite_domination(run, k, ell, need_graph)
-    elif suite == "coloring":
-        _suite_coloring(run, k, ell, need_graph)
-    elif suite == "chi":
-        _suite_chi(run, k, ell, need_graph, cap)
-    elif suite == "cycles":
-        _suite_cycles(run, k, ell, need_graph)
-    elif suite == "toroidal":
-        _suite_toroidal(run, k, ell, need_graph, d1, quad)
-    elif suite == "chains":
-        _suite_chains(run, k, ell, cap)
-    elif suite == "schreier":
-        _suite_schreier(run, k, ell)
-    elif suite == "pancake":
-        _suite_pancake(run, k, ell, cap)
-    return report
-
-
-def _suite_domination(run: _Runner, k: int, ell: int, need_graph) -> None:
+def _suite_domination(run: _Runner, ctx: _Context) -> None:
+    k, ell = ctx.k, ctx.ell
     if (k, ell) == (2, 1):
         run.precondition("girth-precondition", "excluded instance: the 2-symbol 1-repetition graph (a single edge) has no girth above 3")
         return
-    g = need_graph()
+    g = ctx.graph
     if g.has_triangle():
         run.precondition("girth-precondition", "graph contains a triangle")
         return
@@ -175,22 +138,19 @@ def _suite_domination(run: _Runner, k: int, ell: int, need_graph) -> None:
                     [v.kind for v in cert.violations],
                 ),
             )
-        tc = sigma_total_coloring(g)
-        ei = verify_ei_avoidance(g, tc)
+        ei = verify_ei_avoidance(g, ctx.coloring)
         run.add("ei-avoidance", lambda: (ei["passed"] and ei["last_position_rationale"], "", []))
 
 
-def _suite_coloring(run: _Runner, k: int, ell: int, need_graph) -> None:
-    g = need_graph()
-    from .coloring import TotalColoring, positional_edge_coloring
-
+def _suite_coloring(run: _Runner, ctx: _Context) -> None:
+    k, ell, g = ctx.k, ctx.ell, ctx.graph
     edge_colors = positional_edge_coloring(g)
     placeholder = TotalColoring({v: 0 for v in g.vertices}, edge_colors, frozenset(range(0, k * ell)))
     pe = verify_coloring(g, placeholder, "proper-edge")
     run.add("positional-edge-proper", lambda: (bool(pe.proper_edge), "", pe.witnesses[:8]))
 
     if ell == 2:
-        tc = sigma_total_coloring(g)
+        tc = ctx.coloring
         tot = verify_coloring(g, tc, "total")
         eff = verify_coloring(g, tc, "efficient")
         run.add("sigma-total", lambda: (bool(tot.total), "", tot.witnesses[:8]))
@@ -215,13 +175,13 @@ def _suite_coloring(run: _Runner, k: int, ell: int, need_graph) -> None:
         )
 
 
-def _suite_chi(run: _Runner, k: int, ell: int, need_graph, cap: int) -> None:
+def _suite_chi(run: _Runner, ctx: _Context) -> None:
+    k, ell = ctx.k, ctx.ell
     if ell != 2:
         run.precondition("chi-preconditions", f"suite needs l = 2, got l = {ell}")
         return
-    g = need_graph()
-    tc = sigma_total_coloring(g)
-    reference = build_graph(Params(k - 1, 2), cap=cap) if k >= 2 else None
+    g, tc = ctx.graph, ctx.coloring
+    reference = build_graph(Params(k - 1, 2), cap=ctx.cap) if k >= 2 else None
     rep = color_class_decomposition(g, tc, reference=reference)
     if not rep.precondition_ok:
         run.precondition("chi-preconditions", rep.precondition_detail)
@@ -253,32 +213,30 @@ def _suite_chi(run: _Runner, k: int, ell: int, need_graph, cap: int) -> None:
         )
 
 
-def _suite_cycles(run: _Runner, k: int, ell: int, need_graph) -> None:
-    if ell != 2:
-        run.precondition("cycle-classification", f"suite needs l = 2, got l = {ell}")
+def _suite_cycles(run: _Runner, ctx: _Context) -> None:
+    if ctx.ell != 2:
+        run.precondition("cycle-classification", f"suite needs l = 2, got l = {ctx.ell}")
         return
-    g = need_graph()
-    tc = sigma_total_coloring(g)
-    classes, census = classify_six_cycles(g, tc)
+    classes, census = classify_six_cycles(ctx.graph, ctx.coloring)
     run.add(
         "all-six-cycles-classified",
         lambda: (census["other"] == 0 and sum(census.values()) > 0, f"census={census}", []),
     )
-    if k == 3:
+    if ctx.k == 3:
         run.add(
             "type1-cycle-2-3-4-found",
             lambda: (any(c.kind == "type1" and c.colors == (2, 3, 4) for c in classes), "", []),
         )
 
 
-def _suite_toroidal(run: _Runner, k: int, ell: int, need_graph, d1, quad) -> None:
+def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
+    k, ell = ctx.k, ctx.ell
     if ell != 2 or k < 3:
         run.precondition("toroidal-audit", f"suite needs l = 2 and k >= 3, got k = {k}, l = {ell}")
         return
-    g = need_graph()
-    tc = sigma_total_coloring(g)
-    d1 = d1 if d1 is not None else 2 * k - 1
-    quad = tuple(quad) if quad else (1, 2, 3, 4)
+    g, tc = ctx.graph, ctx.coloring
+    d1 = ctx.d1 if ctx.d1 is not None else 2 * k - 1
+    quad = tuple(ctx.quad) if ctx.quad else (1, 2, 3, 4)
     rep = toroidal_assembly(g, tc, d1, quad)
     run.add(
         "type2-union-built",
@@ -298,19 +256,20 @@ def _suite_toroidal(run: _Runner, k: int, ell: int, need_graph, d1, quad) -> Non
     )
 
 
-def _suite_chains(run: _Runner, k: int, ell: int, cap: int) -> None:
-    if ell != 2:
-        run.precondition("chain-embeddings", f"suite needs l = 2, got l = {ell}")
+def _suite_chains(run: _Runner, ctx: _Context) -> None:
+    k = ctx.k
+    if ctx.ell != 2:
+        run.precondition("chain-embeddings", f"suite needs l = 2, got l = {ctx.ell}")
         return
-    rep = verify_chain(k, cap=cap)
+    rep = verify_chain(k, cap=ctx.cap)
     run.add("images-disjoint-induced", lambda: (rep.images_disjoint and rep.images_induced_isomorphic, f"images={k + 1}", rep.failures[:8]))
     run.add("sigma-bijection", lambda: (rep.sigma_bijection_ok and rep.blocks_partition_sigma, f"blocks={rep.block_sizes}", []))
     run.add("cardinality-identity", lambda: (rep.cardinality_identity_ok, f"sigma={rep.sigma_size}", []))
 
 
-def _suite_schreier(run: _Runner, k: int, ell: int) -> None:
+def _suite_schreier(run: _Runner, ctx: _Context) -> None:
     try:
-        rep = schreier_quotient_check(k, ell)
+        rep = schreier_quotient_check(ctx.k, ctx.ell)
     except CapExceeded as exc:
         run.skip("schreier-quotient", str(exc))
         return
@@ -319,12 +278,12 @@ def _suite_schreier(run: _Runner, k: int, ell: int) -> None:
     run.add("local-generator-sets", lambda: (rep.generator_sets_ok, "", rep.failures[:8]))
 
 
-def _suite_pancake(run: _Runner, k: int, ell: int, cap: int) -> None:
-    if ell != 2:
-        run.precondition("pancake-obstructions", f"suite needs l = 2, got l = {ell}")
+def _suite_pancake(run: _Runner, ctx: _Context) -> None:
+    if ctx.ell != 2:
+        run.precondition("pancake-obstructions", f"suite needs l = 2, got l = {ctx.ell}")
         return
     try:
-        rep = pancake_chain_check(k, cap=cap)
+        rep = pancake_chain_check(ctx.k, cap=ctx.cap)
     except CapExceeded as exc:
         run.skip("pancake-obstructions", str(exc))
         return
@@ -344,3 +303,41 @@ def _suite_pancake(run: _Runner, k: int, ell: int, cap: int) -> None:
             [],
         ),
     )
+
+
+#: Each sub-suite in report order; "all" runs them in turn on one context.
+_PARTS = {
+    "domination": _suite_domination,
+    "coloring": _suite_coloring,
+    "chi": _suite_chi,
+    "cycles": _suite_cycles,
+    "toroidal": _suite_toroidal,
+    "chains": _suite_chains,
+    "schreier": _suite_schreier,
+    "pancake": _suite_pancake,
+}
+SUITES = (*_PARTS, "all")
+
+
+def run_suite(
+    suite: str,
+    k: int,
+    ell: int,
+    graph: Optional[PermGraph] = None,
+    cap: int = 10**7,
+    seed: Optional[int] = None,
+    d1: Optional[int] = None,
+    quad: Optional[tuple[int, ...]] = None,
+) -> SuiteReport:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
+    report = SuiteReport(suite=suite, params={"k": k, "l": ell}, tool_version=__version__, seed=seed)
+    run = _Runner(report)
+    ctx = _Context(k, ell, graph, cap, d1, quad)
+    if suite != "all":
+        _PARTS[suite](run, ctx)
+        return report
+    for part, fn in _PARTS.items():
+        run.prefix = f"{part}/"
+        fn(run, ctx)
+    return report

@@ -167,3 +167,13 @@ def test_cli_input_mismatch_rejected(tmp_path):
     main(["build", "--family", "st", "--k", "2", "--l", "2", "--out", str(out)])
     code = main(["verify", "--suite", "domination", "--k", "3", "--l", "2", "--input", str(out)])
     assert code == 2
+
+
+def test_cli_input_edge_label_mismatch_rejected(tmp_path):
+    out = tmp_path / "st22.txt"
+    main(["build", "--family", "st", "--k", "2", "--l", "2", "--out", str(out)])
+    text = out.read_text()
+    assert "0011 1001 2\n" in text
+    out.write_text(text.replace("0011 1001 2\n", "0011 1001 3\n"))
+    code = main(["verify", "--suite", "domination", "--k", "2", "--l", "2", "--input", str(out)])
+    assert code == 2
