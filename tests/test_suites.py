@@ -46,6 +46,20 @@ def test_suite_all_builds_graph_and_coloring_once(monkeypatch):
     assert colorings == [Params(3, 2)]
 
 
+def test_suite_all_runs_each_part_through_run_suite(monkeypatch):
+    # the benchmark tracer times a sub-suite only as a run_suite call
+    calls = []
+
+    def spy(suite, *args, **kwargs):
+        calls.append(suite)
+        return run_suite(suite, *args, **kwargs)
+
+    monkeypatch.setattr(starperm.suites, "run_suite", spy)
+    report = starperm.suites.run_suite("all", 2, 2)
+    assert calls == ["all", *starperm.suites.SUITES[:-1]]
+    assert {c.name.split("/")[0] for c in report.checks} == set(calls[1:])
+
+
 def test_precondition_suite_builds_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no graph is needed")
