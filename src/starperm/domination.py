@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 from .coloring import TotalColoring
 from .errors import CapExceeded, GirthPrecondition
 from .graphs import Graph, PermGraph
-from .mstrings import MString, render, repeat_position
+from .mstrings import MString, render
 from .report import WITNESS_CAP
 
 CODE_SEARCH_VERTEX_CAP = 1000
@@ -90,7 +90,9 @@ def sigma_set(g: PermGraph, i: int) -> frozenset:
         raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
     if not 1 <= i <= 2 * g.params.k - 1:
         raise ValueError(f"position {i} out of range [1, {2 * g.params.k - 1}]")
-    return frozenset(v for v in g.vertices if repeat_position(v) == i)
+    # A PermGraph's vertices come from enumerate_vertices, so v[0] occurs
+    # exactly twice and v[i] == v[0] says its repeat position is i.
+    return frozenset(v for v in g.vertices if v[i] == v[0])
 
 
 def d_set(v: MString, s: Iterable, g: Graph) -> frozenset:
@@ -111,21 +113,25 @@ def _min_internal_distance(g: Graph, members: list[int]) -> Optional[int]:
     keeping track of the owning source of each reached vertex."""
     if len(members) < 2:
         return None
-    owner = {s: s for s in members}
-    dist = {s: 0 for s in members}
+    owner = [-1] * g.n
+    dist = [0] * g.n
+    for s in members:
+        owner[s] = s
     queue = deque(members)
     best: Optional[int] = None
     while queue:
         x = queue.popleft()
-        if best is not None and dist[x] >= best:
+        dx, ox = dist[x], owner[x]
+        if best is not None and dx >= best:
             continue
         for y in g._adj[x]:
-            if y not in owner:
-                owner[y] = owner[x]
-                dist[y] = dist[x] + 1
+            oy = owner[y]
+            if oy < 0:
+                owner[y] = ox
+                dist[y] = dx + 1
                 queue.append(y)
-            elif owner[y] != owner[x]:
-                cand = dist[x] + dist[y] + 1
+            elif oy != ox:
+                cand = dx + dist[y] + 1
                 if best is None or cand < best:
                     best = cand
     return best
@@ -135,44 +141,43 @@ def verify_efficient_domination(g: Graph, s: Iterable, ell: int) -> DominationCe
     """Full certificate for the efficient dominating-ell set predicate.
 
     Raises GirthPrecondition on graphs with triangles (the K_5 exclusion);
-    otherwise returns the certificate, passing iff no violations.
+    otherwise returns the certificate, passing iff no violations.  The scan
+    runs on vertex indices; labels are looked up only for what the
+    certificate records.
     """
     require_girth_above_three(g)
     sset = frozenset(s)
-    for x in sset:
-        g.index(x)  # raises on unknown labels
+    member_idx = sorted(map(g.index, sset))  # raises on unknown labels
     cert = DominationCertificate(candidate=sset, ell=ell)
-    member_idx = sorted(g.index(x) for x in sset)
     cert.min_internal_distance = _min_internal_distance(g, member_idx)
+    adj, verts = g._adj, g.vertices
+    inside = bytearray(g.n)
+    for x in member_idx:
+        inside[x] = 1
 
-    nbr_sets = {v: set(g.neighbors(v)) for v in g.vertices}
     if ell == 1:
-        for x in sorted(sset, key=g.index):
-            for y in nbr_sets[x]:
-                if y in sset and g.index(x) < g.index(y):
-                    cert.add("non-independent", (x, y))
+        for x in member_idx:
+            for y in sorted(y for y in adj[x] if y > x and inside[y]):
+                cert.add("non-independent", (verts[x], verts[y]))
         if cert.min_internal_distance is not None and cert.min_internal_distance < 3:
             cert.add("distance", (), (cert.min_internal_distance,))
 
-    for v in g.vertices:
-        if v in sset:
+    for v, nbrs in enumerate(adj):
+        if inside[v]:
             continue
-        doms = frozenset(w for w in nbr_sets[v] if w in sset)
-        cert.dominators[v] = doms
+        doms = sorted(w for w in nbrs if inside[w])
+        cert.dominators[verts[v]] = frozenset(verts[w] for w in doms)
         if len(doms) != ell:
-            cert.add("wrong-count", (v,), tuple(sorted(doms, key=g.index)))
+            cert.add("wrong-count", (verts[v],), tuple(verts[w] for w in doms))
             continue
         if ell > 1:
-            common = None
-            for u in doms:
-                common = set(nbr_sets[u]) if common is None else common & nbr_sets[u]
+            common = set(adj[doms[0]]).intersection(*(adj[u] for u in doms[1:]))
             if common != {v}:
-                cert.add("non-unique-intersection", (v,), tuple(sorted(common, key=g.index)))
-            doms_sorted = sorted(doms, key=g.index)
-            for a in range(len(doms_sorted)):
-                for b in range(a + 1, len(doms_sorted)):
-                    if doms_sorted[b] in nbr_sets[doms_sorted[a]]:
-                        cert.add("non-independent", (doms_sorted[a], doms_sorted[b]), (v,))
+                cert.add("non-unique-intersection", (verts[v],), tuple(verts[c] for c in sorted(common)))
+            for a, u in enumerate(doms):
+                for w in doms[a + 1 :]:
+                    if w in adj[u]:
+                        cert.add("non-independent", (verts[u], verts[w]), (verts[v],))
     return cert
 
 
@@ -201,6 +206,18 @@ class PartitionReport:
         return all(checks) and not self.failures
 
 
+def _edges_covered_other_than(g: PermGraph, cover: bytearray, times: int) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, in canonical order, whose count in `cover`
+    (indexed as in verify_partition_and_edge_cover) is not `times`."""
+    length = g.params.length
+    return sorted(
+        (u, v)
+        for u, nbrs in enumerate(g._adj)
+        for v, labels in nbrs.items()
+        if v > u and cover[u * length + labels[0]] != times
+    )
+
+
 def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> PartitionReport:
     """Partition and edge-cover structure of the SE- (or Sigma-) family.
 
@@ -214,10 +231,10 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         raise ValueError("partition structure is defined for star-family graphs")
     k, ell = g.params.k, g.params.ell
     if family == "SE":
-        sets = [se_set(g, i) for i in range(k)]
+        sets = (se_set(g, i) for i in range(k))
         dom_ell = ell
     elif family in ("sigma", "Sigma"):
-        sets = [sigma_set(g, i) for i in range(1, 2 * k)]
+        sets = (sigma_set(g, i) for i in range(1, 2 * k))
         dom_ell = 1
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -231,69 +248,75 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         memberships_per_member={},
         expected_memberships=(k - 1) * ell if family == "SE" else 2 * (k - 1),
     )
+    n, adj, verts = g.n, g._adj, g.vertices
+    members = [list(map(g.index, s)) for s in sets]
 
-    counts = {v: 0 for v in g.vertices}
-    for sset in sets:
-        for v in sset:
-            counts[v] += 1
-    if any(c != 1 for c in counts.values()):
+    counts = bytearray(n)  # at most one per set, and there are fewer than 2k sets
+    for idx in members:
+        for x in idx:
+            counts[x] += 1
+    if counts.count(1) != n:
         rep.is_partition = False
-        rep.failures.append(("not-a-partition", [v for v, c in counts.items() if c != 1][:WITNESS_CAP]))
+        rep.failures.append(("not-a-partition", [verts[x] for x in range(n) if counts[x] != 1][:WITNESS_CAP]))
 
-    edge_cover: dict = {}
-    memberships: dict = {}
-    for sset in sets:
-        per_symbol_edges: dict = {}
-        for v in g.vertices:
-            if v in sset:
+    # A star-graph edge is fixed by its lower endpoint and the position its
+    # transposition swaps, the edge's one label: cover[lower * length + j].
+    length = g.params.length
+    cover = bytearray(n * length)
+    memberships = [0] * n
+    inside = bytearray(n)
+    for idx in members:
+        for x in idx:
+            inside[x] = 1
+        once = bytearray(n * length) if rep.per_symbol_edge_partition_ok is not None else None
+        for v, nbrs in enumerate(adj):
+            if inside[v]:
                 continue
-            doms = [w for w in g.neighbors(v) if w in sset]
+            doms = sorted(w for w in nbrs if inside[w])
             if len(doms) != dom_ell:
-                rep.failures.append(("wrong-dominator-count", v, len(doms)))
+                rep.failures.append(("wrong-dominator-count", verts[v], len(doms)))
                 continue
-            for a in range(len(doms)):
-                for b in range(a + 1, len(doms)):
-                    if g.has_edge(doms[a], doms[b]):
+            for a, u in enumerate(doms):
+                for w in doms[a + 1 :]:
+                    if w in adj[u]:
                         rep.stars_are_k1l = False
-                        rep.failures.append(("dominators-adjacent", v, doms[a], doms[b]))
+                        rep.failures.append(("dominators-adjacent", verts[v], verts[u], verts[w]))
             for w in doms:
-                memberships[w] = memberships.get(w, 0) + 1
-                key = g.edge_key(v, w)
-                edge_cover[key] = edge_cover.get(key, 0) + 1
-                per_symbol_edges[key] = per_symbol_edges.get(key, 0) + 1
-        if rep.per_symbol_edge_partition_ok is not None:
-            all_edges = {(u, w) for u, w, _ in g.edges()}
-            if set(per_symbol_edges) != all_edges or any(c != 1 for c in per_symbol_edges.values()):
-                rep.per_symbol_edge_partition_ok = False
+                memberships[w] += 1
+                slot = min(v, w) * length + nbrs[w][0]
+                cover[slot] += 1
+                if once is not None:
+                    once[slot] += 1
+        if once is not None and _edges_covered_other_than(g, once, 1):
+            rep.per_symbol_edge_partition_ok = False
+        for x in idx:
+            inside[x] = 0
 
-    all_edges = {(u, w) for u, w, _ in g.edges()}
-    if set(edge_cover) != all_edges or any(c != 2 for c in edge_cover.values()):
+    bad = _edges_covered_other_than(g, cover, 2)
+    if bad:
         rep.double_cover_ok = False
-        bad = [e for e in all_edges if edge_cover.get(e, 0) != 2]
-        rep.failures.append(("edge-not-double-covered", bad[:WITNESS_CAP]))
+        rep.failures.append(("edge-not-double-covered", [(verts[u], verts[v]) for u, v in bad[:WITNESS_CAP]]))
 
-    rep.memberships_per_member = memberships
+    rep.memberships_per_member = {verts[x]: c for x, c in enumerate(memberships) if c}
     return rep
 
 
 def verify_ei_avoidance(g: PermGraph, tc: TotalColoring) -> dict:
     """No color-i edge touches a Sigma_i vertex; color-(2k-1) vertices have
     equal first and last entries.  Returns per-color verdicts."""
-    k = g.params.k
-    out: dict = {"per_color": {}, "passed": True, "last_position_rationale": True}
-    for i in range(1, 2 * k):
-        sigma = sigma_set(g, i)
-        bad = []
-        for (u, v), c in tc.edge_colors.items():
-            if c == i and (u in sigma or v in sigma):
-                bad.append((u, v))
-        out["per_color"][i] = {"passed": not bad, "witnesses": bad[:WITNESS_CAP]}
-        if bad:
-            out["passed"] = False
-    last = 2 * k - 1
-    for v in sigma_set(g, last):
-        if v[0] != v[-1]:
-            out["last_position_rationale"] = False
+    if g.params.ell != 2:
+        raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
+    last = 2 * g.params.k - 1
+    # As in sigma_set: a vertex v lies in Sigma_i exactly when v[i] == v[0].
+    bad: dict = {i: [] for i in range(1, last + 1)}
+    for (u, v), c in tc.edge_colors.items():
+        if c in bad and (u[c] == u[0] or v[c] == v[0]):
+            bad[c].append((u, v))
+    out: dict = {
+        "per_color": {i: {"passed": not b, "witnesses": b[:WITNESS_CAP]} for i, b in bad.items()},
+        "passed": not any(bad.values()),
+        "last_position_rationale": all(v[0] == v[-1] for v in g.vertices if v[last] == v[0]),
+    }
     return out
 
 

@@ -30,7 +30,7 @@ class Graph:
     operation downstream is deterministic.
     """
 
-    __slots__ = ("vertices", "_index", "_adj")
+    __slots__ = ("vertices", "_index", "_adj", "_triangle")
 
     def __init__(
         self,
@@ -42,6 +42,8 @@ class Graph:
         if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         self._adj: list[dict[int, tuple[int, ...]]] = [{} for _ in self.vertices]
+        #: has_triangle's verdict, None until asked; every edge change clears it
+        self._triangle: Optional[bool] = None
         for e in edges:
             u, v = e[0], e[1]
             labels = tuple(e[2]) if len(e) > 2 else ()
@@ -53,6 +55,7 @@ class Graph:
         g.vertices = vertices
         g._index = {v: i for i, v in enumerate(vertices)}
         g._adj = adj
+        g._triangle = None
         return g
 
     def _add_edge(self, u: Label, v: Label, labels: tuple[int, ...] = ()) -> None:
@@ -62,6 +65,7 @@ class Graph:
         merged = tuple(sorted(set(self._adj[iu].get(iv, ())) | set(labels)))
         self._adj[iu][iv] = merged
         self._adj[iv][iu] = merged
+        self._triangle = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -206,17 +210,19 @@ class Graph:
                 raise ValueError(f"unknown edge ({u!r}, {v!r})")
             del g._adj[iu][iv]
             del g._adj[iv][iu]
+            g._triangle = None
         return g
 
     # -- cycles, parity ----------------------------------------------------
 
     def has_triangle(self) -> bool:
-        for iu, nbrs in enumerate(self._adj):
-            su = set(nbrs)
-            for iv in nbrs:
-                if iv > iu and su & set(self._adj[iv]):
-                    return True
-        return False
+        """Whether any three vertices are pairwise adjacent; scanned once
+        per graph and kept until an edge changes."""
+        if self._triangle is None:
+            self._triangle = any(
+                iv > iu and nbrs.keys() & self._adj[iv].keys() for iu, nbrs in enumerate(self._adj) for iv in nbrs
+            )
+        return self._triangle
 
     def girth(self) -> Optional[int]:
         """Length of a shortest cycle, or None for an acyclic graph.
@@ -415,6 +421,7 @@ def build_graph(
     g.vertices = tuple(verts)
     g._index = index
     g._adj = adj
+    g._triangle = None
     g.params = p
     g.family = family
     g.nonstar_edges = frozenset(nonstar)

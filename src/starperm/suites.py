@@ -105,40 +105,46 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
         run.precondition("girth-precondition", "graph contains a triangle")
         return
     run.add("girth-precondition", lambda: (True, "triangle-free", []))
-    for i in range(k):
+
+    # Each check builds its certificate or report itself and drops it on
+    # return, so one is alive at a time and its seconds are its own work.
+    def se_efficient(i: int):
         cert = verify_efficient_domination(g, se_set(g, i), ell)
-        run.add(
-            f"se-set-{i}-efficient",
-            lambda cert=cert: (cert.passed, f"violations={len(cert.violations)}", [v.kind for v in cert.violations]),
+        return cert.passed, f"violations={len(cert.violations)}", [v.kind for v in cert.violations]
+
+    def se_partition():
+        prep = verify_partition_and_edge_cover(g, "SE")
+        return prep.passed, "", prep.failures[:8]
+
+    for i in range(k):
+        run.add(f"se-set-{i}-efficient", lambda i=i: se_efficient(i))
+    run.add("se-partition-and-edge-cover", se_partition)
+    if ell != 2:
+        return
+    sigmas: list[frozenset] = []
+
+    def sigma_partition():
+        sigmas.extend(sigma_set(g, i) for i in range(1, 2 * k))
+        ok = frozenset().union(*sigmas) == set(g.vertices) and sum(map(len, sigmas)) == g.n
+        return ok, f"sizes={sorted(map(len, sigmas))}", []
+
+    def sigma_e_set(i: int):
+        cert = verify_efficient_domination(g, sigmas[i - 1], 1)
+        return (
+            cert.passed and cert.min_internal_distance == 3,
+            f"min_distance={cert.min_internal_distance}",
+            [v.kind for v in cert.violations],
         )
-    prep = verify_partition_and_edge_cover(g, "SE")
-    run.add("se-partition-and-edge-cover", lambda: (prep.passed, "", prep.failures[:8]))
-    if ell == 2:
-        sigmas = [sigma_set(g, i) for i in range(1, 2 * k)]
-        covered = sorted(len(s) for s in sigmas)
 
-        def partition_check():
-            union: set = set()
-            total = 0
-            for s in sigmas:
-                union |= s
-                total += len(s)
-            ok = union == set(g.vertices) and total == g.n
-            return ok, f"sizes={covered}", []
-
-        run.add("sigma-partition", partition_check)
-        for i, s in enumerate(sigmas, start=1):
-            cert = verify_efficient_domination(g, s, 1)
-            run.add(
-                f"sigma-{i}-e-set-distance-3",
-                lambda cert=cert: (
-                    cert.passed and cert.min_internal_distance == 3,
-                    f"min_distance={cert.min_internal_distance}",
-                    [v.kind for v in cert.violations],
-                ),
-            )
+    def ei_avoidance():
+        sigmas.clear()  # the classes are done with, and the coloring is larger
         ei = verify_ei_avoidance(g, ctx.coloring)
-        run.add("ei-avoidance", lambda: (ei["passed"] and ei["last_position_rationale"], "", []))
+        return ei["passed"] and ei["last_position_rationale"], "", []
+
+    run.add("sigma-partition", sigma_partition)
+    for i in range(1, 2 * k):
+        run.add(f"sigma-{i}-e-set-distance-3", lambda i=i: sigma_e_set(i))
+    run.add("ei-avoidance", ei_avoidance)
 
 
 def _suite_coloring(run: _Runner, ctx: _Context) -> None:

@@ -1,6 +1,10 @@
 import json
+import random
+import tracemalloc
 
 import pytest
+
+import starperm.domination
 
 from starperm import (
     GirthPrecondition,
@@ -91,6 +95,60 @@ def test_certificate_json_shape(st22):
     assert doc["set"] == ["0011", "1100"]
     assert doc["min_internal_distance"] == 3
     assert doc["violations"] == []
+
+
+def test_verifier_matches_oracle_on_every_subset_of_st22(st22):
+    adj = adjacency_dict(st22)
+    for mask in range(1 << st22.n):
+        s = frozenset(v for i, v in enumerate(st22.vertices) if mask >> i & 1)
+        for ell in (1, 2):
+            assert verify_efficient_domination(st22, s, ell).passed == brute_is_e_ell_set(adj, s, ell), (sorted(s), ell)
+
+
+@pytest.mark.parametrize("graph,ells", [("st32", (1, 2)), ("st23", (2, 3)), ("pc32", (1,))])
+def test_verifier_matches_oracle_on_random_subsets(graph, ells, request):
+    g = request.getfixturevalue(graph)
+    adj = adjacency_dict(g)
+    rng = random.Random(20260)
+    for _ in range(300):
+        density = rng.uniform(0.05, 0.5)
+        s = frozenset(v for v in g.vertices if rng.random() < density)
+        for ell in ells:
+            assert verify_efficient_domination(g, s, ell).passed == brute_is_e_ell_set(adj, s, ell), (sorted(s), ell)
+
+
+def test_partition_and_edge_cover_reports_an_overlap(st32, monkeypatch):
+    sigma = starperm.domination.sigma_set
+    extra = min(sigma(st32, 2), key=st32.index)
+    monkeypatch.setattr(
+        starperm.domination, "sigma_set", lambda g, i: sigma(g, i) | {extra} if i == 1 else sigma(g, i)
+    )
+    rep = verify_partition_and_edge_cover(st32, "sigma")
+    assert not rep.is_partition and not rep.double_cover_ok and not rep.passed
+    assert [f[0] for f in rep.failures] == [
+        "not-a-partition",
+        "wrong-dominator-count",
+        "wrong-dominator-count",
+        "wrong-dominator-count",
+        "edge-not-double-covered",
+    ]
+    assert rep.failures[0][1] == [extra]
+    uncovered = rep.failures[-1][1]
+    assert len(uncovered) == 4
+    assert uncovered == sorted(uncovered, key=lambda e: (st32.index(e[0]), st32.index(e[1])))
+
+
+def test_domination_verifiers_allocate_little(st42):
+    # the ST(4,2) graph itself is about 2 MB; the checks should need less
+    s0 = se_set(st42, 0)
+    for check in (lambda: verify_efficient_domination(st42, s0, 2), lambda: verify_partition_and_edge_cover(st42, "SE")):
+        tracemalloc.start()
+        try:
+            assert check().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 def test_partition_and_edge_cover_st22(st22):

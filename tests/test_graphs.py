@@ -61,6 +61,16 @@ def test_st_regular_connected(k, ell):
     assert not g.has_triangle()
 
 
+def test_has_triangle_follows_edge_changes():
+    g = Graph(range(3), [(0, 1), (1, 2)])
+    assert not g.has_triangle()
+    g._add_edge(0, 2)
+    assert g.has_triangle()
+    path = g.subgraph(delete_edges=[(0, 2)])
+    assert not path.has_triangle() and g.has_triangle()
+    assert build_odd_complete_colored(1)[0].has_triangle()
+
+
 def test_pc_same_vertex_set(st32, pc32):
     assert st32.vertices == pc32.vertices
 

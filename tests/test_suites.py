@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,12 @@ def test_precondition_suite_builds_nothing(monkeypatch):
     monkeypatch.setattr(starperm.suites, "build_graph", refuse)
     report = run_suite("chi", 4, 3)
     assert [c.status for c in report.checks] == ["precondition"]
+
+
+def test_domination_check_seconds_cover_the_run(st42):
+    # each check does its own work, so the checks account for the run
+    t0 = time.perf_counter()
+    report = run_suite("domination", 4, 2, st42)
+    wall = time.perf_counter() - t0
+    assert report.passed
+    assert sum(c.seconds for c in report.checks) >= 0.6 * wall
