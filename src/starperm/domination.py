@@ -312,12 +312,11 @@ def verify_ei_avoidance(g: PermGraph, tc: TotalColoring) -> dict:
     for (u, v), c in tc.edge_colors.items():
         if c in bad and (u[c] == u[0] or v[c] == v[0]):
             bad[c].append((u, v))
-    out: dict = {
+    return {
         "per_color": {i: {"passed": not b, "witnesses": b[:WITNESS_CAP]} for i, b in bad.items()},
         "passed": not any(bad.values()),
         "last_position_rationale": all(v[0] == v[-1] for v in g.vertices if v[last] == v[0]),
     }
-    return out
 
 
 # ---------------------------------------------------------------------------

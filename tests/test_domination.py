@@ -141,7 +141,8 @@ def test_partition_and_edge_cover_reports_an_overlap(st32, monkeypatch):
 def test_domination_verifiers_allocate_little(st42):
     # the ST(4,2) graph itself is about 2 MB; the checks should need less
     s0 = se_set(st42, 0)
-    for check in (lambda: verify_efficient_domination(st42, s0, 2), lambda: verify_partition_and_edge_cover(st42, "SE")):
+    checks = (lambda: verify_efficient_domination(st42, s0, 2), lambda: verify_partition_and_edge_cover(st42, "SE"))
+    for check in checks:
         tracemalloc.start()
         try:
             assert check().passed
