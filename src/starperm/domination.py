@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 from .coloring import TotalColoring
 from .errors import CapExceeded, GirthPrecondition
 from .graphs import Graph, PermGraph
-from .mstrings import MString, render
+from .mstrings import MString, render, repeat_position
 from .report import WITNESS_CAP
 
 CODE_SEARCH_VERTEX_CAP = 1000
@@ -83,16 +83,18 @@ def se_set(g: PermGraph, i: int) -> frozenset:
     return frozenset(v for v in g.vertices if v[0] == i)
 
 
+def _require_ell2(g: PermGraph) -> None:
+    if g.params.ell != 2:
+        raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
+
+
 def sigma_set(g: PermGraph, i: int) -> frozenset:
     """Sigma_i: all vertices whose repeated first symbol sits at position i
     (ell = 2 only)."""
-    if g.params.ell != 2:
-        raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
+    _require_ell2(g)
     if not 1 <= i <= 2 * g.params.k - 1:
         raise ValueError(f"position {i} out of range [1, {2 * g.params.k - 1}]")
-    # A PermGraph's vertices come from enumerate_vertices, so v[0] occurs
-    # exactly twice and v[i] == v[0] says its repeat position is i.
-    return frozenset(v for v in g.vertices if v[i] == v[0])
+    return frozenset(v for v in g.vertices if repeat_position(v) == i)
 
 
 def d_set(v: MString, s: Iterable, g: Graph) -> frozenset:
@@ -304,18 +306,19 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
 def verify_ei_avoidance(g: PermGraph, tc: TotalColoring) -> dict:
     """No color-i edge touches a Sigma_i vertex; color-(2k-1) vertices have
     equal first and last entries.  Returns per-color verdicts."""
-    if g.params.ell != 2:
-        raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
+    _require_ell2(g)
     last = 2 * g.params.k - 1
-    # As in sigma_set: a vertex v lies in Sigma_i exactly when v[i] == v[0].
+    # Each vertex's repeat position once, by vertex index: Sigma_i holds the
+    # vertices at position i, so one pass over the edge colors decides all i.
+    pos, index = list(map(repeat_position, g.vertices)), g._index
     bad: dict = {i: [] for i in range(1, last + 1)}
     for (u, v), c in tc.edge_colors.items():
-        if c in bad and (u[c] == u[0] or v[c] == v[0]):
+        if c in bad and c in (pos[index[u]], pos[index[v]]):
             bad[c].append((u, v))
     return {
         "per_color": {i: {"passed": not b, "witnesses": b[:WITNESS_CAP]} for i, b in bad.items()},
         "passed": not any(bad.values()),
-        "last_position_rationale": all(v[0] == v[-1] for v in g.vertices if v[last] == v[0]),
+        "last_position_rationale": all(v[0] == v[-1] for v, p in zip(g.vertices, pos) if p == last),
     }
 
 

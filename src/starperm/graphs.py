@@ -42,7 +42,7 @@ class Graph:
         if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         self._adj: list[dict[int, tuple[int, ...]]] = [{} for _ in self.vertices]
-        #: has_triangle's verdict, None until asked; every edge change clears it
+        #: has_triangle's verdict, None until asked; _add_edge clears it
         self._triangle: Optional[bool] = None
         for e in edges:
             u, v = e[0], e[1]
@@ -210,7 +210,6 @@ class Graph:
                 raise ValueError(f"unknown edge ({u!r}, {v!r})")
             del g._adj[iu][iv]
             del g._adj[iv][iu]
-            g._triangle = None
         return g
 
     # -- cycles, parity ----------------------------------------------------
