@@ -28,6 +28,16 @@ def test_verify_all_matches_golden_report(k, ell, tmp_path):
     assert _normalised(out) == golden
 
 
+def test_verify_all_k4_matches_golden_report(tmp_path):
+    # pins the seven count=24 expected=32 chi FAILs, the 7-colour toroidal
+    # census and the k = 4 chain blocks
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "all", "--k", "4", "--l", "2", "--d1", "7", "--quad", "1,2,3,4"]
+    assert main([*argv, "--json", str(out)]) == 1
+    golden = json.loads((GOLDEN / "all_k4_l2_d7_q1234.json").read_text())
+    assert _normalised(out) == golden
+
+
 def test_suite_all_builds_graph_and_coloring_once(monkeypatch):
     builds, colorings = [], []
     build, color = starperm.suites.build_graph, starperm.suites.sigma_total_coloring
