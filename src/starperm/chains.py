@@ -24,7 +24,7 @@ from typing import Optional
 from .domination import sigma_set, verify_efficient_domination
 from .errors import CapExceeded
 from .graphs import GeneratorFamily, build_graph
-from .mstrings import MString, Params, render
+from .mstrings import MString, Params, enumerate_vertices, render, repeat_position, star_neighbors
 
 SCHREIER_SYM_CAP = 8
 
@@ -39,10 +39,6 @@ class ChainEmbedding:
     def __post_init__(self) -> None:
         if not 0 <= self.j <= self.source_k:
             raise ValueError(f"index {self.j} out of range [0, {self.source_k}]")
-
-    @property
-    def target_k(self) -> int:
-        return self.source_k + 1
 
     @property
     def shift(self) -> int:
@@ -97,39 +93,49 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
     """Check the k+1 embeddings of the 2-set star graph on k symbols into
     the one on k+1 symbols: disjoint induced images, the one-to-one
     adjacency with the repeat-at-last-position class, and the cardinality
-    identity (k+1) * (2k)!/2^k = |Sigma_{2k+1}|."""
-    source = build_graph(Params(k, 2), cap=cap)
-    target = build_graph(Params(k + 1, 2), cap=cap)
-    rep = ChainReport(k=k)
+    identity (k+1) * (2k)!/2^k = |Sigma_{2k+1}|.
+
+    Every edge question is a star move, the rule build_graph applies, so
+    neither graph is built: the target is read as its strings alone.
+    """
+    source = enumerate_vertices(Params(k, 2), cap)
     last = 2 * k + 1
-    sigma = sigma_set(target, last)
-    rep.sigma_size = len(sigma)
-    rep.image_size = source.n
+    sigma = frozenset(v for v in enumerate_vertices(Params(k + 1, 2), cap) if repeat_position(v) == last)
+    rep = ChainReport(k=k, sigma_size=len(sigma), image_size=len(source))
+    source_degree_sum = sum(len(star_neighbors(v)) for v in source)
 
     images: list[dict[MString, MString]] = []
     all_image_vertices: set[MString] = set()
     for j in range(k + 1):
         emb = ChainEmbedding(k, j)
-        img = {v: emb.apply(v) for v in source.vertices}
-        for v, w in img.items():
-            if set(w[:-2]) & {j}:
+        img = {v: emb.apply(v) for v in source}
+        for w in img.values():
+            if j in w[:-2]:
                 rep.failures.append(("symbol-in-body", j, w))
-        if all_image_vertices & set(img.values()):
+        image = set(img.values())
+        if all_image_vertices & image:
             rep.images_disjoint = False
-        all_image_vertices.update(img.values())
-        for u, v, _ in source.edges():
-            if not target.has_edge(img[u], img[v]):
+        all_image_vertices |= image
+        # induced copy: every source edge maps to a star move, and the
+        # image has no further internal ones
+        internal_degree_sum = 0
+        for u, w in img.items():
+            moves = {x for _, x in star_neighbors(w)}
+            if any(img[v] not in moves for _, v in star_neighbors(u)):
                 rep.images_induced_isomorphic = False
-        induced = target.induced_subgraph(sorted(img.values(), key=target.index))
-        if induced.m != source.m:
+            internal_degree_sum += len(moves & image)
+        if internal_degree_sum != source_degree_sum:
             rep.images_induced_isomorphic = False
         images.append(img)
 
     blocks: list[frozenset] = []
+    full_nbhd: set[MString] = set()
     for img in images:
         block = set()
         for w in img.values():
-            nbrs_in_sigma = [x for x in target.neighbors(w) if x in sigma]
+            moves = [x for _, x in star_neighbors(w)]
+            full_nbhd.update(x for x in moves if x not in all_image_vertices)
+            nbrs_in_sigma = [x for x in moves if x in sigma]
             if len(nbrs_in_sigma) != 1:
                 rep.sigma_bijection_ok = False
                 rep.failures.append(("image-vertex-sigma-degree", w, len(nbrs_in_sigma)))
@@ -139,24 +145,16 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
     rep.block_sizes = tuple(len(b) for b in blocks)
 
     for x in sigma:
-        cnt = sum(1 for y in target.neighbors(x) if y in all_image_vertices)
+        cnt = sum(1 for _, y in star_neighbors(x) if y in all_image_vertices)
         if cnt != 1:
             rep.sigma_bijection_ok = False
             rep.failures.append(("sigma-vertex-image-degree", x, cnt))
 
-    union = set()
-    total = 0
-    for b in blocks:
-        total += len(b)
-        union |= b
-    rep.blocks_partition_sigma = union == set(sigma) and total == len(sigma)
+    union = frozenset().union(*blocks)
+    rep.blocks_partition_sigma = union == sigma and sum(rep.block_sizes) == len(sigma)
     rep.cardinality_identity_ok = (k + 1) * math.factorial(2 * k) // 2**k == len(sigma)
-
-    full_nbhd = set()
-    for w in all_image_vertices:
-        full_nbhd.update(x for x in target.neighbors(w) if x not in all_image_vertices)
     rep.full_neighborhood_size = len(full_nbhd)
-    rep.restricted_union_equals_sigma = union == set(sigma)
+    rep.restricted_union_equals_sigma = union == sigma
     return rep
 
 
@@ -261,8 +259,8 @@ def schreier_quotient_check(k: int, ell: int) -> SchreierReport:
     quotient_edges: set = set()
     for s in sym:
         x = collapse[s]
-        for j in range(1, n):
-            t = (s[j],) + s[1:j] + (s[0],) + s[j + 1 :]
+        # entries of a Sym string are distinct, so every position j moves
+        for j, t in star_neighbors(s):
             y = collapse[t]
             if x == y:
                 continue
@@ -277,12 +275,12 @@ def schreier_quotient_check(k: int, ell: int) -> SchreierReport:
 
     gen_sets = {}
     for key in fibers:
-        positions = tuple(j for j in range(1, n) if key[j] != key[0])
-        gen_sets[key] = positions
+        moves = dict(star_neighbors(key))
+        gen_sets[key] = tuple(moves)
         for s in fibers[key]:
-            for j in positions:
-                t = (s[j],) + s[1:j] + (s[0],) + s[j + 1 :]
-                if collapse[t] != (key[j],) + key[1:j] + (key[0],) + key[j + 1 :]:
+            swaps = dict(star_neighbors(s))
+            for j, y in moves.items():
+                if collapse[swaps[j]] != y:
                     rep.generator_sets_ok = False
                     rep.failures.append(("generator-not-well-defined", key, j))
     rep.table.generator_sets = gen_sets

@@ -49,9 +49,6 @@ class TotalColoring:
     def vertex_class(self, color: int) -> frozenset:
         return frozenset(v for v, c in self.vertex_colors.items() if c == color)
 
-    def edge_class(self, color: int) -> frozenset:
-        return frozenset(e for e, c in self.edge_colors.items() if c == color)
-
 
 @dataclass
 class ColoringReport:
@@ -115,15 +112,17 @@ def sigma_total_coloring(g: PermGraph) -> TotalColoring:
 def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> ColoringReport:
     """Check properness / totality / efficiency, with witnesses.
 
-    "efficient" additionally requires g regular of degree |palette| - 1 and
+    Every edge must be colored, and every vertex too in the modes that read
+    vertex colors (all but "proper-edge").  "efficient" additionally requires g regular of degree |palette| - 1 and
     every closed neighborhood rainbow over the full palette.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     rep = ColoringReport(mode=mode)
-    for v in g.vertices:
-        if v not in tc.vertex_colors:
-            raise ValueError(f"uncolored vertex {v!r}")
+    if mode != "proper-edge":
+        for v in g.vertices:
+            if v not in tc.vertex_colors:
+                raise ValueError(f"uncolored vertex {v!r}")
     for u, v, _ in g.edges():
         if (u, v) not in tc.edge_colors and (v, u) not in tc.edge_colors:
             raise ValueError(f"uncolored edge ({u!r}, {v!r})")

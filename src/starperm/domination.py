@@ -235,7 +235,7 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
     if family == "SE":
         sets = (se_set(g, i) for i in range(k))
         dom_ell = ell
-    elif family in ("sigma", "Sigma"):
+    elif family == "sigma":
         sets = (sigma_set(g, i) for i in range(1, 2 * k))
         dom_ell = 1
     else:

@@ -338,25 +338,23 @@ class GeneratorFamily:
                 used.update((a, b))
 
     def position_maps(self, length: int) -> list[tuple[int, ...]]:
-        """Generator j as a full position permutation, for j = 1..length-1.
+        """Custom generator j as a full position permutation, for
+        j = 1..length-1.  Star and pancake moves are
+        :func:`~starperm.mstrings.star_neighbors` and
+        :func:`~starperm.mstrings.prefix_reversal`.
 
         Entry j-1 maps new position -> old position; all generators are
         involutions so the direction is immaterial.
         """
+        if self.kind != "custom":
+            raise ValueError(f"position maps exist for the custom family only, got {self.kind!r}")
+        assert self.pis is not None
         maps = []
         for j in range(1, length):
             perm = list(range(length))
-            if self.kind == "star":
-                perm[0], perm[j] = j, 0
-            elif self.kind == "pancake":
-                perm[: j + 1] = reversed(perm[: j + 1])
-            elif self.kind == "custom":
-                assert self.pis is not None
-                perm[0], perm[j] = j, 0
-                for a, b in self.pis[j - 1]:
-                    perm[a], perm[b] = perm[b], perm[a]
-            else:
-                raise ValueError(f"unknown family kind {self.kind!r}")
+            perm[0], perm[j] = j, 0
+            for a, b in self.pis[j - 1]:
+                perm[a], perm[b] = perm[b], perm[a]
             maps.append(tuple(perm))
         return maps
 

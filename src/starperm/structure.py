@@ -151,9 +151,7 @@ def color_class_decomposition(
         case.minus_edges_degrees = tuple(sorted(census))
         big = {v for v in minus_e.vertices if minus_e.degree(v) == h - 2}
         case.minus_edges_big_side_is_class = big == set(w_class)
-        case.minus_edges_class_independent = not any(
-            minus_e.has_edge(u, v) for u in w_class for v in w_class if minus_e.index(u) < minus_e.index(v)
-        )
+        case.minus_edges_class_independent = not any(x in w_class for u in w_class for x in minus_e.neighbors(u))
         case.odd_closed_walk = minus_e.odd_closed_walk()
         rep.cases.append(case)
     return rep
@@ -288,13 +286,7 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
             continue
         d = leftover.pop()
         cyc_set = set(c.cycle)
-        landing = []
-        for (u, v), color in tc.edge_colors.items():
-            if color != d:
-                continue
-            inside = (u in cyc_set) + (v in cyc_set)
-            if inside == 1:
-                landing.append(v if u in cyc_set else u)
+        landing = [y for x in c.cycle for y in g.neighbors(x) if y not in cyc_set and tc.edge_color(x, y) == d]
         if len(landing) != 6 or len(set(landing)) != 6:
             rep.departures_ok = False
             rep.departure_failures.append(("departure-count", c.cycle, d, len(landing)))
@@ -309,11 +301,12 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
         if hit == last and not all(x[0] == x[-1] for x in landing):
             rep.sigma_pendant_ok = False
             rep.departure_failures.append(("landing-shape", c.cycle, d))
+        # Each landing vertex hangs off the 6-cycle, whose vertices are at
+        # most 3 apart, so two landing vertices are at most 1 + 3 + 1 apart.
         pair_dists = set()
-        for i, x in enumerate(landing):
-            dists = g.bfs_distances(x)
-            for y in landing[i + 1 :]:
-                pair_dists.add(dists[y])
+        for i, x in enumerate(landing[:-1]):
+            dists = g.bfs_distances(x, limit=5)
+            pair_dists.update(dists[y] for y in landing[i + 1 :])
         dist_values |= pair_dists
         if min(pair_dists) != 3:
             rep.landing_min_distance_3 = False

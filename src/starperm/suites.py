@@ -149,13 +149,16 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
 
 def _suite_coloring(run: _Runner, ctx: _Context) -> None:
     k, ell, g = ctx.k, ctx.ell, ctx.graph
-    edge_colors = positional_edge_coloring(g)
-    placeholder = TotalColoring({v: 0 for v in g.vertices}, edge_colors, frozenset(range(0, k * ell)))
-    pe = verify_coloring(g, placeholder, "proper-edge")
+    # At l = 2 the run's coloring carries the positional edge colors; the
+    # proper-edge check reads no vertex color, so elsewhere none is made.
+    if ell == 2:
+        tc = ctx.coloring
+    else:
+        tc = TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, k * ell)))
+    pe = verify_coloring(g, tc, "proper-edge")
     run.add("positional-edge-proper", lambda: (bool(pe.proper_edge), "", pe.witnesses[:8]))
 
     if ell == 2:
-        tc = ctx.coloring
         tot = verify_coloring(g, tc, "total")
         eff = verify_coloring(g, tc, "efficient")
         run.add("sigma-total", lambda: (bool(tot.total), "", tot.witnesses[:8]))

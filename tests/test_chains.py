@@ -1,5 +1,6 @@
 import pytest
 
+import starperm.chains
 from starperm import (
     CapExceeded,
     GeneratorFamily,
@@ -73,6 +74,32 @@ def test_verify_chain_k3():
     assert rep.passed
     assert rep.block_sizes == (90, 90, 90, 90)
     assert rep.sigma_size == 360
+
+
+def test_verify_chain_builds_no_graph(monkeypatch):
+    # catches a verify_chain that builds the source or target graph again
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_chain reads strings and star moves only")
+
+    monkeypatch.setattr(starperm.chains, "build_graph", refuse)
+    assert verify_chain(3).passed
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_chain_counts_match_target_graph(k):
+    # catches a star-move reading that strays from build_graph's edges,
+    # such as a full neighbourhood counted inside the images
+    target = build_graph(Params(k + 1, 2))
+    sigma = {v for v in target.vertices if v[2 * k + 1] == v[0]}
+    source = build_graph(Params(k, 2)).vertices
+    images = [{kappa_embed(v, j, k) for v in source} for j in range(k + 1)]
+    union = set().union(*images)
+    blocks = [{x for w in image for x in target.neighbors(w) if x in sigma} for image in images]
+    full = {x for w in union for x in target.neighbors(w) if x not in union}
+    rep = verify_chain(k)
+    assert rep.block_sizes == tuple(map(len, blocks))
+    assert rep.sigma_size == len(sigma)
+    assert rep.full_neighborhood_size == len(full)
 
 
 def test_schreier_coset_table_values():

@@ -96,6 +96,14 @@ def test_verify_coloring_uncolored_element(st22, tc22):
         verify_coloring(st22, partial, "total")
 
 
+def test_proper_edge_mode_reads_no_vertex_color(st32):
+    # catches verify_coloring asking for vertex colors that proper-edge never reads
+    tc = TotalColoring({}, positional_edge_coloring(st32), frozenset(range(1, 6)))
+    assert verify_coloring(st32, tc, "proper-edge").passed
+    with pytest.raises(ValueError, match="uncolored vertex"):
+        verify_coloring(st32, tc, "total")
+
+
 def test_choosability_desargues(st23):
     ok_min, chosen_min = choosability_suite(st23, min_selector)
     ok_max, chosen_max = choosability_suite(st23, max_selector)

@@ -192,6 +192,17 @@ def test_custom_family_flags_nonstar_edges():
         assert g.has_edge(u, v)
 
 
+def test_position_maps_are_the_custom_rule_only():
+    # catches a revived star or pancake branch beside star_neighbors and prefix_reversal
+    fam = GeneratorFamily.custom([[], [], [], [(1, 3)], []])
+    maps = fam.position_maps(6)
+    assert maps[0] == (1, 0, 2, 3, 4, 5)
+    assert maps[3] == (4, 3, 2, 1, 0, 5)
+    for other in (GeneratorFamily.star(), GeneratorFamily.pancake()):
+        with pytest.raises(ValueError):
+            other.position_maps(6)
+
+
 def test_custom_family_validation():
     with pytest.raises(ValueError):
         GeneratorFamily.custom([[(1, 2)], [], [], [], []])  # pi_1 must be identity

@@ -2,6 +2,7 @@ import pytest
 
 from starperm import (
     Graph,
+    TotalColoring,
     augment_supergraph,
     classify_six_cycles,
     isomorphic,
@@ -50,6 +51,23 @@ def test_chi_suite_st42_actual_structure(st42, st32, tc42):
         assert case.minus_edges_degrees == (5, 6)
         assert case.minus_edges_big_side_is_class
         assert case.odd_closed_walk is not None
+
+
+def test_chi_independence_sees_an_edge_inside_the_class(monkeypatch, st32, tc32):
+    # catches an independence check that never looks at W_i's edges
+    vertex_class = TotalColoring.vertex_class
+
+    def with_neighbor(self, color):
+        members = vertex_class(self, color)
+        if color != 1:
+            return members
+        first = min(members, key=st32.index)
+        return members | {st32.neighbors(first)[0]}
+
+    monkeypatch.setattr(TotalColoring, "vertex_class", with_neighbor)
+    rep = color_class_decomposition(st32, tc32)
+    independent = {case.color: case.minus_edges_class_independent for case in rep.cases}
+    assert independent == {1: False, 2: True, 3: True, 4: True, 5: True}
 
 
 def test_chi_preconditions_reported_not_raised(st22, tc22):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import starperm.coloring
 import starperm.suites
 from starperm import Params
 from starperm.cli import main
@@ -55,6 +56,21 @@ def test_suite_all_builds_graph_and_coloring_once(monkeypatch):
     assert run_suite("all", 3, 2).passed
     assert builds.count(Params(3, 2)) == 1
     assert colorings == [Params(3, 2)]
+
+
+def test_coloring_suite_makes_one_positional_coloring(monkeypatch):
+    # catches a second positional coloring beside the one in the run's coloring
+    calls = []
+    make = starperm.coloring.positional_edge_coloring
+
+    def counted(g):
+        calls.append(g.params)
+        return make(g)
+
+    monkeypatch.setattr(starperm.suites, "positional_edge_coloring", counted)
+    monkeypatch.setattr(starperm.coloring, "positional_edge_coloring", counted)
+    assert run_suite("coloring", 3, 2).passed
+    assert calls == [Params(3, 2)]
 
 
 def test_suite_all_runs_each_part_through_run_suite(monkeypatch):
