@@ -113,8 +113,9 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
     """Check properness / totality / efficiency, with witnesses.
 
     Every edge must be colored, and every vertex too in the modes that read
-    vertex colors (all but "proper-edge").  "efficient" additionally requires g regular of degree |palette| - 1 and
-    every closed neighborhood rainbow over the full palette.
+    vertex colors (all but "proper-edge").  "efficient" additionally
+    requires g regular of degree |palette| - 1 and every closed
+    neighborhood rainbow over the full palette.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
