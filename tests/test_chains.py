@@ -90,7 +90,7 @@ def test_verify_chain_counts_match_target_graph(k):
     # catches a star-move reading that strays from build_graph's edges,
     # such as a full neighbourhood counted inside the images
     target = build_graph(Params(k + 1, 2))
-    sigma = {v for v in target.vertices if v[2 * k + 1] == v[0]}
+    sigma = sigma_set(target, 2 * k + 1)
     source = build_graph(Params(k, 2)).vertices
     images = [{kappa_embed(v, j, k) for v in source} for j in range(k + 1)]
     union = set().union(*images)
