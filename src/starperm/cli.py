@@ -12,10 +12,11 @@ import argparse
 import sys
 
 from . import __version__
-from .coloring import positional_edge_coloring, sigma_total_coloring
+from .coloring import TotalColoring, positional_edge_coloring, sigma_total_coloring
 from .domination import code_search
 from .errors import CapExceeded
 from .export import (
+    edge_list_matches,
     load_pi_file,
     read_edge_list,
     write_coloring,
@@ -94,18 +95,11 @@ def cmd_verify(args) -> int:
     graph = None
     if args.input:
         with open(args.input) as fh:
-            loaded = read_edge_list(fh)
-        graph = build_graph(Params(args.k, args.l), cap=args.cap)
-        # both vertex tuples are in lexicographic order; labels are sorted
-        matches = (
-            loaded.vertices == graph.vertices
-            and loaded.m == graph.m
-            and all(graph.has_edge(u, v) and graph.edge_labels(u, v) == labels for u, v, labels in loaded.edges())
-        )
-        del loaded
-        if not matches:
-            print("input file does not match the stated parameters", file=sys.stderr)
-            return USAGE_EXIT
+            # the graph is built first, so the cap is checked before the file is read
+            graph = build_graph(Params(args.k, args.l), cap=args.cap)
+            if not edge_list_matches(fh, graph):
+                print("input file does not match the stated parameters", file=sys.stderr)
+                return USAGE_EXIT
     quad = tuple(int(x) for x in args.quad.split(",")) if args.quad else None
     report = run_suite(
         args.suite,
@@ -144,19 +138,14 @@ def cmd_export(args) -> int:
     p = Params(args.k, args.l)
     g = build_graph(p, _family(args, p.length), cap=args.cap)
     with open(args.out, "w") as fh:
+        sigma = args.format != "edges" and args.l == 2 and args.family == "st"
+        tc = sigma_total_coloring(g) if sigma else None
         if args.format == "edges":
             write_edge_list(g, fh)
         elif args.format == "dot":
-            tc = sigma_total_coloring(g) if args.l == 2 and args.family == "st" else None
             write_dot(g, fh, tc=tc, name=f"{args.family}_{args.k}_{args.l}")
         else:
-            if args.l == 2 and args.family == "st":
-                tc = sigma_total_coloring(g)
-            else:
-                from .coloring import TotalColoring
-
-                tc = TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, p.length)))
-            write_coloring(tc, fh)
+            write_coloring(tc or TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, p.length))), fh)
     print(f"wrote {args.format} for {args.family}({args.k},{args.l}) to {args.out}")
     return 0
 

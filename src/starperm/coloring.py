@@ -17,6 +17,7 @@ witnesses instead of raising, capped at WITNESS_CAP per mode.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Optional
@@ -27,6 +28,8 @@ from .mstrings import MString, list_assignment, repeat_position
 from .report import WITNESS_CAP
 
 MODES = ("proper-edge", "proper-vertex", "total", "efficient")
+#: The witness kinds only the "efficient" mode adds, after all the others.
+EFFICIENCY_KINDS = ("not-regular-with-matching-palette", "non-rainbow-neighborhood")
 
 
 @dataclass(frozen=True)
@@ -38,13 +41,12 @@ class TotalColoring:
     """
 
     vertex_colors: dict = field(hash=False)
-    edge_colors: dict = field(hash=False)
+    edge_colors: Mapping = field(hash=False)
     palette: frozenset[int] = frozenset()
 
     def edge_color(self, u, v) -> int:
-        if (u, v) in self.edge_colors:
-            return self.edge_colors[(u, v)]
-        return self.edge_colors[(v, u)]
+        c = self.edge_colors.get((u, v))
+        return self.edge_colors[(v, u)] if c is None else c
 
     def vertex_class(self, color: int) -> frozenset:
         return frozenset(v for v, c in self.vertex_colors.items() if c == color)
@@ -86,17 +88,44 @@ class ColoringReport:
             self.truncated = True
 
 
-def positional_edge_coloring(g: PermGraph) -> dict:
-    """Edge -> transposition position.  Star family only: properness relies
-    on each edge being realized by exactly one generator position."""
+class _PositionalColors(Mapping):
+    """A star graph's edge labels read in place: canonical (u, v) pairs, in
+    ``g.edges()`` order, to the edge's one label; ``get`` raises no KeyError."""
+
+    def __init__(self, g: Graph) -> None:
+        self._g, self._index, self._adj = g, g._index, g._adj
+
+    def get(self, key, default=None):
+        if type(key) is tuple and len(key) == 2:
+            iu, iv = self._index.get(key[0], -1), self._index.get(key[1], -1)
+            if 0 <= iu < iv and iv in self._adj[iu]:
+                return self._adj[iu][iv][0]
+        return default
+
+    def __getitem__(self, key) -> int:
+        if (c := self.get(key)) is None:
+            raise KeyError(key)
+        return c
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    def __iter__(self):
+        return ((u, v) for u, v, _ in self._g.edges())
+
+    def __len__(self) -> int:
+        return self._g.m
+
+
+def positional_edge_coloring(g: PermGraph) -> Mapping:
+    """Edge -> transposition position, a read-only view of g's edge labels.
+    Star family only: properness needs one generator position per edge."""
     if not isinstance(g, PermGraph) or g.family.kind != "star":
         raise ValueError("positional edge coloring is defined for star-family graphs")
-    colors = {}
     for u, v, labels in g.edges():
         if len(labels) != 1:
             raise ValueError(f"edge ({u}, {v}) carries labels {labels}, want exactly one")
-        colors[(u, v)] = labels[0]
-    return colors
+    return _PositionalColors(g)
 
 
 def sigma_total_coloring(g: PermGraph) -> TotalColoring:
@@ -120,9 +149,10 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     rep = ColoringReport(mode=mode)
+    verts, adj, vertex_colors, edge_color = g.vertices, g._adj, tc.vertex_colors, tc.edge_color
     if mode != "proper-edge":
-        for v in g.vertices:
-            if v not in tc.vertex_colors:
+        for v in verts:
+            if v not in vertex_colors:
                 raise ValueError(f"uncolored vertex {v!r}")
     for u, v, _ in g.edges():
         if (u, v) not in tc.edge_colors and (v, u) not in tc.edge_colors:
@@ -130,10 +160,11 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
 
     if mode in ("proper-edge", "total", "efficient"):
         rep.proper_edge = True
-        for x in g.vertices:
+        for ix, x in enumerate(verts):
             seen: dict[int, object] = {}
-            for y in g.neighbors(x):
-                c = tc.edge_color(x, y)
+            for iy in sorted(adj[ix]):
+                y = verts[iy]
+                c = edge_color(x, y) if ix < iy else edge_color(y, x)  # canonical order first
                 if c in seen:
                     rep.proper_edge = False
                     rep._add("adjacent-edges", x, seen[c], y, c)
@@ -143,16 +174,16 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
     if mode in ("proper-vertex", "total", "efficient"):
         rep.proper_vertex = True
         for u, v, _ in g.edges():
-            if tc.vertex_colors[u] == tc.vertex_colors[v]:
+            if vertex_colors[u] == vertex_colors[v]:
                 rep.proper_vertex = False
-                rep._add("adjacent-vertices", u, v, tc.vertex_colors[u])
+                rep._add("adjacent-vertices", u, v, vertex_colors[u])
 
     if mode in ("total", "efficient"):
         rep.no_incidence_clash = True
         for u, v, _ in g.edges():
-            c = tc.edge_color(u, v)
+            c = edge_color(u, v)
             for x in (u, v):
-                if tc.vertex_colors[x] == c:
+                if vertex_colors[x] == c:
                     rep.no_incidence_clash = False
                     rep._add("vertex-incident-edge", x, (u, v), c)
 
@@ -163,10 +194,10 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
             rep.efficient = False
             rep._add("not-regular-with-matching-palette", kind, degs, len(tc.palette))
         else:
-            for v in g.vertices:
-                closed = {tc.vertex_colors[v]}
-                closed.update(tc.vertex_colors[w] for w in g.neighbors(v))
-                if closed != set(tc.palette):
+            for iv, v in enumerate(verts):
+                closed = {vertex_colors[v]}
+                closed.update(vertex_colors[verts[iw]] for iw in adj[iv])
+                if closed != tc.palette:
                     rep.efficient = False
                     rep._add("non-rainbow-neighborhood", v, tuple(sorted(closed)))
     return rep

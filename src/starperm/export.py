@@ -10,7 +10,7 @@ DOT uses the fixed palette-to-name table 1=red 2=blue 3=green 4=hazel
 
 from __future__ import annotations
 
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 from .coloring import TotalColoring
 from .graphs import GeneratorFamily, Graph, PermGraph
@@ -34,19 +34,15 @@ def write_edge_list(g: Graph, out: TextIO) -> None:
         out.write(f"{render(u)} {render(v)} {lab}".rstrip() + "\n")
 
 
-def read_edge_list(src: TextIO) -> Graph:
-    """Rebuild a graph from :func:`write_edge_list` output.
-
-    Permutation families come back as plain Graphs carrying the file's
-    vertices in sorted order; the header is validated against the contents.
-    """
+def _edge_lines(src: TextIO) -> Iterator[tuple]:
+    """The edge-list grammar: yields the header's (n, m), then (u, v, labels)
+    per edge line; a malformed line or integer raises ValueError where it is."""
     header = src.readline().split()
     if len(header) != 5:
         raise ValueError(f"malformed header {' '.join(header)!r}")
-    family, k, ell, n, m = header[0], int(header[1]), int(header[2]), int(header[3]), int(header[4])
+    family, _, _, n, m = header[0], int(header[1]), int(header[2]), int(header[3]), int(header[4])
+    yield n, m
     parse = mstring if family in ("st", "star", "pc", "pancake", "custom") else (lambda t: t)
-    edges = []
-    seen: set = set()
     for line in src:
         parts = line.split()
         if not parts:
@@ -54,12 +50,54 @@ def read_edge_list(src: TextIO) -> Graph:
         if len(parts) not in (2, 3):
             raise ValueError(f"malformed edge line {line.rstrip()!r}")
         u, v = parse(parts[0]), parse(parts[1])
-        labels = tuple(int(x) for x in parts[2].split(",")) if len(parts) == 3 else ()
-        edges.append((u, v, labels))
-        seen.update((u, v))
-    if len(seen) != n or len(edges) != m:
-        raise ValueError(f"header says n={n} m={m}, file has n={len(seen)} m={len(edges)}")
+        yield u, v, tuple(map(int, parts[2].split(","))) if len(parts) == 3 else ()
+
+
+def _check_counts(n: int, m: int, file_n: int, file_m: int) -> None:
+    if file_n != n or file_m != m:
+        raise ValueError(f"header says n={n} m={m}, file has n={file_n} m={file_m}")
+
+
+def read_edge_list(src: TextIO) -> Graph:
+    """Rebuild a graph from :func:`write_edge_list` output.
+
+    Permutation families come back as plain Graphs carrying the file's
+    vertices in sorted order; the header is validated against the contents.
+    """
+    (n, m), *edges = _edge_lines(src)
+    seen = {x for u, v, _ in edges for x in (u, v)}
+    _check_counts(n, m, len(seen), len(edges))
     return Graph(sorted(seen), edges)
+
+
+def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
+    """Whether an edge list holds the star graph g's vertices, edges and
+    merged edge labels, read line by line into bytearrays over g (the labels
+    g lacks are kept too, to count them).  A file :func:`read_edge_list`
+    refuses raises its ValueError."""
+    lines = _edge_lines(src)
+    n, m = next(lines)
+    index, adj, length = g._index, g._adj, g.params.length
+    seen, covered, foreign = bytearray(g.n), bytearray(g.n * length), set()
+    edge_lines, differs, loop = 0, False, None
+    for edge_lines, (u, v, labels) in enumerate(lines, 1):
+        iu, iv = index.get(u, -1), index.get(v, -1)
+        for x, ix in ((u, iu), (v, iv)):
+            if ix < 0:
+                foreign.add(x)
+            else:
+                seen[ix] = 1
+        if u == v:
+            loop = u if loop is None else loop
+        elif iu < 0 or iv not in adj[iu] or any(j != adj[iu][iv][0] for j in labels):
+            differs = True
+        elif labels:
+            covered[min(iu, iv) * length + labels[0]] = 1
+    known = seen.count(1)
+    _check_counts(n, m, known + len(foreign), edge_lines)
+    if loop is not None:
+        raise ValueError(f"loop at {loop!r}")
+    return not differs and known == g.n and covered.count(1) == g.m
 
 
 def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: str = "g") -> None:

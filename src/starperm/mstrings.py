@@ -54,8 +54,8 @@ def mstring(text: str) -> MString:
     """Parse a vertex label: digit string, or comma-separated for symbols > 9."""
     text = text.strip()
     if "," in text:
-        return tuple(int(t) for t in text.split(","))
-    return tuple(int(c) for c in text)
+        return tuple(map(int, text.split(",")))
+    return tuple(map(int, text))
 
 
 def render(v: object) -> str:

@@ -16,6 +16,7 @@ from typing import Optional
 from . import __version__
 from .chains import pancake_chain_check, schreier_quotient_check, verify_chain
 from .coloring import (
+    EFFICIENCY_KINDS,
     TotalColoring,
     choosability_suite,
     efficiency_obstruction_witness,
@@ -149,38 +150,39 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
 
 def _suite_coloring(run: _Runner, ctx: _Context) -> None:
     k, ell, g = ctx.k, ctx.ell, ctx.graph
-    # At l = 2 the run's coloring carries the positional edge colors; the
-    # proper-edge check reads no vertex color, so elsewhere none is made.
-    if ell == 2:
-        tc = ctx.coloring
-    else:
-        tc = TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, k * ell)))
-    pe = verify_coloring(g, tc, "proper-edge")
-    run.add("positional-edge-proper", lambda: (bool(pe.proper_edge), "", pe.witnesses[:8]))
+    # At l = 2 one "efficient" pass decides three checks, each reading its own
+    # witness kinds; elsewhere only edge colors are checked, and none is made.
+    reports: list = []
 
+    def positional():
+        tc = ctx.coloring if ell == 2 else TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, k * ell)))
+        reports.append(verify_coloring(g, tc, "efficient" if ell == 2 else "proper-edge"))
+        return bool(reports[0].proper_edge), "", [w for w in reports[0].witnesses if w[0] == "adjacent-edges"][:8]
+
+    run.add("positional-edge-proper", positional)
     if ell == 2:
-        tot = verify_coloring(g, tc, "total")
-        eff = verify_coloring(g, tc, "efficient")
-        run.add("sigma-total", lambda: (bool(tot.total), "", tot.witnesses[:8]))
+        eff, tc = reports[0], ctx.coloring
+
+        def palette_size():
+            used = frozenset(tc.vertex_colors.values()) | frozenset(tc.edge_colors.values())
+            return used == tc.palette and len(used) == 2 * k - 1, f"colors={sorted(used)}", []
+
+        run.add("sigma-total", lambda: (bool(eff.total), "", [w for w in eff.witnesses if w[0] not in EFFICIENCY_KINDS][:8]))
         run.add("sigma-efficient", lambda: (bool(eff.efficient), "", eff.witnesses[:8]))
-        used = frozenset(tc.vertex_colors.values()) | frozenset(tc.edge_colors.values())
-        run.add("sigma-palette-size", lambda: (used == tc.palette and len(used) == 2 * k - 1, f"colors={sorted(used)}", []))
+        run.add("sigma-palette-size", palette_size)
     if ell >= 3:
         def disjoint():
             bad = [(u, v) for u, v, _ in g.edges() if list_assignment(u) & list_assignment(v)]
             return not bad, f"edges={g.m}", bad[:8]
 
+        def obstruction():
+            obs = efficiency_obstruction_witness(g, g.vertices[0])
+            return obs.passed, f"method={obs.method} selections={obs.selection_count}", obs.witnesses[:8]
+
         run.add("list-disjointness", disjoint)
-        ok_min, _ = choosability_suite(g, min_selector)
-        ok_max, _ = choosability_suite(g, max_selector)
-        run.add("selector-min-proper", lambda: (ok_min, "", []))
-        run.add("selector-max-proper", lambda: (ok_max, "", []))
-        center = g.vertices[0]
-        obs = efficiency_obstruction_witness(g, center)
-        run.add(
-            "efficiency-obstruction",
-            lambda: (obs.passed, f"method={obs.method} selections={obs.selection_count}", obs.witnesses[:8]),
-        )
+        run.add("selector-min-proper", lambda: (choosability_suite(g, min_selector)[0], "", []))
+        run.add("selector-max-proper", lambda: (choosability_suite(g, max_selector)[0], "", []))
+        run.add("efficiency-obstruction", obstruction)
 
 
 def _suite_chi(run: _Runner, ctx: _Context) -> None:

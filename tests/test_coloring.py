@@ -40,6 +40,24 @@ def test_positional_properness_exhaustive(st32):
     assert verify_coloring(st32, tc, "proper-edge").proper_edge
 
 
+def test_positional_coloring_reads_like_the_dict_it_replaced(st32):
+    colors = positional_edge_coloring(st32)
+    as_dict = {(u, v): labels[0] for u, v, labels in st32.edges()}
+    assert list(colors) == list(as_dict) and len(colors) == st32.m == len(as_dict)
+    assert colors == as_dict and as_dict == colors and colors != {}
+    assert list(colors.items()) == list(as_dict.items())
+    assert list(colors.values()) == list(as_dict.values())
+    assert set(colors.items()) == set(as_dict.items()) and ((ms("001122"), ms("100122")), 2) in colors.items()
+    (u, v), c = next(iter(as_dict.items()))
+    assert (u, v) in colors and colors[(u, v)] == c and colors.get((u, v)) == c
+    for missing in [(v, u), (u, u), (u, ms("000000")), (u,), u, "x"]:
+        assert missing not in colors and colors.get(missing, -1) == -1
+        with pytest.raises(KeyError):
+            colors[missing]
+    with pytest.raises(TypeError):
+        colors[(u, v)] = 1
+
+
 def test_positional_rejects_pancake(pc22):
     with pytest.raises(ValueError):
         positional_edge_coloring(pc22)

@@ -6,7 +6,7 @@ import pytest
 
 import starperm.coloring
 import starperm.suites
-from starperm import Params
+from starperm import CapExceeded, Params
 from starperm.cli import main
 from starperm.suites import run_suite
 
@@ -100,6 +100,47 @@ def test_domination_check_seconds_cover_the_run(st42):
     # each check does its own work, so the checks account for the run
     t0 = time.perf_counter()
     report = run_suite("domination", 4, 2, st42)
+    wall = time.perf_counter() - t0
+    assert report.passed
+    assert sum(c.seconds for c in report.checks) >= 0.6 * wall
+
+
+def test_coloring_suite_makes_one_coloring_pass(monkeypatch):
+    # one "efficient" report feeds positional-edge-proper, sigma-total and sigma-efficient
+    modes = []
+    verify = starperm.suites.verify_coloring
+
+    def counted(g, tc, mode="total"):
+        modes.append(mode)
+        return verify(g, tc, mode)
+
+    monkeypatch.setattr(starperm.suites, "verify_coloring", counted)
+    report = run_suite("coloring", 3, 2)
+    assert report.passed and modes == ["efficient"]
+    assert [c.name for c in report.checks] == ["positional-edge-proper", "sigma-total", "sigma-efficient", "sigma-palette-size"]
+
+
+def test_coloring_suite_skips_a_capped_obstruction_and_keeps_the_rest(monkeypatch, tmp_path):
+    def capped(g, v, **kwargs):
+        raise CapExceeded(f"2-ball of {v} is over the cap")
+
+    monkeypatch.setattr(starperm.suites, "efficiency_obstruction_witness", capped)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "coloring", "--k", "3", "--l", "3", "--json", str(out)]) == 0
+    statuses = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert statuses == {
+        "positional-edge-proper": "pass",
+        "list-disjointness": "pass",
+        "selector-min-proper": "pass",
+        "selector-max-proper": "pass",
+        "efficiency-obstruction": "skip",
+    }
+
+
+def test_coloring_check_seconds_cover_the_run(st42):
+    # each coloring check does its own work, as the domination checks do
+    t0 = time.perf_counter()
+    report = run_suite("coloring", 4, 2, st42)
     wall = time.perf_counter() - t0
     assert report.passed
     assert sum(c.seconds for c in report.checks) >= 0.6 * wall
