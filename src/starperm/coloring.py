@@ -93,13 +93,13 @@ class _PositionalColors(Mapping):
     ``g.edges()`` order, to the edge's one label; ``get`` raises no KeyError."""
 
     def __init__(self, g: Graph) -> None:
-        self._g, self._index, self._adj = g, g._index, g._adj
+        self._g, self._index = g, g._index
 
     def get(self, key, default=None):
         if type(key) is tuple and len(key) == 2:
             iu, iv = self._index.get(key[0], -1), self._index.get(key[1], -1)
-            if 0 <= iu < iv and iv in self._adj[iu]:
-                return self._adj[iu][iv][0]
+            if 0 <= iu < iv and (labels := self._g.label(iu, iv)) is not None:
+                return labels[0]
         return default
 
     def __getitem__(self, key) -> int:
@@ -149,7 +149,7 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     rep = ColoringReport(mode=mode)
-    verts, adj, vertex_colors, edge_color = g.vertices, g._adj, tc.vertex_colors, tc.edge_color
+    verts, row, vertex_colors, edge_color = g.vertices, g.row, tc.vertex_colors, tc.edge_color
     if mode != "proper-edge":
         for v in verts:
             if v not in vertex_colors:
@@ -162,7 +162,7 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
         rep.proper_edge = True
         for ix, x in enumerate(verts):
             seen: dict[int, object] = {}
-            for iy in sorted(adj[ix]):
+            for iy in row(ix):
                 y = verts[iy]
                 c = edge_color(x, y) if ix < iy else edge_color(y, x)  # canonical order first
                 if c in seen:
@@ -196,7 +196,7 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
         else:
             for iv, v in enumerate(verts):
                 closed = {vertex_colors[v]}
-                closed.update(vertex_colors[verts[iw]] for iw in adj[iv])
+                closed.update(vertex_colors[verts[iw]] for iw in row(iv))
                 if closed != tc.palette:
                     rep.efficient = False
                     rep._add("non-rainbow-neighborhood", v, tuple(sorted(closed)))

@@ -42,7 +42,6 @@ class DominationCertificate:
     candidate: frozenset
     ell: int
     violations: list[Violation] = field(default_factory=list)
-    dominators: dict = field(default_factory=dict)
     min_internal_distance: Optional[int] = None
     truncated: bool = False
 
@@ -126,7 +125,7 @@ def _min_internal_distance(g: Graph, members: list[int]) -> Optional[int]:
         dx, ox = dist[x], owner[x]
         if best is not None and dx >= best:
             continue
-        for y in g._adj[x]:
+        for y in g.row(x):
             oy = owner[y]
             if oy < 0:
                 owner[y] = ox
@@ -152,33 +151,33 @@ def verify_efficient_domination(g: Graph, s: Iterable, ell: int) -> DominationCe
     member_idx = sorted(map(g.index, sset))  # raises on unknown labels
     cert = DominationCertificate(candidate=sset, ell=ell)
     cert.min_internal_distance = _min_internal_distance(g, member_idx)
-    adj, verts = g._adj, g.vertices
+    row, verts = g.row, g.vertices
     inside = bytearray(g.n)
     for x in member_idx:
         inside[x] = 1
 
     if ell == 1:
         for x in member_idx:
-            for y in sorted(y for y in adj[x] if y > x and inside[y]):
-                cert.add("non-independent", (verts[x], verts[y]))
+            for y in row(x):
+                if y > x and inside[y]:
+                    cert.add("non-independent", (verts[x], verts[y]))
         if cert.min_internal_distance is not None and cert.min_internal_distance < 3:
             cert.add("distance", (), (cert.min_internal_distance,))
 
-    for v, nbrs in enumerate(adj):
+    for v in range(g.n):
         if inside[v]:
             continue
-        doms = sorted(w for w in nbrs if inside[w])
-        cert.dominators[verts[v]] = frozenset(verts[w] for w in doms)
+        doms = [w for w in row(v) if inside[w]]
         if len(doms) != ell:
             cert.add("wrong-count", (verts[v],), tuple(verts[w] for w in doms))
             continue
         if ell > 1:
-            common = set(adj[doms[0]]).intersection(*(adj[u] for u in doms[1:]))
+            common = set(row(doms[0])).intersection(*(row(u) for u in doms[1:]))
             if common != {v}:
                 cert.add("non-unique-intersection", (verts[v],), tuple(verts[c] for c in sorted(common)))
             for a, u in enumerate(doms):
                 for w in doms[a + 1 :]:
-                    if w in adj[u]:
+                    if w in row(u):
                         cert.add("non-independent", (verts[u], verts[w]), (verts[v],))
     return cert
 
@@ -212,12 +211,7 @@ def _edges_covered_other_than(g: PermGraph, cover: bytearray, times: int) -> lis
     """Edges (u, v), u < v, in canonical order, whose count in `cover`
     (indexed as in verify_partition_and_edge_cover) is not `times`."""
     length = g.params.length
-    return sorted(
-        (u, v)
-        for u, nbrs in enumerate(g._adj)
-        for v, labels in nbrs.items()
-        if v > u and cover[u * length + labels[0]] != times
-    )
+    return [(u, v) for u, v, labels in g.edge_ids() if cover[u * length + labels[0]] != times]
 
 
 def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> PartitionReport:
@@ -250,7 +244,7 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         memberships_per_member={},
         expected_memberships=(k - 1) * ell if family == "SE" else 2 * (k - 1),
     )
-    n, adj, verts = g.n, g._adj, g.vertices
+    n, row, verts = g.n, g.row, g.vertices
     members = [list(map(g.index, s)) for s in sets]
 
     counts = bytearray(n)  # at most one per set, and there are fewer than 2k sets
@@ -271,21 +265,21 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         for x in idx:
             inside[x] = 1
         once = bytearray(n * length) if rep.per_symbol_edge_partition_ok is not None else None
-        for v, nbrs in enumerate(adj):
+        for v in range(n):
             if inside[v]:
                 continue
-            doms = sorted(w for w in nbrs if inside[w])
+            doms = [w for w in row(v) if inside[w]]
             if len(doms) != dom_ell:
                 rep.failures.append(("wrong-dominator-count", verts[v], len(doms)))
                 continue
             for a, u in enumerate(doms):
                 for w in doms[a + 1 :]:
-                    if w in adj[u]:
+                    if w in row(u):
                         rep.stars_are_k1l = False
                         rep.failures.append(("dominators-adjacent", verts[v], verts[u], verts[w]))
             for w in doms:
                 memberships[w] += 1
-                slot = min(v, w) * length + nbrs[w][0]
+                slot = min(v, w) * length + g.label(v, w)[0]
                 cover[slot] += 1
                 if once is not None:
                     once[slot] += 1
@@ -350,8 +344,8 @@ def _check_unique_intersections(nbr: list[int], in_mask: int, n: int) -> bool:
 
 def _neighbor_masks(g: Graph) -> list[int]:
     nbr = [0] * g.n
-    for i, adj in enumerate(g._adj):
-        for j in adj:
+    for i in range(g.n):
+        for j in g.row(i):
             nbr[i] |= 1 << j
     return nbr
 

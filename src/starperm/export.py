@@ -10,6 +10,7 @@ DOT uses the fixed palette-to-name table 1=red 2=blue 3=green 4=hazel
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, Optional, TextIO
 
 from .coloring import TotalColoring
@@ -29,9 +30,16 @@ def write_edge_list(g: Graph, out: TextIO) -> None:
     else:
         family, k, ell = "generic", 0, 0
     out.write(f"{family} {k} {ell} {g.n} {g.m}\n")
-    for u, v, labels in g.edges():
-        lab = ",".join(str(x) for x in labels)
-        out.write(f"{render(u)} {render(v)} {lab}".rstrip() + "\n")
+    # each vertex rendered once, into one string: name i is text[ends[i] : ends[i + 1]]
+    buf, ends = bytearray(), array("q", [0])
+    for name in map(render, g.vertices):
+        buf += name.encode()
+        ends.append(ends[-1] + len(name))
+    text = buf.decode()
+    del buf
+    for iu, iv, labels in g.edge_ids():
+        lab = ",".join(map(str, labels))
+        out.write(f"{text[ends[iu] : ends[iu + 1]]} {text[ends[iv] : ends[iv + 1]]} {lab}".rstrip() + "\n")
 
 
 def _edge_lines(src: TextIO) -> Iterator[tuple]:
@@ -77,7 +85,7 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     refuses raises its ValueError."""
     lines = _edge_lines(src)
     n, m = next(lines)
-    index, adj, length = g._index, g._adj, g.params.length
+    index, length = g._index, g.params.length
     seen, covered, foreign = bytearray(g.n), bytearray(g.n * length), set()
     edge_lines, differs, loop = 0, False, None
     for edge_lines, (u, v, labels) in enumerate(lines, 1):
@@ -89,7 +97,7 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
                 seen[ix] = 1
         if u == v:
             loop = u if loop is None else loop
-        elif iu < 0 or iv not in adj[iu] or any(j != adj[iu][iv][0] for j in labels):
+        elif iu < 0 or (own := g.label(iu, iv)) is None or any(j != own[0] for j in labels):
             differs = True
         elif labels:
             covered[min(iu, iv) * length + labels[0]] = 1

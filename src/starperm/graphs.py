@@ -7,11 +7,19 @@ that realize the edge).  :class:`PermGraph` specializes it to the multiset
 permutation graphs: vertices are the lexicographically ordered ell-set
 permutations, edges come from a generator family (star transpositions,
 prefix reversals, or a custom sequence of position involutions).
+
+The adjacency is one compressed-row core of vertex ids, known to this
+module only: row i of the neighbour ids is ``_nbr[_start[i]:_start[i + 1]]``
+in ascending order, and ``_lab`` holds each entry's index into ``_labels``,
+the tuple of distinct edge-label tuples.  Other modules read it through
+:meth:`Graph.row`, :meth:`Graph.label` and :meth:`Graph.edge_ids`.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -23,49 +31,70 @@ Edge = tuple[Label, Label]
 
 
 class Graph:
-    """Simple undirected graph with labeled vertices and edge label sets.
+    """Immutable simple undirected graph with labeled vertices and edge
+    label sets.
 
     The vertex order given at construction is the canonical order; all
     derived sequences (edges, components, witnesses) follow it, so every
     operation downstream is deterministic.
     """
 
-    __slots__ = ("vertices", "_index", "_adj", "_triangle")
+    __slots__ = ("vertices", "_index", "_start", "_nbr", "_lab", "_labels", "_triangle")
 
     def __init__(
         self,
         vertices: Sequence[Label],
         edges: Iterable[tuple] = (),
     ) -> None:
-        self.vertices: tuple = tuple(vertices)
-        self._index: dict = {v: i for i, v in enumerate(self.vertices)}
+        self._set_vertices(tuple(vertices))
         if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        self._adj: list[dict[int, tuple[int, ...]]] = [{} for _ in self.vertices]
-        #: has_triangle's verdict, None until asked; _add_edge clears it
-        self._triangle: Optional[bool] = None
+        # Parallel edges merge their labels here before the rows are packed.
+        rows: list[dict[int, set]] = [{} for _ in self.vertices]
         for e in edges:
-            u, v = e[0], e[1]
-            labels = tuple(e[2]) if len(e) > 2 else ()
-            self._add_edge(u, v, labels)
+            iu, iv = self.index(e[0]), self.index(e[1])
+            if iu == iv:
+                raise ValueError(f"loop at {e[0]!r}")
+            rows[iv][iu] = rows[iu].setdefault(iv, set())
+            rows[iu][iv].update(e[2] if len(e) > 2 else ())
+        self._set_rows(sorted((iw, tuple(sorted(labels))) for iw, labels in row.items()) for row in rows)
 
-    @classmethod
-    def _from_internal(cls, vertices: tuple, adj: list[dict]) -> "Graph":
-        g = cls.__new__(cls)
-        g.vertices = vertices
-        g._index = {v: i for i, v in enumerate(vertices)}
-        g._adj = adj
-        g._triangle = None
-        return g
+    def _set_vertices(self, vertices: tuple) -> None:
+        self.vertices = vertices
+        self._index = {v: i for i, v in enumerate(vertices)}
 
-    def _add_edge(self, u: Label, v: Label, labels: tuple[int, ...] = ()) -> None:
-        iu, iv = self.index(u), self.index(v)
-        if iu == iv:
-            raise ValueError(f"loop at {u!r}")
-        merged = tuple(sorted(set(self._adj[iu].get(iv, ())) | set(labels)))
-        self._adj[iu][iv] = merged
-        self._adj[iv][iu] = merged
-        self._triangle = None
+    def _set_rows(self, rows: Iterable[Iterable[tuple[int, tuple]]]) -> None:
+        """Pack the core from one row of (neighbour id, labels) pairs per
+        vertex, ids ascending in each."""
+        start, nbr, lab, ids = array("q", [0]), array("i"), array("i"), {}
+        for row in rows:
+            for iw, labels in row:
+                nbr.append(iw)
+                lab.append(ids.setdefault(labels, len(ids)))
+            start.append(len(nbr))
+        self._start, self._nbr, self._lab, self._labels = start, nbr, lab, tuple(ids)
+        #: has_triangle's verdict, None until asked
+        self._triangle: Optional[bool] = None
+
+    # -- the core, by vertex id ----------------------------------------------
+
+    def row(self, i: int) -> array:
+        """Neighbour ids of vertex id i, ascending."""
+        return self._nbr[self._start[i] : self._start[i + 1]]
+
+    def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
+        """Labels of the edge between vertex ids i and j; None if there is none."""
+        hi = self._start[i + 1]
+        p = bisect_left(self._nbr, j, self._start[i], hi)
+        return self._labels[self._lab[p]] if p < hi and self._nbr[p] == j else None
+
+    def edge_ids(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """Edges as (i, j, labels) by vertex id, i < j, in canonical order."""
+        start, nbr, lab, labels = self._start, self._nbr, self._lab, self._labels
+        for i in range(self.n):
+            hi = start[i + 1]
+            for p in range(bisect_right(nbr, i, start[i], hi), hi):
+                yield i, nbr[p], labels[lab[p]]
 
     # -- basic accessors ---------------------------------------------------
 
@@ -75,7 +104,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
+        return len(self._nbr) // 2
 
     def index(self, u: Label) -> int:
         try:
@@ -87,26 +116,25 @@ class Graph:
         return u in self._index
 
     def has_edge(self, u: Label, v: Label) -> bool:
-        return self.index(v) in self._adj[self.index(u)]
+        return self.label(self.index(u), self.index(v)) is not None
 
     def neighbors(self, u: Label) -> tuple:
-        return tuple(self.vertices[i] for i in sorted(self._adj[self.index(u)]))
+        return tuple(self.vertices[i] for i in self.row(self.index(u)))
 
     def degree(self, u: Label) -> int:
-        return len(self._adj[self.index(u)])
+        return len(self.row(self.index(u)))
 
     def edge_labels(self, u: Label, v: Label) -> tuple[int, ...]:
-        iu, iv = self.index(u), self.index(v)
-        if iv not in self._adj[iu]:
+        labels = self.label(self.index(u), self.index(v))
+        if labels is None:
             raise ValueError(f"unknown edge ({u!r}, {v!r})")
-        return self._adj[iu][iv]
+        return labels
 
     def edges(self) -> Iterator[tuple[Label, Label, tuple[int, ...]]]:
         """Edges as (u, v, labels) with index(u) < index(v), canonical order."""
-        for iu, nbrs in enumerate(self._adj):
-            for iv in sorted(nbrs):
-                if iv > iu:
-                    yield self.vertices[iu], self.vertices[iv], nbrs[iv]
+        verts = self.vertices
+        for i, j, labels in self.edge_ids():
+            yield verts[i], verts[j], labels
 
     def edge_key(self, u: Label, v: Label) -> Edge:
         """The (u, v) pair ordered by canonical vertex order."""
@@ -117,10 +145,8 @@ class Graph:
     # -- degree structure --------------------------------------------------
 
     def degree_census(self) -> dict[int, int]:
-        census: dict[int, int] = {}
-        for a in self._adj:
-            census[len(a)] = census.get(len(a), 0) + 1
-        return dict(sorted(census.items()))
+        start = self._start
+        return dict(sorted(Counter(start[i + 1] - start[i] for i in range(self.n)).items()))
 
     def regularity(self) -> tuple[str, tuple[int, ...]]:
         """("regular", (d,)) / ("biregular", (a, b)) / ("irregular", degrees)."""
@@ -148,7 +174,7 @@ class Graph:
             d = dist[x]
             if limit is not None and d >= limit:
                 continue
-            for y in self._adj[x]:
+            for y in self.row(x):
                 if y not in dist:
                     dist[y] = d + 1
                     queue.append(y)
@@ -174,7 +200,7 @@ class Graph:
             queue = deque([start])
             while queue:
                 x = queue.popleft()
-                for y in self._adj[x]:
+                for y in self.row(x):
                     if not seen[y]:
                         seen[y] = True
                         comp.append(y)
@@ -185,15 +211,8 @@ class Graph:
     # -- surgery -----------------------------------------------------------
 
     def induced_subgraph(self, keep: Iterable[Label]) -> "Graph":
-        keep_idx = [self.index(u) for u in keep]
-        old_to_new = {old: new for new, old in enumerate(keep_idx)}
-        adj: list[dict[int, tuple[int, ...]]] = [{} for _ in keep_idx]
-        for new_u, old_u in enumerate(keep_idx):
-            for old_v, labels in self._adj[old_u].items():
-                new_v = old_to_new.get(old_v)
-                if new_v is not None:
-                    adj[new_u][new_v] = labels
-        return Graph._from_internal(tuple(self.vertices[i] for i in keep_idx), adj)
+        """The subgraph induced on `keep`, its vertices in this graph's order."""
+        return self._filtered(sorted(map(self.index, keep)), set())
 
     def subgraph(
         self,
@@ -202,25 +221,46 @@ class Graph:
     ) -> "Graph":
         """Delete vertices (with incident edges) and further explicit edges."""
         drop = {self.index(u) for u in delete_vertices}
-        kept = [v for i, v in enumerate(self.vertices) if i not in drop]
-        g = self.induced_subgraph(kept)
+        cut: set[tuple[int, int]] = set()
         for u, v in delete_edges:
-            iu, iv = g.index(u), g.index(v)
-            if iv not in g._adj[iu]:
+            iu, iv = self.index(u), self.index(v)
+            if iu in drop or iv in drop:
+                raise ValueError(f"unknown vertex {u if iu in drop else v!r}")
+            if self.label(iu, iv) is None or (iu, iv) in cut:
                 raise ValueError(f"unknown edge ({u!r}, {v!r})")
-            del g._adj[iu][iv]
-            del g._adj[iv][iu]
+            cut.update(((iu, iv), (iv, iu)))
+        return self._filtered([i for i in range(self.n) if i not in drop], cut)
+
+    def _filtered(self, keep: list[int], cut: set[tuple[int, int]]) -> "Graph":
+        """The subgraph on the ascending vertex ids `keep`, without the edges
+        whose id pairs are in `cut`; the edges keep their label ids."""
+        new_id = array("i", [-1]) * self.n
+        for new, old in enumerate(keep):
+            new_id[old] = new
+        g = Graph.__new__(Graph)
+        g._set_vertices(tuple(self.vertices[i] for i in keep))
+        g._start, g._nbr, g._lab, g._labels, g._triangle = array("q", [0]), array("i"), array("i"), self._labels, None
+        for i in keep:
+            for p in range(self._start[i], self._start[i + 1]):
+                w = self._nbr[p]
+                if new_id[w] >= 0 and (i, w) not in cut:
+                    g._nbr.append(new_id[w])
+                    g._lab.append(self._lab[p])
+            g._start.append(len(g._nbr))
         return g
 
     # -- cycles, parity ----------------------------------------------------
 
     def has_triangle(self) -> bool:
         """Whether any three vertices are pairwise adjacent; scanned once
-        per graph and kept until an edge changes."""
+        per graph."""
         if self._triangle is None:
-            self._triangle = any(
-                iv > iu and nbrs.keys() & self._adj[iv].keys() for iu, nbrs in enumerate(self._adj) for iv in nbrs
-            )
+            self._triangle = False
+            for i in range(self.n):
+                nbrs = set(self.row(i))
+                if any(j > i and not nbrs.isdisjoint(self.row(j)) for j in nbrs):
+                    self._triangle = True
+                    break
         return self._triangle
 
     def girth(self) -> Optional[int]:
@@ -238,7 +278,7 @@ class Graph:
                 x = queue.popleft()
                 if best is not None and 2 * dist[x] >= best:
                     break
-                for y in self._adj[x]:
+                for y in self.row(x):
                     if y not in dist:
                         dist[y] = dist[x] + 1
                         parent[y] = x
@@ -261,7 +301,7 @@ class Graph:
             queue = deque([start])
             while queue:
                 x = queue.popleft()
-                for y in self._adj[x]:
+                for y in self.row(x):
                     if color[y] == -1:
                         color[y] = color[x] ^ 1
                         parent[y] = x
@@ -381,44 +421,42 @@ def build_graph(
     differs from v[0]; custom edges exist whenever the generator image
     differs from the source, flagged "non-star-like" when v[j] == v[0].
     Parallel edges (distinct generators, same endpoints) are collapsed into
-    one edge carrying the set of generator positions as labels.
+    one edge carrying the set of generator positions as labels.  The rows
+    are written straight into the graph's core, one vertex at a time.
     """
-    verts = enumerate_vertices(p, cap)
-    index = {v: i for i, v in enumerate(verts)}
-    adj: list[dict[int, tuple[int, ...]]] = [{} for _ in verts]
     length = p.length
-    label_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
     nonstar: set[Edge] = set()
-
     if family.kind == "custom":
         family.validate_pis(length)
         maps = family.position_maps(length)
 
-    for iv, v in enumerate(verts):
-        if family.kind == "star":
-            moves = star_neighbors(v)
-        elif family.kind == "pancake":
-            moves = [(j, prefix_reversal(v, j)) for j in range(1, length) if v[j] != v[0]]
-        else:
-            moves = [(j, tuple(v[i] for i in g)) for j, g in enumerate(maps, start=1)]
-        for j, w in moves:
-            if w == v:
-                continue
-            iw = index[w]
-            if family.kind == "custom" and v[j] == v[0]:
-                nonstar.add((v, w) if iv < iw else (w, v))
-            if iw > iv:
-                prev = adj[iv].get(iw, ())
-                labels = prev + (j,) if j not in prev else prev
-                labels = label_cache.setdefault(labels, labels)
-                adj[iv][iw] = labels
-                adj[iw][iv] = labels
-
     g = PermGraph.__new__(PermGraph)
-    g.vertices = tuple(verts)
-    g._index = index
-    g._adj = adj
-    g._triangle = None
+    g._set_vertices(tuple(enumerate_vertices(p, cap)))
+    verts, index = g.vertices, g._index
+
+    def rows():
+        # Every generator is an involution, so a row finds each of its edges,
+        # and the edge's full label set, from its own end: the labels are
+        # the ones the lower endpoint finds.
+        for iv, v in enumerate(verts):
+            if family.kind == "star":  # distinct neighbours, one label each
+                yield sorted([(index[w], (j,)) for j, w in star_neighbors(v)])
+                continue
+            if family.kind == "pancake":
+                moves = [(j, prefix_reversal(v, j)) for j in range(1, length) if v[j] != v[0]]
+            else:
+                moves = [(j, tuple(v[i] for i in perm)) for j, perm in enumerate(maps, start=1)]
+            row: dict[int, tuple[int, ...]] = {}
+            for j, w in moves:
+                if w == v:
+                    continue
+                iw = index[w]
+                if family.kind == "custom" and v[j] == v[0]:
+                    nonstar.add((v, w) if iv < iw else (w, v))
+                row[iw] = row.get(iw, ()) + (j,)
+            yield sorted(row.items())
+
+    g._set_rows(rows())
     g.params = p
     g.family = family
     g.nonstar_edges = frozenset(nonstar)
@@ -472,7 +510,7 @@ def six_cycles(g: Graph, cap: int = SIX_CYCLE_CAP) -> list[tuple]:
     """
     if g.n > cap:
         raise CapExceeded(f"6-cycle enumeration capped at {cap} vertices, graph has {g.n}")
-    adj = [sorted(nbrs) for nbrs in g._adj]
+    adj = [g.row(i) for i in range(g.n)]
     cycles = []
     for r in range(g.n):
         buckets: dict[int, list[tuple[int, int]]] = {}
@@ -519,15 +557,12 @@ def build_odd_complete_colored(n: int):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     order = 2 * n + 1
-    vertices = tuple(range(order))
-    g = Graph(vertices)
     edge_colors = {}
     for j in range(order):
         for i in range(1, n + 1):
             u, v = (j - i) % order, (j + i) % order
-            key = (u, v) if u < v else (v, u)
-            g._add_edge(u, v)
-            edge_colors[key] = j
+            edge_colors[(u, v) if u < v else (v, u)] = j
+    g = Graph(range(order), edge_colors)
     vertex_colors = {j: j for j in range(order)}
     tc = TotalColoring(
         vertex_colors=vertex_colors,

@@ -21,11 +21,11 @@ ISO_CAP = 10**4
 
 def _refined_colors(g: Graph) -> list[int]:
     """Stable vertex colors under iterated neighborhood refinement."""
-    colors = [len(a) for a in g._adj]
+    colors = [len(g.row(i)) for i in range(g.n)]
     classes = len(set(colors))
     while True:
         sigs = [
-            (colors[i], tuple(sorted(colors[j] for j in g._adj[i])))
+            (colors[i], tuple(sorted(colors[j] for j in g.row(i))))
             for i in range(g.n)
         ]
         relabel = {s: c for c, s in enumerate(sorted(set(sigs)))}
@@ -52,7 +52,7 @@ def _search_order(g: Graph, colors: list[int]) -> list[int]:
         while queue:
             x = queue.popleft()
             order.append(x)
-            for y in sorted(g._adj[x]):
+            for y in g.row(x):
                 if not seen[y]:
                     seen[y] = True
                     queue.append(y)
@@ -65,7 +65,7 @@ def isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP) -> tuple[bool, Optional[d
         raise CapExceeded(f"isomorphism capped at {cap} vertices")
     if g.n != h.n or g.m != h.m:
         return False, None
-    if sorted(len(a) for a in g._adj) != sorted(len(a) for a in h._adj):
+    if g.degree_census() != h.degree_census():
         return False, None
     gc = _refined_colors(g)
     hc = _refined_colors(h)
@@ -77,8 +77,8 @@ def isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP) -> tuple[bool, Optional[d
     for i, c in enumerate(hc):
         h_by_color.setdefault(c, []).append(i)
 
-    g_adj = [set(a) for a in g._adj]
-    h_adj = [set(a) for a in h._adj]
+    g_adj = [set(g.row(i)) for i in range(g.n)]
+    h_adj = [set(h.row(i)) for i in range(h.n)]
     mapping: dict[int, int] = {}
     used = [False] * h.n
     images: set[int] = set()

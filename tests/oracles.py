@@ -1,9 +1,9 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here is deliberately naive and shares no code with the package:
-itertools-based enumeration, rooted path DFS for cycle counting, a
-direct per-definition domination predicate over plain dicts of sets, and
-a BFS component count of a color-class split read off the strings.
+itertools-based enumeration, the generator moves applied to the strings,
+rooted path DFS for cycle counting, a direct per-definition domination
+predicate over plain dicts of sets, and BFS component counts.
 """
 
 from itertools import permutations
@@ -14,6 +14,51 @@ def brute_multiset_perms(k, ell):
     for s in range(k):
         base.extend([s] * ell)
     return sorted(set(permutations(base)))
+
+
+def brute_move_graph(k, ell, family="star", pis=None):
+    """{u: {v: labels}} of a permutation graph read off the strings.
+
+    Generator j (1 <= j < k*ell) swaps entries 0 and j ("star"), reverses
+    entries 0..j ("pancake"), or swaps entries 0 and j and then each pair in
+    pis[j-1] ("custom").  A star or pancake move is an edge when entries 0
+    and j differ, a custom move whenever it changes the string; the labels
+    of an edge are the generators joining its ends, ascending.
+    """
+    adj = {}
+    for v in brute_multiset_perms(k, ell):
+        adj[v] = {}
+        for j in range(1, len(v)):
+            w = list(v)
+            if family == "pancake":
+                w[: j + 1] = reversed(w[: j + 1])
+            else:
+                w[0], w[j] = w[j], w[0]
+                for a, b in pis[j - 1] if family == "custom" else ():
+                    w[a], w[b] = w[b], w[a]
+            w = tuple(w)
+            if w != v and (family == "custom" or v[j] != v[0]):
+                adj[v][w] = adj[v].get(w, ()) + (j,)
+    return adj
+
+
+def brute_component_sizes(adj):
+    """Sorted component sizes of a dict-of-sets graph, by BFS."""
+    seen, sizes = set(), []
+    for root in adj:
+        if root in seen:
+            continue
+        seen.add(root)
+        frontier, size = [root], 0
+        while frontier:
+            x = frontier.pop()
+            size += 1
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        sizes.append(size)
+    return sorted(sizes)
 
 
 def adjacency_dict(g):
@@ -93,18 +138,4 @@ def brute_color_class_components(adj, color):
         return next(j for j in range(1, len(u)) if u[j] != v[j])
 
     kept = {v for v in adj if repeat(v) != color}
-    seen, sizes = set(), []
-    for root in kept:
-        if root in seen:
-            continue
-        seen.add(root)
-        frontier, size = [root], 0
-        while frontier:
-            x = frontier.pop()
-            size += 1
-            for y in adj[x]:
-                if y in kept and y not in seen and swapped(x, y) != color:
-                    seen.add(y)
-                    frontier.append(y)
-        sizes.append(size)
-    return sorted(sizes)
+    return brute_component_sizes({x: {y for y in adj[x] if y in kept and swapped(x, y) != color} for x in kept})

@@ -63,9 +63,9 @@ def test_d_set_shared_dominator_values(st32):
 
 def test_verify_se_sets_pass(st32):
     for i in range(3):
-        cert = verify_efficient_domination(st32, se_set(st32, i), 2)
-        assert cert.passed
-        assert all(len(doms) == 2 for doms in cert.dominators.values())
+        s = se_set(st32, i)
+        assert verify_efficient_domination(st32, s, 2).passed
+        assert all(len(d_set(v, s, st32)) == 2 for v in st32.vertices if v not in s)
 
 
 def test_verify_k23_negative():

@@ -1,5 +1,10 @@
+import ast
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
+import starperm
 from starperm import (
     CapExceeded,
     GeneratorFamily,
@@ -14,7 +19,7 @@ from starperm import (
     verify_coloring,
 )
 
-from .oracles import adjacency_dict, brute_count_six_cycles
+from .oracles import adjacency_dict, brute_component_sizes, brute_count_six_cycles, brute_move_graph
 
 ms = mstring
 
@@ -62,13 +67,18 @@ def test_st_regular_connected(k, ell):
 
 
 def test_has_triangle_follows_edge_changes():
-    g = Graph(range(3), [(0, 1), (1, 2)])
-    assert not g.has_triangle()
-    g._add_edge(0, 2)
+    g = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
     assert g.has_triangle()
     path = g.subgraph(delete_edges=[(0, 2)])
     assert not path.has_triangle() and g.has_triangle()
     assert build_odd_complete_colored(1)[0].has_triangle()
+
+
+def test_parallel_edges_merge_their_labels():
+    g = Graph("abc", [("a", "b", (2,)), ("b", "a", (1, 2)), ("c", "b")])
+    assert list(g.edges()) == [("a", "b", (1, 2)), ("b", "c", ())]
+    with pytest.raises(ValueError):
+        Graph("ab", [("a", "a")])
 
 
 def test_pc_same_vertex_set(st32, pc32):
@@ -217,3 +227,75 @@ def test_pancake_collapse_keeps_label_sets():
     assert all(len(labels) >= 1 for _, _, labels in g.edges())
     kind, degs = g.regularity()
     assert kind == "regular"
+
+
+# ---------------------------------------------------------------------------
+# the compressed-row core against the string-level oracle
+# ---------------------------------------------------------------------------
+
+CUSTOM_PIS = [[], [], [], [(1, 3)], []]
+CORE_CASES = [("star", 2, 2), ("star", 3, 2), ("star", 2, 3), ("star", 3, 3), ("pancake", 3, 2), ("custom", 3, 2)]
+
+
+def _core_and_oracle(family, k, ell):
+    fam = GeneratorFamily.custom(CUSTOM_PIS) if family == "custom" else getattr(GeneratorFamily, family)()
+    return build_graph(Params(k, ell), fam), brute_move_graph(k, ell, family, CUSTOM_PIS)
+
+
+@pytest.mark.parametrize("family,k,ell", CORE_CASES)
+def test_core_matches_string_oracle(family, k, ell):
+    g, adj = _core_and_oracle(family, k, ell)
+    assert g.vertices == tuple(sorted(adj))  # canonical order is lexicographic
+    edges = [(u, v, adj[u][v]) for u in g.vertices for v in sorted(adj[u]) if v > u]
+    assert list(g.edges()) == edges and g.m == len(edges)
+    for u in g.vertices:
+        assert g.neighbors(u) == tuple(sorted(adj[u])) and g.degree(u) == len(adj[u])
+        for v, labels in adj[u].items():
+            assert g.has_edge(u, v) and g.edge_labels(u, v) == labels
+        for v in {x for w in adj[u] for x in adj[w]} - set(adj[u]):  # u itself, or at distance 2
+            assert not g.has_edge(u, v)
+            with pytest.raises(ValueError):
+                g.edge_labels(u, v)
+    assert sorted(c.n for c in g.components()) == brute_component_sizes(adj)
+
+
+@pytest.mark.parametrize("family,k,ell", CORE_CASES)
+def test_subgraph_matches_string_oracle(family, k, ell):
+    g, labeled = _core_and_oracle(family, k, ell)
+    gone = [v for v in g.vertices if v[0] == v[-1]]
+    adj = {u: {v for v in labeled[u] if v not in gone} for u in g.vertices if u not in gone}
+    cut = [(u, v) for u in sorted(adj) for v in sorted(adj[u]) if v > u][::3]
+    for u, v in cut:
+        adj[u].discard(v)
+        adj[v].discard(u)
+    h = g.subgraph(delete_vertices=gone, delete_edges=[(v, u) for u, v in cut])
+    assert h.vertices == tuple(sorted(adj))
+    assert {u: set(h.neighbors(u)) for u in h.vertices} == adj
+    assert all(labels == labeled[u][v] for u, v, labels in h.edges())
+    assert sorted(c.n for c in h.components()) == brute_component_sizes(adj)
+
+
+def test_built_graph_holds_no_per_vertex_containers():
+    # ST(4,2) held 1.37 MB with one neighbour dict per vertex
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_graph(Params(4, 2))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.n == 2520 and retained < 0.7e6
+
+
+def test_only_graphs_reads_the_core():
+    core = {"_adj", "_start", "_nbr", "_lab", "_labels"}
+    package = Path(starperm.__file__).parent
+    reads = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "graphs.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in core
+    ]
+    assert not reads
+    assert not hasattr(build_graph(Params(2, 2)), "_adj")
