@@ -55,6 +55,7 @@ from .mstrings import (
     MString,
     Params,
     enumerate_vertices,
+    iter_vertices,
     list_assignment,
     mstring,
     prefix_reversal,
@@ -97,6 +98,7 @@ __all__ = [
     "d_set",
     "efficiency_obstruction_witness",
     "enumerate_vertices",
+    "iter_vertices",
     "isomorphic",
     "kappa_embed",
     "list_assignment",

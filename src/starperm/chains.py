@@ -24,7 +24,7 @@ from typing import Optional
 from .domination import sigma_set, verify_efficient_domination
 from .errors import CapExceeded
 from .graphs import GeneratorFamily, build_graph
-from .mstrings import MString, Params, enumerate_vertices, render, star_neighbors
+from .mstrings import MString, Params, enumerate_vertices, iter_vertices, render, star_neighbors
 
 SCHREIER_SYM_CAP = 8
 
@@ -101,8 +101,9 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
     source = enumerate_vertices(Params(k, 2), cap)
     last = 2 * k + 1
     # Sigma_{2k+1} read as v[last] == v[0], not through repeat_position,
-    # which re-validates each well-formed string (7.48 M of them at k = 5)
-    sigma = frozenset(v for v in enumerate_vertices(Params(k + 1, 2), cap) if v[last] == v[0])
+    # which re-validates each well-formed string, and kept alone: the
+    # ST(k+1,2) strings (7.48 M of them at k = 5) stream past
+    sigma = frozenset(v for v in iter_vertices(Params(k + 1, 2), cap) if v[last] == v[0])
     rep = ChainReport(k=k, sigma_size=len(sigma), image_size=len(source))
     source_degree_sum = sum(len(star_neighbors(v)) for v in source)
 
@@ -258,6 +259,7 @@ def schreier_quotient_check(k: int, ell: int) -> SchreierReport:
             rep.failures.append(("fiber-not-an-H-orbit", key))
 
     g = build_graph(p)
+    ids = {key: g.index(key) for key in fibers}
     quotient_edges: set = set()
     for s in sym:
         x = collapse[s]
@@ -269,8 +271,8 @@ def schreier_quotient_check(k: int, ell: int) -> SchreierReport:
             if x[j] == x[0]:
                 rep.quotient_equals_graph = False
                 rep.failures.append(("collapsed-edge-not-star", render(x), j))
-            quotient_edges.add(g.edge_key(x, y))
-    graph_edges = {(u, v) for u, v, _ in g.edges()}
+            quotient_edges.add((ids[x], ids[y]) if ids[x] < ids[y] else (ids[y], ids[x]))
+    graph_edges = {(u, v) for u, v, _ in g.edge_ids()}
     if quotient_edges != graph_edges:
         rep.quotient_equals_graph = False
         rep.failures.append(("edge-sets-differ", len(quotient_edges), len(graph_edges)))

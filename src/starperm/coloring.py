@@ -17,14 +17,14 @@ witnesses instead of raising, capped at WITNESS_CAP per mode.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Optional
 
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
-from .mstrings import MString, list_assignment, repeat_position
+from .mstrings import MString, list_assignment
 from .report import WITNESS_CAP
 
 MODES = ("proper-edge", "proper-vertex", "total", "efficient")
@@ -40,7 +40,7 @@ class TotalColoring:
     order; use :meth:`edge_color` to look an edge up either way around.
     """
 
-    vertex_colors: dict = field(hash=False)
+    vertex_colors: Mapping = field(hash=False)
     edge_colors: Mapping = field(hash=False)
     palette: frozenset[int] = frozenset()
 
@@ -50,6 +50,22 @@ class TotalColoring:
 
     def vertex_class(self, color: int) -> frozenset:
         return frozenset(v for v, c in self.vertex_colors.items() if c == color)
+
+    def edge_color_reader(self, g: Graph) -> Callable[[int, int, tuple], Optional[int]]:
+        """The color of g's edge between vertex ids i < j carrying `labels`,
+        None if it has none.  g's own positional coloring answers from the
+        labels in place; any other is looked up by the endpoints' labels."""
+        colors = self.edge_colors
+        if isinstance(colors, _PositionalColors) and colors._g is g:
+            return lambda i, j, labels: labels[0]
+        verts = g.vertices
+
+        def color(i: int, j: int, labels: tuple) -> Optional[int]:
+            u, v = verts[i], verts[j]
+            c = colors.get((u, v))
+            return colors.get((v, u)) if c is None else c
+
+        return color
 
 
 @dataclass
@@ -88,33 +104,77 @@ class ColoringReport:
             self.truncated = True
 
 
-class _PositionalColors(Mapping):
-    """A star graph's edge labels read in place: canonical (u, v) pairs, in
-    ``g.edges()`` order, to the edge's one label; ``get`` raises no KeyError."""
+class _InPlace(Mapping):
+    """A read-only mapping read in place from a graph.  Subclasses give
+    ``get``, which raises no KeyError, and ``_items``, the (key, value)
+    pairs in canonical order."""
 
-    def __init__(self, g: Graph) -> None:
-        self._g, self._index = g, g._index
-
-    def get(self, key, default=None):
-        if type(key) is tuple and len(key) == 2:
-            iu, iv = self._index.get(key[0], -1), self._index.get(key[1], -1)
-            if 0 <= iu < iv and (labels := self._g.label(iu, iv)) is not None:
-                return labels[0]
-        return default
-
-    def __getitem__(self, key) -> int:
-        if (c := self.get(key)) is None:
+    def __getitem__(self, key):
+        if (value := self.get(key)) is None:
             raise KeyError(key)
-        return c
+        return value
 
     def __contains__(self, key) -> bool:
         return self.get(key) is not None
 
     def __iter__(self):
-        return ((u, v) for u, v, _ in self._g.edges())
+        return (key for key, _ in self._items())
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return (value for _, value in self._mapping._items())
+
+
+class _PositionalColors(_InPlace):
+    """A star graph's edge labels: canonical (u, v) pairs, in ``g.edges()``
+    order, to the edge's one label."""
+
+    def __init__(self, g: PermGraph) -> None:
+        self._g = g
+
+    def get(self, key, default=None):
+        if type(key) is tuple and len(key) == 2:
+            find = self._g.vertices.find
+            iu, iv = find(key[0]), find(key[1])
+            if 0 <= iu < iv and (labels := self._g.label(iu, iv)) is not None:
+                return labels[0]
+        return default
+
+    def _items(self):
+        return (((u, v), labels[0]) for u, v, labels in self._g.edges())
 
     def __len__(self) -> int:
         return self._g.m
+
+
+class _VertexColumn(_InPlace):
+    """A per-vertex column of a permutation graph, by vertex id, read as
+    vertex label -> value."""
+
+    def __init__(self, g: PermGraph, column: bytes) -> None:
+        self._g, self._column = g, column
+
+    def get(self, v, default=None):
+        i = self._g.vertices.find(v)
+        return self._column[i] if i >= 0 else default
+
+    def _items(self):
+        return zip(self._g.vertices, self._column)
+
+    def __len__(self) -> int:
+        return self._g.n
 
 
 def positional_edge_coloring(g: PermGraph) -> Mapping:
@@ -122,9 +182,9 @@ def positional_edge_coloring(g: PermGraph) -> Mapping:
     Star family only: properness needs one generator position per edge."""
     if not isinstance(g, PermGraph) or g.family.kind != "star":
         raise ValueError("positional edge coloring is defined for star-family graphs")
-    for u, v, labels in g.edges():
+    for i, j, labels in g.edge_ids():
         if len(labels) != 1:
-            raise ValueError(f"edge ({u}, {v}) carries labels {labels}, want exactly one")
+            raise ValueError(f"edge ({g.vertices[i]}, {g.vertices[j]}) carries labels {labels}, want exactly one")
     return _PositionalColors(g)
 
 
@@ -133,7 +193,7 @@ def sigma_total_coloring(g: PermGraph) -> TotalColoring:
     if g.params.ell != 2:
         raise ValueError(f"sigma coloring needs ell = 2, got ell = {g.params.ell}")
     edge_colors = positional_edge_coloring(g)
-    vertex_colors = {v: repeat_position(v) for v in g.vertices}
+    vertex_colors = _VertexColumn(g, g.repeat_positions())
     palette = frozenset(range(1, 2 * g.params.k))
     return TotalColoring(vertex_colors, edge_colors, palette)
 
@@ -149,43 +209,44 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     rep = ColoringReport(mode=mode)
-    verts, row, vertex_colors, edge_color = g.vertices, g.row, tc.vertex_colors, tc.edge_color
-    if mode != "proper-edge":
-        for v in verts:
-            if v not in vertex_colors:
-                raise ValueError(f"uncolored vertex {v!r}")
-    for u, v, _ in g.edges():
-        if (u, v) not in tc.edge_colors and (v, u) not in tc.edge_colors:
-            raise ValueError(f"uncolored edge ({u!r}, {v!r})")
+    # The scans run on vertex ids; labels are looked up only for witnesses.
+    n, verts, row, edge_ids = g.n, g.vertices, g.row, g.edge_ids
+    missing = object()
+    vcol = [tc.vertex_colors.get(v, missing) for v in verts] if mode != "proper-edge" else []
+    if missing in vcol:
+        raise ValueError(f"uncolored vertex {verts[vcol.index(missing)]!r}")
+    color = tc.edge_color_reader(g)
+    for i, j, labels in edge_ids():
+        if color(i, j, labels) is None:
+            raise ValueError(f"uncolored edge ({verts[i]!r}, {verts[j]!r})")
 
     if mode in ("proper-edge", "total", "efficient"):
         rep.proper_edge = True
-        for ix, x in enumerate(verts):
-            seen: dict[int, object] = {}
-            for iy in row(ix):
-                y = verts[iy]
-                c = edge_color(x, y) if ix < iy else edge_color(y, x)  # canonical order first
+        for x in range(n):
+            seen: dict[int, int] = {}
+            for y, labels in g.labeled_row(x):
+                c = color(x, y, labels) if x < y else color(y, x, labels)
                 if c in seen:
                     rep.proper_edge = False
-                    rep._add("adjacent-edges", x, seen[c], y, c)
+                    rep._add("adjacent-edges", verts[x], verts[seen[c]], verts[y], c)
                 else:
                     seen[c] = y
 
     if mode in ("proper-vertex", "total", "efficient"):
         rep.proper_vertex = True
-        for u, v, _ in g.edges():
-            if vertex_colors[u] == vertex_colors[v]:
+        for i, j, _ in edge_ids():
+            if vcol[i] == vcol[j]:
                 rep.proper_vertex = False
-                rep._add("adjacent-vertices", u, v, vertex_colors[u])
+                rep._add("adjacent-vertices", verts[i], verts[j], vcol[i])
 
     if mode in ("total", "efficient"):
         rep.no_incidence_clash = True
-        for u, v, _ in g.edges():
-            c = edge_color(u, v)
-            for x in (u, v):
-                if vertex_colors[x] == c:
+        for i, j, labels in edge_ids():
+            c = color(i, j, labels)
+            for x in (i, j):
+                if vcol[x] == c:
                     rep.no_incidence_clash = False
-                    rep._add("vertex-incident-edge", x, (u, v), c)
+                    rep._add("vertex-incident-edge", verts[x], (verts[i], verts[j]), c)
 
     if mode == "efficient":
         rep.efficient = True
@@ -194,12 +255,12 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
             rep.efficient = False
             rep._add("not-regular-with-matching-palette", kind, degs, len(tc.palette))
         else:
-            for iv, v in enumerate(verts):
-                closed = {vertex_colors[v]}
-                closed.update(vertex_colors[verts[iw]] for iw in row(iv))
+            for v in range(n):
+                closed = {vcol[v]}
+                closed.update(map(vcol.__getitem__, row(v)))
                 if closed != tc.palette:
                     rep.efficient = False
-                    rep._add("non-rainbow-neighborhood", v, tuple(sorted(closed)))
+                    rep._add("non-rainbow-neighborhood", verts[v], tuple(sorted(closed)))
     return rep
 
 

@@ -16,14 +16,15 @@ independent path.
 from __future__ import annotations
 
 import json
-from collections import deque
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .coloring import TotalColoring
 from .errors import CapExceeded, GirthPrecondition
 from .graphs import Graph, PermGraph
-from .mstrings import MString, render, repeat_position
+from .mstrings import MString, render
 from .report import WITNESS_CAP
 
 CODE_SEARCH_VERTEX_CAP = 1000
@@ -79,7 +80,7 @@ def se_set(g: PermGraph, i: int) -> frozenset:
     """S_i: all vertices whose first entry is the symbol i."""
     if not 0 <= i < g.params.k:
         raise ValueError(f"symbol {i} out of range [0, {g.params.k})")
-    return frozenset(v for v in g.vertices if v[0] == i)
+    return _labels_where(g, g.first_symbols(), i)
 
 
 def _require_ell2(g: PermGraph) -> None:
@@ -93,7 +94,13 @@ def sigma_set(g: PermGraph, i: int) -> frozenset:
     _require_ell2(g)
     if not 1 <= i <= 2 * g.params.k - 1:
         raise ValueError(f"position {i} out of range [1, {2 * g.params.k - 1}]")
-    return frozenset(v for v in g.vertices if repeat_position(v) == i)
+    return _labels_where(g, g.repeat_positions(), i)
+
+
+def _labels_where(g: PermGraph, column: bytes, value: int) -> frozenset:
+    """The labels of the vertices whose entry in a per-vertex column is value."""
+    verts = g.vertices
+    return frozenset(verts[x] for x, c in enumerate(column) if c == value)
 
 
 def d_set(v: MString, s: Iterable, g: Graph) -> frozenset:
@@ -194,7 +201,8 @@ class PartitionReport:
     stars_are_k1l: bool
     double_cover_ok: bool
     per_symbol_edge_partition_ok: Optional[bool]
-    memberships_per_member: dict
+    #: {number of dominator sets a member lies in: members with that number}
+    membership_census: dict
     expected_memberships: int
     failures: list = field(default_factory=list)
 
@@ -203,7 +211,7 @@ class PartitionReport:
         checks = [self.is_partition, self.stars_are_k1l, self.double_cover_ok]
         if self.per_symbol_edge_partition_ok is not None:
             checks.append(self.per_symbol_edge_partition_ok)
-        checks.append(all(c == self.expected_memberships for c in self.memberships_per_member.values()))
+        checks.append(all(c == self.expected_memberships for c in self.membership_census))
         return all(checks) and not self.failures
 
 
@@ -241,11 +249,11 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         stars_are_k1l=True,
         double_cover_ok=True,
         per_symbol_edge_partition_ok=(True if (family == "SE" and k == 2) else None),
-        memberships_per_member={},
+        membership_census={},
         expected_memberships=(k - 1) * ell if family == "SE" else 2 * (k - 1),
     )
-    n, row, verts = g.n, g.row, g.vertices
-    members = [list(map(g.index, s)) for s in sets]
+    n, row, labeled_row, verts = g.n, g.row, g.labeled_row, g.vertices
+    members = [array("i", map(g.index, s)) for s in sets]
 
     counts = bytearray(n)  # at most one per set, and there are fewer than 2k sets
     for idx in members:
@@ -259,7 +267,7 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
     # transposition swaps, the edge's one label: cover[lower * length + j].
     length = g.params.length
     cover = bytearray(n * length)
-    memberships = [0] * n
+    memberships = array("i", [0]) * n
     inside = bytearray(n)
     for idx in members:
         for x in idx:
@@ -268,18 +276,18 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         for v in range(n):
             if inside[v]:
                 continue
-            doms = [w for w in row(v) if inside[w]]
+            doms = [(w, labels[0]) for w, labels in labeled_row(v) if inside[w]]
             if len(doms) != dom_ell:
                 rep.failures.append(("wrong-dominator-count", verts[v], len(doms)))
                 continue
-            for a, u in enumerate(doms):
-                for w in doms[a + 1 :]:
+            for a, (u, _) in enumerate(doms):
+                for w, _ in doms[a + 1 :]:
                     if w in row(u):
                         rep.stars_are_k1l = False
                         rep.failures.append(("dominators-adjacent", verts[v], verts[u], verts[w]))
-            for w in doms:
+            for w, j in doms:
                 memberships[w] += 1
-                slot = min(v, w) * length + g.label(v, w)[0]
+                slot = min(v, w) * length + j
                 cover[slot] += 1
                 if once is not None:
                     once[slot] += 1
@@ -293,7 +301,9 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         rep.double_cover_ok = False
         rep.failures.append(("edge-not-double-covered", [(verts[u], verts[v]) for u, v in bad[:WITNESS_CAP]]))
 
-    rep.memberships_per_member = {verts[x]: c for x, c in enumerate(memberships) if c}
+    census = Counter(memberships)
+    del census[0]
+    rep.membership_census = dict(sorted(census.items()))
     return rep
 
 
@@ -302,17 +312,18 @@ def verify_ei_avoidance(g: PermGraph, tc: TotalColoring) -> dict:
     equal first and last entries.  Returns per-color verdicts."""
     _require_ell2(g)
     last = 2 * g.params.k - 1
-    # Each vertex's repeat position once, by vertex index: Sigma_i holds the
-    # vertices at position i, so one pass over the edge colors decides all i.
-    pos, index = list(map(repeat_position, g.vertices)), g._index
+    # Sigma_i holds the vertices at repeat position i, so one pass over the
+    # edges, by vertex id, decides all i.
+    pos, verts, color = g.repeat_positions(), g.vertices, tc.edge_color_reader(g)
     bad: dict = {i: [] for i in range(1, last + 1)}
-    for (u, v), c in tc.edge_colors.items():
-        if c in bad and c in (pos[index[u]], pos[index[v]]):
-            bad[c].append((u, v))
+    for u, v, labels in g.edge_ids():
+        c = color(u, v, labels)
+        if c in bad and c in (pos[u], pos[v]):
+            bad[c].append((verts[u], verts[v]))
     return {
         "per_color": {i: {"passed": not b, "witnesses": b[:WITNESS_CAP]} for i, b in bad.items()},
         "passed": not any(bad.values()),
-        "last_position_rationale": all(v[0] == v[-1] for v, p in zip(g.vertices, pos) if p == last),
+        "last_position_rationale": all(v[0] == v[-1] for v, p in zip(verts, pos) if p == last),
     }
 
 

@@ -11,7 +11,7 @@ DOT uses the fixed palette-to-name table 1=red 2=blue 3=green 4=hazel
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 from .coloring import TotalColoring
 from .graphs import GeneratorFamily, Graph, PermGraph
@@ -42,15 +42,17 @@ def write_edge_list(g: Graph, out: TextIO) -> None:
         out.write(f"{text[ends[iu] : ends[iu + 1]]} {text[ends[iv] : ends[iv + 1]]} {lab}".rstrip() + "\n")
 
 
-def _edge_lines(src: TextIO) -> Iterator[tuple]:
+def _edge_lines(src: TextIO, parse: Callable[[str], object] = mstring) -> Iterator[tuple]:
     """The edge-list grammar: yields the header's (n, m), then (u, v, labels)
-    per edge line; a malformed line or integer raises ValueError where it is."""
+    per edge line, a permutation family's vertex tokens read by `parse`; a
+    malformed line or integer raises ValueError where it is."""
     header = src.readline().split()
     if len(header) != 5:
         raise ValueError(f"malformed header {' '.join(header)!r}")
     family, _, _, n, m = header[0], int(header[1]), int(header[2]), int(header[3]), int(header[4])
     yield n, m
-    parse = mstring if family in ("st", "star", "pc", "pancake", "custom") else (lambda t: t)
+    if family not in ("st", "star", "pc", "pancake", "custom"):
+        parse = str
     for line in src:
         parts = line.split()
         if not parts:
@@ -83,28 +85,34 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     merged edge labels, read line by line into bytearrays over g (the labels
     g lacks are kept too, to count them).  A file :func:`read_edge_list`
     refuses raises its ValueError."""
-    lines = _edge_lines(src)
+    find = g.vertices.find_text
+
+    def vertex(token: str):
+        # g's vertices by id, the others as read_edge_list reads them
+        i = find(token)
+        return i if i >= 0 else mstring(token)
+
+    lines = _edge_lines(src, vertex)
     n, m = next(lines)
-    index, length = g._index, g.params.length
+    length = g.params.length
     seen, covered, foreign = bytearray(g.n), bytearray(g.n * length), set()
     edge_lines, differs, loop = 0, False, None
     for edge_lines, (u, v, labels) in enumerate(lines, 1):
-        iu, iv = index.get(u, -1), index.get(v, -1)
-        for x, ix in ((u, iu), (v, iv)):
-            if ix < 0:
-                foreign.add(x)
+        for x in (u, v):
+            if type(x) is int:
+                seen[x] = 1
             else:
-                seen[ix] = 1
+                foreign.add(x)
         if u == v:
             loop = u if loop is None else loop
-        elif iu < 0 or (own := g.label(iu, iv)) is None or any(j != own[0] for j in labels):
+        elif type(u) is not int or type(v) is not int or (own := g.label(u, v)) is None or any(j != own[0] for j in labels):
             differs = True
         elif labels:
-            covered[min(iu, iv) * length + labels[0]] = 1
+            covered[min(u, v) * length + labels[0]] = 1
     known = seen.count(1)
     _check_counts(n, m, known + len(foreign), edge_lines)
     if loop is not None:
-        raise ValueError(f"loop at {loop!r}")
+        raise ValueError(f"loop at {g.vertices[loop] if type(loop) is int else loop!r}")
     return not differs and known == g.n and covered.count(1) == g.m
 
 

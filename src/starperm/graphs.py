@@ -12,7 +12,14 @@ The adjacency is one compressed-row core of vertex ids, known to this
 module only: row i of the neighbour ids is ``_nbr[_start[i]:_start[i + 1]]``
 in ascending order, and ``_lab`` holds each entry's index into ``_labels``,
 the tuple of distinct edge-label tuples.  Other modules read it through
-:meth:`Graph.row`, :meth:`Graph.label` and :meth:`Graph.edge_ids`.
+:meth:`Graph.row`, :meth:`Graph.labeled_row`, :meth:`Graph.label` and
+:meth:`Graph.edge_ids`.
+
+A plain :class:`Graph` keeps its labels as a tuple and a label -> id dict.
+A :class:`PermGraph` keeps none of either: its labels are
+:class:`PackedLabels`, one packed integer code per string, unpacked to a
+tuple on access, and its per-vertex columns (first symbol, repeat position)
+are bytes by vertex id.  The packing is known to this module only.
 """
 
 from __future__ import annotations
@@ -20,11 +27,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
-from .mstrings import DEFAULT_VERTEX_CAP, Params, enumerate_vertices, prefix_reversal, star_neighbors
+from .mstrings import DEFAULT_VERTEX_CAP, Params, iter_vertices, mstring, prefix_reversal, repeat_position
 
 Label = Hashable
 Edge = tuple[Label, Label]
@@ -81,6 +89,11 @@ class Graph:
     def row(self, i: int) -> array:
         """Neighbour ids of vertex id i, ascending."""
         return self._nbr[self._start[i] : self._start[i + 1]]
+
+    def labeled_row(self, i: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(neighbour id, edge labels) pairs of vertex id i, ids ascending."""
+        lo, hi = self._start[i], self._start[i + 1]
+        return zip(self._nbr[lo:hi], map(self._labels.__getitem__, self._lab[lo:hi]))
 
     def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         """Labels of the edge between vertex ids i and j; None if there is none."""
@@ -166,7 +179,12 @@ class Graph:
 
     def bfs_distances(self, u: Label, limit: Optional[int] = None) -> dict:
         """Distances from u to every reachable vertex (within limit if given)."""
-        src = self.index(u)
+        verts = self.vertices
+        return {verts[i]: d for i, d in self.bfs_ids(self.index(u), limit).items()}
+
+    def bfs_ids(self, src: int, limit: Optional[int] = None) -> dict[int, int]:
+        """:meth:`bfs_distances` by vertex id: from vertex id src to the id
+        of every reachable vertex (within limit if given)."""
         dist = {src: 0}
         queue = deque([src])
         while queue:
@@ -178,7 +196,7 @@ class Graph:
                 if y not in dist:
                     dist[y] = d + 1
                     queue.append(y)
-        return {self.vertices[i]: d for i, d in dist.items()}
+        return dist
 
     def distance(self, u: Label, v: Label) -> Optional[int]:
         return self.bfs_distances(u).get(v)
@@ -186,7 +204,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        return len(self.bfs_distances(self.vertices[0])) == self.n
+        return len(self.bfs_ids(0)) == self.n
 
     def components(self) -> list["Graph"]:
         """Connected components as induced subgraphs, ordered by least vertex."""
@@ -399,15 +417,107 @@ class GeneratorFamily:
         return maps
 
 
+#: ASCII digits to the byte values they name
+_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+class PackedLabels(SequenceABC):
+    """The vertex labels of a permutation graph, a read-only sequence held
+    as one ascending list of packed codes.
+
+    A string v of length L is the code ``int.from_bytes(bytes(v), "big")``.
+    Among strings of one length, lexicographic order is the numeric order of
+    their codes, so the list is the canonical vertex order, and a label is
+    found by packing it and bisecting.  Entry i unpacks on access to the
+    tuple it stands for; the sequence compares equal to the tuple of them.
+    """
+
+    __slots__ = ("_codes", "_length")
+
+    def __init__(self, codes: list[int], length: int) -> None:
+        self._codes, self._length = codes, length
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(tuple(c.to_bytes(self._length, "big")) for c in self._codes[i])
+        return tuple(self._codes[i].to_bytes(self._length, "big"))
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        length = self._length
+        return (tuple(c.to_bytes(length, "big")) for c in self._codes)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedLabels):
+            return self._length == other._length and self._codes == other._codes
+        return isinstance(other, tuple) and tuple(self) == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __contains__(self, v) -> bool:
+        return self.find(v) >= 0
+
+    def find(self, v) -> int:
+        """The id of label v; -1 for anything that is not one of the labels."""
+        if not isinstance(v, tuple) or len(v) != self._length:
+            return -1
+        try:
+            code = int.from_bytes(bytes(v), "big")
+        except (TypeError, ValueError):  # an entry that is no symbol
+            return -1
+        return self._find_code(code)
+
+    def find_text(self, token: str) -> int:
+        """The id of the label whose text form (see
+        :func:`~starperm.mstrings.mstring`) is token; -1 for none.  A token
+        mstring refuses raises its ValueError."""
+        if token.isdigit() and token.isascii():  # one digit per symbol, straight to the code
+            if len(token) != self._length:
+                return -1
+            return self._find_code(int.from_bytes(token.encode().translate(_DIGITS), "big"))
+        return self.find(mstring(token))
+
+    def _find_code(self, c: int) -> int:
+        codes = self._codes
+        i = bisect_left(codes, c)
+        return i if i < len(codes) and codes[i] == c else -1
+
+
 class PermGraph(Graph):
-    """A multiset permutation graph: metadata on top of :class:`Graph`."""
+    """A multiset permutation graph: metadata and per-vertex columns on top
+    of :class:`Graph`, its labels held as :class:`PackedLabels`."""
 
-    __slots__ = ("params", "family", "nonstar_edges")
+    __slots__ = ("params", "family", "nonstar_edges", "_first", "_repeat")
 
+    vertices: PackedLabels
     params: Params
     family: GeneratorFamily
     #: custom-family edges created by an application with v[j] == v[0]
     nonstar_edges: frozenset
+
+    def index(self, u: Label) -> int:
+        if (i := self.vertices.find(u)) < 0:
+            raise ValueError(f"unknown vertex {u!r}")
+        return i
+
+    def has_vertex(self, u: Label) -> bool:
+        return u in self.vertices
+
+    def first_symbols(self) -> bytes:
+        """v[0] of every vertex, by vertex id; computed on first use."""
+        if self._first is None:
+            shift = 8 * (self.params.length - 1)
+            self._first = bytes(c >> shift for c in self.vertices._codes)
+        return self._first
+
+    def repeat_positions(self) -> bytes:
+        """The repeat position of every vertex (ell = 2), by vertex id;
+        computed on first use, one repeat_position call per vertex."""
+        if self._repeat is None:
+            self._repeat = bytes(map(repeat_position, self.vertices))
+        return self._repeat
 
 
 def build_graph(
@@ -422,7 +532,8 @@ def build_graph(
     differs from the source, flagged "non-star-like" when v[j] == v[0].
     Parallel edges (distinct generators, same endpoints) are collapsed into
     one edge carrying the set of generator positions as labels.  The rows
-    are written straight into the graph's core, one vertex at a time.
+    are written straight into the graph's core, one vertex at a time, each
+    move found as a packed code by bisection.
     """
     length = p.length
     nonstar: set[Edge] = set()
@@ -430,29 +541,34 @@ def build_graph(
         family.validate_pis(length)
         maps = family.position_maps(length)
 
+    codes = [int.from_bytes(bytes(v), "big") for v in iter_vertices(p, cap)]
     g = PermGraph.__new__(PermGraph)
-    g._set_vertices(tuple(enumerate_vertices(p, cap)))
-    verts, index = g.vertices, g._index
+    g.vertices = PackedLabels(codes, length)
+    # the star move (0 j) adds (v[j] - v[0]) * step[j] to the code
+    step = [256 ** (length - 1) - 256 ** (length - 1 - j) for j in range(length)]
+    single = [(j,) for j in range(length)]
 
     def rows():
         # Every generator is an involution, so a row finds each of its edges,
         # and the edge's full label set, from its own end: the labels are
         # the ones the lower endpoint finds.
-        for iv, v in enumerate(verts):
+        for iv, c in enumerate(codes):
+            v = c.to_bytes(length, "big")
             if family.kind == "star":  # distinct neighbours, one label each
-                yield sorted([(index[w], (j,)) for j, w in star_neighbors(v)])
+                v0 = v[0]
+                yield sorted([(bisect_left(codes, c + (s - v0) * step[j]), single[j]) for j, s in enumerate(v) if s != v0])
                 continue
             if family.kind == "pancake":
                 moves = [(j, prefix_reversal(v, j)) for j in range(1, length) if v[j] != v[0]]
             else:
-                moves = [(j, tuple(v[i] for i in perm)) for j, perm in enumerate(maps, start=1)]
+                moves = [(j, bytes(map(v.__getitem__, perm))) for j, perm in enumerate(maps, start=1)]
             row: dict[int, tuple[int, ...]] = {}
             for j, w in moves:
                 if w == v:
                     continue
-                iw = index[w]
+                iw = bisect_left(codes, int.from_bytes(w, "big"))
                 if family.kind == "custom" and v[j] == v[0]:
-                    nonstar.add((v, w) if iv < iw else (w, v))
+                    nonstar.add((tuple(v), tuple(w)) if iv < iw else (tuple(w), tuple(v)))
                 row[iw] = row.get(iw, ()) + (j,)
             yield sorted(row.items())
 
@@ -460,6 +576,7 @@ def build_graph(
     g.params = p
     g.family = family
     g.nonstar_edges = frozenset(nonstar)
+    g._first = g._repeat = None
     return g
 
 

@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import CapExceeded
 
@@ -94,32 +95,41 @@ def validate(v: MString, p: Params) -> None:
         raise ValueError(f"symbols out of range [0, {p.k}) in {render(v)}")
 
 
-def enumerate_vertices(p: Params, cap: int = DEFAULT_VERTEX_CAP) -> list[MString]:
-    """All ell-set permutations in lexicographic order.
+def iter_vertices(p: Params, cap: int = DEFAULT_VERTEX_CAP) -> Iterator[MString]:
+    """All ell-set permutations in lexicographic order, one at a time.
 
     Uses the classic next-permutation step, which on sequences with repeated
-    entries yields each distinct arrangement exactly once.
+    entries yields each distinct arrangement exactly once.  The cap is
+    checked here, at the call, not when the first string is asked for.
     """
     total = p.vertex_count()
     if total > cap:
         raise CapExceeded(f"instance too large: {total} vertices exceeds cap {cap}")
+    return _next_permutations(p)
+
+
+def _next_permutations(p: Params) -> Iterator[MString]:
     cur = []
     for s in range(p.k):
         cur.extend([s] * p.ell)
-    out = [tuple(cur)]
     n = len(cur)
     while True:
+        yield tuple(cur)
         i = n - 2
         while i >= 0 and cur[i] >= cur[i + 1]:
             i -= 1
         if i < 0:
-            return out
+            return
         j = n - 1
         while cur[j] <= cur[i]:
             j -= 1
         cur[i], cur[j] = cur[j], cur[i]
         cur[i + 1 :] = reversed(cur[i + 1 :])
-        out.append(tuple(cur))
+
+
+def enumerate_vertices(p: Params, cap: int = DEFAULT_VERTEX_CAP) -> list[MString]:
+    """All ell-set permutations in lexicographic order, as a list."""
+    return list(iter_vertices(p, cap))
 
 
 @lru_cache(maxsize=None)

@@ -121,13 +121,13 @@ def color_class_decomposition(
         kept_edges = [e for e in e_class if minus_w.has_vertex(e[0]) and minus_w.has_vertex(e[1])]
         minus_we = minus_w.subgraph(delete_edges=kept_edges)
         for comp in minus_we.components():
-            used_v = {tc.vertex_colors[v] for v in comp.vertices}
-            used_e = {tc.edge_color(u, v) for u, v, _ in comp.edges()}
-            used = tuple(sorted(used_v | used_e))
+            vertex_colors = {v: tc.vertex_colors[v] for v in comp.vertices}
+            edge_colors = {(u, v): tc.edge_color(u, v) for u, v, _ in comp.edges()}
+            used = tuple(sorted(set(vertex_colors.values()) | set(edge_colors.values())))
             missing = sorted(set(tc.palette) - set(used) - {color})
             sub_tc = TotalColoring(
-                vertex_colors={v: tc.vertex_colors[v] for v in comp.vertices},
-                edge_colors={(u, v): tc.edge_color(u, v) for u, v, _ in comp.edges()},
+                vertex_colors=vertex_colors,
+                edge_colors=edge_colors,
                 palette=frozenset(set(tc.palette) - {color} - set(missing)),
             )
             audit = verify_coloring(comp, sub_tc, "efficient")
@@ -178,8 +178,9 @@ def classify_six_cycles(g: PermGraph, tc: TotalColoring) -> tuple[list[SixCycleC
     """
     classes = []
     census = {"type1": 0, "type2": 0, "other": 0}
+    label, color = g.label, tc.edge_color_reader(g)
     for cyc in six_cycles(g):
-        ec = tuple(tc.edge_color(cyc[i], cyc[(i + 1) % 6]) for i in range(6))
+        ec = tuple(color(i, j, label(i, j)) for i, j in _cycle_edges(g, cyc))
         if ec[0] == ec[3] and ec[1] == ec[4] and ec[2] == ec[5] and len({ec[0], ec[1], ec[2]}) == 3:
             kind, colors = "type1", tuple(sorted({ec[0], ec[1], ec[2]}))
         elif ec[0] == ec[2] == ec[4] and ec[1] == ec[3] == ec[5] and ec[0] != ec[1]:
@@ -189,6 +190,12 @@ def classify_six_cycles(g: PermGraph, tc: TotalColoring) -> tuple[list[SixCycleC
         census[kind] += 1
         classes.append(SixCycleClass(cycle=cyc, kind=kind, colors=colors, edge_colors=ec))
     return classes, census
+
+
+def _cycle_edges(g: Graph, cycle: tuple) -> list[tuple[int, int]]:
+    """A cycle's edges, from each vertex to the next, as ascending vertex id pairs."""
+    ids = [g.index(v) for v in cycle]
+    return [(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:] + ids[:1])]
 
 
 @dataclass
@@ -244,17 +251,13 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
 
     classes, _ = classify_six_cycles(g, tc)
     type2 = [c for c in classes if c.kind == "type2" and d1 in c.colors and (set(c.colors) - {d1}) <= set(quad)]
-    vertices: list = []
-    seen = set()
-    edge_set = set()
-    for c in type2:
-        for i, v in enumerate(c.cycle):
-            if v not in seen:
-                seen.add(v)
-                vertices.append(v)
-            edge_set.add(g.edge_key(c.cycle[i], c.cycle[(i + 1) % 6]))
-    vertices.sort(key=g.index)
-    assembly = Graph(vertices, [(u, v, g.edge_labels(u, v)) for u, v in sorted(edge_set, key=lambda e: (g.index(e[0]), g.index(e[1])))])
+    # The union and the departures are read by vertex id.
+    verts, index, color = g.vertices, g.index, tc.edge_color_reader(g)
+    edge_set = {e for c in type2 for e in _cycle_edges(g, c.cycle)}
+    assembly = Graph(
+        [verts[i] for i in sorted({i for e in edge_set for i in e})],
+        [(verts[i], verts[j], g.label(i, j)) for i, j in sorted(edge_set)],
+    )
 
     rep = ToroidalReport(d1=d1, quad=quad, assembly=assembly, type2_cycle_count=len(type2))
 
@@ -262,8 +265,7 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
     for c in classes:
         if c.kind != "type1" or not set(c.colors) <= set(quad):
             continue
-        edges = [g.edge_key(c.cycle[i], c.cycle[(i + 1) % 6]) for i in range(6)]
-        if all(e in edge_set for e in edges):
+        if all(e in edge_set for e in _cycle_edges(g, c.cycle)):
             contained.append(c)
     rep.contained_type1 = contained
     used: set = set()
@@ -285,27 +287,32 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
             rep.departure_failures.append(("no-leftover-color", c.cycle))
             continue
         d = leftover.pop()
-        cyc_set = set(c.cycle)
-        landing = [y for x in c.cycle for y in g.neighbors(x) if y not in cyc_set and tc.edge_color(x, y) == d]
+        cyc_ids = [index(x) for x in c.cycle]
+        landing = [
+            y
+            for x in cyc_ids
+            for y, labels in g.labeled_row(x)
+            if y not in cyc_ids and (color(x, y, labels) if x < y else color(y, x, labels)) == d
+        ]
         if len(landing) != 6 or len(set(landing)) != 6:
             rep.departures_ok = False
             rep.departure_failures.append(("departure-count", c.cycle, d, len(landing)))
             continue
-        classes_hit = {tc.vertex_colors[x] for x in landing}
+        classes_hit = {tc.vertex_colors[verts[y]] for y in landing}
         if len(classes_hit) != 1:
             rep.departures_ok = False
             rep.departure_failures.append(("landing-not-monochromatic", c.cycle, d, sorted(classes_hit)))
             continue
         hit = classes_hit.pop()
         census[hit] = census.get(hit, 0) + 1
-        if hit == last and not all(x[0] == x[-1] for x in landing):
+        if hit == last and not all(x[0] == x[-1] for x in map(verts.__getitem__, landing)):
             rep.sigma_pendant_ok = False
             rep.departure_failures.append(("landing-shape", c.cycle, d))
         # Each landing vertex hangs off the 6-cycle, whose vertices are at
         # most 3 apart, so two landing vertices are at most 1 + 3 + 1 apart.
         pair_dists = set()
         for i, x in enumerate(landing[:-1]):
-            dists = g.bfs_distances(x, limit=5)
+            dists = g.bfs_ids(x, limit=5)
             pair_dists.update(dists[y] for y in landing[i + 1 :])
         dist_values |= pair_dists
         if min(pair_dists) != 3:

@@ -122,18 +122,19 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
     run.add("se-partition-and-edge-cover", se_partition)
     if ell != 2:
         return
-    sigmas: list[frozenset] = []
-
+    # Each Sigma_i is read off the graph's repeat-position column when a
+    # check needs it, so one is alive at a time.
     def sigma_partition():
-        sigmas.extend(sigma_set(g, i) for i in range(1, 2 * k))
-        counts = bytearray(g.n)  # memberships per vertex id; fewer than 2k sets
-        for sigma in sigmas:
+        sizes, counts = [], bytearray(g.n)  # memberships per vertex id; fewer than 2k sets
+        for i in range(1, 2 * k):
+            sigma = sigma_set(g, i)
+            sizes.append(len(sigma))
             for x in map(g.index, sigma):
                 counts[x] += 1
-        return counts.count(1) == g.n, f"sizes={sorted(map(len, sigmas))}", []
+        return counts.count(1) == g.n, f"sizes={sorted(sizes)}", []
 
     def sigma_e_set(i: int):
-        cert = verify_efficient_domination(g, sigmas[i - 1], 1)
+        cert = verify_efficient_domination(g, sigma_set(g, i), 1)
         return (
             cert.passed and cert.min_internal_distance == 3,
             f"min_distance={cert.min_internal_distance}",
@@ -141,7 +142,6 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
         )
 
     def ei_avoidance():
-        sigmas.clear()  # the classes are done with, and the coloring is larger
         ei = verify_ei_avoidance(g, ctx.coloring)
         return ei["passed"] and ei["last_position_rationale"], "", []
 

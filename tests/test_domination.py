@@ -158,14 +158,14 @@ def test_partition_and_edge_cover_st22(st22):
     assert rep.per_symbol_edge_partition_ok
     # doubled multigraph: 3 dominator stars per symbol, 2 edges each, 2 symbols
     assert rep.expected_memberships == 2
-    assert all(c == 2 for c in rep.memberships_per_member.values())
+    assert all(c == 2 for c in rep.membership_census)
 
 
 def test_partition_and_edge_cover_st32(st32):
     rep = verify_partition_and_edge_cover(st32, "SE")
     assert rep.passed
     assert rep.expected_memberships == 4
-    assert all(c == 4 for c in rep.memberships_per_member.values())
+    assert all(c == 4 for c in rep.membership_census)
 
 
 def test_partition_sigma_family(st32):
@@ -173,7 +173,7 @@ def test_partition_sigma_family(st32):
     assert rep.passed
     assert rep.is_partition and rep.stars_are_k1l and rep.double_cover_ok
     assert rep.expected_memberships == 4
-    assert all(c == 4 for c in rep.memberships_per_member.values())
+    assert all(c == 4 for c in rep.membership_census)
 
 
 def test_code_search_st22_exact():

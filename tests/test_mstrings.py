@@ -4,6 +4,7 @@ from starperm import (
     CapExceeded,
     Params,
     enumerate_vertices,
+    iter_vertices,
     list_assignment,
     mstring,
     prefix_reversal,
@@ -52,6 +53,8 @@ def test_count_formula_k3_l2():
 def test_cap_guard():
     with pytest.raises(CapExceeded):
         enumerate_vertices(Params(3, 2), cap=10)
+    with pytest.raises(CapExceeded):
+        iter_vertices(Params(3, 2), cap=10)  # at the call, before a string is asked for
 
 
 def test_rank_unrank_examples():
