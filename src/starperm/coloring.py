@@ -222,10 +222,11 @@ def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> Colorin
 
     if mode in ("proper-edge", "total", "efficient"):
         rep.proper_edge = True
+        label_sets = g.label_sets
         for x in range(n):
             seen: dict[int, int] = {}
-            for y, labels in g.labeled_row(x):
-                c = color(x, y, labels) if x < y else color(y, x, labels)
+            for y, lid in g.labeled_row(x):
+                c = color(x, y, label_sets[lid]) if x < y else color(y, x, label_sets[lid])
                 if c in seen:
                     rep.proper_edge = False
                     rep._add("adjacent-edges", verts[x], verts[seen[c]], verts[y], c)

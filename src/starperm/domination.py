@@ -252,7 +252,7 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         membership_census={},
         expected_memberships=(k - 1) * ell if family == "SE" else 2 * (k - 1),
     )
-    n, row, labeled_row, verts = g.n, g.row, g.labeled_row, g.vertices
+    n, row, labeled_row, label_sets, verts = g.n, g.row, g.labeled_row, g.label_sets, g.vertices
     members = [array("i", map(g.index, s)) for s in sets]
 
     counts = bytearray(n)  # at most one per set, and there are fewer than 2k sets
@@ -276,7 +276,7 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         for v in range(n):
             if inside[v]:
                 continue
-            doms = [(w, labels[0]) for w, labels in labeled_row(v) if inside[w]]
+            doms = [(w, label_sets[lid][0]) for w, lid in labeled_row(v) if inside[w]]
             if len(doms) != dom_ell:
                 rep.failures.append(("wrong-dominator-count", verts[v], len(doms)))
                 continue
@@ -287,7 +287,7 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
                         rep.failures.append(("dominators-adjacent", verts[v], verts[u], verts[w]))
             for w, j in doms:
                 memberships[w] += 1
-                slot = min(v, w) * length + j
+                slot = (v if v < w else w) * length + j
                 cover[slot] += 1
                 if once is not None:
                     once[slot] += 1

@@ -12,8 +12,8 @@ The adjacency is one compressed-row core of vertex ids, known to this
 module only: row i of the neighbour ids is ``_nbr[_start[i]:_start[i + 1]]``
 in ascending order, and ``_lab`` holds each entry's index into ``_labels``,
 the tuple of distinct edge-label tuples.  Other modules read it through
-:meth:`Graph.row`, :meth:`Graph.labeled_row`, :meth:`Graph.label` and
-:meth:`Graph.edge_ids`.
+:meth:`Graph.row`, :meth:`Graph.labeled_row` (with
+:attr:`Graph.label_sets`), :meth:`Graph.label` and :meth:`Graph.edge_ids`.
 
 A plain :class:`Graph` keeps its labels as a tuple and a label -> id dict.
 A :class:`PermGraph` keeps none of either: its labels are
@@ -90,10 +90,16 @@ class Graph:
         """Neighbour ids of vertex id i, ascending."""
         return self._nbr[self._start[i] : self._start[i + 1]]
 
-    def labeled_row(self, i: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(neighbour id, edge labels) pairs of vertex id i, ids ascending."""
+    def labeled_row(self, i: int) -> Iterator[tuple[int, int]]:
+        """(neighbour id, label id) pairs of vertex id i, ids ascending: one
+        slice of each; ``label_sets[label id]`` is the edge's labels."""
         lo, hi = self._start[i], self._start[i + 1]
-        return zip(self._nbr[lo:hi], map(self._labels.__getitem__, self._lab[lo:hi]))
+        return zip(self._nbr[lo:hi], self._lab[lo:hi])
+
+    @property
+    def label_sets(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct edge-label tuples, by label id."""
+        return self._labels
 
     def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         """Labels of the edge between vertex ids i and j; None if there is none."""

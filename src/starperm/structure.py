@@ -252,7 +252,7 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
     classes, _ = classify_six_cycles(g, tc)
     type2 = [c for c in classes if c.kind == "type2" and d1 in c.colors and (set(c.colors) - {d1}) <= set(quad)]
     # The union and the departures are read by vertex id.
-    verts, index, color = g.vertices, g.index, tc.edge_color_reader(g)
+    verts, index, label_sets, color = g.vertices, g.index, g.label_sets, tc.edge_color_reader(g)
     edge_set = {e for c in type2 for e in _cycle_edges(g, c.cycle)}
     assembly = Graph(
         [verts[i] for i in sorted({i for e in edge_set for i in e})],
@@ -291,8 +291,8 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
         landing = [
             y
             for x in cyc_ids
-            for y, labels in g.labeled_row(x)
-            if y not in cyc_ids and (color(x, y, labels) if x < y else color(y, x, labels)) == d
+            for y, lid in g.labeled_row(x)
+            if y not in cyc_ids and (color(x, y, label_sets[lid]) if x < y else color(y, x, label_sets[lid])) == d
         ]
         if len(landing) != 6 or len(set(landing)) != 6:
             rep.departures_ok = False
