@@ -12,7 +12,7 @@ Two constructions:
 
 Efficiency here is the closed-neighborhood rainbow property of a d-regular
 graph totally colored with d+1 colors.  The verifiers report typed violation
-witnesses instead of raising, capped at WITNESS_CAP per mode.
+witnesses instead of raising, capped at WITNESS_CAP.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .graphs import Graph, PermGraph
 from .mstrings import MString, list_assignment
 from .report import WITNESS_CAP
 
-MODES = ("proper-edge", "proper-vertex", "total", "efficient")
-#: The witness kinds only the "efficient" mode adds, after all the others.
+#: The witness kinds of the efficiency flag.
 EFFICIENCY_KINDS = ("not-regular-with-matching-palette", "non-rainbow-neighborhood")
+#: Every witness kind, in the order a report lists them.
+WITNESS_KINDS = ("adjacent-edges", "adjacent-vertices", "vertex-incident-edge", *EFFICIENCY_KINDS)
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,11 @@ class TotalColoring:
 
     def edge_color_reader(self, g: Graph) -> Callable[[int, int, tuple], Optional[int]]:
         """The color of g's edge between vertex ids i < j carrying `labels`,
-        None if it has none.  g's own positional coloring answers from the
-        labels in place; any other is looked up by the endpoints' labels."""
+        None if it has none.  The positional coloring of g, or of a graph g
+        was cut from (sharing its label sets), answers from the labels in
+        place; any other is looked up by the endpoints' labels."""
         colors = self.edge_colors
-        if isinstance(colors, _PositionalColors) and colors._g is g:
+        if isinstance(colors, _PositionalColors) and colors._g.label_sets is g.label_sets:
             return lambda i, j, labels: labels[0]
         verts = g.vertices
 
@@ -70,9 +72,9 @@ class TotalColoring:
 
 @dataclass
 class ColoringReport:
-    """Verdict flags plus the first few violation witnesses per flag."""
+    """Verdict flags, None where undecided, plus the first few violation
+    witnesses."""
 
-    mode: str
     proper_edge: Optional[bool] = None
     proper_vertex: Optional[bool] = None
     no_incidence_clash: Optional[bool] = None
@@ -89,19 +91,9 @@ class ColoringReport:
 
     @property
     def passed(self) -> bool:
-        if self.mode == "proper-edge":
-            return bool(self.proper_edge)
-        if self.mode == "proper-vertex":
-            return bool(self.proper_vertex)
-        if self.mode == "total":
-            return bool(self.total)
-        return bool(self.total) and bool(self.efficient)
-
-    def _add(self, kind: str, *items) -> None:
-        if len(self.witnesses) < WITNESS_CAP:
-            self.witnesses.append((kind,) + items)
-        else:
-            self.truncated = True
+        """No decided flag is False."""
+        flags = (self.proper_edge, self.proper_vertex, self.no_incidence_clash, self.efficient)
+        return all(f is not False for f in flags)
 
 
 class _InPlace(Mapping):
@@ -198,71 +190,72 @@ def sigma_total_coloring(g: PermGraph) -> TotalColoring:
     return TotalColoring(vertex_colors, edge_colors, palette)
 
 
-def verify_coloring(g: Graph, tc: TotalColoring, mode: str = "total") -> ColoringReport:
-    """Check properness / totality / efficiency, with witnesses.
+def verify_coloring(g: Graph, tc: TotalColoring) -> ColoringReport:
+    """Check a coloring of g in one scan of its rows, with witnesses.
 
-    Every edge must be colored, and every vertex too in the modes that read
-    vertex colors (all but "proper-edge").  "efficient" additionally
-    requires g regular of degree |palette| - 1 and every closed
-    neighborhood rainbow over the full palette.
+    Every edge must be colored, and properness of the edge colors is always
+    decided.  An empty vertex mapping makes tc an edge coloring, and nothing
+    more is decided.  Otherwise every vertex must be colored, and proper
+    vertex colors, no vertex color on an incident edge, and efficiency are
+    decided too: efficiency requires g regular of degree |palette| - 1 and
+    every closed neighborhood rainbow over the full palette.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    rep = ColoringReport(mode=mode)
-    # The scans run on vertex ids; labels are looked up only for witnesses.
-    n, verts, row, edge_ids = g.n, g.vertices, g.row, g.edge_ids
-    missing = object()
-    vcol = [tc.vertex_colors.get(v, missing) for v in verts] if mode != "proper-edge" else []
-    if missing in vcol:
-        raise ValueError(f"uncolored vertex {verts[vcol.index(missing)]!r}")
-    color = tc.edge_color_reader(g)
-    for i, j, labels in edge_ids():
-        if color(i, j, labels) is None:
-            raise ValueError(f"uncolored edge ({verts[i]!r}, {verts[j]!r})")
+    # The scan runs on vertex ids; labels are looked up only for witnesses.
+    verts, label_sets, color = g.vertices, g.label_sets, tc.edge_color_reader(g)
+    total = bool(tc.vertex_colors)
+    if total:
+        missing = object()
+        vcol = [tc.vertex_colors.get(v, missing) for v in verts]
+        if missing in vcol:
+            raise ValueError(f"uncolored vertex {verts[vcol.index(missing)]!r}")
+        shape, degs = g.regularity()
+        regular = shape == "regular" and degs[0] + 1 == len(tc.palette)
+    # One buffer per witness kind, each capped; joined in WITNESS_KINDS order.
+    kept: dict[str, list] = {kind: [] for kind in WITNESS_KINDS}
+    found = dict.fromkeys(WITNESS_KINDS, 0)
 
-    if mode in ("proper-edge", "total", "efficient"):
-        rep.proper_edge = True
-        label_sets = g.label_sets
-        for x in range(n):
-            seen: dict[int, int] = {}
-            for y, lid in g.labeled_row(x):
-                c = color(x, y, label_sets[lid]) if x < y else color(y, x, label_sets[lid])
-                if c in seen:
-                    rep.proper_edge = False
-                    rep._add("adjacent-edges", verts[x], verts[seen[c]], verts[y], c)
-                else:
-                    seen[c] = y
+    def add(kind: str, *items) -> None:
+        found[kind] += 1
+        if found[kind] <= WITNESS_CAP:
+            kept[kind].append((kind,) + items)
 
-    if mode in ("proper-vertex", "total", "efficient"):
-        rep.proper_vertex = True
-        for i, j, _ in edge_ids():
-            if vcol[i] == vcol[j]:
-                rep.proper_vertex = False
-                rep._add("adjacent-vertices", verts[i], verts[j], vcol[i])
+    if total and not regular:
+        add("not-regular-with-matching-palette", shape, degs, len(tc.palette))
+    for x in range(g.n):
+        seen: dict[int, int] = {}
+        closed = {vcol[x]} if total else None
+        for y, lid in g.labeled_row(x):
+            i, j = (x, y) if x < y else (y, x)
+            c = color(i, j, label_sets[lid])
+            if c is None:
+                raise ValueError(f"uncolored edge ({verts[i]!r}, {verts[j]!r})")
+            if c in seen:
+                add("adjacent-edges", verts[x], verts[seen[c]], verts[y], c)
+            else:
+                seen[c] = y
+            if not total:
+                continue
+            closed.add(vcol[y])
+            if x < y:  # each edge once, from its lower end
+                if vcol[x] == vcol[y]:
+                    add("adjacent-vertices", verts[x], verts[y], vcol[x])
+                for z in (x, y):
+                    if vcol[z] == c:
+                        add("vertex-incident-edge", verts[z], (verts[x], verts[y]), c)
+        if total and regular and closed != tc.palette:
+            add("non-rainbow-neighborhood", verts[x], tuple(sorted(closed)))
 
-    if mode in ("total", "efficient"):
-        rep.no_incidence_clash = True
-        for i, j, labels in edge_ids():
-            c = color(i, j, labels)
-            for x in (i, j):
-                if vcol[x] == c:
-                    rep.no_incidence_clash = False
-                    rep._add("vertex-incident-edge", verts[x], (verts[i], verts[j]), c)
+    def decided(*kinds: str) -> Optional[bool]:
+        return not any(found[kind] for kind in kinds) if total else None
 
-    if mode == "efficient":
-        rep.efficient = True
-        kind, degs = g.regularity()
-        if kind != "regular" or degs[0] + 1 != len(tc.palette):
-            rep.efficient = False
-            rep._add("not-regular-with-matching-palette", kind, degs, len(tc.palette))
-        else:
-            for v in range(n):
-                closed = {vcol[v]}
-                closed.update(map(vcol.__getitem__, row(v)))
-                if closed != tc.palette:
-                    rep.efficient = False
-                    rep._add("non-rainbow-neighborhood", verts[v], tuple(sorted(closed)))
-    return rep
+    return ColoringReport(
+        proper_edge=not found["adjacent-edges"],
+        proper_vertex=decided("adjacent-vertices"),
+        no_incidence_clash=decided("vertex-incident-edge"),
+        efficient=decided(*EFFICIENCY_KINDS),
+        witnesses=[w for kind in WITNESS_KINDS for w in kept[kind]][:WITNESS_CAP],
+        truncated=sum(found.values()) > WITNESS_CAP,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +294,13 @@ def choosability_suite(g: PermGraph, selector: Selector) -> tuple[bool, dict]:
     return proper, chosen
 
 
+#: Most selections the obstruction check enumerates one by one; above it,
+#: backtracking decides.
+OBSTRUCTION_EXHAUSTIVE_CAP = 1 << 17
+#: Most vertices of a 2-ball the obstruction check takes on.
+OBSTRUCTION_BALL_CAP = 64
+
+
 @dataclass
 class ObstructionReport:
     """Outcome of the local no-efficient-list-coloring check at one vertex."""
@@ -318,12 +318,7 @@ class ObstructionReport:
     truncated: bool = False
 
 
-def efficiency_obstruction_witness(
-    g: PermGraph,
-    v: MString,
-    exhaustive_cap: int = 1 << 17,
-    ball_cap: int = 64,
-) -> ObstructionReport:
+def efficiency_obstruction_witness(g: PermGraph, v: MString) -> ObstructionReport:
     """Show that no list selection on the distance-2 ball of v keeps all
     color classes at pairwise distance >= 3.
 
@@ -339,8 +334,8 @@ def efficiency_obstruction_witness(
         raise ValueError(f"obstruction check needs ell >= 3, got ell = {ell}")
     dist_v = g.bfs_distances(v, limit=2)
     ball = sorted(dist_v, key=g.index)
-    if len(ball) > ball_cap:
-        raise CapExceeded(f"2-ball of {v} has {len(ball)} vertices, cap {ball_cap}")
+    if len(ball) > OBSTRUCTION_BALL_CAP:
+        raise CapExceeded(f"2-ball of {v} has {len(ball)} vertices, cap {OBSTRUCTION_BALL_CAP}")
     lists = {x: sorted(list_assignment(x)) for x in ball}
 
     form = [
@@ -369,7 +364,7 @@ def efficiency_obstruction_witness(
     rep = ObstructionReport(center=v, ball=tuple(ball), selection_count=total, method="", passed=True)
     rep.form_vertex_count = len(form)
 
-    if total <= exhaustive_cap:
+    if total <= OBSTRUCTION_EXHAUSTIVE_CAP:
         rep.method = "exhaustive"
         for choice in product(*(lists[x] for x in ball)):
             sel = dict(zip(ball, choice))

@@ -385,12 +385,7 @@ def oracle_check(g: Graph, s: Iterable, ell: int) -> bool:
     return _is_code(_neighbor_masks(g), in_mask, g.n, ell)
 
 
-def code_search(
-    g: Graph,
-    ell: int,
-    vertex_cap: int = CODE_SEARCH_VERTEX_CAP,
-    node_budget: int = CODE_SEARCH_NODE_BUDGET,
-) -> list[frozenset]:
+def code_search(g: Graph, ell: int) -> list[frozenset]:
     """Every vertex set satisfying the efficient dominating-ell predicate.
 
     Complete backtracking over bitmask states with unit propagation: an
@@ -402,8 +397,8 @@ def code_search(
     """
     require_girth_above_three(g)
     n = g.n
-    if n > vertex_cap:
-        raise CapExceeded(f"code search capped at {vertex_cap} vertices, graph has {n}")
+    if n > CODE_SEARCH_VERTEX_CAP:
+        raise CapExceeded(f"code search capped at {CODE_SEARCH_VERTEX_CAP} vertices, graph has {n}")
     nbr = _neighbor_masks(g)
     full = (1 << n) - 1
     solutions: set[int] = set()
@@ -445,8 +440,8 @@ def code_search(
     def search(in_mask: int, out_mask: int) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
-            raise CapExceeded(f"code search exceeded node budget {node_budget}")
+        if nodes > CODE_SEARCH_NODE_BUDGET:
+            raise CapExceeded(f"code search exceeded node budget {CODE_SEARCH_NODE_BUDGET}")
         undecided = full & ~(in_mask | out_mask)
         if not undecided:
             if _is_code(nbr, in_mask, n, ell):

@@ -98,7 +98,8 @@ class Graph:
 
     @property
     def label_sets(self) -> tuple[tuple[int, ...], ...]:
-        """The distinct edge-label tuples, by label id."""
+        """The distinct edge-label tuples, by label id; a subgraph cut from
+        this graph shares the same tuple."""
         return self._labels
 
     def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
@@ -602,7 +603,7 @@ class GraphMetrics:
     girth: Optional[int] = None
 
 
-def analyze(g: Graph, compute_girth: bool = True) -> GraphMetrics:
+def analyze(g: Graph) -> GraphMetrics:
     """Vertex/edge counts, degree structure, connectivity, parity, girth."""
     return GraphMetrics(
         n=g.n,
@@ -611,7 +612,7 @@ def analyze(g: Graph, compute_girth: bool = True) -> GraphMetrics:
         regularity=g.regularity(),
         connected=g.is_connected(),
         bipartite=g.is_bipartite(),
-        girth=g.girth() if compute_girth else None,
+        girth=g.girth(),
     )
 
 

@@ -11,7 +11,7 @@ collapse after the first two assignments.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import CapExceeded
 from .graphs import Graph
@@ -59,10 +59,10 @@ def _search_order(g: Graph, colors: list[int]) -> list[int]:
     return order
 
 
-def isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP) -> tuple[bool, Optional[dict]]:
+def isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[dict]]:
     """Decide g ~ h; on success also return a vertex bijection (as labels)."""
-    if max(g.n, h.n) > cap:
-        raise CapExceeded(f"isomorphism capped at {cap} vertices")
+    if max(g.n, h.n) > ISO_CAP:
+        raise CapExceeded(f"isomorphism capped at {ISO_CAP} vertices")
     if g.n != h.n or g.m != h.m:
         return False, None
     if g.degree_census() != h.degree_census():
@@ -83,35 +83,34 @@ def isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP) -> tuple[bool, Optional[d
     used = [False] * h.n
     images: set[int] = set()
 
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
+    def candidates(v: int) -> Iterator[int]:
+        """Images for v, filtered lazily: when the search comes back to this
+        position, every later assignment has been undone."""
         mapped_nbrs = [mapping[u] for u in g_adj[v] if u in mapping]
         if mapped_nbrs:
-            cands_set = set(h_adj[mapped_nbrs[0]])
-            for w in mapped_nbrs[1:]:
-                cands_set &= h_adj[w]
-            cands = sorted(cands_set)
+            cands = sorted(h_adj[mapped_nbrs[0]].intersection(*(h_adj[w] for w in mapped_nbrs[1:])))
         else:
             cands = h_by_color[gc[v]]
         need = len(mapped_nbrs)
-        for w in cands:
-            if used[w] or hc[w] != gc[v]:
-                continue
-            # w may not touch images of already-mapped non-neighbors of v
-            if len(h_adj[w] & images) != need:
-                continue
-            mapping[v] = w
-            used[w] = True
-            images.add(w)
-            if extend(pos + 1):
-                return True
-            del mapping[v]
+        # w may not touch images of already-mapped non-neighbors of v
+        return (w for w in cands if not used[w] and hc[w] == gc[v] and len(h_adj[w] & images) == need)
+
+    # Backtracking with an explicit stack, one candidate iterator per mapped
+    # position, so the depth is not bounded by the recursion limit.
+    stack: list[Iterator[int]] = []
+    while len(mapping) < len(order):
+        if len(stack) == len(mapping):
+            stack.append(candidates(order[len(mapping)]))
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            if not stack:
+                return False, None
+            _, w = mapping.popitem()  # the last position mapped
             used[w] = False
             images.discard(w)
-        return False
-
-    if extend(0):
-        return True, {g.vertices[v]: h.vertices[w] for v, w in mapping.items()}
-    return False, None
+            continue
+        mapping[order[len(stack) - 1]] = w
+        used[w] = True
+        images.add(w)
+    return True, {g.vertices[v]: h.vertices[w] for v, w in mapping.items()}

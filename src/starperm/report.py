@@ -20,6 +20,9 @@ PRECONDITION = "precondition"
 
 #: Most witnesses any check, certificate or report keeps.
 WITNESS_CAP = 32
+#: Most witnesses a suite report shows per check; a check that had more is
+#: marked truncated.
+SHOWN_WITNESSES = 8
 
 
 @dataclass

@@ -105,8 +105,8 @@ def color_class_decomposition(
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail=f"palette has {len(tc.palette)} colors, want {h - 1}")
     if not g.is_connected():
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail="graph is not connected")
-    eff = verify_coloring(g, tc, "efficient")
-    if not eff.passed:
+    eff = verify_coloring(g, tc)
+    if not (eff.passed and eff.efficient):
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail="coloring is not efficient")
 
     for color in sorted(tc.palette):
@@ -121,16 +121,12 @@ def color_class_decomposition(
         kept_edges = [e for e in e_class if minus_w.has_vertex(e[0]) and minus_w.has_vertex(e[1])]
         minus_we = minus_w.subgraph(delete_edges=kept_edges)
         for comp in minus_we.components():
-            vertex_colors = {v: tc.vertex_colors[v] for v in comp.vertices}
-            edge_colors = {(u, v): tc.edge_color(u, v) for u, v, _ in comp.edges()}
-            used = tuple(sorted(set(vertex_colors.values()) | set(edge_colors.values())))
-            missing = sorted(set(tc.palette) - set(used) - {color})
-            sub_tc = TotalColoring(
-                vertex_colors=vertex_colors,
-                edge_colors=edge_colors,
-                palette=frozenset(set(tc.palette) - {color} - set(missing)),
-            )
-            audit = verify_coloring(comp, sub_tc, "efficient")
+            # The component is audited against tc's own mappings, read in place.
+            edge_color = tc.edge_color_reader(comp)
+            used = {tc.vertex_colors[v] for v in comp.vertices}
+            used.update(edge_color(i, j, labels) for i, j, labels in comp.edge_ids())
+            missing = sorted(tc.palette - used - {color})
+            audit = verify_coloring(comp, TotalColoring(tc.vertex_colors, tc.edge_colors, tc.palette - {color} - set(missing)))
             iso_ok = None
             if reference is not None:
                 iso_ok, _ = isomorphic(comp, reference)
@@ -140,7 +136,7 @@ def color_class_decomposition(
                     regular_degree=comp.regular_degree(),
                     coloring_total=bool(audit.total),
                     coloring_efficient=bool(audit.efficient),
-                    colors_used=used,
+                    colors_used=tuple(sorted(used)),
                     missing_color=missing[0] if len(missing) == 1 else None,
                     isomorphic_to_reference=iso_ok,
                 )
@@ -328,6 +324,11 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
 # ---------------------------------------------------------------------------
 
 
+#: Most colorings of the apex edges the completion search tries; above it
+#: the completion stays undecided.
+AUGMENT_EXHAUSTIVE_CAP = 1 << 20
+
+
 @dataclass
 class AugmentReport:
     graph: Graph
@@ -347,7 +348,6 @@ def augment_supergraph(
     g: PermGraph,
     tc: TotalColoring,
     apex_classes: Optional[Iterable[frozenset]] = None,
-    exhaustive_cap: int = 1 << 20,
 ) -> AugmentReport:
     """Add one apex vertex per chosen class, joined to all its members.
 
@@ -390,7 +390,7 @@ def augment_supergraph(
     new_color = h
     palette = sorted(tc.palette) + [new_color]
     new_edges = [(apex, v) for apex, members in zip(apexes, apex_classes) for v in sorted(members, key=g.index)]
-    if len(palette) ** len(new_edges) > exhaustive_cap:
+    if len(palette) ** len(new_edges) > AUGMENT_EXHAUSTIVE_CAP:
         rep.completion_exists = None
         return rep
 

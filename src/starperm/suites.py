@@ -36,7 +36,7 @@ from .domination import (
 from .errors import CapExceeded, GirthPrecondition
 from .graphs import Params, PermGraph, build_graph
 from .mstrings import list_assignment
-from .report import FAIL, PASS, PRECONDITION, SKIP, WITNESS_CAP, CheckResult, SuiteReport
+from .report import FAIL, PASS, PRECONDITION, SHOWN_WITNESSES, SKIP, CheckResult, SuiteReport
 from .structure import classify_six_cycles, color_class_decomposition, toroidal_assembly
 
 
@@ -55,14 +55,14 @@ class _Runner:
             status, detail, witnesses = PRECONDITION, str(exc), []
         except CapExceeded as exc:
             status, detail, witnesses = SKIP, str(exc), []
-        truncated = len(witnesses) > WITNESS_CAP
+        witnesses = list(witnesses)
         res = CheckResult(
             name=name,
             status=status,
             detail=detail,
-            witnesses=list(witnesses)[:WITNESS_CAP],
+            witnesses=witnesses[:SHOWN_WITNESSES],
             seconds=time.perf_counter() - t0,
-            truncated=truncated,
+            truncated=len(witnesses) > SHOWN_WITNESSES,
         )
         self.report.checks.append(res)
         return res
@@ -115,7 +115,7 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
 
     def se_partition():
         prep = verify_partition_and_edge_cover(g, "SE")
-        return prep.passed, "", prep.failures[:8]
+        return prep.passed, "", prep.failures
 
     for i in range(k):
         run.add(f"se-set-{i}-efficient", lambda i=i: se_efficient(i))
@@ -153,14 +153,14 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
 
 def _suite_coloring(run: _Runner, ctx: _Context) -> None:
     k, ell, g = ctx.k, ctx.ell, ctx.graph
-    # At l = 2 one "efficient" pass decides three checks, each reading its own
-    # witness kinds; elsewhere only edge colors are checked, and none is made.
+    # At l = 2 one pass over the total coloring decides three checks, each
+    # reading its own witness kinds; elsewhere only edge colors are checked.
     reports: list = []
 
     def positional():
         tc = ctx.coloring if ell == 2 else TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, k * ell)))
-        reports.append(verify_coloring(g, tc, "efficient" if ell == 2 else "proper-edge"))
-        return bool(reports[0].proper_edge), "", [w for w in reports[0].witnesses if w[0] == "adjacent-edges"][:8]
+        reports.append(verify_coloring(g, tc))
+        return bool(reports[0].proper_edge), "", [w for w in reports[0].witnesses if w[0] == "adjacent-edges"]
 
     run.add("positional-edge-proper", positional)
     if ell == 2:
@@ -170,17 +170,17 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
             used = frozenset(tc.vertex_colors.values()) | frozenset(tc.edge_colors.values())
             return used == tc.palette and len(used) == 2 * k - 1, f"colors={sorted(used)}", []
 
-        run.add("sigma-total", lambda: (bool(eff.total), "", [w for w in eff.witnesses if w[0] not in EFFICIENCY_KINDS][:8]))
-        run.add("sigma-efficient", lambda: (bool(eff.efficient), "", eff.witnesses[:8]))
+        run.add("sigma-total", lambda: (bool(eff.total), "", [w for w in eff.witnesses if w[0] not in EFFICIENCY_KINDS]))
+        run.add("sigma-efficient", lambda: (bool(eff.efficient), "", eff.witnesses))
         run.add("sigma-palette-size", palette_size)
     if ell >= 3:
         def disjoint():
             bad = [(u, v) for u, v, _ in g.edges() if list_assignment(u) & list_assignment(v)]
-            return not bad, f"edges={g.m}", bad[:8]
+            return not bad, f"edges={g.m}", bad
 
         def obstruction():
             obs = efficiency_obstruction_witness(g, g.vertices[0])
-            return obs.passed, f"method={obs.method} selections={obs.selection_count}", obs.witnesses[:8]
+            return obs.passed, f"method={obs.method} selections={obs.selection_count}", obs.witnesses
 
         run.add("list-disjointness", disjoint)
         run.add("selector-min-proper", lambda: (choosability_suite(g, min_selector)[0], "", []))
@@ -258,11 +258,11 @@ def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
     run.add("contained-type1-disjoint", lambda: (bool(rep.contained_type1) and rep.type1_disjoint, f"count={len(rep.contained_type1)}", []))
     run.add(
         "departure-sextuples-monochromatic",
-        lambda: (rep.departures_ok, f"landing_census={rep.landing_class_census}", rep.departure_failures[:8]),
+        lambda: (rep.departures_ok, f"landing_census={rep.landing_class_census}", rep.departure_failures),
     )
     if len(tc.palette) == 5:
         run.add("departures-land-in-d1-class", lambda: (rep.all_land_in_d1, f"d1={rep.d1}", []))
-    run.add("class-vertices-pendant", lambda: (rep.sigma_pendant_ok, "", rep.departure_failures[:8]))
+    run.add("class-vertices-pendant", lambda: (rep.sigma_pendant_ok, "", rep.departure_failures))
     run.add(
         "landing-vertices-min-distance-3",
         lambda: (rep.landing_min_distance_3, f"distances={rep.landing_distance_values}", []),
@@ -275,7 +275,7 @@ def _suite_chains(run: _Runner, ctx: _Context) -> None:
         run.precondition("chain-embeddings", f"suite needs l = 2, got l = {ctx.ell}")
         return
     rep = verify_chain(k, cap=ctx.cap)
-    run.add("images-disjoint-induced", lambda: (rep.images_disjoint and rep.images_induced_isomorphic, f"images={k + 1}", rep.failures[:8]))
+    run.add("images-disjoint-induced", lambda: (rep.images_disjoint and rep.images_induced_isomorphic, f"images={k + 1}", rep.failures))
     run.add("sigma-bijection", lambda: (rep.sigma_bijection_ok and rep.blocks_partition_sigma, f"blocks={rep.block_sizes}", []))
     run.add("cardinality-identity", lambda: (rep.cardinality_identity_ok, f"sigma={rep.sigma_size}", []))
 
@@ -286,9 +286,9 @@ def _suite_schreier(run: _Runner, ctx: _Context) -> None:
     except CapExceeded as exc:
         run.skip("schreier-quotient", str(exc))
         return
-    run.add("fibers-are-cosets", lambda: (rep.fibers_are_cosets and rep.fiber_sizes_ok, "", rep.failures[:8]))
-    run.add("quotient-matches-graph", lambda: (rep.quotient_equals_graph, "", rep.failures[:8]))
-    run.add("local-generator-sets", lambda: (rep.generator_sets_ok, "", rep.failures[:8]))
+    run.add("fibers-are-cosets", lambda: (rep.fibers_are_cosets and rep.fiber_sizes_ok, "", rep.failures))
+    run.add("quotient-matches-graph", lambda: (rep.quotient_equals_graph, "", rep.failures))
+    run.add("local-generator-sets", lambda: (rep.generator_sets_ok, "", rep.failures))
 
 
 def _suite_pancake(run: _Runner, ctx: _Context) -> None:

@@ -139,3 +139,24 @@ def brute_color_class_components(adj, color):
 
     kept = {v for v in adj if repeat(v) != color}
     return brute_component_sizes({x: {y for y in adj[x] if y in kept and swapped(x, y) != color} for x in kept})
+
+
+def brute_coloring_flags(adj, vertex_colors, edge_color, palette):
+    """(proper_edge, proper_vertex, no_incidence_clash, efficient) of a
+    coloring of a dict-of-sets graph, each straight from its definition.
+
+    edge_color maps frozenset({u, v}) to the color of that edge.  An empty
+    vertex_colors makes it an edge coloring: only proper_edge is decided and
+    the other three are None.  Efficient means every degree is
+    len(palette) - 1 and every closed neighborhood shows the whole palette.
+    """
+    proper_edge = all(len({edge_color[frozenset((v, w))] for w in adj[v]}) == len(adj[v]) for v in adj)
+    if not vertex_colors:
+        return proper_edge, None, None, None
+    proper_vertex = all(vertex_colors[v] != vertex_colors[w] for v in adj for w in adj[v])
+    no_clash = all(vertex_colors[v] != edge_color[frozenset((v, w))] for v in adj for w in adj[v])
+    efficient = bool(adj) and all(
+        len(adj[v]) == len(palette) - 1 and {vertex_colors[v]} | {vertex_colors[w] for w in adj[v]} == set(palette)
+        for v in adj
+    )
+    return proper_edge, proper_vertex, no_clash, efficient

@@ -140,6 +140,16 @@ def test_schreier_cap():
         schreier_quotient_check(3, 3)
 
 
+@pytest.mark.parametrize("k,ell", [(2, 2), (3, 2), (2, 3)])
+def test_schreier_builds_no_graph(monkeypatch, k, ell):
+    # catches a quotient check that builds the multiset star graph again
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quotient is compared with star moves, not a built graph")
+
+    monkeypatch.setattr(starperm.chains, "build_graph", refuse)
+    assert schreier_quotient_check(k, ell).passed
+
+
 def test_pancake_k2(pc22):
     rep = pancake_chain_check(2)
     assert rep.passed
@@ -160,6 +170,12 @@ def test_pancake_k3():
     assert rep.remainder_regular_degree == 2
     assert rep.neighborhoods_partition_remainder
     assert rep.ambiguous_black_edges == 0
+
+
+def test_pancake_is_bounded_by_the_vertex_cap_alone():
+    # catches a guard on k in front of build_graph's vertex cap
+    with pytest.raises(CapExceeded, match="instance too large"):
+        pancake_chain_check(5, cap=1000)
 
 
 def test_pancake_sigma1_adjacency_witness(pc22):

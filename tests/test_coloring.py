@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from starperm import (
+    Graph,
     TotalColoring,
+    build_odd_complete_colored,
     choosability_suite,
     efficiency_obstruction_witness,
     list_assignment,
@@ -14,6 +18,8 @@ from starperm import (
     verify_coloring,
 )
 from starperm.graphs import Params, build_graph
+
+from .oracles import adjacency_dict, brute_coloring_flags
 
 ms = mstring
 
@@ -36,8 +42,8 @@ def test_positional_incident_colors_at_100122(st32):
 
 def test_positional_properness_exhaustive(st32):
     colors = positional_edge_coloring(st32)
-    tc = TotalColoring({v: 0 for v in st32.vertices}, colors, frozenset(range(6)))
-    assert verify_coloring(st32, tc, "proper-edge").proper_edge
+    tc = TotalColoring({}, colors, frozenset(range(1, 6)))
+    assert verify_coloring(st32, tc).proper_edge
 
 
 def test_positional_coloring_reads_like_the_dict_it_replaced(st32):
@@ -74,7 +80,7 @@ def test_sigma_coloring_requires_ell_2(st23):
 
 
 def test_sigma_total_and_efficient(st32, tc32):
-    rep = verify_coloring(st32, tc32, "efficient")
+    rep = verify_coloring(st32, tc32)
     assert rep.total and rep.efficient and rep.passed
 
 
@@ -102,24 +108,88 @@ def test_verify_coloring_negative_witness(st22):
     vertex_colors = {v: 1 for v in st22.vertices}
     edge_colors = {(u, v): 2 for u, v, _ in st22.edges()}
     tc = TotalColoring(vertex_colors, edge_colors, frozenset({1, 2}))
-    rep = verify_coloring(st22, tc, "proper-vertex")
-    assert not rep.proper_vertex and rep.witnesses
-    kind, u, v, c = rep.witnesses[0]
-    assert kind == "adjacent-vertices" and st22.has_edge(u, v) and c == 1
+    rep = verify_coloring(st22, tc)
+    assert not rep.proper_vertex and not rep.passed
+    # every flag fails; the adjacent-vertices witnesses follow the adjacent-edges ones
+    kind, u, v, c = next(w for w in rep.witnesses if w[0] == "adjacent-vertices")
+    assert st22.has_edge(u, v) and c == 1
 
 
 def test_verify_coloring_uncolored_element(st22, tc22):
     partial = TotalColoring(dict(list(tc22.vertex_colors.items())[:-1]), tc22.edge_colors, tc22.palette)
     with pytest.raises(ValueError):
-        verify_coloring(st22, partial, "total")
+        verify_coloring(st22, partial)
 
 
-def test_proper_edge_mode_reads_no_vertex_color(st32):
-    # catches verify_coloring asking for vertex colors that proper-edge never reads
+def test_proper_edge_mode_reads_no_vertex_color(st32, tc32):
+    # an empty vertex mapping is an edge coloring: only proper_edge is decided
     tc = TotalColoring({}, positional_edge_coloring(st32), frozenset(range(1, 6)))
-    assert verify_coloring(st32, tc, "proper-edge").passed
+    rep = verify_coloring(st32, tc)
+    assert rep.passed and rep.proper_edge
+    assert (rep.proper_vertex, rep.no_incidence_clash, rep.efficient, rep.total) == (None, None, None, None)
+    # a vertex mapping that is not empty must color every vertex
+    partial = TotalColoring({st32.vertices[0]: tc32.vertex_colors[st32.vertices[0]]}, tc.edge_colors, tc.palette)
     with pytest.raises(ValueError, match="uncolored vertex"):
-        verify_coloring(st32, tc, "total")
+        verify_coloring(st32, partial)
+
+
+#: The colorings checked against the oracle, by name: (graph, coloring).
+ORACLE_COLORINGS = {
+    "st22": lambda request: (request.getfixturevalue("st22"), request.getfixturevalue("tc22")),
+    "st32": lambda request: (request.getfixturevalue("st32"), request.getfixturevalue("tc32")),
+    "st23-edges": lambda request: (
+        request.getfixturevalue("st23"),
+        TotalColoring({}, positional_edge_coloring(request.getfixturevalue("st23")), frozenset(range(1, 6))),
+    ),
+    "k5": lambda request: build_odd_complete_colored(2),
+    "non-regular": lambda request: (
+        Graph(range(6), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5)]),
+        TotalColoring(
+            {0: 0, 1: 1, 2: 0, 3: 2, 4: 3, 5: 0},
+            {(0, 1): 2, (1, 2): 3, (2, 3): 1, (0, 3): 1, (0, 4): 4, (4, 5): 2},
+            frozenset(range(5)),
+        ),
+    ),
+}
+#: The witness kinds in report order, and the flag each one refutes.
+KIND_FLAGS = {
+    "adjacent-edges": "proper_edge",
+    "adjacent-vertices": "proper_vertex",
+    "vertex-incident-edge": "no_incidence_clash",
+    "not-regular-with-matching-palette": "efficient",
+    "non-rainbow-neighborhood": "efficient",
+}
+
+
+def _recolored(g, tc, seed):
+    """tc with 1 to 200 seeded vertices and edges given random palette colors."""
+    rng = random.Random(seed)
+    vertex_colors = dict(tc.vertex_colors.items())
+    edge_colors = {(u, v): tc.edge_color(u, v) for u, v, _ in g.edges()}
+    palette = sorted(tc.palette)
+    for _ in range((1, 2, 5, 40, 200)[seed % 5]):
+        if vertex_colors and rng.random() < 0.5:
+            vertex_colors[rng.choice(list(vertex_colors))] = rng.choice(palette)
+        else:
+            edge_colors[rng.choice(list(edge_colors))] = rng.choice(palette)
+    return TotalColoring(vertex_colors, edge_colors, tc.palette)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", list(ORACLE_COLORINGS))
+def test_verify_coloring_flags_match_the_oracle(request, name, seed):
+    g, tc = ORACLE_COLORINGS[name](request)
+    if seed is not None:
+        tc = _recolored(g, tc, seed)
+    rep = verify_coloring(g, tc)
+    edge_color = {frozenset((u, v)): tc.edge_color(u, v) for u, v, _ in g.edges()}
+    flags = brute_coloring_flags(adjacency_dict(g), dict(tc.vertex_colors.items()), edge_color, tc.palette)
+    assert (rep.proper_edge, rep.proper_vertex, rep.no_incidence_clash, rep.efficient) == flags
+    assert rep.passed == (False not in flags)
+    kinds = [w[0] for w in rep.witnesses]
+    assert kinds == sorted(kinds, key=list(KIND_FLAGS).index)  # grouped, in kind order
+    if not rep.truncated:
+        assert {KIND_FLAGS[kind] for kind in kinds} == {f for f in set(KIND_FLAGS.values()) if getattr(rep, f) is False}
 
 
 def test_choosability_desargues(st23):

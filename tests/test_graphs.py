@@ -1,4 +1,5 @@
 import ast
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -159,6 +160,22 @@ def test_isomorphic_basics(st22):
         assert c6.has_edge(mapping[u], mapping[v])
 
 
+def test_isomorphic_depth_is_not_bounded_by_the_recursion_limit():
+    # a search that recursed once per mapped vertex would need 1,000 frames
+    n = 1000
+    cycle = Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+    relabel = [(7 * i + 3) % n for i in range(n)]
+    copy = Graph(range(n), [(relabel[i], relabel[(i + 1) % n]) for i in range(n)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        ok, mapping = isomorphic(cycle, copy)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ok and sorted(mapping.values()) == list(range(n))
+    assert all(copy.has_edge(mapping[u], mapping[v]) for u, v, _ in cycle.edges())
+
+
 def test_isomorphic_st32_components(st32, st22):
     from starperm import sigma_set, sigma_total_coloring
 
@@ -178,7 +195,7 @@ def test_odd_complete_k5_colors():
     assert [tc.edge_color(u, v) for u, v in pairs] == [3, 4, 0, 1, 2, 1, 2, 3, 4, 0]
     assert tc.vertex_colors == {j: j for j in range(5)}
     assert analyze(g).girth == 3
-    assert verify_coloring(g, tc, "efficient").passed
+    assert verify_coloring(g, tc).passed
 
 
 def test_odd_complete_k3_formula():

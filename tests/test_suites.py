@@ -1,6 +1,7 @@
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -106,17 +107,17 @@ def test_domination_check_seconds_cover_the_run(st42):
 
 
 def test_coloring_suite_makes_one_coloring_pass(monkeypatch):
-    # one "efficient" report feeds positional-edge-proper, sigma-total and sigma-efficient
-    modes = []
+    # one report on the total coloring feeds positional-edge-proper, sigma-total and sigma-efficient
+    reports = []
     verify = starperm.suites.verify_coloring
 
-    def counted(g, tc, mode="total"):
-        modes.append(mode)
-        return verify(g, tc, mode)
+    def counted(g, tc):
+        reports.append(verify(g, tc))
+        return reports[-1]
 
     monkeypatch.setattr(starperm.suites, "verify_coloring", counted)
     report = run_suite("coloring", 3, 2)
-    assert report.passed and modes == ["efficient"]
+    assert report.passed and len(reports) == 1 and reports[0].efficient
     assert [c.name for c in report.checks] == ["positional-edge-proper", "sigma-total", "sigma-efficient", "sigma-palette-size"]
 
 
@@ -144,3 +145,16 @@ def test_coloring_check_seconds_cover_the_run(st42):
     wall = time.perf_counter() - t0
     assert report.passed
     assert sum(c.seconds for c in report.checks) >= 0.6 * wall
+
+
+def test_a_check_shows_eight_witnesses_and_says_when_it_dropped_some(monkeypatch):
+    # the (2,3) obstruction keeps 32 of its 1,024 selections' witnesses and shows 8
+    (check,) = [c for c in run_suite("coloring", 2, 3).checks if c.name == "efficiency-obstruction"]
+    assert check.status == "pass" and len(check.witnesses) == 8 and check.truncated
+    # a failing domination check passes every violation kind it found
+    violations = [SimpleNamespace(kind=f"kind-{i}") for i in range(9)]
+    cert = SimpleNamespace(passed=False, violations=violations, min_internal_distance=1)
+    monkeypatch.setattr(starperm.suites, "verify_efficient_domination", lambda g, s, ell: cert)
+    checks = {c.name: c for c in run_suite("domination", 2, 2).checks}
+    se0 = checks["se-set-0-efficient"]
+    assert se0.status == "fail" and se0.witnesses == [f"kind-{i}" for i in range(8)] and se0.truncated
