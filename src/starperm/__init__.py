@@ -59,12 +59,9 @@ from .mstrings import (
     list_assignment,
     mstring,
     prefix_reversal,
-    rank,
     render,
     repeat_position,
     star_neighbors,
-    unrank,
-    vertex_count,
 )
 from .structure import (
     augment_supergraph,
@@ -109,7 +106,6 @@ __all__ = [
     "pancake_chain_check",
     "positional_edge_coloring",
     "prefix_reversal",
-    "rank",
     "render",
     "repeat_position",
     "schreier_quotient_check",
@@ -120,11 +116,9 @@ __all__ = [
     "star_neighbors",
     "color_class_decomposition",
     "toroidal_assembly",
-    "unrank",
     "verify_chain",
     "verify_coloring",
     "verify_efficient_domination",
     "verify_ei_avoidance",
     "verify_partition_and_edge_cover",
-    "vertex_count",
 ]

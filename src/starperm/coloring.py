@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
@@ -51,6 +51,17 @@ class TotalColoring:
 
     def vertex_class(self, color: int) -> frozenset:
         return frozenset(v for v, c in self.vertex_colors.items() if c == color)
+
+    def vertex_colors_by_id(self, g: Graph) -> Sequence[int]:
+        """g's vertex colors by vertex id: its own repeat-position column in
+        place, else a list read once from the mapping (ValueError if partial)."""
+        colors = self.vertex_colors
+        if isinstance(colors, _VertexColumn) and colors._g is g:
+            return colors._column
+        vcol = [colors.get(v) for v in g.vertices]
+        if None in vcol:
+            raise ValueError(f"uncolored vertex {g.vertices[vcol.index(None)]!r}")
+        return vcol
 
     def edge_color_reader(self, g: Graph) -> Callable[[int, int, tuple], Optional[int]]:
         """The color of g's edge between vertex ids i < j carrying `labels`,
@@ -204,10 +215,7 @@ def verify_coloring(g: Graph, tc: TotalColoring) -> ColoringReport:
     verts, label_sets, color = g.vertices, g.label_sets, tc.edge_color_reader(g)
     total = bool(tc.vertex_colors)
     if total:
-        missing = object()
-        vcol = [tc.vertex_colors.get(v, missing) for v in verts]
-        if missing in vcol:
-            raise ValueError(f"uncolored vertex {verts[vcol.index(missing)]!r}")
+        vcol = tc.vertex_colors_by_id(g)
         shape, degs = g.regularity()
         regular = shape == "regular" and degs[0] + 1 == len(tc.palette)
     # One buffer per witness kind, each capped; joined in WITNESS_KINDS order.

@@ -623,7 +623,7 @@ def analyze(g: Graph) -> GraphMetrics:
 SIX_CYCLE_CAP = 10**4
 
 
-def six_cycles(g: Graph, cap: int = SIX_CYCLE_CAP) -> list[tuple]:
+def six_cycles(g: Graph) -> list[tuple]:
     """All 6-cycles, each once, as canonical vertex tuples.
 
     A cycle is reported rooted at its least vertex r with its opposite
@@ -632,8 +632,8 @@ def six_cycles(g: Graph, cap: int = SIX_CYCLE_CAP) -> list[tuple]:
     Meets in the middle: for each root, 3-step paths through larger
     vertices are bucketed by endpoint and paired.
     """
-    if g.n > cap:
-        raise CapExceeded(f"6-cycle enumeration capped at {cap} vertices, graph has {g.n}")
+    if g.n > SIX_CYCLE_CAP:
+        raise CapExceeded(f"6-cycle enumeration capped at {SIX_CYCLE_CAP} vertices, graph has {g.n}")
     adj = [g.row(i) for i in range(g.n)]
     cycles = []
     for r in range(g.n):

@@ -4,9 +4,10 @@ A string over the alphabet [k] = {0, ..., k-1} holding exactly `ell` copies
 of each symbol has length k*ell; there are (k*ell)! / (ell!)^k of them.  They
 are the vertex language of the star-transposition and pancake graphs, so this
 module carries the exact string-level operations everything else is built on:
-lexicographic enumeration, ranking/unranking, star transpositions, prefix
-reversals, repeat positions (ell = 2) and the per-vertex position lists used
-for list colorings.
+lexicographic enumeration, star transpositions, prefix reversals, repeat
+positions (ell = 2) and the per-vertex position lists used for list
+colorings.  The bijection between strings and vertex ids is the graph's
+:class:`~starperm.graphs.PackedLabels`.
 
 All values are immutable (strings are plain tuples of small ints) and every
 function is pure.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import CapExceeded
@@ -45,10 +45,6 @@ class Params:
 
     def vertex_count(self) -> int:
         return math.factorial(self.length) // math.factorial(self.ell) ** self.k
-
-
-def vertex_count(p: Params) -> int:
-    return p.vertex_count()
 
 
 def mstring(text: str) -> MString:
@@ -82,17 +78,6 @@ def infer_params(v: MString) -> Params:
     if len(mults) != 1:
         raise ValueError(f"unequal symbol multiplicities {dict(counts)}")
     return Params(k, mults.pop())
-
-
-def validate(v: MString, p: Params) -> None:
-    if len(v) != p.length:
-        raise ValueError(f"length {len(v)} != k*ell = {p.length}")
-    counts = Counter(v)
-    for s in range(p.k):
-        if counts.get(s, 0) != p.ell:
-            raise ValueError(f"symbol {s} occurs {counts.get(s, 0)} times, want {p.ell}")
-    if set(counts) - set(range(p.k)):
-        raise ValueError(f"symbols out of range [0, {p.k}) in {render(v)}")
 
 
 def iter_vertices(p: Params, cap: int = DEFAULT_VERTEX_CAP) -> Iterator[MString]:
@@ -130,50 +115,6 @@ def _next_permutations(p: Params) -> Iterator[MString]:
 def enumerate_vertices(p: Params, cap: int = DEFAULT_VERTEX_CAP) -> list[MString]:
     """All ell-set permutations in lexicographic order, as a list."""
     return list(iter_vertices(p, cap))
-
-
-@lru_cache(maxsize=None)
-def _arrangements(counts: tuple[int, ...]) -> int:
-    total = math.factorial(sum(counts))
-    for c in counts:
-        total //= math.factorial(c)
-    return total
-
-
-def rank(v: MString, p: Params) -> int:
-    """Position of v in the lexicographic enumeration under p."""
-    validate(v, p)
-    counts = [p.ell] * p.k
-    r = 0
-    for s in v:
-        for c in range(s):
-            if counts[c]:
-                counts[c] -= 1
-                r += _arrangements(tuple(counts))
-                counts[c] += 1
-        counts[s] -= 1
-    return r
-
-
-def unrank(i: int, p: Params) -> MString:
-    """Inverse of :func:`rank`."""
-    total = p.vertex_count()
-    if not 0 <= i < total:
-        raise ValueError(f"rank {i} out of range [0, {total})")
-    counts = [p.ell] * p.k
-    out = []
-    for _ in range(p.length):
-        for s in range(p.k):
-            if not counts[s]:
-                continue
-            counts[s] -= 1
-            block = _arrangements(tuple(counts))
-            if i < block:
-                out.append(s)
-                break
-            i -= block
-            counts[s] += 1
-    return tuple(out)
 
 
 def star_neighbors(v: MString) -> tuple[tuple[int, MString], ...]:

@@ -6,9 +6,9 @@ connected (h-3)-regular graph; further deleting the color-i edges E_i
 splits it into (h-4)-regular components, each totally colored by the
 remaining h-3 colors; deleting only E_i leaves a non-bipartite
 (h-2, h-3)-biregular graph whose degree-(h-2) side is exactly W_i.  The
-suite here checks all of that per color and reports, per component, the
-regularity, a coloring audit, a missing-color census and an isomorphism
-type against an optional reference graph.
+suite here checks all of that per color on ST(k,2) (h = 2k) and reports,
+per component, the regularity, a coloring audit, a missing-color census and
+its type: an explicit isomorphism onto ST(k-1,2).
 
 Also here: the two-type classification of 6-cycles under the repeat-position
 coloring, the toroidal union of type-2 cycles sharing a color, and the apex
@@ -18,14 +18,15 @@ completion exists.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .coloring import TotalColoring, verify_coloring
 from .domination import se_set, sigma_set, verify_efficient_domination
-from .graphs import Graph, PermGraph, six_cycles
-from .iso import isomorphic
+from .graphs import Graph, Params, PermGraph, build_graph, six_cycles
+from .iso import ISO_CAP, isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +40,8 @@ class ComponentAudit:
     regular_degree: Optional[int]
     coloring_total: bool
     coloring_efficient: bool
-    colors_used: tuple[int, ...]
     missing_color: Optional[int]
-    isomorphic_to_reference: Optional[bool]
+    isomorphic_to_reference: bool
 
 
 @dataclass
@@ -87,70 +87,118 @@ class DecompositionReport:
         )
 
 
-def color_class_decomposition(
-    g: Graph,
-    tc: TotalColoring,
-    reference: Optional[Graph] = None,
-) -> DecompositionReport:
-    """Run the per-color decomposition checks; hypothesis failures come back
-    as a precondition report, not an exception."""
-    kind, degs = g.regularity()
-    h = (degs[0] + 2) if kind == "regular" else 0
+def color_class_decomposition(g: Graph, tc: TotalColoring) -> DecompositionReport:
+    """Run the per-color decomposition checks on ST(k,2); hypothesis failures
+    come back as a precondition report, not an exception.
+
+    In ST(k,2) - W_i - E_i neither s = v[i] nor its other copy at p moves: a
+    move at i is an E_i edge, and a move at p puts s in front, into W_i.  So
+    each component has one key (s, p), and phi, deleting positions i and p
+    and renumbering the symbols above s one down, maps it onto ST(k-1,2),
+    the move at j onto the move at rho(j) = j - [j > i] - [j > p].  One scan
+    per color finds the components and checks phi on each; the first one per
+    color is also copied for verify_coloring and isomorphic.
+    """
+    if not (isinstance(g, PermGraph) and g.family.kind == "star" and g.params.ell == 2):
+        return DecompositionReport(h=0, precondition_ok=False, precondition_detail="need a 2-set star graph")
+    h = 2 * g.params.k  # ST(k,2) is connected and (h-2)-regular
     rep = DecompositionReport(h=h, precondition_ok=True)
-    if kind != "regular":
-        return DecompositionReport(h=0, precondition_ok=False, precondition_detail=f"graph is {kind}")
-    if h % 2 or h <= 4:
+    if h <= 4:
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail=f"need even h > 4, got h = {h}")
     if len(tc.palette) != h - 1:
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail=f"palette has {len(tc.palette)} colors, want {h - 1}")
-    if not g.is_connected():
-        return DecompositionReport(h=h, precondition_ok=False, precondition_detail="graph is not connected")
     eff = verify_coloring(g, tc)
     if not (eff.passed and eff.efficient):
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail="coloring is not efficient")
 
-    for color in sorted(tc.palette):
-        w_class = tc.vertex_class(color)
-        e_class = [e for e, c in tc.edge_colors.items() if c == color]
-        case = ColorCaseReport(color=color, minus_class_connected=False, minus_class_regular_degree=None)
+    n, verts, label_sets, color = g.n, g.vertices, g.label_sets, tc.edge_color_reader(g)
+    vcol = tc.vertex_colors_by_id(g)
+    size = Params(g.params.k - 1, 2).vertex_count()
+    reference = build_graph(Params(g.params.k - 1, 2)) if size <= ISO_CAP else None
+    for i in sorted(tc.palette):
+        case = ColorCaseReport(color=i, minus_class_connected=False, minus_class_regular_degree=None)
+        w_ids = {g.index(v) for v in tc.vertex_class(i)}
+        masked = bytes(x in w_ids for x in range(n))
+        # E_i by vertex id, each edge from an end outside W_i: no vertex
+        # color is on an incident edge, so W_i's rows hold none of it.
+        e_ids: list[tuple[int, int]] = []
+        part = array("i", [-1]) * n  # component index by vertex id
+        minus_w_degrees: set[int] = set()
+        for root in range(n):
+            if masked[root] or part[root] >= 0:
+                continue
+            part[root] = len(case.components)
+            comp, degrees, used = [root], set(), set()
+            key, image = _keyed(verts[root], i)
+            images, typed = {root: image}, True
+            for x in comp:  # grows as the traversal finds vertices
+                used.add(vcol[x])
+                degree = w_degree = 0
+                for y, lid in g.labeled_row(x):
+                    labels = label_sets[lid]
+                    c = color(x, y, labels)
+                    if c == i:
+                        if x < y or masked[y]:  # each once
+                            e_ids.append((x, y))
+                        w_degree += not masked[y]
+                        continue
+                    if masked[y]:
+                        continue
+                    degree += 1
+                    used.add(c)
+                    if part[y] < 0:
+                        part[y] = part[root]
+                        comp.append(y)
+                        y_key, images[y] = _keyed(verts[y], i)
+                        typed = typed and y_key == key
+                    if x < y:  # the move at j must map to the move at rho(j)
+                        j, a = labels[0], images[x]
+                        r = j - (j > i) - (j > key[1])
+                        if j in (i, key[1]) or images[y] != (a[r],) + a[1:r] + (a[0],) + a[r + 1 :]:
+                            typed = False
+                degrees.add(degree)
+                minus_w_degrees.add(w_degree + degree)
+            regular = degrees.pop() if len(degrees) == 1 else None
+            # phi is one-to-one on the component, onto |ST(k-1,2)| strings,
+            # and maps edges to edges; equal degrees then give equal edge
+            # counts, so phi is an isomorphism onto ST(k-1,2).
+            typed = typed and len(set(images.values())) == len(comp) == size and regular == h - 4
+            # A restriction of a total coloring is total.  The parent's
+            # closed neighborhoods are rainbow, so each of the component's
+            # has degree + 1 distinct colors, all observed: it is rainbow
+            # over the observed colors iff there are degree + 1 of them
+            # (palette - {i, p}, with p missing, when the key is (s, p)).
+            total, efficient = True, regular is not None and len(used) == regular + 1
+            if not case.components:
+                sub = g.induced_subgraph(verts[x] for x in comp)
+                sub = sub.subgraph(delete_edges=[(u, v) for u, v, _ in sub.edges() if tc.edge_color(u, v) == i])
+                audit = verify_coloring(sub, TotalColoring(tc.vertex_colors, tc.edge_colors, frozenset(used)))
+                total, efficient = bool(audit.total), efficient and bool(audit.efficient)
+                typed = typed and (reference is None or isomorphic(sub, reference)[0])
+            missing = tc.palette - used - {i}
+            missing_color = min(missing) if len(missing) == 1 else None
+            case.components.append(ComponentAudit(len(comp), regular, total, efficient, missing_color, typed))
+        # G - W_i is the components joined by their E_i edges.
+        links = {(part[x], part[y]) for x, y in e_ids if not masked[y] and part[x] != part[y]}
+        case.minus_class_connected = Graph(range(len(case.components)), links).is_connected()
+        case.minus_class_regular_degree = minus_w_degrees.pop() if len(minus_w_degrees) == 1 else None
 
-        minus_w = g.subgraph(delete_vertices=w_class)
-        case.minus_class_connected = minus_w.is_connected()
-        case.minus_class_regular_degree = minus_w.regular_degree()
-
-        kept_edges = [e for e in e_class if minus_w.has_vertex(e[0]) and minus_w.has_vertex(e[1])]
-        minus_we = minus_w.subgraph(delete_edges=kept_edges)
-        for comp in minus_we.components():
-            # The component is audited against tc's own mappings, read in place.
-            edge_color = tc.edge_color_reader(comp)
-            used = {tc.vertex_colors[v] for v in comp.vertices}
-            used.update(edge_color(i, j, labels) for i, j, labels in comp.edge_ids())
-            missing = sorted(tc.palette - used - {color})
-            audit = verify_coloring(comp, TotalColoring(tc.vertex_colors, tc.edge_colors, tc.palette - {color} - set(missing)))
-            iso_ok = None
-            if reference is not None:
-                iso_ok, _ = isomorphic(comp, reference)
-            case.components.append(
-                ComponentAudit(
-                    n=comp.n,
-                    regular_degree=comp.regular_degree(),
-                    coloring_total=bool(audit.total),
-                    coloring_efficient=bool(audit.efficient),
-                    colors_used=tuple(sorted(used)),
-                    missing_color=missing[0] if len(missing) == 1 else None,
-                    isomorphic_to_reference=iso_ok,
-                )
-            )
-
-        minus_e = g.subgraph(delete_edges=e_class)
-        census = minus_e.degree_census()
-        case.minus_edges_degrees = tuple(sorted(census))
-        big = {v for v in minus_e.vertices if minus_e.degree(v) == h - 2}
-        case.minus_edges_big_side_is_class = big == set(w_class)
-        case.minus_edges_class_independent = not any(x in w_class for u in w_class for x in minus_e.neighbors(u))
+        minus_e = g.subgraph(delete_edges=[(verts[x], verts[y]) for x, y in e_ids])
+        case.minus_edges_degrees = tuple(sorted(minus_e.degree_census()))
+        case.minus_edges_big_side_is_class = {x for x in range(n) if len(minus_e.row(x)) == h - 2} == w_ids
+        case.minus_edges_class_independent = not any(masked[y] for x in w_ids for y in minus_e.row(x))
         case.odd_closed_walk = minus_e.odd_closed_walk()
         rep.cases.append(case)
     return rep
+
+
+def _keyed(v: tuple, i: int) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """The key (s, p) of a string v outside W_i, s = v[i] and p the other
+    position of s, and phi(v): v without positions i and p, the symbols
+    above s one down."""
+    s = v[i]
+    p = v.index(s) if v.index(s) != i else v.index(s, i + 1)
+    return (s, p), tuple(t - (t > s) for j, t in enumerate(v) if j != i and j != p)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +297,7 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
     type2 = [c for c in classes if c.kind == "type2" and d1 in c.colors and (set(c.colors) - {d1}) <= set(quad)]
     # The union and the departures are read by vertex id.
     verts, index, label_sets, color = g.vertices, g.index, g.label_sets, tc.edge_color_reader(g)
+    vcol = tc.vertex_colors_by_id(g)
     edge_set = {e for c in type2 for e in _cycle_edges(g, c.cycle)}
     assembly = Graph(
         [verts[i] for i in sorted({i for e in edge_set for i in e})],
@@ -294,7 +343,7 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
             rep.departures_ok = False
             rep.departure_failures.append(("departure-count", c.cycle, d, len(landing)))
             continue
-        classes_hit = {tc.vertex_colors[verts[y]] for y in landing}
+        classes_hit = {vcol[y] for y in landing}
         if len(classes_hit) != 1:
             rep.departures_ok = False
             rep.departure_failures.append(("landing-not-monochromatic", c.cycle, d, sorted(classes_hit)))

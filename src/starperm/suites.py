@@ -193,9 +193,7 @@ def _suite_chi(run: _Runner, ctx: _Context) -> None:
     if ell != 2:
         run.precondition("chi-preconditions", f"suite needs l = 2, got l = {ell}")
         return
-    g, tc = ctx.graph, ctx.coloring
-    reference = build_graph(Params(k - 1, 2), cap=ctx.cap) if k >= 2 else None
-    rep = color_class_decomposition(g, tc, reference=reference)
+    rep = color_class_decomposition(ctx.graph, ctx.coloring)
     if not rep.precondition_ok:
         run.precondition("chi-preconditions", rep.precondition_detail)
         return
@@ -230,7 +228,11 @@ def _suite_cycles(run: _Runner, ctx: _Context) -> None:
     if ctx.ell != 2:
         run.precondition("cycle-classification", f"suite needs l = 2, got l = {ctx.ell}")
         return
-    classes, census = classify_six_cycles(ctx.graph, ctx.coloring)
+    try:
+        classes, census = classify_six_cycles(ctx.graph, ctx.coloring)
+    except CapExceeded as exc:
+        run.skip("cycle-classification", str(exc))
+        return
     run.add(
         "all-six-cycles-classified",
         lambda: (census["other"] == 0 and sum(census.values()) > 0, f"census={census}", []),
@@ -250,7 +252,11 @@ def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
     g, tc = ctx.graph, ctx.coloring
     d1 = ctx.d1 if ctx.d1 is not None else 2 * k - 1
     quad = tuple(ctx.quad) if ctx.quad else (1, 2, 3, 4)
-    rep = toroidal_assembly(g, tc, d1, quad)
+    try:
+        rep = toroidal_assembly(g, tc, d1, quad)
+    except CapExceeded as exc:
+        run.skip("toroidal-audit", str(exc))
+        return
     run.add(
         "type2-union-built",
         lambda: (rep.type2_cycle_count > 0, f"type2_cycles={rep.type2_cycle_count} n={rep.assembly.n}", []),

@@ -122,23 +122,60 @@ def brute_distance(adj, u, v):
     return None
 
 
+def _repeat(v):
+    """The repeat position of a 2-set string: the j >= 1 with v[j] = v[0]."""
+    return next(j for j in range(1, len(v)) if v[j] == v[0])
+
+
+def _swapped(u, v):
+    """The transposition position of an edge: the j >= 1 where its ends differ."""
+    return next(j for j in range(1, len(u)) if u[j] != v[j])
+
+
+def _minus_color(adj, color):
+    """A 2-set star graph without the vertices and edges of one color: a
+    vertex is colored by its repeat position, an edge by its transposition
+    position, both read straight from the strings."""
+    kept = {v for v in adj if _repeat(v) != color}
+    return {x: {y for y in adj[x] if y in kept and _swapped(x, y) != color} for x in kept}
+
+
 def brute_color_class_components(adj, color):
-    """Sorted component sizes of a 2-set star graph minus one color class.
+    """Sorted component sizes of a 2-set star graph minus one color class."""
+    return brute_component_sizes(_minus_color(adj, color))
 
-    The color of a vertex is its repeat position (the j >= 1 with v[j] =
-    v[0]) and the color of an edge is its transposition position (the j >= 1
-    where its ends differ); both are read straight from the strings.  The
-    vertices and edges of `color` are deleted and the rest is split by BFS.
+
+def brute_component_keys(adj, color):
+    """(key, size) of each component of a 2-set star graph minus one color
+    class, ordered by least vertex; the key is None where the component
+    breaks the key claim.
+
+    The key of v is (v[color], p), p the other position of that symbol.  The
+    claim: the vertices of a component share one key, and deleting
+    positions color and p (and renaming the symbols left to 0, 1, ... in
+    order) maps them one to one onto all 2-set strings on one symbol fewer.
     """
-
-    def repeat(v):
-        return next(j for j in range(1, len(v)) if v[j] == v[0])
-
-    def swapped(u, v):
-        return next(j for j in range(1, len(u)) if u[j] != v[j])
-
-    kept = {v for v in adj if repeat(v) != color}
-    return brute_component_sizes({x: {y for y in adj[x] if y in kept and swapped(x, y) != color} for x in kept})
+    rest = _minus_color(adj, color)
+    seen, out = set(), []
+    for root in sorted(rest):
+        if root in seen:
+            continue
+        comp, frontier = {root}, [root]
+        while frontier:
+            for y in rest[frontier.pop()] - comp:
+                comp.add(y)
+                frontier.append(y)
+        seen |= comp
+        keys = {(v[color], next(j for j in range(len(v)) if j != color and v[j] == v[color])) for v in comp}
+        key = keys.pop() if len(keys) == 1 else None
+        if key is not None:
+            drop = {color, key[1]}
+            rename = {t: r for r, t in enumerate(sorted(set(root) - {key[0]}))}
+            images = [tuple(rename[t] for j, t in enumerate(v) if j not in drop) for v in comp]
+            if sorted(images) != brute_multiset_perms(len(rename), 2):
+                key = None
+        out.append((key, len(comp)))
+    return out
 
 
 def brute_coloring_flags(adj, vertex_colors, edge_color, palette):

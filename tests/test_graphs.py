@@ -112,10 +112,11 @@ def test_six_cycles_are_cycles(st32):
             assert st32.has_edge(cyc[i], cyc[(i + 1) % 6])
 
 
-def test_six_cycle_cap():
+def test_six_cycle_cap(monkeypatch):
+    monkeypatch.setattr(starperm.graphs, "SIX_CYCLE_CAP", 100)
     g = build_graph(Params(4, 2))
     with pytest.raises(CapExceeded):
-        six_cycles(g, cap=100)
+        six_cycles(g)
 
 
 def test_subgraph_and_components(st32):

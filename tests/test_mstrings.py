@@ -8,12 +8,9 @@ from starperm import (
     list_assignment,
     mstring,
     prefix_reversal,
-    rank,
     render,
     repeat_position,
     star_neighbors,
-    unrank,
-    vertex_count,
 )
 from starperm.mstrings import infer_params
 
@@ -43,11 +40,11 @@ def test_enumeration_k1_l5_single():
 def test_enumeration_matches_brute_force(k, ell):
     got = enumerate_vertices(Params(k, ell))
     assert got == brute_multiset_perms(k, ell)
-    assert len(got) == vertex_count(Params(k, ell))
+    assert len(got) == Params(k, ell).vertex_count()
 
 
 def test_count_formula_k3_l2():
-    assert vertex_count(Params(3, 2)) == 90
+    assert Params(3, 2).vertex_count() == 90
 
 
 def test_cap_guard():
@@ -55,24 +52,6 @@ def test_cap_guard():
         enumerate_vertices(Params(3, 2), cap=10)
     with pytest.raises(CapExceeded):
         iter_vertices(Params(3, 2), cap=10)  # at the call, before a string is asked for
-
-
-def test_rank_unrank_examples():
-    p = Params(2, 2)
-    assert rank(ms("0011"), p) == 0
-    assert unrank(5, p) == ms("1100")
-    with pytest.raises(ValueError):
-        unrank(6, p)
-    with pytest.raises(ValueError):
-        rank(ms("0001"), p)
-
-
-def test_rank_unrank_roundtrip_90():
-    p = Params(3, 2)
-    verts = enumerate_vertices(p)
-    for i, v in enumerate(verts):
-        assert rank(v, p) == i
-        assert unrank(i, p) == v
 
 
 def test_star_neighbors_examples():

@@ -13,11 +13,13 @@ from starperm import (
     verify_efficient_domination,
 )
 
+from .oracles import brute_component_keys, brute_move_graph
+
 ms = mstring
 
 
-def test_chi_suite_st32(st32, st22, tc32):
-    rep = color_class_decomposition(st32, tc32, reference=st22)
+def test_chi_suite_st32(st32, tc32):
+    rep = color_class_decomposition(st32, tc32)
     assert rep.precondition_ok and rep.h == 6
     assert rep.passed
     for case in rep.cases:
@@ -37,8 +39,8 @@ def test_chi_suite_st32(st32, st22, tc32):
         assert walk is not None and walk[0] == walk[-1] and len(walk) % 2 == 0
 
 
-def test_chi_suite_st42_actual_structure(st42, st32, tc42):
-    rep = color_class_decomposition(st42, tc42, reference=st32)
+def test_chi_suite_st42_actual_structure(st42, tc42):
+    rep = color_class_decomposition(st42, tc42)
     assert rep.precondition_ok and rep.h == 8
     assert rep.passed
     for case in rep.cases:
@@ -70,11 +72,26 @@ def test_chi_independence_sees_an_edge_inside_the_class(monkeypatch, st32, tc32)
     assert independent == {1: False, 2: True, 3: True, 4: True, 5: True}
 
 
-def test_chi_preconditions_reported_not_raised(st22, tc22):
+def test_chi_preconditions_reported_not_raised(st22, tc22, pc32, tc32):
     rep = color_class_decomposition(st22, tc22)
     assert not rep.precondition_ok  # h = 4 is outside the hypothesis
     assert "h = 4" in rep.precondition_detail
     assert not rep.passed
+    rep = color_class_decomposition(pc32, tc32)  # the key map needs star moves
+    assert not rep.precondition_ok and rep.precondition_detail == "need a 2-set star graph"
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_chi_components_agree_with_the_key_oracle(request, k):
+    g, tc = request.getfixturevalue(f"st{k}2"), request.getfixturevalue(f"tc{k}2")
+    rep = color_class_decomposition(g, tc)
+    adj = brute_move_graph(k, 2)
+    for case in rep.cases:
+        keyed = brute_component_keys(adj, case.color)
+        assert None not in {key for key, _ in keyed}
+        assert len({key for key, _ in keyed}) == len(keyed) == 2 * k * (k - 1)
+        assert [c.n for c in case.components] == [size for _, size in keyed]
+        assert all(c.isomorphic_to_reference for c in case.components)
 
 
 def test_classify_six_cycles_st22(st22, tc22):

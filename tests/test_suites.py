@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 import starperm.coloring
+import starperm.graphs
 import starperm.suites
-from starperm import CapExceeded, Params
+from starperm import CapExceeded, Params, TotalColoring
 from starperm.cli import main
 from starperm.suites import run_suite
 
@@ -158,3 +159,38 @@ def test_a_check_shows_eight_witnesses_and_says_when_it_dropped_some(monkeypatch
     checks = {c.name: c for c in run_suite("domination", 2, 2).checks}
     se0 = checks["se-set-0-efficient"]
     assert se0.status == "fail" and se0.witnesses == [f"kind-{i}" for i in range(8)] and se0.truncated
+
+
+
+def test_a_six_cycle_cap_skips_cycles_and_toroidal_and_keeps_the_rest(monkeypatch):
+    monkeypatch.setattr(starperm.graphs, "SIX_CYCLE_CAP", 10)
+    report = run_suite("all", 3, 2)
+    assert report.exit_code == 0
+    checks = json.loads(report.to_json())["checks"]
+    skipped = [c for c in checks if c["status"] == "skip"]
+    assert [c["name"] for c in skipped] == ["cycles/cycle-classification", "toroidal/toroidal-audit"]
+    assert all("capped at 10 vertices" in c["detail"] for c in skipped)
+    golden = json.loads((GOLDEN / "all_k3_l2.json").read_text())["checks"]
+    decided = [dict(c, seconds=0) for c in checks if c["status"] != "skip"]
+    assert decided == [c for c in golden if c["name"].split("/")[0] not in ("cycles", "toroidal")]
+
+
+def test_chi_types_a_component_missing_a_vertex_as_false(monkeypatch):
+    # one vertex outside W_1 is added to it, so one color-1 component loses it
+    def statuses():
+        return {c.name: (c.status, c.detail) for c in run_suite("chi", 3, 2).checks}
+
+    before = statuses()
+    vertex_class = TotalColoring.vertex_class
+
+    def with_outsider(self, color):
+        members = vertex_class(self, color)
+        return members | {next(v for v in self.vertex_colors if v not in members)} if color == 1 else members
+
+    monkeypatch.setattr(TotalColoring, "vertex_class", with_outsider)
+    after = statuses()
+    name = "color-1-component-count-and-type"
+    assert before[name] == ("pass", "count=12 expected=12") and after[name][0] == "fail"
+    assert {n: s for n, s in after.items() if not n.startswith("color-1-")} == {
+        n: s for n, s in before.items() if not n.startswith("color-1-")
+    }
