@@ -29,9 +29,7 @@ from .coloring import (
 )
 from .domination import (
     DominationCertificate,
-    certificate_to_json,
     code_search,
-    d_set,
     oracle_check,
     se_set,
     sigma_set,
@@ -43,9 +41,7 @@ from .errors import CapExceeded, GirthPrecondition
 from .graphs import (
     GeneratorFamily,
     Graph,
-    GraphMetrics,
     PermGraph,
-    analyze,
     build_graph,
     build_odd_complete_colored,
     six_cycles,
@@ -64,7 +60,6 @@ from .mstrings import (
     star_neighbors,
 )
 from .structure import (
-    augment_supergraph,
     classify_six_cycles,
     color_class_decomposition,
     toroidal_assembly,
@@ -79,20 +74,15 @@ __all__ = [
     "GeneratorFamily",
     "GirthPrecondition",
     "Graph",
-    "GraphMetrics",
     "MString",
     "Params",
     "PermGraph",
     "TotalColoring",
-    "analyze",
-    "augment_supergraph",
     "build_graph",
     "build_odd_complete_colored",
-    "certificate_to_json",
     "choosability_suite",
     "classify_six_cycles",
     "code_search",
-    "d_set",
     "efficiency_obstruction_witness",
     "enumerate_vertices",
     "iter_vertices",

@@ -69,7 +69,6 @@ class ChainReport:
     blocks_partition_sigma: bool = True
     cardinality_identity_ok: bool = False
     sigma_size: int = 0
-    image_size: int = 0
     block_sizes: tuple[int, ...] = ()
     #: full open neighborhood of the image union vs the restricted
     #: (sigma-only) reading; the restricted union equals the sigma class
@@ -104,7 +103,7 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
     # which re-validates each well-formed string, and kept alone: the
     # ST(k+1,2) strings (7.48 M of them at k = 5) stream past
     sigma = frozenset(v for v in iter_vertices(Params(k + 1, 2), cap) if v[last] == v[0])
-    rep = ChainReport(k=k, sigma_size=len(sigma), image_size=len(source))
+    rep = ChainReport(k=k, sigma_size=len(sigma))
     source_degree_sum = sum(len(star_neighbors(v)) for v in source)
 
     images: list[dict[MString, MString]] = []
@@ -173,23 +172,6 @@ class CosetTable:
     fibers: dict
     #: collapsed string -> positions j of its local generators (0 j)
     generator_sets: dict
-
-    def format_table(self) -> str:
-        """Fibers and generator sets as an aligned table, one coset per column."""
-        order = sorted(self.fibers)
-        cols = [[render(v) for v in self.fibers[key]] for key in order]
-        depth = max(len(c) for c in cols)
-        lines = []
-        for row in range(depth):
-            lines.append("  ".join(col[row] for col in cols))
-        lines.append("  ".join(render(key) for key in order))
-        lines.append(
-            "  ".join(
-                ",".join(f"(0 {j})" for j in self.generator_sets[key]).ljust(len(render(key)))
-                for key in order
-            )
-        )
-        return "\n".join(lines)
 
 
 @dataclass

@@ -313,8 +313,6 @@ OBSTRUCTION_BALL_CAP = 64
 class ObstructionReport:
     """Outcome of the local no-efficient-list-coloring check at one vertex."""
 
-    center: MString
-    ball: tuple
     selection_count: int
     method: str  # "exhaustive" or "backtracking"
     passed: bool
@@ -369,7 +367,7 @@ def efficiency_obstruction_witness(g: PermGraph, v: MString) -> ObstructionRepor
     total = 1
     for x in ball:
         total *= len(lists[x])
-    rep = ObstructionReport(center=v, ball=tuple(ball), selection_count=total, method="", passed=True)
+    rep = ObstructionReport(selection_count=total, method="", passed=True)
     rep.form_vertex_count = len(form)
 
     if total <= OBSTRUCTION_EXHAUSTIVE_CAP:

@@ -15,7 +15,6 @@ independent path.
 
 from __future__ import annotations
 
-import json
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -24,7 +23,6 @@ from typing import Iterable, Optional
 from .coloring import TotalColoring
 from .errors import CapExceeded, GirthPrecondition
 from .graphs import Graph, PermGraph
-from .mstrings import MString, render
 from .report import WITNESS_CAP
 
 CODE_SEARCH_VERTEX_CAP = 1000
@@ -40,8 +38,6 @@ class Violation:
 
 @dataclass
 class DominationCertificate:
-    candidate: frozenset
-    ell: int
     violations: list[Violation] = field(default_factory=list)
     min_internal_distance: Optional[int] = None
     truncated: bool = False
@@ -55,25 +51,6 @@ class DominationCertificate:
             self.violations.append(Violation(kind, where, detail))
         else:
             self.truncated = True
-
-
-def certificate_to_json(cert: DominationCertificate) -> str:
-    doc = {
-        "set": sorted(render(v) for v in cert.candidate),
-        "ell": cert.ell,
-        "pass": cert.passed,
-        "violations": [
-            {
-                "kind": v.kind,
-                "where": [render(x) for x in v.where],
-                "detail": [render(x) for x in v.detail],
-            }
-            for v in cert.violations
-        ],
-        "min_internal_distance": cert.min_internal_distance,
-        "truncated": cert.truncated,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def se_set(g: PermGraph, i: int) -> frozenset:
@@ -101,14 +78,6 @@ def _labels_where(g: PermGraph, column: bytes, value: int) -> frozenset:
     """The labels of the vertices whose entry in a per-vertex column is value."""
     verts = g.vertices
     return frozenset(verts[x] for x, c in enumerate(column) if c == value)
-
-
-def d_set(v: MString, s: Iterable, g: Graph) -> frozenset:
-    """Dominators of v with respect to s: N(v) intersected with s."""
-    s = frozenset(s)
-    if v in s:
-        raise ValueError(f"{render(v)} is a member of the candidate set")
-    return frozenset(w for w in g.neighbors(v) if w in s)
 
 
 def require_girth_above_three(g: Graph) -> None:
@@ -154,9 +123,8 @@ def verify_efficient_domination(g: Graph, s: Iterable, ell: int) -> DominationCe
     certificate records.
     """
     require_girth_above_three(g)
-    sset = frozenset(s)
-    member_idx = sorted(map(g.index, sset))  # raises on unknown labels
-    cert = DominationCertificate(candidate=sset, ell=ell)
+    member_idx = sorted(map(g.index, frozenset(s)))  # raises on unknown labels
+    cert = DominationCertificate()
     cert.min_internal_distance = _min_internal_distance(g, member_idx)
     row, verts = g.row, g.vertices
     inside = bytearray(g.n)

@@ -144,23 +144,6 @@ def write_coloring(tc: TotalColoring, out: TextIO) -> None:
         out.write(f"E {render(u)} {render(v)} {c}\n")
 
 
-def read_coloring(src: TextIO) -> TotalColoring:
-    vertex_colors: dict = {}
-    edge_colors: dict = {}
-    for line in src:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "V" and len(parts) == 3:
-            vertex_colors[mstring(parts[1])] = int(parts[2])
-        elif parts[0] == "E" and len(parts) == 4:
-            edge_colors[(mstring(parts[1]), mstring(parts[2]))] = int(parts[3])
-        else:
-            raise ValueError(f"malformed coloring line {line.rstrip()!r}")
-    palette = frozenset(vertex_colors.values()) | frozenset(edge_colors.values())
-    return TotalColoring(vertex_colors, edge_colors, palette)
-
-
 def load_pi_file(path: str, length: int) -> GeneratorFamily:
     """Custom involutions from JSON: a list of length k*l-1, entry i-1 being
     pi_i as a list of [a, b] transpositions."""

@@ -28,7 +28,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
@@ -155,12 +155,6 @@ class Graph:
         verts = self.vertices
         for i, j, labels in self.edge_ids():
             yield verts[i], verts[j], labels
-
-    def edge_key(self, u: Label, v: Label) -> Edge:
-        """The (u, v) pair ordered by canonical vertex order."""
-        if self.index(u) > self.index(v):
-            u, v = v, u
-        return (u, v)
 
     # -- degree structure --------------------------------------------------
 
@@ -585,35 +579,6 @@ def build_graph(
     g.nonstar_edges = frozenset(nonstar)
     g._first = g._repeat = None
     return g
-
-
-# ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphMetrics:
-    n: int
-    m: int
-    degree_census: dict[int, int] = field(hash=False)
-    regularity: tuple[str, tuple[int, ...]] = ("irregular", ())
-    connected: bool = False
-    bipartite: bool = False
-    girth: Optional[int] = None
-
-
-def analyze(g: Graph) -> GraphMetrics:
-    """Vertex/edge counts, degree structure, connectivity, parity, girth."""
-    return GraphMetrics(
-        n=g.n,
-        m=g.m,
-        degree_census=g.degree_census(),
-        regularity=g.regularity(),
-        connected=g.is_connected(),
-        bipartite=g.is_bipartite(),
-        girth=g.girth(),
-    )
 
 
 # ---------------------------------------------------------------------------

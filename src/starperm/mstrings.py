@@ -58,7 +58,7 @@ def mstring(text: str) -> MString:
 def render(v: object) -> str:
     """Inverse of :func:`mstring`: digits while every symbol fits in one.
 
-    Any other vertex label (a generic token, an apex tag) comes back as
+    Any other vertex label (a generic token) comes back as
     ``str(v)``, so this is the one text form of every label written out.
     """
     if not (isinstance(v, tuple) and all(isinstance(s, int) for s in v)):

@@ -11,20 +11,16 @@ per component, the regularity, a coloring audit, a missing-color census and
 its type: an explicit isomorphism onto ST(k-1,2).
 
 Also here: the two-type classification of 6-cycles under the repeat-position
-coloring, the toroidal union of type-2 cycles sharing a color, and the apex
-augmentation showing the E-set partition survives but no efficient coloring
-completion exists.
+coloring, and the toroidal union of type-2 cycles sharing a color.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .coloring import TotalColoring, verify_coloring
-from .domination import se_set, sigma_set, verify_efficient_domination
 from .graphs import Graph, Params, PermGraph, build_graph, six_cycles
 from .iso import ISO_CAP, isomorphic
 
@@ -246,7 +242,8 @@ def _cycle_edges(g: Graph, cycle: tuple) -> list[tuple[int, int]]:
 class ToroidalReport:
     d1: int
     quad: tuple[int, ...]
-    assembly: Graph
+    #: vertices of the union of those type-2 cycles
+    union_vertex_count: int
     type2_cycle_count: int
     contained_type1: list[SixCycleClass] = field(default_factory=list)
     type1_disjoint: bool = False
@@ -258,7 +255,7 @@ class ToroidalReport:
     all_land_in_d1: bool = False
     #: landing vertices have the first = last shape when their class is the
     #: last position, hang pendant off each departure star, and never lie
-    #: inside the assembly itself
+    #: inside the union itself
     sigma_pendant_ok: bool = False
     landing_min_distance_3: bool = True
     landing_distance_values: tuple[int, ...] = ()
@@ -299,12 +296,9 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
     verts, index, label_sets, color = g.vertices, g.index, g.label_sets, tc.edge_color_reader(g)
     vcol = tc.vertex_colors_by_id(g)
     edge_set = {e for c in type2 for e in _cycle_edges(g, c.cycle)}
-    assembly = Graph(
-        [verts[i] for i in sorted({i for e in edge_set for i in e})],
-        [(verts[i], verts[j], g.label(i, j)) for i, j in sorted(edge_set)],
-    )
+    union = {x for e in edge_set for x in e}
 
-    rep = ToroidalReport(d1=d1, quad=quad, assembly=assembly, type2_cycle_count=len(type2))
+    rep = ToroidalReport(d1=d1, quad=quad, union_vertex_count=len(union), type2_cycle_count=len(type2))
 
     contained = []
     for c in classes:
@@ -320,9 +314,8 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
             rep.type1_disjoint = False
         used.update(c.cycle)
 
-    sigma_class = tc.vertex_class(d1)
     last = len(tc.palette)  # highest position label; shape check applies to that class
-    rep.sigma_pendant_ok = not any(v in sigma_class for v in assembly.vertices)
+    rep.sigma_pendant_ok = not any(vcol[x] == d1 for x in union)
     dist_values: set[int] = set()
     census: dict[int, int] = {}
     for c in contained:
@@ -365,109 +358,4 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
     rep.landing_class_census = dict(sorted(census.items()))
     rep.all_land_in_d1 = set(census) == {d1} and bool(census)
     rep.landing_distance_values = tuple(sorted(dist_values))
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# apex augmentation
-# ---------------------------------------------------------------------------
-
-
-#: Most colorings of the apex edges the completion search tries; above it
-#: the completion stays undecided.
-AUGMENT_EXHAUSTIVE_CAP = 1 << 20
-
-
-@dataclass
-class AugmentReport:
-    graph: Graph
-    apexes: tuple
-    partition_classes: list = field(default_factory=list)
-    partition_ok: bool = True
-    classes_still_e_sets: bool = True
-    completion_exists: Optional[bool] = None
-    completions_tried: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return self.partition_ok and self.classes_still_e_sets and self.completion_exists is not True
-
-
-def augment_supergraph(
-    g: PermGraph,
-    tc: TotalColoring,
-    apex_classes: Optional[Iterable[frozenset]] = None,
-) -> AugmentReport:
-    """Add one apex vertex per chosen class, joined to all its members.
-
-    Defaults to the first-entry classes of a 2-set star graph (for k = 2
-    this completes the 6-cycle into a cube).  Audits that the repeat-position
-    classes together with the apex set still partition the new graph into
-    E-sets, and exhaustively confirms (for k = 2 scale) that no assignment of
-    palette-plus-new colors to the new edges extends the coloring totally.
-    """
-    k = g.params.k
-    if apex_classes is None:
-        apex_classes = [se_set(g, i) for i in range(k)]
-    apex_classes = [frozenset(c) for c in apex_classes]
-    apexes = tuple(("apex", i) for i in range(len(apex_classes)))
-
-    vertices = list(g.vertices) + list(apexes)
-    edges = [(u, v, labels) for u, v, labels in g.edges()]
-    for apex, members in zip(apexes, apex_classes):
-        for v in sorted(members, key=g.index):
-            edges.append((apex, v, ()))
-    aug = Graph(vertices, edges)
-
-    rep = AugmentReport(graph=aug, apexes=apexes)
-    if not apex_classes:
-        return rep
-
-    sigma_classes = [sigma_set(g, i) for i in range(1, 2 * k)]
-    new_class = frozenset(apexes)
-    rep.partition_classes = sigma_classes + [new_class]
-    covered: dict = {}
-    for cls in rep.partition_classes:
-        for v in cls:
-            covered[v] = covered.get(v, 0) + 1
-    rep.partition_ok = set(covered) == set(aug.vertices) and all(c == 1 for c in covered.values())
-    for cls in rep.partition_classes:
-        if not verify_efficient_domination(aug, cls, 1).passed:
-            rep.classes_still_e_sets = False
-
-    h = 2 * k
-    new_color = h
-    palette = sorted(tc.palette) + [new_color]
-    new_edges = [(apex, v) for apex, members in zip(apexes, apex_classes) for v in sorted(members, key=g.index)]
-    if len(palette) ** len(new_edges) > AUGMENT_EXHAUSTIVE_CAP:
-        rep.completion_exists = None
-        return rep
-
-    old_edge_colors_at: dict = {v: set() for v in g.vertices}
-    for (u, v), c in tc.edge_colors.items():
-        old_edge_colors_at[u].add(c)
-        old_edge_colors_at[v].add(c)
-
-    found = False
-    tried = 0
-    for assignment in product(palette, repeat=len(new_edges)):
-        tried += 1
-        by_apex: dict = {}
-        ok = True
-        for (apex, v), c in zip(new_edges, assignment):
-            if c == new_color or c == tc.vertex_colors[v]:
-                ok = False
-                break
-            if c in old_edge_colors_at[v]:
-                ok = False
-                break
-            if c in by_apex.setdefault(apex, set()):
-                ok = False
-                break
-            by_apex[apex].add(c)
-        if ok:
-            found = True
-            break
-    rep.completions_tried = tried
-    rep.completion_exists = found
     return rep

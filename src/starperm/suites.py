@@ -259,7 +259,7 @@ def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
         return
     run.add(
         "type2-union-built",
-        lambda: (rep.type2_cycle_count > 0, f"type2_cycles={rep.type2_cycle_count} n={rep.assembly.n}", []),
+        lambda: (rep.type2_cycle_count > 0, f"type2_cycles={rep.type2_cycle_count} n={rep.union_vertex_count}", []),
     )
     run.add("contained-type1-disjoint", lambda: (bool(rep.contained_type1) and rep.type1_disjoint, f"count={len(rep.contained_type1)}", []))
     run.add(

@@ -119,15 +119,6 @@ def test_schreier_coset_table_values():
     assert all(len(f) == 4 for f in fibers.values())
 
 
-def test_schreier_coset_table_layout():
-    rep = schreier_quotient_check(2, 2)
-    text = rep.table.format_table()
-    lines = text.splitlines()
-    assert lines[0].split() == ["0123", "0213", "0231", "2013", "2031", "2301"]
-    assert lines[4].split() == ["0011", "0101", "0110", "1001", "1010", "1100"]
-    assert "(0 2),(0 3)" in lines[5]
-
-
 @pytest.mark.parametrize("k,ell,size", [(3, 2, 8), (2, 3, 36)])
 def test_schreier_other_params(k, ell, size):
     rep = schreier_quotient_check(k, ell)

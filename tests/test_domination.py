@@ -1,4 +1,3 @@
-import json
 import random
 import tracemalloc
 
@@ -9,9 +8,7 @@ import starperm.domination
 from starperm import (
     GirthPrecondition,
     Graph,
-    certificate_to_json,
     code_search,
-    d_set,
     mstring,
     oracle_check,
     se_set,
@@ -54,18 +51,20 @@ def test_sigma_set_examples(st22, st32):
 
 def test_d_set_shared_dominator_values(st32):
     s0 = se_set(st32, 0)
-    assert d_set(ms("100122"), s0, st32) == {ms("010122"), ms("001122")}
-    assert d_set(ms("210120"), s0, st32) == {ms("010122"), ms("012120")}
-    assert d_set(ms("120120"), s0, st32) == {ms("021120"), ms("020121")}
-    with pytest.raises(ValueError):
-        d_set(ms("010122"), s0, st32)
+
+    def dominators(v):
+        return frozenset(st32.neighbors(ms(v))) & s0
+
+    assert dominators("100122") == {ms("010122"), ms("001122")}
+    assert dominators("210120") == {ms("010122"), ms("012120")}
+    assert dominators("120120") == {ms("021120"), ms("020121")}
 
 
 def test_verify_se_sets_pass(st32):
     for i in range(3):
         s = se_set(st32, i)
         assert verify_efficient_domination(st32, s, 2).passed
-        assert all(len(d_set(v, s, st32)) == 2 for v in st32.vertices if v not in s)
+        assert all(len(frozenset(st32.neighbors(v)) & s) == 2 for v in st32.vertices if v not in s)
 
 
 def test_verify_k23_negative():
@@ -86,15 +85,6 @@ def test_girth_precondition_k5():
         verify_efficient_domination(k5(), [0], 1)
     with pytest.raises(GirthPrecondition):
         code_search(k5(), 1)
-
-
-def test_certificate_json_shape(st22):
-    cert = verify_efficient_domination(st22, sigma_set(st22, 1), 1)
-    doc = json.loads(certificate_to_json(cert))
-    assert doc["pass"] is True
-    assert doc["set"] == ["0011", "1100"]
-    assert doc["min_internal_distance"] == 3
-    assert doc["violations"] == []
 
 
 def test_verifier_matches_oracle_on_every_subset_of_st22(st22):

@@ -1,16 +1,11 @@
 import pytest
 
 from starperm import (
-    Graph,
     TotalColoring,
-    augment_supergraph,
     classify_six_cycles,
-    isomorphic,
     mstring,
-    se_set,
     color_class_decomposition,
     toroidal_assembly,
-    verify_efficient_domination,
 )
 
 from .oracles import brute_component_keys, brute_move_graph
@@ -121,7 +116,7 @@ def test_toroidal_t5(st32, tc32):
     rep = toroidal_assembly(st32, tc32, 5, (1, 2, 3, 4))
     assert rep.passed
     assert rep.type2_cycle_count == 24
-    assert rep.assembly.n == 72
+    assert rep.union_vertex_count == 72
     assert len(rep.contained_type1) == 12 and rep.type1_disjoint
     assert rep.departures_ok
     assert rep.all_land_in_d1 and rep.landing_class_census == {5: 12}
@@ -148,39 +143,3 @@ def test_toroidal_rejects_bad_colors(st32, tc32):
         toroidal_assembly(st32, tc32, 5, (1, 2, 3, 5))
     with pytest.raises(ValueError):
         toroidal_assembly(st32, tc32, 9, (1, 2, 3, 4))
-
-
-def _cube():
-    verts = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    edges = [(u, v) for u in verts for v in verts if u < v and sum(x != y for x, y in zip(u, v)) == 1]
-    return Graph(verts, edges)
-
-
-def test_augment_st22_is_cube(st22, tc22):
-    rep = augment_supergraph(st22, tc22)
-    assert rep.graph.n == 8 and rep.graph.m == 12
-    ok, _ = isomorphic(rep.graph, _cube())
-    assert ok
-    for apex, cls in zip(rep.apexes, (se_set(st22, 0), se_set(st22, 1))):
-        assert set(rep.graph.neighbors(apex)) == cls
-
-
-def test_augment_partition_still_e_sets(st22, tc22):
-    rep = augment_supergraph(st22, tc22)
-    assert rep.partition_ok and rep.classes_still_e_sets
-    for cls in rep.partition_classes:
-        assert verify_efficient_domination(rep.graph, cls, 1).passed
-
-
-def test_augment_no_total_completion(st22, tc22):
-    rep = augment_supergraph(st22, tc22)
-    assert rep.completion_exists is False
-    assert rep.completions_tried == 4**6
-    assert rep.passed
-
-
-def test_augment_zero_apexes(st22, tc22):
-    rep = augment_supergraph(st22, tc22, apex_classes=[])
-    assert rep.passed
-    assert rep.graph.n == st22.n
-    assert {(u, v) for u, v, _ in rep.graph.edges()} == {(u, v) for u, v, _ in st22.edges()}
