@@ -17,6 +17,7 @@ star edges, with per-coset local generator sets.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Optional
@@ -70,10 +71,6 @@ class ChainReport:
     cardinality_identity_ok: bool = False
     sigma_size: int = 0
     block_sizes: tuple[int, ...] = ()
-    #: full open neighborhood of the image union vs the restricted
-    #: (sigma-only) reading; the restricted union equals the sigma class
-    full_neighborhood_size: int = 0
-    restricted_union_equals_sigma: bool = False
     failures: list = field(default_factory=list)
 
     @property
@@ -131,13 +128,10 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
         images.append(img)
 
     blocks: list[frozenset] = []
-    full_nbhd: set[MString] = set()
     for img in images:
         block = set()
         for w in img.values():
-            moves = [x for _, x in star_neighbors(w)]
-            full_nbhd.update(x for x in moves if x not in all_image_vertices)
-            nbrs_in_sigma = [x for x in moves if x in sigma]
+            nbrs_in_sigma = [x for _, x in star_neighbors(w) if x in sigma]
             if len(nbrs_in_sigma) != 1:
                 rep.sigma_bijection_ok = False
                 rep.failures.append(("image-vertex-sigma-degree", w, len(nbrs_in_sigma)))
@@ -155,8 +149,6 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
     union = frozenset().union(*blocks)
     rep.blocks_partition_sigma = union == sigma and sum(rep.block_sizes) == len(sigma)
     rep.cardinality_identity_ok = (k + 1) * math.factorial(2 * k) // 2**k == len(sigma)
-    rep.full_neighborhood_size = len(full_nbhd)
-    rep.restricted_union_equals_sigma = union == sigma
     return rep
 
 
@@ -285,11 +277,9 @@ class PancakeReport:
     last_sigma_min_distance: Optional[int] = None
     failing_sigmas: dict = field(default_factory=dict)
     all_lower_sigmas_fail: bool = False
-    graph_regular_degree: Optional[int] = None
     minus_sigma_regular_degree: Optional[int] = None
     remainder_regular_degree: Optional[int] = None
     neighborhoods_partition_remainder: bool = False
-    ambiguous_black_edges: int = 0
 
     @property
     def passed(self) -> bool:
@@ -308,12 +298,12 @@ def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
     (preferring an adjacent pair inside the class when one exists).
     Removing the last class drops each remaining degree by one; removing
     the full-reversal edges as well drops it once more, and the open
-    neighborhoods of the removed vertices partition what is left.
+    neighborhoods of the removed vertices partition what is left.  Both
+    removals are read from the graph's rows by vertex id, not copied.
     """
     pc = build_graph(Params(k, 2), GeneratorFamily.pancake(), cap=cap)
     rep = PancakeReport(k=k)
     last = 2 * k - 1
-    rep.graph_regular_degree = pc.regular_degree()
 
     black = sigma_set(pc, last)
     cert = verify_efficient_domination(pc, black, 1)
@@ -330,21 +320,22 @@ def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
             rep.failing_sigmas[i] = (v.kind, v.where)
     rep.all_lower_sigmas_fail = set(rep.failing_sigmas) == set(range(1, last))
 
-    minus = pc.subgraph(delete_vertices=black)
-    rep.minus_sigma_regular_degree = minus.regular_degree()
-    black_edges = []
-    for u, v, labels in minus.edges():
-        if last in labels:
-            black_edges.append((u, v))
-            if len(labels) > 1:
-                rep.ambiguous_black_edges += 1
-    remainder = minus.subgraph(delete_edges=black_edges)
-    rep.remainder_regular_degree = remainder.regular_degree()
-    covered: dict = {}
-    for v in black:
-        for x in pc.neighbors(v):
-            covered[x] = covered.get(x, 0) + 1
-    rep.neighborhoods_partition_remainder = set(covered) == set(remainder.vertices) and all(
-        c == 1 for c in covered.values()
-    )
+    # One scan: the degrees after deleting the class, then its full-reversal
+    # edges too, and how often each vertex is a neighbour of the class.
+    inside = bytearray(pc.n)
+    for x in black:
+        inside[x] = 1
+    covered = array("i", [0]) * pc.n
+    minus_degrees, remainder_degrees, label_sets = set(), set(), pc.label_sets
+    for x in range(pc.n):
+        if inside[x]:
+            for y in pc.row(x):
+                covered[y] += 1
+            continue
+        kept = [label_sets[lid] for y, lid in pc.labeled_row(x) if not inside[y]]
+        minus_degrees.add(len(kept))
+        remainder_degrees.add(sum(last not in labels for labels in kept))
+    rep.minus_sigma_regular_degree = minus_degrees.pop() if len(minus_degrees) == 1 else None
+    rep.remainder_regular_degree = remainder_degrees.pop() if len(remainder_degrees) == 1 else None
+    rep.neighborhoods_partition_remainder = all(c + b == 1 for c, b in zip(covered, inside))
     return rep

@@ -129,8 +129,7 @@ def cmd_search_codes(args) -> int:
     codes = code_search(g, args.ell)
     print(f"found {len(codes)} efficient dominating-{args.ell} sets")
     for code in codes:
-        labels = sorted(code, key=g.index)
-        print("  {" + ", ".join(render(x) for x in labels) + "}")
+        print("  {" + ", ".join(render(g.vertices[x]) for x in sorted(code)) + "}")
     return 0
 
 

@@ -49,9 +49,6 @@ class TotalColoring:
         c = self.edge_colors.get((u, v))
         return self.edge_colors[(v, u)] if c is None else c
 
-    def vertex_class(self, color: int) -> frozenset:
-        return frozenset(v for v, c in self.vertex_colors.items() if c == color)
-
     def vertex_colors_by_id(self, g: Graph) -> Sequence[int]:
         """g's vertex colors by vertex id: its own repeat-position column in
         place, else a list read once from the mapping (ValueError if partial)."""
@@ -316,9 +313,6 @@ class ObstructionReport:
     selection_count: int
     method: str  # "exhaustive" or "backtracking"
     passed: bool
-    #: distance-2 vertices sharing the center's first symbol with exactly one
-    #: differing entry among positions 1..ell-1 (the pigeonhole population)
-    form_vertex_count: int = 0
     witnesses: list = field(default_factory=list)
     counterexample: Optional[dict] = None
     truncated: bool = False
@@ -344,14 +338,6 @@ def efficiency_obstruction_witness(g: PermGraph, v: MString) -> ObstructionRepor
         raise CapExceeded(f"2-ball of {v} has {len(ball)} vertices, cap {OBSTRUCTION_BALL_CAP}")
     lists = {x: sorted(list_assignment(x)) for x in ball}
 
-    form = [
-        w
-        for w, d in dist_v.items()
-        if d == 2
-        and w[0] == v[0]
-        and sum(1 for i in range(1, ell) if w[i] != v[0]) == 1
-    ]
-
     near: dict[MString, set[MString]] = {x: set() for x in ball}
     for x in ball:
         for y, d in g.bfs_distances(x, limit=2).items():
@@ -368,7 +354,6 @@ def efficiency_obstruction_witness(g: PermGraph, v: MString) -> ObstructionRepor
     for x in ball:
         total *= len(lists[x])
     rep = ObstructionReport(selection_count=total, method="", passed=True)
-    rep.form_vertex_count = len(form)
 
     if total <= OBSTRUCTION_EXHAUSTIVE_CAP:
         rep.method = "exhaustive"

@@ -11,6 +11,9 @@ symbol) and, for ell = 2, Sigma_i (repeat position = i, one per position).
 `code_search` re-derives all such sets from scratch by bitmask backtracking
 with unit propagation, so constructed sets can be checked against an
 independent path.
+
+A vertex set is a frozenset of vertex ids throughout; labels appear only in
+the witnesses a certificate or report records.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ class DominationCertificate:
             self.truncated = True
 
 
-def se_set(g: PermGraph, i: int) -> frozenset:
-    """S_i: all vertices whose first entry is the symbol i."""
+def se_set(g: PermGraph, i: int) -> frozenset[int]:
+    """S_i: the ids of the vertices whose first entry is the symbol i."""
     if not 0 <= i < g.params.k:
         raise ValueError(f"symbol {i} out of range [0, {g.params.k})")
-    return _labels_where(g, g.first_symbols(), i)
+    return _ids_where(g.first_symbols(), i)
 
 
 def _require_ell2(g: PermGraph) -> None:
@@ -65,19 +68,27 @@ def _require_ell2(g: PermGraph) -> None:
         raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
 
 
-def sigma_set(g: PermGraph, i: int) -> frozenset:
-    """Sigma_i: all vertices whose repeated first symbol sits at position i
-    (ell = 2 only)."""
+def sigma_set(g: PermGraph, i: int) -> frozenset[int]:
+    """Sigma_i: the ids of the vertices whose repeated first symbol sits at
+    position i (ell = 2 only)."""
     _require_ell2(g)
     if not 1 <= i <= 2 * g.params.k - 1:
         raise ValueError(f"position {i} out of range [1, {2 * g.params.k - 1}]")
-    return _labels_where(g, g.repeat_positions(), i)
+    return _ids_where(g.repeat_positions(), i)
 
 
-def _labels_where(g: PermGraph, column: bytes, value: int) -> frozenset:
-    """The labels of the vertices whose entry in a per-vertex column is value."""
-    verts = g.vertices
-    return frozenset(verts[x] for x, c in enumerate(column) if c == value)
+def _ids_where(column: bytes, value: int) -> frozenset[int]:
+    """The ids of the vertices whose entry in a per-vertex column is value."""
+    return frozenset(x for x, c in enumerate(column) if c == value)
+
+
+def _member_ids(g: Graph, s: Iterable[int]) -> list[int]:
+    """The vertex ids of s, ascending; ValueError for one outside range(g.n)."""
+    members = sorted(frozenset(s))
+    for x in members[:1] + members[-1:]:
+        if not 0 <= x < g.n:
+            raise ValueError(f"vertex id {x!r} outside range({g.n})")
+    return members
 
 
 def require_girth_above_three(g: Graph) -> None:
@@ -114,16 +125,16 @@ def _min_internal_distance(g: Graph, members: list[int]) -> Optional[int]:
     return best
 
 
-def verify_efficient_domination(g: Graph, s: Iterable, ell: int) -> DominationCertificate:
-    """Full certificate for the efficient dominating-ell set predicate.
+def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> DominationCertificate:
+    """Full certificate for the efficient dominating-ell set predicate on
+    the vertex ids s.
 
     Raises GirthPrecondition on graphs with triangles (the K_5 exclusion);
-    otherwise returns the certificate, passing iff no violations.  The scan
-    runs on vertex indices; labels are looked up only for what the
-    certificate records.
+    otherwise returns the certificate, passing iff no violations.  Labels
+    are looked up only for what the certificate records.
     """
     require_girth_above_three(g)
-    member_idx = sorted(map(g.index, frozenset(s)))  # raises on unknown labels
+    member_idx = _member_ids(g, s)
     cert = DominationCertificate()
     cert.min_internal_distance = _min_internal_distance(g, member_idx)
     row, verts = g.row, g.vertices
@@ -221,7 +232,7 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
         expected_memberships=(k - 1) * ell if family == "SE" else 2 * (k - 1),
     )
     n, row, labeled_row, label_sets, verts = g.n, g.row, g.labeled_row, g.label_sets, g.vertices
-    members = [array("i", map(g.index, s)) for s in sets]
+    members = [array("i", s) for s in sets]
 
     counts = bytearray(n)  # at most one per set, and there are fewer than 2k sets
     for idx in members:
@@ -343,18 +354,20 @@ def _is_code(nbr: list[int], in_mask: int, n: int, ell: int) -> bool:
     return ok
 
 
-def oracle_check(g: Graph, s: Iterable, ell: int) -> bool:
-    """Re-verify one candidate set through the oracle's bitmask predicate,
-    independent of :func:`verify_efficient_domination`'s set arithmetic."""
+def oracle_check(g: Graph, s: Iterable[int], ell: int) -> bool:
+    """Re-verify one candidate set of vertex ids through the oracle's
+    bitmask predicate, independent of :func:`verify_efficient_domination`'s
+    set arithmetic."""
     require_girth_above_three(g)
     in_mask = 0
-    for x in s:
-        in_mask |= 1 << g.index(x)
+    for x in _member_ids(g, s):
+        in_mask |= 1 << x
     return _is_code(_neighbor_masks(g), in_mask, g.n, ell)
 
 
-def code_search(g: Graph, ell: int) -> list[frozenset]:
-    """Every vertex set satisfying the efficient dominating-ell predicate.
+def code_search(g: Graph, ell: int) -> list[frozenset[int]]:
+    """Every vertex set satisfying the efficient dominating-ell predicate,
+    as vertex ids.
 
     Complete backtracking over bitmask states with unit propagation: an
     outside vertex with ell dominators forces its undecided neighbors out,
@@ -424,7 +437,7 @@ def code_search(g: Graph, ell: int) -> list[frozenset]:
     search(0, 0)
     found = []
     for mask in sorted(solutions):
-        labels = frozenset(g.vertices[i] for i in _bit_indices(mask))
-        if verify_efficient_domination(g, labels, ell).passed:
-            found.append(labels)
+        ids = frozenset(_bit_indices(mask))
+        if verify_efficient_domination(g, ids, ell).passed:
+            found.append(ids)
     return found

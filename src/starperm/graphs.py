@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
 from .mstrings import DEFAULT_VERTEX_CAP, Params, iter_vertices, mstring, prefix_reversal, repeat_position
@@ -171,11 +171,6 @@ class Graph:
             return ("biregular", degs)
         return ("irregular", degs)
 
-    def regular_degree(self) -> Optional[int]:
-        """The common degree of a regular graph, None otherwise."""
-        kind, degs = self.regularity()
-        return degs[0] if kind == "regular" else None
-
     # -- traversal ---------------------------------------------------------
 
     def bfs_distances(self, u: Label, limit: Optional[int] = None) -> dict:
@@ -308,9 +303,12 @@ class Graph:
                             best = cand
         return best
 
-    def odd_closed_walk(self) -> Optional[list]:
+    def odd_closed_walk(self, skip: Optional[Callable[[int, int, tuple], bool]] = None) -> Optional[list]:
         """An explicit odd closed walk (vertex list, first = last), or None
-        if the graph is bipartite."""
+        if the graph is bipartite.  With `skip`, the edges for which
+        ``skip(i, j, labels)`` holds (vertex ids i < j) are left out, as if
+        deleted."""
+        labels = self._labels
         color = [-1] * self.n
         for start in range(self.n):
             if color[start] != -1:
@@ -320,7 +318,9 @@ class Graph:
             queue = deque([start])
             while queue:
                 x = queue.popleft()
-                for y in self.row(x):
+                for y, lid in self.labeled_row(x):
+                    if skip is not None and skip(min(x, y), max(x, y), labels[lid]):
+                        continue
                     if color[y] == -1:
                         color[y] = color[x] ^ 1
                         parent[y] = x

@@ -7,8 +7,10 @@ splits it into (h-4)-regular components, each totally colored by the
 remaining h-3 colors; deleting only E_i leaves a non-bipartite
 (h-2, h-3)-biregular graph whose degree-(h-2) side is exactly W_i.  The
 suite here checks all of that per color on ST(k,2) (h = 2k) and reports,
-per component, the regularity, a coloring audit, a missing-color census and
-its type: an explicit isomorphism onto ST(k-1,2).
+per component, its size, its regularity, whether the coloring restricted to
+it is total, and its type: an explicit isomorphism onto ST(k-1,2).  W_i is
+read off the vertex colors by id, and G - W_i and G - E_i are read from the
+graph's rows, not copied.
 
 Also here: the two-type classification of 6-cycles under the repeat-position
 coloring, and the toroidal union of type-2 cycles sharing a color.
@@ -35,8 +37,6 @@ class ComponentAudit:
     n: int
     regular_degree: Optional[int]
     coloring_total: bool
-    coloring_efficient: bool
-    missing_color: Optional[int]
     isomorphic_to_reference: bool
 
 
@@ -92,8 +92,9 @@ def color_class_decomposition(g: Graph, tc: TotalColoring) -> DecompositionRepor
     each component has one key (s, p), and phi, deleting positions i and p
     and renumbering the symbols above s one down, maps it onto ST(k-1,2),
     the move at j onto the move at rho(j) = j - [j > i] - [j > p].  One scan
-    per color finds the components and checks phi on each; the first one per
-    color is also copied for verify_coloring and isomorphic.
+    per color finds the components, checks phi on each and takes the
+    degrees of G - W_i and G - E_i; the first component per color is also
+    copied for verify_coloring and isomorphic.
     """
     if not (isinstance(g, PermGraph) and g.family.kind == "star" and g.params.ell == 2):
         return DecompositionReport(h=0, precondition_ok=False, precondition_detail="need a 2-set star graph")
@@ -113,35 +114,40 @@ def color_class_decomposition(g: Graph, tc: TotalColoring) -> DecompositionRepor
     reference = build_graph(Params(g.params.k - 1, 2)) if size <= ISO_CAP else None
     for i in sorted(tc.palette):
         case = ColorCaseReport(color=i, minus_class_connected=False, minus_class_regular_degree=None)
-        w_ids = {g.index(v) for v in tc.vertex_class(i)}
-        masked = bytes(x in w_ids for x in range(n))
-        # E_i by vertex id, each edge from an end outside W_i: no vertex
-        # color is on an incident edge, so W_i's rows hold none of it.
-        e_ids: list[tuple[int, int]] = []
+        masked = bytes(c == i for c in vcol)  # W_i by vertex id
+        e_ids = array("i")  # E_i edges outside W_i, by vertex id, x < y in pairs
         part = array("i", [-1]) * n  # component index by vertex id
         minus_w_degrees: set[int] = set()
+        # G - E_i: its degrees, whether W_i is its degree-(h-2) side, and
+        # whether W_i stays independent in it
+        minus_e_degrees: set[int] = set()
+        big_side_is_class = independent = True
         for root in range(n):
-            if masked[root] or part[root] >= 0:
+            if masked[root]:
+                kept = [y for y, lid in g.labeled_row(root) if color(root, y, label_sets[lid]) != i]
+                minus_e_degrees.add(len(kept))
+                big_side_is_class = big_side_is_class and len(kept) == h - 2
+                independent = independent and not any(masked[y] for y in kept)
+                continue
+            if part[root] >= 0:
                 continue
             part[root] = len(case.components)
-            comp, degrees, used = [root], set(), set()
+            comp, degrees = [root], set()
             key, image = _keyed(verts[root], i)
             images, typed = {root: image}, True
             for x in comp:  # grows as the traversal finds vertices
-                used.add(vcol[x])
-                degree = w_degree = 0
+                degree = w_degree = cross = 0
                 for y, lid in g.labeled_row(x):
                     labels = label_sets[lid]
-                    c = color(x, y, labels)
-                    if c == i:
-                        if x < y or masked[y]:  # each once
-                            e_ids.append((x, y))
+                    if color(x, y, labels) == i:
+                        if x < y and not masked[y]:
+                            e_ids.extend((x, y))
                         w_degree += not masked[y]
                         continue
                     if masked[y]:
+                        cross += 1
                         continue
                     degree += 1
-                    used.add(c)
                     if part[y] < 0:
                         part[y] = part[root]
                         comp.append(y)
@@ -154,36 +160,30 @@ def color_class_decomposition(g: Graph, tc: TotalColoring) -> DecompositionRepor
                             typed = False
                 degrees.add(degree)
                 minus_w_degrees.add(w_degree + degree)
+                minus_e_degrees.add(cross + degree)
+                big_side_is_class = big_side_is_class and cross + degree != h - 2
             regular = degrees.pop() if len(degrees) == 1 else None
             # phi is one-to-one on the component, onto |ST(k-1,2)| strings,
             # and maps edges to edges; equal degrees then give equal edge
             # counts, so phi is an isomorphism onto ST(k-1,2).
             typed = typed and len(set(images.values())) == len(comp) == size and regular == h - 4
-            # A restriction of a total coloring is total.  The parent's
-            # closed neighborhoods are rainbow, so each of the component's
-            # has degree + 1 distinct colors, all observed: it is rainbow
-            # over the observed colors iff there are degree + 1 of them
-            # (palette - {i, p}, with p missing, when the key is (s, p)).
-            total, efficient = True, regular is not None and len(used) == regular + 1
+            # A restriction of a total coloring is total; verify_coloring
+            # confirms it on the first component's copy.
+            total = True
             if not case.components:
                 sub = g.induced_subgraph(verts[x] for x in comp)
                 sub = sub.subgraph(delete_edges=[(u, v) for u, v, _ in sub.edges() if tc.edge_color(u, v) == i])
-                audit = verify_coloring(sub, TotalColoring(tc.vertex_colors, tc.edge_colors, frozenset(used)))
-                total, efficient = bool(audit.total), efficient and bool(audit.efficient)
+                total = bool(verify_coloring(sub, tc).total)
                 typed = typed and (reference is None or isomorphic(sub, reference)[0])
-            missing = tc.palette - used - {i}
-            missing_color = min(missing) if len(missing) == 1 else None
-            case.components.append(ComponentAudit(len(comp), regular, total, efficient, missing_color, typed))
+            case.components.append(ComponentAudit(len(comp), regular, total, typed))
         # G - W_i is the components joined by their E_i edges.
-        links = {(part[x], part[y]) for x, y in e_ids if not masked[y] and part[x] != part[y]}
+        links = {(part[x], part[y]) for x, y in zip(e_ids[::2], e_ids[1::2]) if part[x] != part[y]}
         case.minus_class_connected = Graph(range(len(case.components)), links).is_connected()
         case.minus_class_regular_degree = minus_w_degrees.pop() if len(minus_w_degrees) == 1 else None
-
-        minus_e = g.subgraph(delete_edges=[(verts[x], verts[y]) for x, y in e_ids])
-        case.minus_edges_degrees = tuple(sorted(minus_e.degree_census()))
-        case.minus_edges_big_side_is_class = {x for x in range(n) if len(minus_e.row(x)) == h - 2} == w_ids
-        case.minus_edges_class_independent = not any(masked[y] for x in w_ids for y in minus_e.row(x))
-        case.odd_closed_walk = minus_e.odd_closed_walk()
+        case.minus_edges_degrees = tuple(sorted(minus_e_degrees))
+        case.minus_edges_big_side_is_class = big_side_is_class
+        case.minus_edges_class_independent = independent
+        case.odd_closed_walk = g.odd_closed_walk(skip=lambda x, y, labels: color(x, y, labels) == i)
         rep.cases.append(case)
     return rep
 

@@ -129,7 +129,7 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
         for i in range(1, 2 * k):
             sigma = sigma_set(g, i)
             sizes.append(len(sigma))
-            for x in map(g.index, sigma):
+            for x in sigma:
                 counts[x] += 1
         return counts.count(1) == g.n, f"sizes={sorted(sizes)}", []
 

@@ -1,0 +1,39 @@
+"""Fault injection for the chi tests: an altered W_1, read through the
+vertex colors by id of the whole graph."""
+
+import starperm.structure
+from starperm import ColoringReport, PermGraph, TotalColoring
+
+_by_id = TotalColoring.vertex_colors_by_id
+_verify_coloring = starperm.structure.verify_coloring
+
+
+class AlsoColorOne(int):
+    """A vertex color that is also color 1: its vertex joins W_1 and stays
+    in its own class."""
+
+    def __eq__(self, other):
+        return other == 1 or int(self) == other
+
+    __hash__ = int.__hash__
+
+
+def add_to_w1(monkeypatch, pick):
+    """Make the vertex id ``pick(g, column)`` of the whole graph g a member
+    of W_1 as well, and let chi's precondition pass on g, whose coloring is
+    no longer total.  A component copy (a plain Graph) sees the true colors."""
+
+    def vertex_colors_by_id(self, g):
+        column = _by_id(self, g)
+        if not isinstance(g, PermGraph):
+            return column
+        column = list(column)
+        x = pick(g, column)
+        column[x] = AlsoColorOne(column[x])
+        return column
+
+    def verify_coloring(g, tc):
+        return ColoringReport(True, True, True, True) if isinstance(g, PermGraph) else _verify_coloring(g, tc)
+
+    monkeypatch.setattr(TotalColoring, "vertex_colors_by_id", vertex_colors_by_id)
+    monkeypatch.setattr(starperm.structure, "verify_coloring", verify_coloring)

@@ -65,6 +65,12 @@ def adjacency_dict(g):
     return {v: set(g.neighbors(v)) for v in g.vertices}
 
 
+def labels_of(g, ids):
+    """The labels of a set of g's vertex ids, to compare the package's id
+    sets with label-keyed references."""
+    return frozenset(g.vertices[i] for i in ids)
+
+
 def brute_count_six_cycles(adj):
     """Closed 6-walks with all distinct vertices, divided by 12."""
     count = 0

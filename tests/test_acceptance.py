@@ -36,7 +36,7 @@ from starperm import (
 )
 from starperm.chains import pancake_chain_check
 
-from .oracles import adjacency_dict, brute_color_class_components
+from .oracles import adjacency_dict, brute_color_class_components, labels_of
 
 ms = mstring
 
@@ -67,7 +67,7 @@ def test_c01_construction_exactness(st22, st23, st32):
 
 def test_c02_dominator_sets_of_010122(st32):
     c = _Criterion(2, "dominator sets of 010122", 1.0)
-    s0 = se_set(st32, 0)
+    s0 = labels_of(st32, se_set(st32, 0))
 
     def dominators(v):
         return frozenset(st32.neighbors(ms(v))) & s0
@@ -85,7 +85,7 @@ def test_c03_se_suite(st32, st23, st42):
         for i in range(k):
             assert verify_efficient_domination(g, se_set(g, i), ell).passed
     k23 = Graph(["w0", "w1", "v0", "v1", "v2"], [(w, v) for w in ("w0", "w1") for v in ("v0", "v1", "v2")])
-    cert = verify_efficient_domination(k23, ["w0", "w1"], 2)
+    cert = verify_efficient_domination(k23, [0, 1], 2)  # w0, w1
     assert not cert.passed
     bad = [v for v in cert.violations if v.kind == "non-unique-intersection"]
     assert bad and set(bad[0].detail) == {"v0", "v1", "v2"}
@@ -101,7 +101,7 @@ def test_c04_sigma_suite(st22, st32, st42):
         for s in sigmas:
             union |= s
             total += len(s)
-        assert union == set(g.vertices) and total == g.n
+        assert union == set(range(g.n)) and total == g.n
         for s in sigmas:
             cert = verify_efficient_domination(g, s, 1)
             assert cert.passed and cert.min_internal_distance == 3
@@ -139,7 +139,7 @@ def test_c06_color_class_decomposition(st32, st42, st22, tc32, tc42):
             assert case.minus_edges_big_side_is_class
             walk = case.odd_closed_walk
             assert walk is not None and walk[0] == walk[-1]
-            left = g.n - len(tc.vertex_class(case.color))
+            left = g.n - sum(c == case.color for c in tc.vertex_colors.values())
             sizes = sorted(comp.n for comp in case.components)
             found[k, case.color] = (
                 len(sizes),
@@ -265,7 +265,7 @@ def test_c12_performance_smoke():
     for s in sigmas:
         union |= s
         total += len(s)
-    assert union == set(g.vertices) and total == g.n
+    assert union == set(range(g.n)) and total == g.n
     tc = sigma_total_coloring(g)
     rep = verify_coloring(g, tc)
     assert rep.total and rep.efficient

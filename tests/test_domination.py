@@ -9,8 +9,10 @@ from starperm import (
     GirthPrecondition,
     Graph,
     code_search,
+    color_class_decomposition,
     mstring,
     oracle_check,
+    pancake_chain_check,
     se_set,
     sigma_set,
     verify_efficient_domination,
@@ -18,7 +20,7 @@ from starperm import (
     verify_partition_and_edge_cover,
 )
 
-from .oracles import adjacency_dict, brute_is_e_ell_set
+from .oracles import adjacency_dict, brute_is_e_ell_set, labels_of
 
 ms = mstring
 
@@ -32,25 +34,25 @@ def k5():
 
 
 def test_se_set_examples(st22, st32):
-    assert se_set(st22, 0) == {ms("0011"), ms("0101"), ms("0110")}
+    assert labels_of(st22, se_set(st22, 0)) == {ms("0011"), ms("0101"), ms("0110")}
     assert len(se_set(st32, 0)) == 30
     union = se_set(st32, 0) | se_set(st32, 1) | se_set(st32, 2)
-    assert union == set(st32.vertices)
+    assert union == set(range(st32.n))
     with pytest.raises(ValueError):
         se_set(st22, 2)
 
 
 def test_sigma_set_examples(st22, st32):
-    assert sigma_set(st22, 1) == {ms("0011"), ms("1100")}
+    assert labels_of(st22, sigma_set(st22, 1)) == {ms("0011"), ms("1100")}
     for i in range(1, 6):
         assert len(sigma_set(st32, i)) == 18
-    assert sigma_set(st22, 1) | sigma_set(st22, 2) | sigma_set(st22, 3) == set(st22.vertices)
+    assert sigma_set(st22, 1) | sigma_set(st22, 2) | sigma_set(st22, 3) == set(range(st22.n))
     with pytest.raises(ValueError):
         sigma_set(st22, 4)
 
 
 def test_d_set_shared_dominator_values(st32):
-    s0 = se_set(st32, 0)
+    s0 = labels_of(st32, se_set(st32, 0))
 
     def dominators(v):
         return frozenset(st32.neighbors(ms(v))) & s0
@@ -64,12 +66,13 @@ def test_verify_se_sets_pass(st32):
     for i in range(3):
         s = se_set(st32, i)
         assert verify_efficient_domination(st32, s, 2).passed
-        assert all(len(frozenset(st32.neighbors(v)) & s) == 2 for v in st32.vertices if v not in s)
+        labels = labels_of(st32, s)
+        assert all(len(frozenset(st32.neighbors(v)) & labels) == 2 for v in st32.vertices if v not in labels)
 
 
 def test_verify_k23_negative():
     g = k23()
-    cert = verify_efficient_domination(g, ["w0", "w1"], 2)
+    cert = verify_efficient_domination(g, [0, 1], 2)  # w0, w1
     assert not cert.passed
     bad = [v for v in cert.violations if v.kind == "non-unique-intersection"]
     assert bad and set(bad[0].detail) == {"v0", "v1", "v2"}
@@ -90,9 +93,10 @@ def test_girth_precondition_k5():
 def test_verifier_matches_oracle_on_every_subset_of_st22(st22):
     adj = adjacency_dict(st22)
     for mask in range(1 << st22.n):
-        s = frozenset(v for i, v in enumerate(st22.vertices) if mask >> i & 1)
+        ids = frozenset(i for i in range(st22.n) if mask >> i & 1)
+        s = labels_of(st22, ids)
         for ell in (1, 2):
-            assert verify_efficient_domination(st22, s, ell).passed == brute_is_e_ell_set(adj, s, ell), (sorted(s), ell)
+            assert verify_efficient_domination(st22, ids, ell).passed == brute_is_e_ell_set(adj, s, ell), (sorted(s), ell)
 
 
 @pytest.mark.parametrize("graph,ells", [("st32", (1, 2)), ("st23", (2, 3)), ("pc32", (1,))])
@@ -102,14 +106,15 @@ def test_verifier_matches_oracle_on_random_subsets(graph, ells, request):
     rng = random.Random(20260)
     for _ in range(300):
         density = rng.uniform(0.05, 0.5)
-        s = frozenset(v for v in g.vertices if rng.random() < density)
+        ids = frozenset(i for i in range(g.n) if rng.random() < density)
+        s = labels_of(g, ids)
         for ell in ells:
-            assert verify_efficient_domination(g, s, ell).passed == brute_is_e_ell_set(adj, s, ell), (sorted(s), ell)
+            assert verify_efficient_domination(g, ids, ell).passed == brute_is_e_ell_set(adj, s, ell), (sorted(s), ell)
 
 
 def test_partition_and_edge_cover_reports_an_overlap(st32, monkeypatch):
     sigma = starperm.domination.sigma_set
-    extra = min(sigma(st32, 2), key=st32.index)
+    extra = min(sigma(st32, 2))
     monkeypatch.setattr(
         starperm.domination, "sigma_set", lambda g, i: sigma(g, i) | {extra} if i == 1 else sigma(g, i)
     )
@@ -122,7 +127,7 @@ def test_partition_and_edge_cover_reports_an_overlap(st32, monkeypatch):
         "wrong-dominator-count",
         "edge-not-double-covered",
     ]
-    assert rep.failures[0][1] == [extra]
+    assert rep.failures[0][1] == [st32.vertices[extra]]
     uncovered = rep.failures[-1][1]
     assert len(uncovered) == 4
     assert uncovered == sorted(uncovered, key=lambda e: (st32.index(e[0]), st32.index(e[1])))
@@ -140,6 +145,29 @@ def test_domination_verifiers_allocate_little(st42):
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+
+
+def test_pancake_and_chi_copy_no_whole_graph(st42, tc42):
+    # a copy of PC(4,2) or ST(4,2) less a vertex or edge class takes about
+    # 1 MB more; the checks peak near 0.5 MB without one (tracemalloc)
+    checks = (lambda: pancake_chain_check(4), lambda: color_class_decomposition(st42, tc42))
+    for check in checks:
+        tracemalloc.start()
+        try:
+            assert check().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_domination_verifiers_refuse_an_id_outside_the_graph(st22):
+    # -1 would otherwise mark the last vertex through a bytearray index
+    for x in (-1, st22.n):
+        with pytest.raises(ValueError, match="outside range"):
+            verify_efficient_domination(st22, [0, x], 1)
+        with pytest.raises(ValueError, match="outside range"):
+            oracle_check(st22, [0, x], 1)
 
 
 def test_partition_and_edge_cover_st22(st22):
@@ -179,7 +207,8 @@ def test_code_search_st22_exact():
             s = frozenset(verts[i] for i in range(6) if mask >> i & 1)
             if brute_is_e_ell_set(adj, s, ell):
                 brute.append(s)
-        assert sorted(map(sorted, code_search(g, ell))) == sorted(map(sorted, brute))
+        found = [labels_of(g, ids) for ids in code_search(g, ell)]
+        assert sorted(map(sorted, found)) == sorted(map(sorted, brute))
 
 
 def test_code_search_finds_constructions(st22):
@@ -216,7 +245,7 @@ def test_ei_avoidance(st22, tc22, st32, tc32):
 
 
 def test_sigma_total_coloring_feeds_ei(st22, tc22):
-    sigma1 = sigma_set(st22, 1)
+    sigma1 = labels_of(st22, sigma_set(st22, 1))
     for (u, v), c in tc22.edge_colors.items():
         if c == 1:
             assert u not in sigma1 and v not in sigma1

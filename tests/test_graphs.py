@@ -119,7 +119,7 @@ def test_six_cycle_cap(monkeypatch):
 def test_subgraph_and_components(st32):
     from starperm import sigma_set, sigma_total_coloring
 
-    sigma5 = sigma_set(st32, 5)
+    sigma5 = [st32.vertices[x] for x in sigma_set(st32, 5)]
     minus = st32.subgraph(delete_vertices=sigma5)
     assert minus.n == 72
     assert minus.regularity() == ("regular", (3,))
@@ -178,7 +178,7 @@ def test_isomorphic_st32_components(st32, st22):
     from starperm import sigma_set, sigma_total_coloring
 
     tc = sigma_total_coloring(st32)
-    minus = st32.subgraph(delete_vertices=sigma_set(st32, 5))
+    minus = st32.subgraph(delete_vertices=[st32.vertices[x] for x in sigma_set(st32, 5)])
     e5 = [e for e, c in tc.edge_colors.items() if c == 5 and minus.has_vertex(e[0]) and minus.has_vertex(e[1])]
     for comp in minus.subgraph(delete_edges=e5).components():
         ok, mapping = isomorphic(comp, st22)

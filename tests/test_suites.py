@@ -8,9 +8,11 @@ import pytest
 import starperm.coloring
 import starperm.graphs
 import starperm.suites
-from starperm import CapExceeded, Params, TotalColoring
+from starperm import CapExceeded, Params
 from starperm.cli import main
 from starperm.suites import run_suite
+
+from .faults import add_to_w1
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -181,13 +183,7 @@ def test_chi_types_a_component_missing_a_vertex_as_false(monkeypatch):
         return {c.name: (c.status, c.detail) for c in run_suite("chi", 3, 2).checks}
 
     before = statuses()
-    vertex_class = TotalColoring.vertex_class
-
-    def with_outsider(self, color):
-        members = vertex_class(self, color)
-        return members | {next(v for v in self.vertex_colors if v not in members)} if color == 1 else members
-
-    monkeypatch.setattr(TotalColoring, "vertex_class", with_outsider)
+    add_to_w1(monkeypatch, lambda g, column: next(x for x, c in enumerate(column) if c != 1))
     after = statuses()
     name = "color-1-component-count-and-type"
     assert before[name] == ("pass", "count=12 expected=12") and after[name][0] == "fail"
