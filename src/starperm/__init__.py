@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .chains import (
     ChainEmbedding,
-    CosetTable,
     kappa_embed,
     pancake_chain_check,
+    schreier_fibers,
     schreier_quotient_check,
     verify_chain,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "CapExceeded",
     "ChainEmbedding",
     "ColoringReport",
-    "CosetTable",
     "DominationCertificate",
     "GeneratorFamily",
     "GirthPrecondition",
@@ -98,6 +97,7 @@ __all__ = [
     "prefix_reversal",
     "render",
     "repeat_position",
+    "schreier_fibers",
     "schreier_quotient_check",
     "se_set",
     "sigma_set",

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import permutations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .domination import sigma_set, verify_efficient_domination
 from .errors import CapExceeded
@@ -157,18 +156,35 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CosetTable:
-    params: Params
-    #: collapsed string -> sorted tuple of Sym strings in its fiber
-    fibers: dict
-    #: collapsed string -> positions j of its local generators (0 j)
-    generator_sets: dict
+def schreier_fibers(k: int, ell: int) -> Iterator[tuple[MString, tuple[tuple[int, ...], ...]]]:
+    """Each string x of the ell-set graph on k symbols, in lexicographic
+    order, with its fiber: the orbit of x's least lift (the t-th copy of
+    symbol b becomes b*ell + t) under the within-block value swaps, as a
+    sorted tuple of Sym_{k*ell} strings.  Capped at Sym_SCHREIER_SYM_CAP,
+    checked here, at the call."""
+    if k * ell > SCHREIER_SYM_CAP:
+        raise CapExceeded(f"Schreier check capped at Sym_{SCHREIER_SYM_CAP}, got Sym_{k * ell}")
+    return _fibers(k, ell)
+
+
+def _fibers(k: int, ell: int) -> Iterator[tuple[MString, tuple[tuple[int, ...], ...]]]:
+    # block generators swap the symbol values (b*ell + t, b*ell + t + 1)
+    gens = [(b * ell + t, b * ell + t + 1) for b in range(k) for t in range(ell - 1)]
+    for x in iter_vertices(Params(k, ell)):
+        lift = tuple(b * ell + x[:i].count(b) for i, b in enumerate(x))
+        orbit, frontier = {lift}, [lift]
+        while frontier:
+            s = frontier.pop()
+            for a, b in gens:
+                t = tuple(b if c == a else a if c == b else c for c in s)
+                if t not in orbit:
+                    orbit.add(t)
+                    frontier.append(t)
+        yield x, tuple(sorted(orbit))
 
 
 @dataclass
 class SchreierReport:
-    table: CosetTable
     fibers_are_cosets: bool = True
     fiber_sizes_ok: bool = True
     quotient_equals_graph: bool = True
@@ -189,79 +205,46 @@ class SchreierReport:
 def schreier_quotient_check(k: int, ell: int) -> SchreierReport:
     """Realize the multiset star graph as a quotient of Sym_{k*ell}.
 
-    Collapse symbol s to s // ell.  Verifies the fibers are the right cosets
-    of the within-block Young subgroup (orbits of value swaps inside each
-    block), all of size (ell!)^k; that collapsing the Sym star edges with
-    differing endpoint symbols yields exactly the multiset star graph; and
-    that each coset's local generator set is the star positions of its
-    collapsed string.
+    Collapse symbol s to s // ell, one fiber at a time.  Verifies that every
+    member of x's fiber collapses to x, that each fiber has (ell!)^k members
+    and that they total (k*ell)!, so the fibers partition Sym_{k*ell} and
+    each is exactly the coset of the within-block Young subgroup over x.
+    Then every member's star move at position j must collapse to x's own
+    move at j (x itself where x[j] = x[0]), so the local generator set, the
+    positions of x's star moves, is well defined on the whole coset; and
+    the members' moves, collapsed, must reach exactly the star neighbours
+    of x, which decides the quotient.  The graph's edges are the star moves
+    of the collapsed strings, the rule build_graph applies, so the graph
+    itself is not built.
     """
-    p = Params(k, ell)
-    n = p.length
-    if n > SCHREIER_SYM_CAP:
-        raise CapExceeded(f"Schreier check capped at Sym_{SCHREIER_SYM_CAP}, got Sym_{n}")
-    sym = sorted(permutations(range(n)))
-    collapse = {s: tuple(x // ell for x in s) for s in sym}
-
-    fibers: dict[MString, list] = {}
-    for s in sym:
-        fibers.setdefault(collapse[s], []).append(s)
-    fibers = {key: tuple(sorted(v)) for key, v in fibers.items()}
-
-    # block generators swap the symbol values (b*ell + t, b*ell + t + 1)
-    gens = [(b * ell + t, b * ell + t + 1) for b in range(k) for t in range(ell - 1)]
-
-    def value_swap(s: tuple, a: int, b: int) -> tuple:
-        return tuple(b if x == a else a if x == b else x for x in s)
-
-    rep = SchreierReport(table=CosetTable(p, fibers, {}))
-    size = math.factorial(ell) ** k
-    for key, fiber in fibers.items():
+    rep = SchreierReport()
+    size, total = math.factorial(ell) ** k, 0
+    collapse = bytes(c // ell for c in range(256))  # a bytes.translate table
+    for x, fiber in schreier_fibers(k, ell):
+        total += len(fiber)
         if len(fiber) != size:
             rep.fiber_sizes_ok = False
-        orbit = {fiber[0]}
-        frontier = [fiber[0]]
-        while frontier:
-            s = frontier.pop()
-            for a, b in gens:
-                t = value_swap(s, a, b)
-                if t not in orbit:
-                    orbit.add(t)
-                    frontier.append(t)
-        if orbit != set(fiber):
-            rep.fibers_are_cosets = False
-            rep.failures.append(("fiber-not-an-H-orbit", key))
-
-    # The graph's edges are the star moves of the collapsed strings, the
-    # rule build_graph applies, so the graph itself is not built.
-    quotient_edges: set = set()
-    for s in sym:
-        x = collapse[s]
-        # entries of a Sym string are distinct, so every position j moves
-        for j, t in star_neighbors(s):
-            y = collapse[t]
-            if x == y:
-                continue
-            if x[j] == x[0]:
-                rep.quotient_equals_graph = False
-                rep.failures.append(("collapsed-edge-not-star", render(x), j))
-            quotient_edges.add((x, y) if x < y else (y, x))
-    graph_edges = {(x, y) for x in fibers for _, y in star_neighbors(x) if x < y}
-    if quotient_edges != graph_edges:
-        rep.quotient_equals_graph = False
-        rep.failures.append(("edge-sets-differ", len(quotient_edges), len(graph_edges)))
-
-    gen_sets = {}
-    for key in fibers:
-        moves = dict(star_neighbors(key))
-        gen_sets[key] = tuple(moves)
-        for s in fibers[key]:
-            swaps = dict(star_neighbors(s))
-            for j, y in moves.items():
-                if collapse[swaps[j]] != y:
+            rep.failures.append(("fiber-size", render(x), len(fiber)))
+        key = bytes(x)
+        moves = {j: bytes(y) for j, y in star_neighbors(x)}
+        hit = set()
+        for s in fiber:
+            if bytes(s).translate(collapse) != key:
+                rep.fibers_are_cosets = False
+                rep.failures.append(("member-outside-its-fiber", render(x), s))
+            # entries of a Sym string are distinct, so every position j moves
+            for j, t in star_neighbors(s):
+                y = bytes(t).translate(collapse)
+                hit.add(y)
+                if y != moves.get(j, key):
                     rep.generator_sets_ok = False
-                    rep.failures.append(("generator-not-well-defined", key, j))
-    rep.table.generator_sets = gen_sets
+                    rep.failures.append(("generator-not-well-defined", render(x), j))
+        if hit - {key} != set(moves.values()):
+            rep.quotient_equals_graph = False
+            rep.failures.append(("quotient-neighbours-differ", render(x)))
+    if total != math.factorial(k * ell):
+        rep.fibers_are_cosets = False
+        rep.failures.append(("fibers-do-not-partition-sym", total))
     return rep
 
 

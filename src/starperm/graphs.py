@@ -588,8 +588,8 @@ def build_graph(
 SIX_CYCLE_CAP = 10**4
 
 
-def six_cycles(g: Graph) -> list[tuple]:
-    """All 6-cycles, each once, as canonical vertex tuples.
+def six_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """All 6-cycles, each once, as canonical tuples of vertex ids, sorted.
 
     A cycle is reported rooted at its least vertex r with its opposite
     vertex fourth; the two halves (r-x-y-z and r-x'-y'-z) are joined with
@@ -626,7 +626,7 @@ def six_cycles(g: Graph) -> list[tuple]:
                     else:
                         cycles.append((r, x2, y2, z, y1, x1))
     cycles.sort()
-    return [tuple(g.vertices[i] for i in c) for c in cycles]
+    return cycles
 
 
 # ---------------------------------------------------------------------------

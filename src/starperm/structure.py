@@ -202,25 +202,23 @@ def _keyed(v: tuple, i: int) -> tuple[tuple[int, int], tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SixCycleClass:
-    cycle: tuple
-    kind: str  # "type1" | "type2" | "other"
-    colors: tuple[int, ...]
-    edge_colors: tuple[int, ...]
+#: 6-cycles grouped by (kind, sorted colors): one flat array of 6 vertex ids
+#: per cycle, in enumeration order.  Kind is "type1", "type2" or "other".
+CycleGroups = dict[tuple[str, tuple[int, ...]], array]
 
 
-def classify_six_cycles(g: PermGraph, tc: TotalColoring) -> tuple[list[SixCycleClass], dict[str, int]]:
+def classify_six_cycles(g: PermGraph, tc: TotalColoring) -> tuple[CycleGroups, dict[str, int]]:
     """Classify every 6-cycle of a 2-set star graph under its coloring.
 
     Type 1: the three opposite edge pairs are monochromatic in 3 distinct
     colors.  Type 2: edge colors alternate between two distinct colors.
+    Returns the cycles grouped by (kind, colors) and the census of kinds.
     """
-    classes = []
+    groups: CycleGroups = {}
     census = {"type1": 0, "type2": 0, "other": 0}
     label, color = g.label, tc.edge_color_reader(g)
     for cyc in six_cycles(g):
-        ec = tuple(color(i, j, label(i, j)) for i, j in _cycle_edges(g, cyc))
+        ec = [color(i, j, label(i, j)) for i, j in _cycle_edges(cyc)]
         if ec[0] == ec[3] and ec[1] == ec[4] and ec[2] == ec[5] and len({ec[0], ec[1], ec[2]}) == 3:
             kind, colors = "type1", tuple(sorted({ec[0], ec[1], ec[2]}))
         elif ec[0] == ec[2] == ec[4] and ec[1] == ec[3] == ec[5] and ec[0] != ec[1]:
@@ -228,14 +226,23 @@ def classify_six_cycles(g: PermGraph, tc: TotalColoring) -> tuple[list[SixCycleC
         else:
             kind, colors = "other", tuple(sorted(set(ec)))
         census[kind] += 1
-        classes.append(SixCycleClass(cycle=cyc, kind=kind, colors=colors, edge_colors=ec))
-    return classes, census
+        groups.setdefault((kind, colors), array("i")).extend(cyc)
+    return groups, census
 
 
-def _cycle_edges(g: Graph, cycle: tuple) -> list[tuple[int, int]]:
-    """A cycle's edges, from each vertex to the next, as ascending vertex id pairs."""
-    ids = [g.index(v) for v in cycle]
-    return [(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:] + ids[:1])]
+def _cycle_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:
+    """A cycle's edges, from each vertex id to the next, as ascending id pairs."""
+    return [(a, b) if a < b else (b, a) for a, b in zip(cycle, (*cycle[1:], cycle[0]))]
+
+
+def _cycles_of(groups: CycleGroups, kind: str, keep) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(colors, cycle) for each cycle of the given kind whose colors keep() accepts."""
+    return [
+        (colors, tuple(ids[i : i + 6]))
+        for (kd, colors), ids in groups.items()
+        if kd == kind and keep(set(colors))
+        for i in range(0, len(ids), 6)
+    ]
 
 
 @dataclass
@@ -245,7 +252,7 @@ class ToroidalReport:
     #: vertices of the union of those type-2 cycles
     union_vertex_count: int
     type2_cycle_count: int
-    contained_type1: list[SixCycleClass] = field(default_factory=list)
+    contained_type1: list[tuple[int, ...]] = field(default_factory=list)
     type1_disjoint: bool = False
     departures_ok: bool = True
     departure_failures: list = field(default_factory=list)
@@ -272,10 +279,22 @@ class ToroidalReport:
         )
 
 
-def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[int]) -> ToroidalReport:
+def toroidal_colors(tc: TotalColoring, d1: int, quad: Sequence[int]) -> tuple[int, ...]:
+    """quad as a tuple; ValueError unless d1 and quad are five distinct colors of tc."""
+    quad = tuple(quad)
+    if len(set(quad) | {d1}) != 5 or d1 in quad:
+        raise ValueError("need d1 and four further pairwise distinct colors")
+    unknown = (set(quad) | {d1}) - set(tc.palette)
+    if unknown:
+        raise ValueError(f"colors {sorted(unknown)} not in the palette")
+    return quad
+
+
+def toroidal_assembly(g: PermGraph, tc: TotalColoring, groups: CycleGroups, d1: int, quad: Sequence[int]) -> ToroidalReport:
     """Union of the type-2 cycles pairing d1 with each quad color, audited.
 
-    Checks: the contained type-1 cycles on quad colors are vertex-disjoint;
+    `groups` is what classify_six_cycles(g, tc) returned.  Checks: the
+    contained type-1 cycles on quad colors are vertex-disjoint;
     from each of them exactly six edges of its left-over quad color depart,
     landing on six distinct vertices of the d1 class (so the class hangs
     off each departure star pendant-style, and never lies inside the cycle
@@ -283,69 +302,51 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, d1: int, quad: Sequence[i
     each landing sextuple has minimum pairwise distance exactly 3 in the
     host graph.
     """
-    quad = tuple(quad)
-    if len(set(quad) | {d1}) != 5 or d1 in quad:
-        raise ValueError("need d1 and four further pairwise distinct colors")
-    unknown = (set(quad) | {d1}) - set(tc.palette)
-    if unknown:
-        raise ValueError(f"colors {sorted(unknown)} not in the palette")
-
-    classes, _ = classify_six_cycles(g, tc)
-    type2 = [c for c in classes if c.kind == "type2" and d1 in c.colors and (set(c.colors) - {d1}) <= set(quad)]
-    # The union and the departures are read by vertex id.
-    verts, index, label_sets, color = g.vertices, g.index, g.label_sets, tc.edge_color_reader(g)
+    quad = toroidal_colors(tc, d1, quad)
+    type2 = _cycles_of(groups, "type2", lambda cs: d1 in cs and cs - {d1} <= set(quad))
+    verts, label_sets, color = g.vertices, g.label_sets, tc.edge_color_reader(g)
     vcol = tc.vertex_colors_by_id(g)
-    edge_set = {e for c in type2 for e in _cycle_edges(g, c.cycle)}
+    edge_set = {e for _, c in type2 for e in _cycle_edges(c)}
     union = {x for e in edge_set for x in e}
 
     rep = ToroidalReport(d1=d1, quad=quad, union_vertex_count=len(union), type2_cycle_count=len(type2))
 
-    contained = []
-    for c in classes:
-        if c.kind != "type1" or not set(c.colors) <= set(quad):
-            continue
-        if all(e in edge_set for e in _cycle_edges(g, c.cycle)):
-            contained.append(c)
-    rep.contained_type1 = contained
-    used: set = set()
-    rep.type1_disjoint = True
-    for c in contained:
-        if used & set(c.cycle):
-            rep.type1_disjoint = False
-        used.update(c.cycle)
+    contained = [
+        (colors, c)
+        for colors, c in _cycles_of(groups, "type1", lambda cs: cs <= set(quad))
+        if all(e in edge_set for e in _cycle_edges(c))
+    ]
+    rep.contained_type1 = [c for _, c in contained]
+    rep.type1_disjoint = len({x for c in rep.contained_type1 for x in c}) == 6 * len(contained)
 
     last = len(tc.palette)  # highest position label; shape check applies to that class
     rep.sigma_pendant_ok = not any(vcol[x] == d1 for x in union)
     dist_values: set[int] = set()
     census: dict[int, int] = {}
-    for c in contained:
-        leftover = set(quad) - set(c.colors)
-        if len(leftover) != 1:
-            rep.departures_ok = False
-            rep.departure_failures.append(("no-leftover-color", c.cycle))
-            continue
-        d = leftover.pop()
-        cyc_ids = [index(x) for x in c.cycle]
+    for colors, c in contained:
+        # three distinct colors inside quad leave exactly one
+        (d,) = set(quad) - set(colors)
+        shown = tuple(map(verts.__getitem__, c))
         landing = [
             y
-            for x in cyc_ids
+            for x in c
             for y, lid in g.labeled_row(x)
-            if y not in cyc_ids and (color(x, y, label_sets[lid]) if x < y else color(y, x, label_sets[lid])) == d
+            if y not in c and (color(x, y, label_sets[lid]) if x < y else color(y, x, label_sets[lid])) == d
         ]
         if len(landing) != 6 or len(set(landing)) != 6:
             rep.departures_ok = False
-            rep.departure_failures.append(("departure-count", c.cycle, d, len(landing)))
+            rep.departure_failures.append(("departure-count", shown, d, len(landing)))
             continue
         classes_hit = {vcol[y] for y in landing}
         if len(classes_hit) != 1:
             rep.departures_ok = False
-            rep.departure_failures.append(("landing-not-monochromatic", c.cycle, d, sorted(classes_hit)))
+            rep.departure_failures.append(("landing-not-monochromatic", shown, d, sorted(classes_hit)))
             continue
         hit = classes_hit.pop()
         census[hit] = census.get(hit, 0) + 1
         if hit == last and not all(x[0] == x[-1] for x in map(verts.__getitem__, landing)):
             rep.sigma_pendant_ok = False
-            rep.departure_failures.append(("landing-shape", c.cycle, d))
+            rep.departure_failures.append(("landing-shape", shown, d))
         # Each landing vertex hangs off the 6-cycle, whose vertices are at
         # most 3 apart, so two landing vertices are at most 1 + 3 + 1 apart.
         pair_dists = set()

@@ -37,7 +37,7 @@ from .errors import CapExceeded, GirthPrecondition
 from .graphs import Params, PermGraph, build_graph
 from .mstrings import list_assignment
 from .report import FAIL, PASS, PRECONDITION, SHOWN_WITNESSES, SKIP, CheckResult, SuiteReport
-from .structure import classify_six_cycles, color_class_decomposition, toroidal_assembly
+from .structure import CycleGroups, classify_six_cycles, color_class_decomposition, toroidal_assembly, toroidal_colors
 
 
 class _Runner:
@@ -76,9 +76,11 @@ class _Runner:
 
 class _Context:
     """What the sub-suites of one run share: the parameters, the graph
-    (passed in, or built on first use) and its repeat-position coloring
-    (computed on first use).  Nothing larger is kept: the chains sub-suite
-    sets the run's peak memory, and whatever is cached lives through it."""
+    (passed in, or built on first use), its repeat-position coloring and
+    its 6-cycles classified under it (each computed on first use).  Nothing
+    larger is kept: the chains sub-suite sets the run's peak memory, and
+    whatever is cached lives through it.  The 6-cycle groups, a flat array
+    of vertex ids per (kind, colors), do too: about 150 KB at k = 4."""
 
     def __init__(
         self, k: int, ell: int, graph: Optional[PermGraph], cap: int, d1: Optional[int], quad: Optional[tuple[int, ...]]
@@ -94,6 +96,10 @@ class _Context:
     @cached_property
     def coloring(self) -> TotalColoring:
         return sigma_total_coloring(self.graph)
+
+    @cached_property
+    def classified_cycles(self) -> tuple[CycleGroups, dict[str, int]]:
+        return classify_six_cycles(self.graph, self.coloring)
 
 
 def _suite_domination(run: _Runner, ctx: _Context) -> None:
@@ -229,7 +235,7 @@ def _suite_cycles(run: _Runner, ctx: _Context) -> None:
         run.precondition("cycle-classification", f"suite needs l = 2, got l = {ctx.ell}")
         return
     try:
-        classes, census = classify_six_cycles(ctx.graph, ctx.coloring)
+        groups, census = ctx.classified_cycles
     except CapExceeded as exc:
         run.skip("cycle-classification", str(exc))
         return
@@ -240,7 +246,7 @@ def _suite_cycles(run: _Runner, ctx: _Context) -> None:
     if ctx.k == 3:
         run.add(
             "type1-cycle-2-3-4-found",
-            lambda: (any(c.kind == "type1" and c.colors == (2, 3, 4) for c in classes), "", []),
+            lambda: (("type1", (2, 3, 4)) in groups, "", []),
         )
 
 
@@ -251,9 +257,10 @@ def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
         return
     g, tc = ctx.graph, ctx.coloring
     d1 = ctx.d1 if ctx.d1 is not None else 2 * k - 1
-    quad = tuple(ctx.quad) if ctx.quad else (1, 2, 3, 4)
+    # a usage error, reported before a capped 6-cycle enumeration can SKIP
+    quad = toroidal_colors(tc, d1, ctx.quad or (1, 2, 3, 4))
     try:
-        rep = toroidal_assembly(g, tc, d1, quad)
+        rep = toroidal_assembly(g, tc, ctx.classified_cycles[0], d1, quad)
     except CapExceeded as exc:
         run.skip("toroidal-audit", str(exc))
         return
@@ -280,7 +287,11 @@ def _suite_chains(run: _Runner, ctx: _Context) -> None:
     if ctx.ell != 2:
         run.precondition("chain-embeddings", f"suite needs l = 2, got l = {ctx.ell}")
         return
-    rep = verify_chain(k, cap=ctx.cap)
+    try:
+        rep = verify_chain(k, cap=ctx.cap)
+    except CapExceeded as exc:
+        run.skip("chain-embeddings", str(exc))
+        return
     run.add("images-disjoint-induced", lambda: (rep.images_disjoint and rep.images_induced_isomorphic, f"images={k + 1}", rep.failures))
     run.add("sigma-bijection", lambda: (rep.sigma_bijection_ok and rep.blocks_partition_sigma, f"blocks={rep.block_sizes}", []))
     run.add("cardinality-identity", lambda: (rep.cardinality_identity_ok, f"sigma={rep.sigma_size}", []))

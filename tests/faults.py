@@ -1,6 +1,10 @@
-"""Fault injection for the chi tests: an altered W_1, read through the
-vertex colors by id of the whole graph."""
+"""Fault injection: for the chi tests an altered W_1, read through the
+vertex colors by id of the whole graph; for the Schreier tests a lost
+fiber or a different move on Sym strings."""
 
+from itertools import islice
+
+import starperm.chains
 import starperm.structure
 from starperm import ColoringReport, PermGraph, TotalColoring
 
@@ -37,3 +41,23 @@ def add_to_w1(monkeypatch, pick):
 
     monkeypatch.setattr(TotalColoring, "vertex_colors_by_id", vertex_colors_by_id)
     monkeypatch.setattr(starperm.structure, "verify_coloring", verify_coloring)
+
+
+def lose_first_fiber(monkeypatch):
+    """The Schreier check streams every fiber but the first."""
+    fibers = starperm.chains.schreier_fibers
+    monkeypatch.setattr(starperm.chains, "schreier_fibers", lambda k, ell: islice(fibers(k, ell), 1, None))
+
+
+def move_sym_strings(monkeypatch, move):
+    """The Schreier check's star moves of a Sym string v (its entries
+    distinct) become (j, move(v, j)) for j >= 1; moves of the multiset
+    strings stay star moves."""
+    star = starperm.chains.star_neighbors
+
+    def neighbors(v):
+        if len(set(v)) < len(v):
+            return star(v)
+        return tuple((j, move(v, j)) for j in range(1, len(v)))
+
+    monkeypatch.setattr(starperm.chains, "star_neighbors", neighbors)

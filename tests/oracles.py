@@ -203,3 +203,22 @@ def brute_coloring_flags(adj, vertex_colors, edge_color, palette):
         for v in adj
     )
     return proper_edge, proper_vertex, no_clash, efficient
+
+
+def brute_local_generators(fibers, ell):
+    """{x: the positions j whose star swap (entries 0 and j) takes a member
+    of x's fiber to another fiber}, or None for x when the members
+    disagree.  A member s is in the fiber of tuple(c // ell for c in s)."""
+    out = {}
+    for x, fiber in fibers.items():
+        per_member = set()
+        for s in fiber:
+            leaving = []
+            for j in range(1, len(s)):
+                w = list(s)
+                w[0], w[j] = w[j], w[0]
+                if tuple(c // ell for c in w) != x:
+                    leaving.append(j)
+            per_member.add(tuple(leaving))
+        out[x] = per_member.pop() if len(per_member) == 1 else None
+    return out

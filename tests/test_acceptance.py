@@ -32,11 +32,12 @@ from starperm import (
     verify_coloring,
     verify_efficient_domination,
     classify_six_cycles,
+    schreier_fibers,
     schreier_quotient_check,
 )
 from starperm.chains import pancake_chain_check
 
-from .oracles import adjacency_dict, brute_color_class_components, labels_of
+from .oracles import adjacency_dict, brute_color_class_components, brute_local_generators, labels_of
 
 ms = mstring
 
@@ -163,10 +164,10 @@ def test_c06_color_class_decomposition(st32, st42, st22, tc32, tc42):
 
 def test_c07_cycle_classification_and_toroidal(st32, tc32):
     c = _Criterion(7, "6-cycle types and toroidal audit", 60.0)
-    classes, census = classify_six_cycles(st32, tc32)
-    assert census["other"] == 0 and census["type1"] + census["type2"] == len(classes)
-    assert any(cl.kind == "type1" and cl.colors == (2, 3, 4) for cl in classes)
-    rep = toroidal_assembly(st32, tc32, 5, (1, 2, 3, 4))
+    groups, census = classify_six_cycles(st32, tc32)
+    assert census["other"] == 0 and census["type1"] + census["type2"] == sum(map(len, groups.values())) // 6
+    assert ("type1", (2, 3, 4)) in groups
+    rep = toroidal_assembly(st32, tc32, groups, 5, (1, 2, 3, 4))
     assert rep.departures_ok and rep.all_land_in_d1
     assert rep.sigma_pendant_ok  # audit (c)
     assert rep.landing_min_distance_3  # audit (d)
@@ -184,10 +185,10 @@ def test_c08_chains_and_schreier():
 
     srep = schreier_quotient_check(2, 2)
     assert srep.passed
-    fibers = srep.table.fibers
+    fibers = dict(schreier_fibers(2, 2))
     assert len(fibers) == 6 and all(len(f) == 4 for f in fibers.values())
     assert fibers[ms("0011")] == tuple(map(ms, ("0123", "0132", "1023", "1032")))
-    gens = srep.table.generator_sets
+    gens = brute_local_generators(fibers, 2)
     assert gens[ms("0011")] == (2, 3)
     assert gens[ms("0101")] == (1, 3)
     assert gens[ms("0110")] == (1, 2)

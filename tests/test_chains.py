@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import permutations
+
 import pytest
 
 import starperm.chains
@@ -9,14 +12,17 @@ from starperm import (
     kappa_embed,
     mstring,
     pancake_chain_check,
+    schreier_fibers,
     schreier_quotient_check,
     sigma_set,
+    star_neighbors,
     verify_chain,
     verify_efficient_domination,
 )
 from starperm.mstrings import render, repeat_position
 
-from .oracles import labels_of
+from .faults import lose_first_fiber, move_sym_strings
+from .oracles import brute_local_generators, labels_of
 
 ms = mstring
 
@@ -101,14 +107,14 @@ def test_verify_chain_counts_match_target_graph(k):
 def test_schreier_coset_table_values():
     rep = schreier_quotient_check(2, 2)
     assert rep.passed
-    fibers = rep.table.fibers
+    fibers = dict(schreier_fibers(2, 2))
     assert fibers[ms("0011")] == tuple(map(ms, ("0123", "0132", "1023", "1032")))
     assert fibers[ms("1100")] == tuple(map(ms, ("2301", "2310", "3201", "3210")))
     assert fibers[ms("0101")] == tuple(map(ms, ("0213", "0312", "1203", "1302")))
     assert fibers[ms("1010")] == tuple(map(ms, ("2031", "2130", "3021", "3120")))
     assert fibers[ms("0110")] == tuple(map(ms, ("0231", "0321", "1230", "1320")))
     assert fibers[ms("1001")] == tuple(map(ms, ("2013", "2103", "3012", "3102")))
-    gens = rep.table.generator_sets
+    gens = brute_local_generators(fibers, 2)
     assert gens[ms("0011")] == (2, 3) and gens[ms("1100")] == (2, 3)
     assert gens[ms("0101")] == (1, 3) and gens[ms("1010")] == (1, 3)
     assert gens[ms("0110")] == (1, 2) and gens[ms("1001")] == (1, 2)
@@ -119,7 +125,55 @@ def test_schreier_coset_table_values():
 def test_schreier_other_params(k, ell, size):
     rep = schreier_quotient_check(k, ell)
     assert rep.passed
-    assert all(len(f) == size for f in rep.table.fibers.values())
+    assert all(len(f) == size for _, f in schreier_fibers(k, ell))
+
+
+def test_schreier_fibers_partition_sym():
+    # an independent count: every permutation of range(k*ell) in one fiber
+    for k, ell in ((2, 2), (3, 2), (2, 3)):
+        members = [s for _, f in schreier_fibers(k, ell) for s in f]
+        assert sorted(members) == sorted(permutations(range(k * ell)))
+    with pytest.raises(CapExceeded):
+        schreier_fibers(3, 3)  # at the call, before the first fiber
+
+
+def test_schreier_streams_one_fiber_at_a_time():
+    # the whole of Sym_8 (40,320 strings) held at once took 12.9 MiB
+    schreier_quotient_check(3, 2)  # warm every import and cache first
+    tracemalloc.start()
+    try:
+        assert schreier_quotient_check(4, 2).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_schreier_fiber_count_check_can_fail(monkeypatch):
+    # one fiber lost: each fiber still looks right, their total does not
+    lose_first_fiber(monkeypatch)
+    rep = schreier_quotient_check(2, 2)
+    assert not rep.fibers_are_cosets and rep.fiber_sizes_ok
+    assert rep.quotient_equals_graph and rep.generator_sets_ok
+    assert rep.failures == [("fibers-do-not-partition-sym", 20)]
+
+
+def test_schreier_per_position_check_can_fail(monkeypatch):
+    # position j carries the star move at position n - j: every fiber still
+    # reaches its star neighbours, but not by x's own move at j
+    move_sym_strings(monkeypatch, lambda v, j: dict(star_neighbors(v))[len(v) - j])
+    rep = schreier_quotient_check(2, 2)
+    assert not rep.generator_sets_ok
+    assert rep.quotient_equals_graph and rep.fibers_are_cosets and rep.fiber_sizes_ok
+
+
+def test_schreier_quotient_check_can_fail(monkeypatch):
+    # position j swaps entries j-1 and j (the bubble-sort move), whose
+    # collapse is no star edge of the multiset graph
+    move_sym_strings(monkeypatch, lambda v, j: v[: j - 1] + (v[j], v[j - 1]) + v[j + 1 :])
+    rep = schreier_quotient_check(2, 2)
+    assert not rep.quotient_equals_graph
+    assert rep.fibers_are_cosets and rep.fiber_sizes_ok
 
 
 def test_schreier_cap():

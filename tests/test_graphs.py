@@ -104,9 +104,9 @@ def test_six_cycles_against_brute_force(st23, st32, pc32):
 
 def test_six_cycles_are_cycles(st32):
     for cyc in six_cycles(st32):
-        assert len(set(cyc)) == 6
+        assert len(set(cyc)) == 6 and all(0 <= x < st32.n for x in cyc)
         for i in range(6):
-            assert st32.has_edge(cyc[i], cyc[(i + 1) % 6])
+            assert st32.has_edge(st32.vertices[cyc[i]], st32.vertices[cyc[(i + 1) % 6]])
 
 
 def test_six_cycle_cap(monkeypatch):

@@ -81,20 +81,20 @@ def test_chi_components_agree_with_the_key_oracle(request, k):
 
 
 def test_classify_six_cycles_st22(st22, tc22):
-    classes, census = classify_six_cycles(st22, tc22)
+    groups, census = classify_six_cycles(st22, tc22)
     assert census == {"type1": 1, "type2": 0, "other": 0}
-    only = classes[0]
-    assert only.kind == "type1"
-    assert only.colors == (1, 2, 3)
-    assert only.edge_colors == (2, 1, 3, 2, 1, 3)
-    assert [c for c in only.cycle] == [ms(s) for s in ("0011", "1001", "0101", "1100", "0110", "1010")]
+    assert list(groups) == [("type1", (1, 2, 3))]
+    only = [st22.vertices[x] for x in groups["type1", (1, 2, 3)]]
+    assert tuple(tc22.edge_color(u, v) for u, v in zip(only, only[1:] + only[:1])) == (2, 1, 3, 2, 1, 3)
+    assert only == [ms(s) for s in ("0011", "1001", "0101", "1100", "0110", "1010")]
 
 
 def test_classify_six_cycles_st32(st32, tc32):
-    classes, census = classify_six_cycles(st32, tc32)
+    groups, census = classify_six_cycles(st32, tc32)
     assert census["other"] == 0
     assert census == {"type1": 30, "type2": 60, "other": 0}
-    assert any(c.kind == "type1" and c.colors == (2, 3, 4) for c in classes)
+    assert ("type1", (2, 3, 4)) in groups
+    assert {kind: sum(len(ids) for (kd, _), ids in groups.items() if kd == kind) // 6 for kind in census} == census
 
 
 def test_classify_six_cycles_st42(st42, tc42):
@@ -104,7 +104,7 @@ def test_classify_six_cycles_st42(st42, tc42):
 
 
 def test_toroidal_t5(st32, tc32):
-    rep = toroidal_assembly(st32, tc32, 5, (1, 2, 3, 4))
+    rep = toroidal_assembly(st32, tc32, classify_six_cycles(st32, tc32)[0], 5, (1, 2, 3, 4))
     assert rep.passed
     assert rep.type2_cycle_count == 24
     assert rep.union_vertex_count == 72
@@ -117,9 +117,8 @@ def test_toroidal_t5(st32, tc32):
 
 
 def test_toroidal_dual_color_sextuples(st32, tc32):
-    classes, _ = classify_six_cycles(st32, tc32)
-    cyc = next(c for c in classes if c.kind == "type1" and c.colors == (2, 3, 4))
-    cyc_set = set(cyc.cycle)
+    groups, _ = classify_six_cycles(st32, tc32)
+    cyc_set = {st32.vertices[x] for x in groups["type1", (2, 3, 4)][:6]}
     for d, landing_color in ((1, 5), (5, 1)):
         landings = set()
         for (u, v), color in tc32.edge_colors.items():
@@ -130,7 +129,8 @@ def test_toroidal_dual_color_sextuples(st32, tc32):
 
 
 def test_toroidal_rejects_bad_colors(st32, tc32):
+    groups, _ = classify_six_cycles(st32, tc32)
     with pytest.raises(ValueError):
-        toroidal_assembly(st32, tc32, 5, (1, 2, 3, 5))
+        toroidal_assembly(st32, tc32, groups, 5, (1, 2, 3, 5))
     with pytest.raises(ValueError):
-        toroidal_assembly(st32, tc32, 9, (1, 2, 3, 4))
+        toroidal_assembly(st32, tc32, groups, 9, (1, 2, 3, 4))

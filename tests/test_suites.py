@@ -7,6 +7,7 @@ import pytest
 
 import starperm.coloring
 import starperm.graphs
+import starperm.structure
 import starperm.suites
 from starperm import CapExceeded, Params
 from starperm.cli import main
@@ -175,6 +176,34 @@ def test_a_six_cycle_cap_skips_cycles_and_toroidal_and_keeps_the_rest(monkeypatc
     golden = json.loads((GOLDEN / "all_k3_l2.json").read_text())["checks"]
     decided = [dict(c, seconds=0) for c in checks if c["status"] != "skip"]
     assert decided == [c for c in golden if c["name"].split("/")[0] not in ("cycles", "toroidal")]
+
+
+def test_bad_toroidal_colors_are_a_usage_error_under_a_six_cycle_cap(monkeypatch):
+    monkeypatch.setattr(starperm.graphs, "SIX_CYCLE_CAP", 10)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        run_suite("toroidal", 3, 2, d1=5, quad=(1, 2, 3, 5))
+
+
+def test_a_chain_cap_skips_chains_and_keeps_the_rest():
+    # ST(4,2), the chains' target at k = 3, has 2,520 strings
+    report = run_suite("all", 3, 2, cap=1000)
+    assert report.exit_code == 0
+    checks = json.loads(report.to_json())["checks"]
+    skipped = [c for c in checks if c["status"] == "skip"]
+    assert [c["name"] for c in skipped] == ["chains/chain-embeddings"]
+    assert "2520 vertices exceeds cap 1000" in skipped[0]["detail"]
+    golden = json.loads((GOLDEN / "all_k3_l2.json").read_text())["checks"]
+    decided = [dict(c, seconds=0) for c in checks if c["status"] != "skip"]
+    assert decided == [c for c in golden if not c["name"].startswith("chains/")]
+
+
+def test_an_all_run_enumerates_the_six_cycles_once(monkeypatch):
+    calls = []
+    six_cycles = starperm.structure.six_cycles
+    monkeypatch.setattr(starperm.structure, "six_cycles", lambda g: calls.append(g) or six_cycles(g))
+    report = run_suite("all", 3, 2)
+    assert report.exit_code == 0
+    assert len(calls) == 1
 
 
 def test_chi_types_a_component_missing_a_vertex_as_false(monkeypatch):
