@@ -11,15 +11,18 @@ prefix reversals, or a custom sequence of position involutions).
 The adjacency is one compressed-row core of vertex ids, known to this
 module only: row i of the neighbour ids is ``_nbr[_start[i]:_start[i + 1]]``
 in ascending order, and ``_lab`` holds each entry's index into ``_labels``,
-the tuple of distinct edge-label tuples.  Other modules read it through
+the tuple of distinct edge-label tuples (one byte per entry while there are
+at most 256 of them, as in every star graph).  Other modules read it through
 :meth:`Graph.row`, :meth:`Graph.labeled_row` (with
 :attr:`Graph.label_sets`), :meth:`Graph.label` and :meth:`Graph.edge_ids`.
 
 A plain :class:`Graph` keeps its labels as a tuple and a label -> id dict.
 A :class:`PermGraph` keeps none of either: its labels are
-:class:`PackedLabels`, one packed integer code per string, unpacked to a
-tuple on access, and its per-vertex columns (first symbol, repeat position)
-are bytes by vertex id.  The packing is known to this module only.
+:class:`PackedLabels`, one integer code per string with 4 bits per symbol
+(so k <= 16), 8 bytes per vertex in one array for strings of up to 16
+symbols, unpacked to a tuple on access.  Its per-vertex columns (first
+symbol, repeat position) are bytes by vertex id.  The packing is known to
+this module only.
 """
 
 from __future__ import annotations
@@ -74,11 +77,17 @@ class Graph:
     def _set_rows(self, rows: Iterable[Iterable[tuple[int, tuple]]]) -> None:
         """Pack the core from one row of (neighbour id, labels) pairs per
         vertex, ids ascending in each."""
-        start, nbr, lab, ids = array("q", [0]), array("i"), array("i"), {}
+        # 4-byte row offsets: 2^31 of them would hold 8 GB of neighbour ids
+        start, nbr, lab, ids = array("i", [0]), array("i"), array("B"), {}
         for row in rows:
             for iw, labels in row:
                 nbr.append(iw)
-                lab.append(ids.setdefault(labels, len(ids)))
+                lid = ids.setdefault(labels, len(ids))
+                try:
+                    lab.append(lid)
+                except OverflowError:  # a 257th label set: widen the label ids
+                    lab = array("i", lab)
+                    lab.append(lid)
             start.append(len(nbr))
         self._start, self._nbr, self._lab, self._labels = start, nbr, lab, tuple(ids)
         #: has_triangle's verdict, None until asked
@@ -253,7 +262,8 @@ class Graph:
             new_id[old] = new
         g = Graph.__new__(Graph)
         g._set_vertices(tuple(self.vertices[i] for i in keep))
-        g._start, g._nbr, g._lab, g._labels, g._triangle = array("q", [0]), array("i"), array("i"), self._labels, None
+        g._start, g._nbr, g._lab, g._labels = array("i", [0]), array("i"), array(self._lab.typecode), self._labels
+        g._triangle = None
         for i in keep:
             for p in range(self._start[i], self._start[i + 1]):
                 w = self._nbr[p]
@@ -418,37 +428,68 @@ class GeneratorFamily:
         return maps
 
 
-#: ASCII digits to the byte values they name
-_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+#: A symbol 0..15 to its hex digit.  Every other byte becomes "?", which no
+#: hex parse accepts, so no stranger (symbol 16, or 48, ASCII "0") aliases a
+#: label.
+_TO_HEX = bytes(b"0123456789abcdef"[b] if b < 16 else ord("?") for b in range(256))
+#: hex digits back to the symbols they name
+_FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+#: Codes of strings up to this long fit one unsigned 64-bit array entry.
+_ARRAY_LENGTH = 16
+#: Every _STRIDE-th code is also held in a list: reading an array entry makes
+#: a Python int and reading a list entry does not, so a lookup bisects that
+#: list first and then fewer than _STRIDE array entries.
+_STRIDE = 16
+
+
+def _pack(v) -> int:
+    """The code of a string of symbols 0..15 (a tuple or bytes); ValueError
+    or TypeError for anything else."""
+    return int(bytes(v).translate(_TO_HEX), 16)
 
 
 class PackedLabels(SequenceABC):
     """The vertex labels of a permutation graph, a read-only sequence held
-    as one ascending list of packed codes.
+    as one ascending sequence of packed codes.
 
-    A string v of length L is the code ``int.from_bytes(bytes(v), "big")``.
-    Among strings of one length, lexicographic order is the numeric order of
-    their codes, so the list is the canonical vertex order, and a label is
-    found by packing it and bisecting.  Entry i unpacks on access to the
-    tuple it stands for; the sequence compares equal to the tuple of them.
+    A string v of length L is the code whose L hex digits are its symbols,
+    ``int(bytes(v).translate(_TO_HEX), 16)``.  Among strings of one length,
+    lexicographic order is the numeric order of their codes, so the codes
+    are the canonical vertex order, and a label is found by packing it and
+    bisecting.  Codes of up to 16 symbols fit one ``array('Q')`` entry, 8
+    bytes each; longer strings keep a list of ints, and nothing else
+    differs.  Entry i unpacks on access to the tuple it stands for; the
+    sequence compares equal to the tuple of them.
     """
 
-    __slots__ = ("_codes", "_length")
+    __slots__ = ("_codes", "_heads", "_length", "_nbytes", "_odd")
 
-    def __init__(self, codes: list[int], length: int) -> None:
-        self._codes, self._length = codes, length
+    def __init__(self, codes: Iterable[int], length: int) -> None:
+        self._codes = array("Q", codes) if length <= _ARRAY_LENGTH else list(codes)
+        self._heads = list(self._codes[::_STRIDE])
+        self._length = length
+        # a code's L hex digits are those of its bytes, less a leading "0"
+        # when L is odd
+        self._nbytes, self._odd = (length + 1) // 2, length % 2
+
+    def _digits(self, c: int) -> str:
+        """The L hex digits of code c, one per symbol."""
+        return c.to_bytes(self._nbytes, "big").hex()[self._odd :]
 
     def __len__(self) -> int:
         return len(self._codes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(tuple(c.to_bytes(self._length, "big")) for c in self._codes[i])
-        return tuple(self._codes[i].to_bytes(self._length, "big"))
+            return tuple(self._unpacked(self._codes[i]))
+        return tuple(self._digits(self._codes[i]).encode().translate(_FROM_HEX))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        length = self._length
-        return (tuple(c.to_bytes(length, "big")) for c in self._codes)
+        return self._unpacked(self._codes)
+
+    def _unpacked(self, codes) -> Iterator[tuple[int, ...]]:
+        digits = self._digits
+        return (tuple(digits(c).encode().translate(_FROM_HEX)) for c in codes)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PackedLabels):
@@ -465,7 +506,7 @@ class PackedLabels(SequenceABC):
         if not isinstance(v, tuple) or len(v) != self._length:
             return -1
         try:
-            code = int.from_bytes(bytes(v), "big")
+            code = _pack(v)
         except (TypeError, ValueError):  # an entry that is no symbol
             return -1
         return self._find_code(code)
@@ -474,15 +515,18 @@ class PackedLabels(SequenceABC):
         """The id of the label whose text form (see
         :func:`~starperm.mstrings.mstring`) is token; -1 for none.  A token
         mstring refuses raises its ValueError."""
-        if token.isdigit() and token.isascii():  # one digit per symbol, straight to the code
+        if token.isdigit() and token.isascii():  # one digit per symbol, already the code's hex digits
             if len(token) != self._length:
                 return -1
-            return self._find_code(int.from_bytes(token.encode().translate(_DIGITS), "big"))
+            return self._find_code(int(token, 16))
         return self.find(mstring(token))
 
     def _find_code(self, c: int) -> int:
         codes = self._codes
-        i = bisect_left(codes, c)
+        lo = (bisect_right(self._heads, c) - 1) * _STRIDE
+        if lo < 0:
+            return -1
+        i = bisect_left(codes, c, lo, min(lo + _STRIDE, len(codes)))
         return i if i < len(codes) and codes[i] == c else -1
 
 
@@ -509,7 +553,7 @@ class PermGraph(Graph):
     def first_symbols(self) -> bytes:
         """v[0] of every vertex, by vertex id; computed on first use."""
         if self._first is None:
-            shift = 8 * (self.params.length - 1)
+            shift = 4 * (self.params.length - 1)
             self._first = bytes(c >> shift for c in self.vertices._codes)
         return self._first
 
@@ -532,21 +576,25 @@ def build_graph(
     differs from v[0]; custom edges exist whenever the generator image
     differs from the source, flagged "non-star-like" when v[j] == v[0].
     Parallel edges (distinct generators, same endpoints) are collapsed into
-    one edge carrying the set of generator positions as labels.  The rows
-    are written straight into the graph's core, one vertex at a time, each
-    move found as a packed code by bisection.
+    one edge carrying the set of generator positions as labels.  The codes
+    and then the rows are written straight into the graph's core, one vertex
+    at a time, each move found as a packed code by bisection.  k > 16 is
+    refused with a ValueError: a code holds symbols 0..15 only.
     """
+    if p.k > 16:
+        raise ValueError(f"packed codes hold symbols 0..15, so k <= 16, got k = {p.k}")
     length = p.length
     nonstar: set[Edge] = set()
     if family.kind == "custom":
         family.validate_pis(length)
         maps = family.position_maps(length)
 
-    codes = [int.from_bytes(bytes(v), "big") for v in iter_vertices(p, cap)]
     g = PermGraph.__new__(PermGraph)
-    g.vertices = PackedLabels(codes, length)
+    g.vertices = PackedLabels(map(_pack, iter_vertices(p, cap)), length)
+    codes, heads, digits = g.vertices._codes, g.vertices._heads, g.vertices._digits
+    n = len(codes)
     # the star move (0 j) adds (v[j] - v[0]) * step[j] to the code
-    step = [256 ** (length - 1) - 256 ** (length - 1 - j) for j in range(length)]
+    step = [16 ** (length - 1) - 16 ** (length - 1 - j) for j in range(length)]
     single = [(j,) for j in range(length)]
 
     def rows():
@@ -554,22 +602,32 @@ def build_graph(
         # and the edge's full label set, from its own end: the labels are
         # the ones the lower endpoint finds.
         for iv, c in enumerate(codes):
-            v = c.to_bytes(length, "big")
+            h = digits(c)  # one hex digit per symbol
             if family.kind == "star":  # distinct neighbours, one label each
+                v = h.encode().translate(_FROM_HEX)
                 v0 = v[0]
-                yield sorted([(bisect_left(codes, c + (s - v0) * step[j]), single[j]) for j, s in enumerate(v) if s != v0])
+                found = []
+                for j, s in enumerate(v):
+                    if s != v0:  # PackedLabels._find_code, inlined: the move is a vertex
+                        code = c + (s - v0) * step[j]
+                        lo = (bisect_right(heads, code) - 1) * _STRIDE
+                        found.append((bisect_left(codes, code, lo, lo + _STRIDE if lo + _STRIDE < n else n), single[j]))
+                found.sort()
+                yield found
                 continue
+            # the other moves permute the hex digits, which are the symbols
             if family.kind == "pancake":
-                moves = [(j, prefix_reversal(v, j)) for j in range(1, length) if v[j] != v[0]]
+                moves = [(j, prefix_reversal(h, j)) for j in range(1, length) if h[j] != h[0]]
             else:
-                moves = [(j, bytes(map(v.__getitem__, perm))) for j, perm in enumerate(maps, start=1)]
+                moves = [(j, "".join(map(h.__getitem__, perm))) for j, perm in enumerate(maps, start=1)]
             row: dict[int, tuple[int, ...]] = {}
             for j, w in moves:
-                if w == v:
+                if w == h:
                     continue
-                iw = bisect_left(codes, int.from_bytes(w, "big"))
-                if family.kind == "custom" and v[j] == v[0]:
-                    nonstar.add((tuple(v), tuple(w)) if iv < iw else (tuple(w), tuple(v)))
+                iw = g.vertices._find_code(int(w, 16))
+                if family.kind == "custom" and h[j] == h[0]:
+                    a, b = sorted((iv, iw))
+                    nonstar.add((g.vertices[a], g.vertices[b]))
                 row[iw] = row.get(iw, ()) + (j,)
             yield sorted(row.items())
 

@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coloring import TotalColoring, verify_coloring
+from .coloring import ColoringReport, TotalColoring, verify_coloring
 from .graphs import Graph, Params, PermGraph, build_graph, six_cycles
 from .iso import ISO_CAP, isomorphic
 
@@ -83,9 +83,11 @@ class DecompositionReport:
         )
 
 
-def color_class_decomposition(g: Graph, tc: TotalColoring) -> DecompositionReport:
+def color_class_decomposition(g: Graph, tc: TotalColoring, checked: Optional[ColoringReport] = None) -> DecompositionReport:
     """Run the per-color decomposition checks on ST(k,2); hypothesis failures
-    come back as a precondition report, not an exception.
+    come back as a precondition report, not an exception.  `checked` is
+    ``verify_coloring(g, tc)`` when the caller already has it; otherwise
+    the precondition runs it.
 
     In ST(k,2) - W_i - E_i neither s = v[i] nor its other copy at p moves: a
     move at i is an E_i edge, and a move at p puts s in front, into W_i.  So
@@ -104,7 +106,7 @@ def color_class_decomposition(g: Graph, tc: TotalColoring) -> DecompositionRepor
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail=f"need even h > 4, got h = {h}")
     if len(tc.palette) != h - 1:
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail=f"palette has {len(tc.palette)} colors, want {h - 1}")
-    eff = verify_coloring(g, tc)
+    eff = checked if checked is not None else verify_coloring(g, tc)
     if not (eff.passed and eff.efficient):
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail="coloring is not efficient")
 

@@ -17,6 +17,7 @@ from . import __version__
 from .chains import pancake_chain_check, schreier_quotient_check, verify_chain
 from .coloring import (
     EFFICIENCY_KINDS,
+    ColoringReport,
     TotalColoring,
     choosability_suite,
     efficiency_obstruction_witness,
@@ -76,10 +77,11 @@ class _Runner:
 
 class _Context:
     """What the sub-suites of one run share: the parameters, the graph
-    (passed in, or built on first use), its repeat-position coloring and
-    its 6-cycles classified under it (each computed on first use).  Nothing
-    larger is kept: the chains sub-suite sets the run's peak memory, and
-    whatever is cached lives through it.  The 6-cycle groups, a flat array
+    (passed in, or built on first use), its repeat-position coloring, that
+    coloring's verify_coloring report and its 6-cycles classified under it
+    (each computed on first use).  Nothing larger is kept: the chains
+    sub-suite sets the run's peak memory, and whatever is cached lives
+    through it.  The 6-cycle groups, a flat array
     of vertex ids per (kind, colors), do too: about 150 KB at k = 4."""
 
     def __init__(
@@ -96,6 +98,10 @@ class _Context:
     @cached_property
     def coloring(self) -> TotalColoring:
         return sigma_total_coloring(self.graph)
+
+    @cached_property
+    def coloring_report(self) -> ColoringReport:
+        return verify_coloring(self.graph, self.coloring)
 
     @cached_property
     def classified_cycles(self) -> tuple[CycleGroups, dict[str, int]]:
@@ -159,21 +165,25 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
 
 def _suite_coloring(run: _Runner, ctx: _Context) -> None:
     k, ell, g = ctx.k, ctx.ell, ctx.graph
-    # At l = 2 one pass over the total coloring decides three checks, each
-    # reading its own witness kinds; elsewhere only edge colors are checked.
-    reports: list = []
-
+    # At l = 2 one pass over the total coloring, shared with chi through the
+    # context, decides three checks, each reading its own witness kinds;
+    # elsewhere only edge colors are checked.
     def positional():
-        tc = ctx.coloring if ell == 2 else TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, k * ell)))
-        reports.append(verify_coloring(g, tc))
-        return bool(reports[0].proper_edge), "", [w for w in reports[0].witnesses if w[0] == "adjacent-edges"]
+        if ell == 2:
+            rep = ctx.coloring_report
+        else:
+            rep = verify_coloring(g, TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, k * ell))))
+        return bool(rep.proper_edge), "", [w for w in rep.witnesses if w[0] == "adjacent-edges"]
 
     run.add("positional-edge-proper", positional)
     if ell == 2:
-        eff, tc = reports[0], ctx.coloring
+        eff, tc = ctx.coloring_report, ctx.coloring
 
         def palette_size():
-            used = frozenset(tc.vertex_colors.values()) | frozenset(tc.edge_colors.values())
+            # by vertex id and edge by edge, with no label unpacked
+            color = tc.edge_color_reader(g)
+            used = set(tc.vertex_colors_by_id(g))
+            used.update(color(i, j, labels) for i, j, labels in g.edge_ids())
             return used == tc.palette and len(used) == 2 * k - 1, f"colors={sorted(used)}", []
 
         run.add("sigma-total", lambda: (bool(eff.total), "", [w for w in eff.witnesses if w[0] not in EFFICIENCY_KINDS]))
@@ -199,7 +209,7 @@ def _suite_chi(run: _Runner, ctx: _Context) -> None:
     if ell != 2:
         run.precondition("chi-preconditions", f"suite needs l = 2, got l = {ell}")
         return
-    rep = color_class_decomposition(ctx.graph, ctx.coloring)
+    rep = color_class_decomposition(ctx.graph, ctx.coloring, ctx.coloring_report)
     if not rep.precondition_ok:
         run.precondition("chi-preconditions", rep.precondition_detail)
         return

@@ -6,6 +6,7 @@ from itertools import islice
 
 import starperm.chains
 import starperm.structure
+import starperm.suites
 from starperm import ColoringReport, PermGraph, TotalColoring
 
 _by_id = TotalColoring.vertex_colors_by_id
@@ -25,7 +26,9 @@ class AlsoColorOne(int):
 def add_to_w1(monkeypatch, pick):
     """Make the vertex id ``pick(g, column)`` of the whole graph g a member
     of W_1 as well, and let chi's precondition pass on g, whose coloring is
-    no longer total.  A component copy (a plain Graph) sees the true colors."""
+    no longer total, whether chi verifies the coloring itself or reads the
+    suite's shared report.  A component copy (a plain Graph) sees the true
+    colors."""
 
     def vertex_colors_by_id(self, g):
         column = _by_id(self, g)
@@ -41,6 +44,7 @@ def add_to_w1(monkeypatch, pick):
 
     monkeypatch.setattr(TotalColoring, "vertex_colors_by_id", vertex_colors_by_id)
     monkeypatch.setattr(starperm.structure, "verify_coloring", verify_coloring)
+    monkeypatch.setattr(starperm.suites, "verify_coloring", verify_coloring)
 
 
 def lose_first_fiber(monkeypatch):

@@ -81,6 +81,15 @@ def test_parallel_edges_merge_their_labels():
         Graph("ab", [("a", "a")])
 
 
+def test_more_than_256_label_sets_keep_their_ids():
+    # label ids are one byte each up to 256 distinct label tuples, then widen
+    g = Graph(range(301), [(i, i + 1, (i,)) for i in range(300)])
+    assert len(g.label_sets) == 300
+    assert all(labels == (i,) for i, (_, _, labels) in enumerate(g.edges()))
+    h = g.subgraph(delete_vertices=[0])
+    assert [labels for _, _, labels in h.edges()] == [(i,) for i in range(1, 300)]
+
+
 def test_pc_same_vertex_set(st32, pc32):
     assert st32.vertices == pc32.vertices
 
@@ -299,7 +308,7 @@ def _family(name, length):
 
 
 @pytest.mark.parametrize("family", ["star", "pancake", "custom"])
-@pytest.mark.parametrize("k,ell", [(1, 5), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+@pytest.mark.parametrize("k,ell", [(1, 5), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 9)])
 def test_packed_labels_match_the_enumeration(family, k, ell):
     p = Params(k, ell)
     g = build_graph(p, _family(family, p.length))
@@ -316,13 +325,15 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
         v + (0,),
         (v[0],) * p.length if k > 1 else (1,) * p.length,  # wrong multiplicity, or a symbol past k - 1
         v[:-1] + (k,),  # out of range
+        v[:-1] + (16,),  # one past the last hex digit
+        v[:-1] + (48,),  # ASCII "0"
         v[:-1] + (256,),
         v[:-1] + (-1,),
         v[:-1] + ("0",),
         list(v),  # not a tuple
         bytes(v),
         render(v),
-    ]
+    ] + ([(0,) * p.length] if k > 1 else [])  # below the first label
     for x in strangers:
         assert not g.has_vertex(x) and x not in g.vertices and g.vertices.find(x) == -1, x
         with pytest.raises(ValueError):
@@ -330,18 +341,36 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
     assert g.vertices.find_text("9" * p.length) == g.vertices.find_text(render(v)[:-1]) == -1
 
 
-def test_built_graph_holds_no_per_vertex_containers():
-    # ST(4,2) held 1.37 MB with one neighbour dict per vertex, and 0.57 MB
-    # with one label tuple per vertex and a label -> id dict; it retains
-    # 0.25 MB as packed codes and the compressed-row core
+def test_build_refuses_more_than_sixteen_symbols():
+    # a code holds one hex digit per symbol; refused before the vertex cap
+    with pytest.raises(ValueError, match="k <= 16"):
+        build_graph(Params(17, 1))
+
+
+def _retained_by_build(p):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        g = build_graph(Params(4, 2))
-        retained = tracemalloc.get_traced_memory()[0] - before
+        g = build_graph(p)
+        return g, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert g.n == 2520 and retained < 0.3e6  # 20% above the measured 254 KB
+
+
+def test_built_graph_holds_no_per_vertex_containers():
+    # ST(4,2) held 1.37 MB with one neighbour dict per vertex, 0.57 MB with
+    # one label tuple per vertex and a label -> id dict, and 0.25 MB as a
+    # list of int codes with 4-byte label ids; it retains 115 KB as 8 bytes
+    # of code per vertex, 1-byte label ids and 4-byte row offsets
+    g, retained = _retained_by_build(Params(4, 2))
+    assert g.n == 2520 and retained < 0.14e6  # 20% above the measured 115 KB
+
+
+def test_st52_core_fits_in_seven_megabytes():
+    # 13.7 MB with a list of int codes, 4-byte label ids and 8-byte row
+    # offsets; 6.5 MB measured
+    g, retained = _retained_by_build(Params(5, 2))
+    assert g.n == 113400 and retained <= 7e6
 
 
 def test_only_graphs_reads_the_core():

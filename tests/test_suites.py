@@ -9,7 +9,7 @@ import starperm.coloring
 import starperm.graphs
 import starperm.structure
 import starperm.suites
-from starperm import CapExceeded, Params
+from starperm import CapExceeded, Params, PermGraph
 from starperm.cli import main
 from starperm.suites import run_suite
 
@@ -123,6 +123,22 @@ def test_coloring_suite_makes_one_coloring_pass(monkeypatch):
     report = run_suite("coloring", 3, 2)
     assert report.passed and len(reports) == 1 and reports[0].efficient
     assert [c.name for c in report.checks] == ["positional-edge-proper", "sigma-total", "sigma-efficient", "sigma-palette-size"]
+
+
+def test_an_all_run_verifies_the_total_coloring_once(monkeypatch):
+    # chi's precondition reads the coloring suite's report; chi still
+    # verifies its component copies, which are plain graphs
+    graphs = []
+    verify = starperm.coloring.verify_coloring
+
+    def counted(g, tc):
+        graphs.append(g)
+        return verify(g, tc)
+
+    monkeypatch.setattr(starperm.suites, "verify_coloring", counted)
+    monkeypatch.setattr(starperm.structure, "verify_coloring", counted)
+    assert run_suite("all", 3, 2).passed
+    assert sum(isinstance(g, PermGraph) for g in graphs) == 1
 
 
 def test_coloring_suite_skips_a_capped_obstruction_and_keeps_the_rest(monkeypatch, tmp_path):
