@@ -17,8 +17,8 @@ star edges, with per-coset local generator sets.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
+from itertools import chain, permutations, product
 from typing import Iterator, Optional
 
 from .domination import sigma_set, verify_efficient_domination
@@ -158,9 +158,9 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
 
 def schreier_fibers(k: int, ell: int) -> Iterator[tuple[MString, tuple[tuple[int, ...], ...]]]:
     """Each string x of the ell-set graph on k symbols, in lexicographic
-    order, with its fiber: the orbit of x's least lift (the t-th copy of
-    symbol b becomes b*ell + t) under the within-block value swaps, as a
-    sorted tuple of Sym_{k*ell} strings.  Capped at Sym_SCHREIER_SYM_CAP,
+    order, with its fiber: the images of x's least lift (the t-th copy of
+    symbol b becomes b*ell + t) under the within-block value permutations,
+    as a sorted tuple of Sym_{k*ell} strings.  Capped at Sym_SCHREIER_SYM_CAP,
     checked here, at the call."""
     if k * ell > SCHREIER_SYM_CAP:
         raise CapExceeded(f"Schreier check capped at Sym_{SCHREIER_SYM_CAP}, got Sym_{k * ell}")
@@ -168,19 +168,14 @@ def schreier_fibers(k: int, ell: int) -> Iterator[tuple[MString, tuple[tuple[int
 
 
 def _fibers(k: int, ell: int) -> Iterator[tuple[MString, tuple[tuple[int, ...], ...]]]:
-    # block generators swap the symbol values (b*ell + t, b*ell + t + 1)
-    gens = [(b * ell + t, b * ell + t + 1) for b in range(k) for t in range(ell - 1)]
+    # The within-block value permutations, (ell!)^k of them, each as one
+    # bytes.translate table; a fiber is its least lift's images under them,
+    # pairwise distinct because the lift's entries are.
+    blocks = [[tuple(b * ell + t for t in perm) for perm in permutations(range(ell))] for b in range(k)]
+    tables = [bytes(chain(*images, range(k * ell, 256))) for images in product(*blocks)]
     for x in iter_vertices(Params(k, ell)):
-        lift = tuple(b * ell + x[:i].count(b) for i, b in enumerate(x))
-        orbit, frontier = {lift}, [lift]
-        while frontier:
-            s = frontier.pop()
-            for a, b in gens:
-                t = tuple(b if c == a else a if c == b else c for c in s)
-                if t not in orbit:
-                    orbit.add(t)
-                    frontier.append(t)
-        yield x, tuple(sorted(orbit))
+        lift = bytes(b * ell + x[:i].count(b) for i, b in enumerate(x))
+        yield x, tuple(map(tuple, sorted(lift.translate(t) for t in tables)))
 
 
 @dataclass
@@ -304,11 +299,12 @@ def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
     rep.all_lower_sigmas_fail = set(rep.failing_sigmas) == set(range(1, last))
 
     # One scan: the degrees after deleting the class, then its full-reversal
-    # edges too, and how often each vertex is a neighbour of the class.
+    # edges too, and how often each vertex is the class or a neighbour of it
+    # (at most its degree plus one, 2k, so a byte holds it).
     inside = bytearray(pc.n)
     for x in black:
         inside[x] = 1
-    covered = array("i", [0]) * pc.n
+    covered = bytearray(inside)
     minus_degrees, remainder_degrees, label_sets = set(), set(), pc.label_sets
     for x in range(pc.n):
         if inside[x]:
@@ -320,5 +316,5 @@ def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
         remainder_degrees.add(sum(last not in labels for labels in kept))
     rep.minus_sigma_regular_degree = minus_degrees.pop() if len(minus_degrees) == 1 else None
     rep.remainder_regular_degree = remainder_degrees.pop() if len(remainder_degrees) == 1 else None
-    rep.neighborhoods_partition_remainder = all(c + b == 1 for c, b in zip(covered, inside))
+    rep.neighborhoods_partition_remainder = covered.count(1) == pc.n
     return rep

@@ -12,7 +12,8 @@ symbol) and, for ell = 2, Sigma_i (repeat position = i, one per position).
 with unit propagation, so constructed sets can be checked against an
 independent path.
 
-A vertex set is a frozenset of vertex ids throughout; labels appear only in
+A vertex set is an ascending ``array('i')`` of vertex ids throughout, and
+a verifier marks it in one byte mask by vertex id; labels appear only in
 the witnesses a certificate or report records.
 """
 
@@ -56,63 +57,88 @@ class DominationCertificate:
             self.truncated = True
 
 
-def se_set(g: PermGraph, i: int) -> frozenset[int]:
+def se_set(g: PermGraph, i: int) -> array:
     """S_i: the ids of the vertices whose first entry is the symbol i."""
     if not 0 <= i < g.params.k:
         raise ValueError(f"symbol {i} out of range [0, {g.params.k})")
     return _ids_where(g.first_symbols(), i)
 
 
-def _require_ell2(g: PermGraph) -> None:
-    if g.params.ell != 2:
-        raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
-
-
-def sigma_set(g: PermGraph, i: int) -> frozenset[int]:
+def sigma_set(g: PermGraph, i: int) -> array:
     """Sigma_i: the ids of the vertices whose repeated first symbol sits at
     position i (ell = 2 only)."""
-    _require_ell2(g)
+    if g.params.ell != 2:
+        raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
     if not 1 <= i <= 2 * g.params.k - 1:
         raise ValueError(f"position {i} out of range [1, {2 * g.params.k - 1}]")
     return _ids_where(g.repeat_positions(), i)
 
 
-def _ids_where(column: bytes, value: int) -> frozenset[int]:
-    """The ids of the vertices whose entry in a per-vertex column is value."""
-    return frozenset(x for x, c in enumerate(column) if c == value)
+def _ids_where(column, value: int) -> array:
+    """The ids at which a byte column by vertex id holds value, ascending,
+    found by the column's own find."""
+    ids, find = array("i"), column.find
+    x = find(value)
+    while x >= 0:
+        ids.append(x)
+        x = find(value, x + 1)
+    return ids
 
 
-def _member_ids(g: Graph, s: Iterable[int]) -> list[int]:
-    """The vertex ids of s, ascending; ValueError for one outside range(g.n)."""
-    members = sorted(frozenset(s))
-    for x in members[:1] + members[-1:]:
-        if not 0 <= x < g.n:
-            raise ValueError(f"vertex id {x!r} outside range({g.n})")
-    return members
+def _member_mask(g: Graph, s: Iterable[int]) -> tuple[bytearray, array]:
+    """The vertex ids s as a byte mask by vertex id and as ascending ids,
+    each once; ValueError for one outside range(g.n)."""
+    n = g.n
+    inside = bytearray(n)
+    for x in s:
+        if not 0 <= x < n:
+            raise ValueError(f"vertex id {x!r} outside range({n})")
+        inside[x] = 1
+    return inside, _ids_where(inside, 1)
+
+
+def _dominator_counts(g: Graph, members: array) -> array:
+    """The member neighbours of each vertex outside the set, by vertex id,
+    from one pass over the members' rows; 0 for the members.  One byte a
+    vertex unless one has 256 member neighbours."""
+    for typecode in "Bi":
+        count = array(typecode, [0]) * g.n
+        try:
+            for x in members:
+                for y in g.row(x):
+                    count[y] += 1
+            break
+        except OverflowError:
+            pass
+    for x in members:  # adjacent members counted each other
+        count[x] = 0
+    return count
 
 
 def require_girth_above_three(g: Graph) -> None:
     if g.has_triangle():
-        raise GirthPrecondition("graph contains a triangle; girth > 3 is required")
+        raise GirthPrecondition("graph contains a triangle")
 
 
-def _min_internal_distance(g: Graph, members: list[int]) -> Optional[int]:
-    """Minimum pairwise distance inside a vertex set, by multi-source BFS
-    keeping track of the owning source of each reached vertex.  The queue is
-    an array of ids, 4 bytes each, read in order as it grows; owner and dist
-    stay lists, which read faster."""
+def _min_internal_distance(g: Graph, members: array) -> tuple[Optional[int], Optional[array]]:
+    """Minimum pairwise distance inside a vertex set, with the owning source
+    of each vertex reached, by multi-source BFS from the members in
+    ascending order.  The queue, owners and distances are arrays; the
+    queue's iterator reads the entries appended after it started."""
     if len(members) < 2:
-        return None
-    owner = [-1] * g.n
-    dist = [0] * g.n
+        return None, None
+    owner = array("i", [-1]) * g.n
+    dist = array("i", [0]) * g.n
     for s in members:
         owner[s] = s
     queue = array("i", members)
     best: Optional[int] = None
-    for x in queue:  # the iterator reads entries appended after it started
+    for x in queue:
         dx, ox = dist[x], owner[x]
-        if best is not None and dx >= best:
-            continue
+        # a pair met from a vertex at distance dx is at least 2 dx + 1 apart:
+        # a neighbour at dx - 1 met x when it was expanded
+        if best is not None and 2 * dx + 1 >= best:
+            break
         for y in g.row(x):
             oy = owner[y]
             if oy < 0:
@@ -123,49 +149,52 @@ def _min_internal_distance(g: Graph, members: list[int]) -> Optional[int]:
                 cand = dx + dist[y] + 1
                 if best is None or cand < best:
                     best = cand
-    return best
+    return best, owner
 
 
 def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> DominationCertificate:
     """Full certificate for the efficient dominating-ell set predicate on
-    the vertex ids s.
+    the vertex ids s, in any order and with repeats.
 
-    Raises GirthPrecondition on graphs with triangles (the K_5 exclusion);
-    otherwise returns the certificate, passing iff no violations.  Labels
-    are looked up only for what the certificate records.
+    Raises GirthPrecondition on graphs with triangles (the K_5 exclusion),
+    which also keeps the dominators of one vertex pairwise non-adjacent;
+    otherwise returns the certificate, passing iff no violations.  A
+    vertex's row is read again only for a wrong count or the intersection
+    test.  Labels are looked up only for what the certificate records.
     """
     require_girth_above_three(g)
-    member_idx = _member_ids(g, s)
+    inside, members = _member_mask(g, s)
     cert = DominationCertificate()
-    cert.min_internal_distance = _min_internal_distance(g, member_idx)
-    row, verts = g.row, g.vertices
-    inside = bytearray(g.n)
-    for x in member_idx:
-        inside[x] = 1
-
+    cert.min_internal_distance, owner = _min_internal_distance(g, members)
+    n, row, verts = g.n, g.row, g.vertices
+    count = _dominator_counts(g, members)
     if ell == 1:
-        for x in member_idx:
-            for y in row(x):
-                if y > x and inside[y]:
-                    cert.add("non-independent", (verts[x], verts[y]))
+        if cert.min_internal_distance == 1:
+            for x in members:
+                for y in row(x):
+                    if y > x and inside[y]:
+                        cert.add("non-independent", (verts[x], verts[y]))
         if cert.min_internal_distance is not None and cert.min_internal_distance < 3:
             cert.add("distance", (), (cert.min_internal_distance,))
-
-    for v in range(g.n):
-        if inside[v]:
+    clean = count.count(ell) == n - len(members)  # every outside vertex has ell dominators
+    if clean and ell == 1:
+        return cert
+    # With two dominators each and no two members adjacent, another common
+    # neighbour of v's two is a vertex with the same two: the greater one
+    # sees its BFS owner, the lesser, twice.
+    if clean and ell == 2 and cert.min_internal_distance == 2:
+        if all(len(o) == len(set(o)) for o in ([owner[y] for y in row(x) if owner[y] != x] for x in members)):
+            return cert
+    for v in range(n):
+        if inside[v] or (ell == 1 and count[v] == 1):
             continue
         doms = [w for w in row(v) if inside[w]]
         if len(doms) != ell:
             cert.add("wrong-count", (verts[v],), tuple(verts[w] for w in doms))
-            continue
-        if ell > 1:
-            common = set(row(doms[0])).intersection(*(row(u) for u in doms[1:]))
+        elif ell > 1:
+            common = set(row(doms[0])).intersection(*map(row, doms[1:]))
             if common != {v}:
                 cert.add("non-unique-intersection", (verts[v],), tuple(verts[c] for c in sorted(common)))
-            for a, u in enumerate(doms):
-                for w in doms[a + 1 :]:
-                    if w in row(u):
-                        cert.add("non-independent", (verts[u], verts[w]), (verts[v],))
     return cert
 
 
@@ -188,16 +217,15 @@ class PartitionReport:
 
     @property
     def passed(self) -> bool:
-        checks = [self.is_partition, self.stars_are_k1l, self.double_cover_ok]
-        if self.per_symbol_edge_partition_ok is not None:
-            checks.append(self.per_symbol_edge_partition_ok)
-        checks.append(all(c == self.expected_memberships for c in self.membership_census))
-        return all(checks) and not self.failures
+        flags = (self.is_partition, self.stars_are_k1l, self.double_cover_ok, self.per_symbol_edge_partition_ok is not False)
+        return all(flags) and all(c == self.expected_memberships for c in self.membership_census) and not self.failures
 
 
 def _edges_covered_other_than(g: PermGraph, cover: bytearray, times: int) -> list[tuple[int, int]]:
     """Edges (u, v), u < v, in canonical order, whose count in `cover`
     (indexed as in verify_partition_and_edge_cover) is not `times`."""
+    if cover.count(times) == g.m:  # only edges are counted, each at its own index
+        return []
     length = g.params.length
     return [(u, v) for u, v, labels in g.edge_ids() if cover[u * length + labels[0]] != times]
 
@@ -206,10 +234,13 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
     """Partition and edge-cover structure of the SE- (or Sigma-) family.
 
     Checks: the sets partition the vertices; each dominator set induces a
-    K_{1,ell} star (independent leaves); over all symbols i the dominator
-    stars cover every edge exactly twice (the doubled-multigraph statement);
-    for k = 2 the stars of a single i partition the edge set; and every
-    member of S_i lies in exactly (k-1)*ell dominator sets, its degree.
+    K_{1,ell} star (independent leaves, as the graph has no triangle: two
+    star moves at different positions never meet again); over all symbols i
+    the dominator stars cover every edge exactly twice (the doubled-multigraph
+    statement); for k = 2 the stars of a single i partition the edge set;
+    and every member of S_i lies in exactly (k-1)*ell dominator sets, its
+    degree.  Each set is read from its members' rows, twice: to count
+    dominators, then to cover each edge to a rightly dominated vertex.
     """
     if g.family.kind != "star":
         raise ValueError("partition structure is defined for star-family graphs")
@@ -226,55 +257,43 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
     rep = PartitionReport(
         family=family,
         is_partition=True,
-        stars_are_k1l=True,
+        stars_are_k1l=not g.has_triangle(),
         double_cover_ok=True,
         per_symbol_edge_partition_ok=(True if (family == "SE" and k == 2) else None),
         membership_census={},
         expected_memberships=(k - 1) * ell if family == "SE" else 2 * (k - 1),
     )
-    n, row, labeled_row, label_sets, verts = g.n, g.row, g.labeled_row, g.label_sets, g.vertices
-    members = [array("i", s) for s in sets]
-
-    counts = bytearray(n)  # at most one per set, and there are fewer than 2k sets
-    for idx in members:
-        for x in idx:
-            counts[x] += 1
-    if counts.count(1) != n:
-        rep.is_partition = False
-        rep.failures.append(("not-a-partition", [verts[x] for x in range(n) if counts[x] != 1][:WITNESS_CAP]))
-
+    n, labeled_row, label_sets, verts = g.n, g.labeled_row, g.label_sets, g.vertices
     # A star-graph edge is fixed by its lower endpoint and the position its
     # transposition swaps, the edge's one label: cover[lower * length + j].
     length = g.params.length
     cover = bytearray(n * length)
-    memberships = array("i", [0]) * n
-    inside = bytearray(n)
-    for idx in members:
-        for x in idx:
-            inside[x] = 1
+    # sets each vertex lies in, and dominator stars it leads: the sets are
+    # read off one column, so a vertex leads at most one star per neighbour
+    counts, memberships = bytearray(n), bytearray(n)
+    for s in sets:
+        inside, members = _member_mask(g, s)
+        for x in members:
+            counts[x] += 1
+        count = _dominator_counts(g, members)
+        if count.count(dom_ell) != n - len(members):
+            for v in range(n):
+                if not inside[v] and count[v] != dom_ell:
+                    rep.failures.append(("wrong-dominator-count", verts[v], count[v]))
         once = bytearray(n * length) if rep.per_symbol_edge_partition_ok is not None else None
-        for v in range(n):
-            if inside[v]:
-                continue
-            doms = [(w, label_sets[lid][0]) for w, lid in labeled_row(v) if inside[w]]
-            if len(doms) != dom_ell:
-                rep.failures.append(("wrong-dominator-count", verts[v], len(doms)))
-                continue
-            for a, (u, _) in enumerate(doms):
-                for w, _ in doms[a + 1 :]:
-                    if w in row(u):
-                        rep.stars_are_k1l = False
-                        rep.failures.append(("dominators-adjacent", verts[v], verts[u], verts[w]))
-            for w, j in doms:
-                memberships[w] += 1
-                slot = (v if v < w else w) * length + j
-                cover[slot] += 1
-                if once is not None:
-                    once[slot] += 1
+        for x in members:
+            for v, lid in labeled_row(x):
+                if count[v] == dom_ell:  # never a member, whose count is 0
+                    memberships[x] += 1
+                    slot = (v if v < x else x) * length + label_sets[lid][0]
+                    cover[slot] += 1
+                    if once is not None:
+                        once[slot] += 1
         if once is not None and _edges_covered_other_than(g, once, 1):
             rep.per_symbol_edge_partition_ok = False
-        for x in idx:
-            inside[x] = 0
+    if counts.count(1) != n:
+        rep.is_partition = False
+        rep.failures.insert(0, ("not-a-partition", [verts[x] for x in range(n) if counts[x] != 1][:WITNESS_CAP]))
 
     bad = _edges_covered_other_than(g, cover, 2)
     if bad:
@@ -289,21 +308,17 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
 
 def verify_ei_avoidance(g: PermGraph, tc: TotalColoring) -> dict:
     """No color-i edge touches a Sigma_i vertex; color-(2k-1) vertices have
-    equal first and last entries.  Returns per-color verdicts."""
-    _require_ell2(g)
+    equal first and last entries.  Returns both verdicts and the first few
+    clashing edges; ValueError unless ell = 2."""
     last = 2 * g.params.k - 1
     # Sigma_i holds the vertices at repeat position i, so one pass over the
     # edges, by vertex id, decides all i.
     pos, verts, color = g.repeat_positions(), g.vertices, tc.edge_color_reader(g)
-    bad: dict = {i: [] for i in range(1, last + 1)}
-    for u, v, labels in g.edge_ids():
-        c = color(u, v, labels)
-        if c in bad and c in (pos[u], pos[v]):
-            bad[c].append((verts[u], verts[v]))
+    bad = [(verts[u], verts[v]) for u, v, labels in g.edge_ids() if color(u, v, labels) in (pos[u], pos[v])]
     return {
-        "per_color": {i: {"passed": not b, "witnesses": b[:WITNESS_CAP]} for i, b in bad.items()},
-        "passed": not any(bad.values()),
-        "last_position_rationale": all(v[0] == v[-1] for v, p in zip(verts, pos) if p == last),
+        "passed": not bad,
+        "witnesses": bad[:WITNESS_CAP],
+        "last_position_rationale": all(verts[x][0] == verts[x][-1] for x in sigma_set(g, last)),
     }
 
 
@@ -334,11 +349,7 @@ def _check_unique_intersections(nbr: list[int], in_mask: int, n: int) -> bool:
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
-    nbr = [0] * g.n
-    for i in range(g.n):
-        for j in g.row(i):
-            nbr[i] |= 1 << j
-    return nbr
+    return [sum(1 << j for j in g.row(i)) for i in range(g.n)]
 
 
 def _is_code(nbr: list[int], in_mask: int, n: int, ell: int) -> bool:
@@ -360,15 +371,13 @@ def oracle_check(g: Graph, s: Iterable[int], ell: int) -> bool:
     bitmask predicate, independent of :func:`verify_efficient_domination`'s
     set arithmetic."""
     require_girth_above_three(g)
-    in_mask = 0
-    for x in _member_ids(g, s):
-        in_mask |= 1 << x
+    in_mask = sum(1 << x for x in _member_mask(g, s)[1])
     return _is_code(_neighbor_masks(g), in_mask, g.n, ell)
 
 
-def code_search(g: Graph, ell: int) -> list[frozenset[int]]:
+def code_search(g: Graph, ell: int) -> list[array]:
     """Every vertex set satisfying the efficient dominating-ell predicate,
-    as vertex ids.
+    as ascending vertex ids.
 
     Complete backtracking over bitmask states with unit propagation: an
     outside vertex with ell dominators forces its undecided neighbors out,
@@ -436,9 +445,5 @@ def code_search(g: Graph, ell: int) -> list[frozenset[int]]:
                 search(*res)
 
     search(0, 0)
-    found = []
-    for mask in sorted(solutions):
-        ids = frozenset(_bit_indices(mask))
-        if verify_efficient_domination(g, ids, ell).passed:
-            found.append(ids)
-    return found
+    found = (array("i", _bit_indices(mask)) for mask in sorted(solutions))
+    return [ids for ids in found if verify_efficient_domination(g, ids, ell).passed]

@@ -100,7 +100,7 @@ def test_c04_sigma_suite(st22, st32, st42):
         assert len(sigmas) == 2 * k - 1
         union, total = set(), 0
         for s in sigmas:
-            union |= s
+            union.update(s)
             total += len(s)
         assert union == set(range(g.n)) and total == g.n
         for s in sigmas:
@@ -264,7 +264,7 @@ def test_c12_performance_smoke():
     sigmas = [sigma_set(g, i) for i in range(1, 10)]
     union, total = set(), 0
     for s in sigmas:
-        union |= s
+        union.update(s)
         total += len(s)
     assert union == set(range(g.n)) and total == g.n
     tc = sigma_total_coloring(g)

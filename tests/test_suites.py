@@ -110,6 +110,21 @@ def test_domination_check_seconds_cover_the_run(st42):
     assert sum(c.seconds for c in report.checks) >= 0.6 * wall
 
 
+def test_the_girth_check_times_its_triangle_scan_and_a_triangle_ends_the_suite(monkeypatch):
+    def slow_scan(g, answer):
+        time.sleep(0.05)
+        return answer
+
+    monkeypatch.setattr(starperm.graphs.Graph, "has_triangle", lambda g: slow_scan(g, False))
+    first = run_suite("domination", 2, 2).checks[0]
+    assert (first.name, first.status, first.detail) == ("girth-precondition", "pass", "triangle-free")
+    assert first.seconds >= 0.05
+    monkeypatch.setattr(starperm.graphs.Graph, "has_triangle", lambda g: slow_scan(g, True))
+    (only,) = run_suite("domination", 2, 2).checks
+    assert (only.name, only.status, only.detail) == ("girth-precondition", "precondition", "graph contains a triangle")
+    assert only.seconds >= 0.05
+
+
 def test_coloring_suite_makes_one_coloring_pass(monkeypatch):
     # one report on the total coloring feeds positional-edge-proper, sigma-total and sigma-efficient
     reports = []
