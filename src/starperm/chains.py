@@ -168,9 +168,8 @@ def schreier_fibers(k: int, ell: int) -> Iterator[tuple[MString, tuple[tuple[int
 
 
 def _fibers(k: int, ell: int) -> Iterator[tuple[MString, tuple[tuple[int, ...], ...]]]:
-    # The within-block value permutations, (ell!)^k of them, each as one
-    # bytes.translate table; a fiber is its least lift's images under them,
-    # pairwise distinct because the lift's entries are.
+    # the (ell!)^k within-block value permutations as bytes.translate tables;
+    # the lift's images under them are distinct, as its entries are
     blocks = [[tuple(b * ell + t for t in perm) for perm in permutations(range(ell))] for b in range(k)]
     tables = [bytes(chain(*images, range(k * ell, 256))) for images in product(*blocks)]
     for x in iter_vertices(Params(k, ell)):

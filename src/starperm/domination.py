@@ -64,19 +64,22 @@ def se_set(g: PermGraph, i: int) -> array:
     return _ids_where(g.first_symbols(), i)
 
 
+def _require_ell2(g: PermGraph) -> None:
+    if g.params.ell != 2:
+        raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
+
+
 def sigma_set(g: PermGraph, i: int) -> array:
     """Sigma_i: the ids of the vertices whose repeated first symbol sits at
     position i (ell = 2 only)."""
-    if g.params.ell != 2:
-        raise ValueError(f"sigma sets need ell = 2, got ell = {g.params.ell}")
+    _require_ell2(g)
     if not 1 <= i <= 2 * g.params.k - 1:
         raise ValueError(f"position {i} out of range [1, {2 * g.params.k - 1}]")
     return _ids_where(g.repeat_positions(), i)
 
 
 def _ids_where(column, value: int) -> array:
-    """The ids at which a byte column by vertex id holds value, ascending,
-    found by the column's own find."""
+    """The ids at which a byte column by vertex id holds value, ascending."""
     ids, find = array("i"), column.find
     x = find(value)
     while x >= 0:
@@ -86,8 +89,7 @@ def _ids_where(column, value: int) -> array:
 
 
 def _member_mask(g: Graph, s: Iterable[int]) -> tuple[bytearray, array]:
-    """The vertex ids s as a byte mask by vertex id and as ascending ids,
-    each once; ValueError for one outside range(g.n)."""
+    """s as a byte mask and as ascending ids; ValueError outside range(g.n)."""
     n = g.n
     inside = bytearray(n)
     for x in s:
@@ -98,9 +100,8 @@ def _member_mask(g: Graph, s: Iterable[int]) -> tuple[bytearray, array]:
 
 
 def _dominator_counts(g: Graph, members: array) -> array:
-    """The member neighbours of each vertex outside the set, by vertex id,
-    from one pass over the members' rows; 0 for the members.  One byte a
-    vertex unless one has 256 member neighbours."""
+    """Each outside vertex's member neighbours, by vertex id, 0 for the
+    members; one byte a vertex unless one has 256 member neighbours."""
     for typecode in "Bi":
         count = array(typecode, [0]) * g.n
         try:
@@ -121,10 +122,12 @@ def require_girth_above_three(g: Graph) -> None:
 
 
 def _min_internal_distance(g: Graph, members: array) -> tuple[Optional[int], Optional[array]]:
-    """Minimum pairwise distance inside a vertex set, with the owning source
-    of each vertex reached, by multi-source BFS from the members in
-    ascending order.  The queue, owners and distances are arrays; the
-    queue's iterator reads the entries appended after it started."""
+    """Minimum pairwise distance inside a vertex set, by multi-source BFS
+    from the ascending members, and the owning source of each vertex
+    reached.  The members are expanded first, so once all of them are, a
+    member's neighbour is owned by its least member neighbour; the owners
+    are None if the search stopped sooner.  The queue's iterator reads the
+    entries appended after it started."""
     if len(members) < 2:
         return None, None
     owner = array("i", [-1]) * g.n
@@ -138,6 +141,8 @@ def _min_internal_distance(g: Graph, members: array) -> tuple[Optional[int], Opt
         # a pair met from a vertex at distance dx is at least 2 dx + 1 apart:
         # a neighbour at dx - 1 met x when it was expanded
         if best is not None and 2 * dx + 1 >= best:
+            if dx == 0:
+                owner = None
             break
         for y in g.row(x):
             oy = owner[y]
@@ -157,10 +162,9 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     the vertex ids s, in any order and with repeats.
 
     Raises GirthPrecondition on graphs with triangles (the K_5 exclusion),
-    which also keeps the dominators of one vertex pairwise non-adjacent;
-    otherwise returns the certificate, passing iff no violations.  A
-    vertex's row is read again only for a wrong count or the intersection
-    test.  Labels are looked up only for what the certificate records.
+    so the dominators of one vertex are never adjacent; otherwise returns
+    the certificate, passing iff no violations.  Labels are looked up only
+    for what the certificate records.
     """
     require_girth_above_three(g)
     inside, members = _member_mask(g, s)
@@ -180,9 +184,9 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     if clean and ell == 1:
         return cert
     # With two dominators each and no two members adjacent, another common
-    # neighbour of v's two is a vertex with the same two: the greater one
-    # sees its BFS owner, the lesser, twice.
-    if clean and ell == 2 and cert.min_internal_distance == 2:
+    # neighbour of v's two has the same two: the greater one sees the lesser
+    # as the owner of two neighbours.
+    if clean and ell == 2 and cert.min_internal_distance == 2 and owner is not None:
         if all(len(o) == len(set(o)) for o in ([owner[y] for y in row(x) if owner[y] != x] for x in members)):
             return cert
     for v in range(n):
@@ -217,8 +221,11 @@ class PartitionReport:
 
     @property
     def passed(self) -> bool:
-        flags = (self.is_partition, self.stars_are_k1l, self.double_cover_ok, self.per_symbol_edge_partition_ok is not False)
-        return all(flags) and all(c == self.expected_memberships for c in self.membership_census) and not self.failures
+        checks = [self.is_partition, self.stars_are_k1l, self.double_cover_ok]
+        if self.per_symbol_edge_partition_ok is not None:
+            checks.append(self.per_symbol_edge_partition_ok)
+        checks.append(all(c == self.expected_memberships for c in self.membership_census))
+        return all(checks) and not self.failures
 
 
 def _edges_covered_other_than(g: PermGraph, cover: bytearray, times: int) -> list[tuple[int, int]]:
@@ -234,13 +241,12 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
     """Partition and edge-cover structure of the SE- (or Sigma-) family.
 
     Checks: the sets partition the vertices; each dominator set induces a
-    K_{1,ell} star (independent leaves, as the graph has no triangle: two
-    star moves at different positions never meet again); over all symbols i
-    the dominator stars cover every edge exactly twice (the doubled-multigraph
-    statement); for k = 2 the stars of a single i partition the edge set;
-    and every member of S_i lies in exactly (k-1)*ell dominator sets, its
-    degree.  Each set is read from its members' rows, twice: to count
-    dominators, then to cover each edge to a rightly dominated vertex.
+    K_{1,ell} star (independent leaves: a star-family graph has no
+    triangle); over all symbols i the dominator stars cover every edge
+    exactly twice (the doubled-multigraph statement); for k = 2 the stars of
+    a single i partition the edge set; and every member of S_i lies in
+    exactly (k-1)*ell dominator sets, its degree.  Each set is read from its
+    members' rows.
     """
     if g.family.kind != "star":
         raise ValueError("partition structure is defined for star-family graphs")
@@ -268,8 +274,7 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
     # transposition swaps, the edge's one label: cover[lower * length + j].
     length = g.params.length
     cover = bytearray(n * length)
-    # sets each vertex lies in, and dominator stars it leads: the sets are
-    # read off one column, so a vertex leads at most one star per neighbour
+    # sets each vertex lies in, and stars it leads (at most its degree)
     counts, memberships = bytearray(n), bytearray(n)
     for s in sets:
         inside, members = _member_mask(g, s)
@@ -308,17 +313,21 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
 
 def verify_ei_avoidance(g: PermGraph, tc: TotalColoring) -> dict:
     """No color-i edge touches a Sigma_i vertex; color-(2k-1) vertices have
-    equal first and last entries.  Returns both verdicts and the first few
-    clashing edges; ValueError unless ell = 2."""
+    equal first and last entries.  Returns per-color verdicts."""
+    _require_ell2(g)
     last = 2 * g.params.k - 1
     # Sigma_i holds the vertices at repeat position i, so one pass over the
     # edges, by vertex id, decides all i.
     pos, verts, color = g.repeat_positions(), g.vertices, tc.edge_color_reader(g)
-    bad = [(verts[u], verts[v]) for u, v, labels in g.edge_ids() if color(u, v, labels) in (pos[u], pos[v])]
+    bad: dict = {i: [] for i in range(1, last + 1)}
+    for u, v, labels in g.edge_ids():
+        c = color(u, v, labels)
+        if c in bad and c in (pos[u], pos[v]):
+            bad[c].append((verts[u], verts[v]))
     return {
-        "passed": not bad,
-        "witnesses": bad[:WITNESS_CAP],
-        "last_position_rationale": all(verts[x][0] == verts[x][-1] for x in sigma_set(g, last)),
+        "per_color": {i: {"passed": not b, "witnesses": b[:WITNESS_CAP]} for i, b in bad.items()},
+        "passed": not any(bad.values()),
+        "last_position_rationale": all(v[0] == v[-1] for v, p in zip(verts, pos) if p == last),
     }
 
 
@@ -349,7 +358,11 @@ def _check_unique_intersections(nbr: list[int], in_mask: int, n: int) -> bool:
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
-    return [sum(1 << j for j in g.row(i)) for i in range(g.n)]
+    nbr = [0] * g.n
+    for i in range(g.n):
+        for j in g.row(i):
+            nbr[i] |= 1 << j
+    return nbr
 
 
 def _is_code(nbr: list[int], in_mask: int, n: int, ell: int) -> bool:
@@ -371,7 +384,9 @@ def oracle_check(g: Graph, s: Iterable[int], ell: int) -> bool:
     bitmask predicate, independent of :func:`verify_efficient_domination`'s
     set arithmetic."""
     require_girth_above_three(g)
-    in_mask = sum(1 << x for x in _member_mask(g, s)[1])
+    in_mask = 0
+    for x in _member_mask(g, s)[1]:
+        in_mask |= 1 << x
     return _is_code(_neighbor_masks(g), in_mask, g.n, ell)
 
 
@@ -445,5 +460,9 @@ def code_search(g: Graph, ell: int) -> list[array]:
                 search(*res)
 
     search(0, 0)
-    found = (array("i", _bit_indices(mask)) for mask in sorted(solutions))
-    return [ids for ids in found if verify_efficient_domination(g, ids, ell).passed]
+    found = []
+    for mask in sorted(solutions):
+        ids = array("i", _bit_indices(mask))
+        if verify_efficient_domination(g, ids, ell).passed:
+            found.append(ids)
+    return found

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
-from .mstrings import DEFAULT_VERTEX_CAP, Params, iter_vertices, mstring, prefix_reversal
+from .mstrings import DEFAULT_VERTEX_CAP, Params, iter_vertices, mstring, prefix_reversal, repeat_position
 
 Label = Hashable
 Edge = tuple[Label, Label]
@@ -213,14 +213,22 @@ class Graph:
 
     def components(self) -> list["Graph"]:
         """Connected components as induced subgraphs, ordered by least vertex."""
-        seen = bytearray(self.n)
+        seen = [False] * self.n
         comps = []
         for start in range(self.n):
-            if not seen[start]:
-                comp = sorted(self.bfs_ids(start))
-                for i in comp:
-                    seen[i] = 1
-                comps.append(self.induced_subgraph([self.vertices[i] for i in comp]))
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            queue = deque([start])
+            while queue:
+                x = queue.popleft()
+                for y in self.row(x):
+                    if not seen[y]:
+                        seen[y] = True
+                        comp.append(y)
+                        queue.append(y)
+            comps.append(self.induced_subgraph([self.vertices[i] for i in sorted(comp)]))
         return comps
 
     # -- surgery -----------------------------------------------------------
@@ -550,13 +558,10 @@ class PermGraph(Graph):
         return self._first
 
     def repeat_positions(self) -> bytes:
-        """The repeat position of every vertex (ell = 2), by vertex id: the
-        index of the second hex digit of its code equal to the first;
-        computed on first use."""
+        """The repeat position of every vertex (ell = 2), by vertex id;
+        computed on first use, one repeat_position call per vertex."""
         if self._repeat is None:
-            if self.params.ell != 2:
-                raise ValueError(f"repeat position needs ell = 2, got ell = {self.params.ell}")
-            self._repeat = bytes(h.index(h[0], 1) for h in map(self.vertices._digits, self.vertices._codes))
+            self._repeat = bytes(map(repeat_position, self.vertices))
         return self._repeat
 
 

@@ -357,16 +357,6 @@ def _retained_by_build(p):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_repeat_positions_match_the_strings(k):
-    from starperm import repeat_position
-
-    g = build_graph(Params(k, 2))
-    assert g.repeat_positions() == bytes(map(repeat_position, g.vertices))
-    with pytest.raises(ValueError, match="ell = 3"):
-        build_graph(Params(2, 3)).repeat_positions()
-
-
 def test_built_graph_holds_no_per_vertex_containers():
     # ST(4,2) held 1.37 MB with one neighbour dict per vertex, 0.57 MB with
     # one label tuple per vertex and a label -> id dict, and 0.25 MB as a
