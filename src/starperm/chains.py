@@ -17,14 +17,15 @@ star edges, with per-coset local generator sets.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain, permutations, product
+from itertools import chain, groupby, permutations, product
 from typing import Iterator, Optional
 
 from .domination import sigma_set, verify_efficient_domination
 from .errors import CapExceeded
-from .graphs import GeneratorFamily, build_graph
-from .mstrings import MString, Params, enumerate_vertices, iter_vertices, render, star_neighbors
+from .graphs import GeneratorFamily, PackedLabels, _code_array, _disjoint, _pack, _star_steps, build_graph
+from .mstrings import MString, Params, iter_vertices, render, star_neighbors
 
 SCHREIER_SYM_CAP = 8
 
@@ -48,9 +49,14 @@ class ChainEmbedding:
     def suffix(self) -> tuple[int, int]:
         return (self.j, self.j)
 
-    def apply(self, v: MString) -> MString:
+    @property
+    def table(self) -> bytes:
+        """The shift as a bytes.translate table on the symbols 0..k-1."""
         mod = self.source_k + 1
-        return tuple((s + self.shift) % mod for s in v) + self.suffix
+        return bytes((s + self.shift) % mod if s < self.source_k else s for s in range(256))
+
+    def apply(self, v: MString) -> MString:
+        return tuple(bytes(v).translate(self.table)) + self.suffix
 
 
 def kappa_embed(v: MString, j: int, k: int) -> MString:
@@ -91,62 +97,111 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
     identity (k+1) * (2k)!/2^k = |Sigma_{2k+1}|.
 
     Every edge question is a star move, the rule build_graph applies, so
-    neither graph is built: the target is read as its strings alone.
+    neither graph is built: the target is read as its strings alone.  The
+    source, each image and Sigma_{2k+1} are ascending arrays of packed
+    vertex codes, searched by bisection; a star move is computed on the
+    code, and only a failure witness is unpacked to a tuple.  An image
+    vertex counts once for each source string it is the image of.
     """
-    source = enumerate_vertices(Params(k, 2), cap)
-    last = 2 * k + 1
+    width, length = 2 * k, 2 * k + 2
+    last = length - 1
+    # the source strings back to back, width bytes each, in lexicographic order
+    strings = b"".join(map(bytes, iter_vertices(Params(k, 2), cap)))
+    rows = range(0, len(strings), width)
+    source = PackedLabels((_pack(strings[o : o + width]) for o in rows), width)
     # Sigma_{2k+1} read as v[last] == v[0], not through repeat_position,
     # which re-validates each well-formed string, and kept alone: the
     # ST(k+1,2) strings (7.48 M of them at k = 5) stream past
-    sigma = frozenset(v for v in iter_vertices(Params(k + 1, 2), cap) if v[last] == v[0])
+    sigma = PackedLabels(map(_pack, (v for v in iter_vertices(Params(k + 1, 2), cap) if v[last] == v[0])), length)
     rep = ChainReport(k=k, sigma_size=len(sigma))
-    source_degree_sum = sum(len(star_neighbors(v)) for v in source)
 
-    images: list[dict[MString, MString]] = []
-    all_image_vertices: set[MString] = set()
-    for j in range(k + 1):
-        emb = ChainEmbedding(k, j)
-        img = {v: emb.apply(v) for v in source}
-        for w in img.values():
-            if j in w[:-2]:
-                rep.failures.append(("symbol-in-body", j, w))
-        image = set(img.values())
-        if all_image_vertices & image:
-            rep.images_disjoint = False
-        all_image_vertices |= image
-        # induced copy: every source edge maps to a star move, and the
-        # image has no further internal ones
-        internal_degree_sum = 0
-        for u, w in img.items():
-            moves = {x for _, x in star_neighbors(w)}
-            if any(img[v] not in moves for _, v in star_neighbors(u)):
-                rep.images_induced_isomorphic = False
-            internal_degree_sum += len(moves & image)
-        if internal_degree_sum != source_degree_sum:
+    # kappa_j's codes by source id
+    embeddings = [ChainEmbedding(k, j) for j in range(k + 1)]
+    tables = [emb.table for emb in embeddings]
+    images = []
+    for emb, t in zip(embeddings, tables):
+        body, suffix = strings.translate(t), bytes(emb.suffix)
+        if emb.j in body:  # a string with three copies of j is no vertex of the target
             rep.images_induced_isomorphic = False
-        images.append(img)
+            for o in rows:
+                if emb.j in body[o : o + width]:
+                    rep.failures.append(("symbol-in-body", emb.j, tuple(body[o : o + width] + suffix)))
+        images.append(_code_array((_pack(body[o : o + width] + suffix) for o in rows), length))
 
-    blocks: list[frozenset] = []
-    for img in images:
-        block = set()
-        for w in img.values():
-            nbrs_in_sigma = [x for _, x in star_neighbors(w) if x in sigma]
-            if len(nbrs_in_sigma) != 1:
-                rep.sigma_bijection_ok = False
-                rep.failures.append(("image-vertex-sigma-degree", w, len(nbrs_in_sigma)))
+    # Induced copies, first half: every source edge maps to the star move at
+    # its position.  A star move is an involution, so each edge is checked
+    # once, from its higher end.  A move to a string outside the source is no
+    # source edge; its position is kept with the suffix positions for the
+    # second half.
+    source_step, step = _star_steps(width), _star_steps(length)
+    suffix_moves = range(width, length)
+    off_edges: dict[int, list[int]] = {}  # source id -> positions of moves off the source edges
+    find = source._find_code
+    for i, o in enumerate(rows):
+        u = strings[o : o + width]
+        c, u0 = _pack(u), u[0]
+        for p in range(1, width):
+            b = u[p]
+            if b == u0:
                 continue
-            block.add(nbrs_in_sigma[0])
-        blocks.append(frozenset(block))
-    rep.block_sizes = tuple(len(b) for b in blocks)
+            v = find(c + (b - u0) * source_step[p])
+            if v < 0:
+                off_edges.setdefault(i, list(suffix_moves)).append(p)
+            elif v < i:
+                for img, t in zip(images, tables):
+                    d = t[b] - t[u0]
+                    if not d or img[v] != img[i] + d * step[p]:
+                        rep.images_induced_isomorphic = False
 
-    for x in sigma:
-        cnt = sum(1 for _, y in star_neighbors(x) if y in all_image_vertices)
-        if cnt != 1:
-            rep.sigma_bijection_ok = False
-            rep.failures.append(("sigma-vertex-image-degree", x, cnt))
+    # Each image as its ascending distinct codes: kappa_j is one-to-one when
+    # there are as many as source strings.
+    ordered = [PackedLabels((c for c, _ in groupby(sorted(img))), length) for img in images]
+    if any(len(image) != len(source) for image in ordered):
+        rep.images_induced_isomorphic = False
+    rep.images_disjoint = _disjoint(ordered)
 
-    union = frozenset().union(*blocks)
-    rep.blocks_partition_sigma = union == sigma and sum(rep.block_sizes) == len(sigma)
+    # Induced copies, second half: no two image vertices are joined by a star
+    # move off the source edges.  With kappa_j one-to-one and the first half
+    # holding, such a move is off the source edges at both of its ends, so a
+    # pair is looked for from its lower code only.
+    # Then each image vertex's moves into Sigma_{2k+1}: the move at p lands
+    # there iff w[p] == w[last] (p < last), and is looked up for its Sigma
+    # position.  Blocks and degrees are kept by Sigma position: owner[x] is
+    # 1 + the last block that took x, hits[x] the image vertices next to x.
+    owner, hits = bytearray(len(sigma)), array("i", [0]) * len(sigma)
+    find_sigma = sigma._find_code
+    sizes = []
+    for emb, t, img, image in zip(embeddings, tables, images, ordered):
+        body, suffix = strings.translate(t), bytes(emb.suffix)
+        find_image, mark, size = image._find_code, emb.j + 1, 0
+        for i, o in enumerate(rows):
+            w, ws = img[i], body[o : o + width] + suffix
+            w0 = ws[0]
+            for p in off_edges.get(i, suffix_moves):
+                d = ws[p] - w0
+                if d > 0 and find_image(w + d * step[p]) >= 0:
+                    rep.images_induced_isomorphic = False
+            a, count = ws[last], 0
+            p = ws.find(a, 1, last) if a != w0 else -1
+            while p >= 0:
+                x = find_sigma(w + (a - w0) * step[p])
+                if x >= 0:
+                    hits[x] += 1
+                    count, nbr = count + 1, x
+                p = ws.find(a, p + 1, last)
+            if count != 1:
+                rep.sigma_bijection_ok = False
+                rep.failures.append(("image-vertex-sigma-degree", tuple(ws), count))
+            elif owner[nbr] != mark:
+                owner[nbr] = mark
+                size += 1
+        sizes.append(size)
+    rep.block_sizes = tuple(sizes)
+
+    if hits.count(1) != len(hits):
+        rep.sigma_bijection_ok = False
+        rep.failures.extend(("sigma-vertex-image-degree", sigma[x], cnt) for x, cnt in enumerate(hits) if cnt != 1)
+    rep.blocks_partition_sigma = owner.count(0) == 0 and sum(sizes) == len(sigma)
     rep.cardinality_identity_ok = (k + 1) * math.factorial(2 * k) // 2**k == len(sigma)
     return rep
 

@@ -22,7 +22,8 @@ A :class:`PermGraph` keeps none of either: its labels are
 (so k <= 16), 8 bytes per vertex in one array for strings of up to 16
 symbols, unpacked to a tuple on access.  Its per-vertex columns (first
 symbol, repeat position) are bytes by vertex id.  The packing is known to
-this module only.
+this module only: the chain checks handle codes through the helpers beside
+:func:`_pack` and the lookup of :class:`PackedLabels`, never their digits.
 """
 
 from __future__ import annotations
@@ -448,6 +449,18 @@ def _pack(v) -> int:
     return int(bytes(v).translate(_TO_HEX), 16)
 
 
+def _code_array(codes: Iterable[int], length: int):
+    """Codes of strings of `length` symbols, in the given order: one
+    ``array('Q')`` up to 16 symbols, a list of ints beyond."""
+    return array("Q", codes) if length <= _ARRAY_LENGTH else list(codes)
+
+
+def _star_steps(length: int) -> list[int]:
+    """The star move (0 j) of a string v of `length` symbols adds
+    ``(v[j] - v[0]) * step[j]`` to its code; step[j] by position j."""
+    return [16 ** (length - 1) - 16 ** (length - 1 - j) for j in range(length)]
+
+
 class PackedLabels(SequenceABC):
     """The vertex labels of a permutation graph, a read-only sequence held
     as one ascending sequence of packed codes.
@@ -465,7 +478,7 @@ class PackedLabels(SequenceABC):
     __slots__ = ("_codes", "_heads", "_length", "_nbytes", "_odd")
 
     def __init__(self, codes: Iterable[int], length: int) -> None:
-        self._codes = array("Q", codes) if length <= _ARRAY_LENGTH else list(codes)
+        self._codes = _code_array(codes, length)
         self._heads = list(self._codes[::_STRIDE])
         self._length = length
         # a code's L hex digits are those of its bytes, less a leading "0"
@@ -526,8 +539,22 @@ class PackedLabels(SequenceABC):
         lo = (bisect_right(self._heads, c) - 1) * _STRIDE
         if lo < 0:
             return -1
-        i = bisect_left(codes, c, lo, min(lo + _STRIDE, len(codes)))
-        return i if i < len(codes) and codes[i] == c else -1
+        n, hi = len(codes), lo + _STRIDE
+        i = bisect_left(codes, c, lo, hi if hi < n else n)
+        return i if i < n and codes[i] == c else -1
+
+
+def _disjoint(labels: Iterable[PackedLabels]) -> bool:
+    """Whether no code is in two of `labels`, each of distinct codes: their
+    merged codes never repeat."""
+    from heapq import merge  # imported here, not at load: only the chain check merges
+
+    prev = None
+    for c in merge(*(lab._codes for lab in labels)):
+        if c == prev:
+            return False
+        prev = c
+    return True
 
 
 class PermGraph(Graph):
@@ -593,8 +620,7 @@ def build_graph(
     g.vertices = PackedLabels(map(_pack, iter_vertices(p, cap)), length)
     codes, heads, digits = g.vertices._codes, g.vertices._heads, g.vertices._digits
     n = len(codes)
-    # the star move (0 j) adds (v[j] - v[0]) * step[j] to the code
-    step = [16 ** (length - 1) - 16 ** (length - 1 - j) for j in range(length)]
+    step = _star_steps(length)
     single = [(j,) for j in range(length)]
 
     def rows():

@@ -80,10 +80,13 @@ class _Context:
     """What the sub-suites of one run share: the parameters, the graph
     (passed in, or built on first use), its repeat-position coloring, that
     coloring's verify_coloring report and its 6-cycles classified under it
-    (each computed on first use).  Nothing larger is kept: the chains
-    sub-suite sets the run's peak memory, and whatever is cached lives
-    through it.  The 6-cycle groups, a flat array
-    of vertex ids per (kind, colors), do too: about 150 KB at k = 4."""
+    (each computed on first use).  Nothing larger is kept, as whatever is
+    cached lives through every later sub-suite.  The 6-cycle pass sets the
+    run's peak memory: at k = 4 the process's high-water mark rises by
+    1.6 MB (16.2 to 17.8 MB) in the cycles sub-suite, which lists all 6,300
+    cycles as tuples before grouping them, and by 0.3 MB or less in each
+    sub-suite after it, chains included.  The 6-cycle groups, a flat array
+    of vertex ids per (kind, colors), stay cached: about 150 KB at k = 4."""
 
     def __init__(
         self, k: int, ell: int, graph: Optional[PermGraph], cap: int, d1: Optional[int], quad: Optional[tuple[int, ...]]

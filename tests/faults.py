@@ -1,13 +1,14 @@
 """Fault injection: for the chi tests an altered W_1, read through the
-vertex colors by id of the whole graph; for the Schreier tests a lost
-fiber or a different move on Sym strings."""
+vertex colors by id of the whole graph; for the chain tests a wrong shift
+or a lost source string; for the Schreier tests a lost fiber or a different
+move on Sym strings."""
 
 from itertools import islice
 
 import starperm.chains
 import starperm.structure
 import starperm.suites
-from starperm import ColoringReport, PermGraph, TotalColoring
+from starperm import ChainEmbedding, ColoringReport, Params, PermGraph, TotalColoring
 
 _by_id = TotalColoring.vertex_colors_by_id
 _verify_coloring = starperm.structure.verify_coloring
@@ -45,6 +46,30 @@ def add_to_w1(monkeypatch, pick):
     monkeypatch.setattr(TotalColoring, "vertex_colors_by_id", vertex_colors_by_id)
     monkeypatch.setattr(starperm.structure, "verify_coloring", verify_coloring)
     monkeypatch.setattr(starperm.suites, "verify_coloring", verify_coloring)
+
+
+def shift_one_embedding(monkeypatch, j):
+    """kappa_j shifts every symbol one step further than it should; the
+    other embeddings keep their shifts."""
+    shift = ChainEmbedding.shift.fget
+
+    def wrong(emb):
+        return (shift(emb) + (emb.j == j)) % (emb.source_k + 1)
+
+    monkeypatch.setattr(ChainEmbedding, "shift", property(wrong))
+
+
+def drop_source_string(monkeypatch, k, index):
+    """The chain check streams the strings of ST(k,2) without the one at
+    `index`; those of ST(k+1,2) stay whole."""
+    strings = starperm.chains.iter_vertices
+
+    def streamed(p, *args):
+        if p != Params(k, 2):
+            return strings(p, *args)
+        return (v for n, v in enumerate(strings(p, *args)) if n != index)
+
+    monkeypatch.setattr(starperm.chains, "iter_vertices", streamed)
 
 
 def lose_first_fiber(monkeypatch):

@@ -21,7 +21,7 @@ from starperm import (
 )
 from starperm.mstrings import render, repeat_position
 
-from .faults import lose_first_fiber, move_sym_strings
+from .faults import drop_source_string, lose_first_fiber, move_sym_strings, shift_one_embedding
 from .oracles import brute_local_generators, labels_of
 
 ms = mstring
@@ -102,6 +102,47 @@ def test_verify_chain_counts_match_target_graph(k):
     rep = verify_chain(k)
     assert rep.block_sizes == tuple(map(len, blocks))
     assert rep.sigma_size == len(sigma)
+
+
+def test_verify_chain_k4_values_and_peak():
+    # the label tuples of the images and Sigma_9, held in dicts, sets and
+    # frozensets, peaked at 7.6 MiB
+    verify_chain(2)  # warm every import and cache first
+    tracemalloc.start()
+    try:
+        rep = verify_chain(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert rep.block_sizes == (2520,) * 5
+    assert rep.sigma_size == 12600
+    assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_verify_chain_wrong_shift_is_no_induced_copy(monkeypatch):
+    # kappa_1 shifts by 3, not 2: it still maps source edges to star moves,
+    # but its images hold 1 in the body, so they are no vertices of ST(4,2)
+    shift_one_embedding(monkeypatch, 1)
+    rep = verify_chain(3)
+    assert not rep.images_induced_isomorphic and not rep.passed
+    assert rep.images_disjoint and rep.cardinality_identity_ok
+    assert ("symbol-in-body", 1, ms("33001111")) in rep.failures
+    assert rep.block_sizes == (90, 0, 90, 90)
+
+
+def test_verify_chain_lost_source_string_breaks_the_bijection(monkeypatch):
+    # 001122 is not streamed: its four images are missing, and so are the
+    # Sigma_7 neighbours they would have had
+    drop_source_string(monkeypatch, 3, 0)
+    rep = verify_chain(3)
+    assert not rep.sigma_bijection_ok and not rep.blocks_partition_sigma
+    assert rep.images_disjoint and rep.images_induced_isomorphic and rep.cardinality_identity_ok
+    assert rep.block_sizes == (89,) * 4 and rep.sigma_size == 360
+    lost = sorted(
+        x for j in range(4) for _, x in star_neighbors(kappa_embed(ms("001122"), j, 3)) if repeat_position(x) == 7
+    )
+    assert rep.failures == [("sigma-vertex-image-degree", x, 0) for x in lost]
 
 
 def test_schreier_coset_table_values():
