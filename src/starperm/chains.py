@@ -24,8 +24,9 @@ from typing import Iterator, Optional
 
 from .domination import sigma_set, verify_efficient_domination
 from .errors import CapExceeded
-from .graphs import GeneratorFamily, PackedLabels, _code_array, _disjoint, _pack, _star_steps, build_graph
-from .mstrings import MString, Params, iter_vertices, render, star_neighbors
+from .graphs import GeneratorFamily, PackedLabels, _code_array, _disjoint, _pack, _star_steps, build_graph, regular_degree
+from .mstrings import DEFAULT_VERTEX_CAP, MString, Params, iter_vertices, star_neighbors
+from .report import keep_witnesses
 
 SCHREIER_SYM_CAP = 8
 
@@ -86,11 +87,10 @@ class ChainReport:
             and self.sigma_bijection_ok
             and self.blocks_partition_sigma
             and self.cardinality_identity_ok
-            and not self.failures
         )
 
 
-def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
+def verify_chain(k: int, cap: int = DEFAULT_VERTEX_CAP) -> ChainReport:
     """Check the k+1 embeddings of the 2-set star graph on k symbols into
     the one on k+1 symbols: disjoint induced images, the one-to-one
     adjacency with the repeat-at-last-position class, and the cardinality
@@ -123,9 +123,8 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
         body, suffix = strings.translate(t), bytes(emb.suffix)
         if emb.j in body:  # a string with three copies of j is no vertex of the target
             rep.images_induced_isomorphic = False
-            for o in rows:
-                if emb.j in body[o : o + width]:
-                    rep.failures.append(("symbol-in-body", emb.j, tuple(body[o : o + width] + suffix)))
+            bad = (body[o : o + width] for o in rows if emb.j in body[o : o + width])
+            keep_witnesses(rep.failures, (("symbol-in-body", emb.j, tuple(b + suffix)) for b in bad))
         images.append(_code_array((_pack(body[o : o + width] + suffix) for o in rows), length))
 
     # Induced copies, first half: every source edge maps to the star move at
@@ -191,7 +190,7 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
                 p = ws.find(a, p + 1, last)
             if count != 1:
                 rep.sigma_bijection_ok = False
-                rep.failures.append(("image-vertex-sigma-degree", tuple(ws), count))
+                keep_witnesses(rep.failures, [("image-vertex-sigma-degree", tuple(ws), count)])
             elif owner[nbr] != mark:
                 owner[nbr] = mark
                 size += 1
@@ -200,7 +199,7 @@ def verify_chain(k: int, cap: int = 10**7) -> ChainReport:
 
     if hits.count(1) != len(hits):
         rep.sigma_bijection_ok = False
-        rep.failures.extend(("sigma-vertex-image-degree", sigma[x], cnt) for x, cnt in enumerate(hits) if cnt != 1)
+        keep_witnesses(rep.failures, (("sigma-vertex-image-degree", sigma[x], cnt) for x, cnt in enumerate(hits) if cnt != 1))
     rep.blocks_partition_sigma = owner.count(0) == 0 and sum(sizes) == len(sigma)
     rep.cardinality_identity_ok = (k + 1) * math.factorial(2 * k) // 2**k == len(sigma)
     return rep
@@ -247,7 +246,6 @@ class SchreierReport:
             and self.fiber_sizes_ok
             and self.quotient_equals_graph
             and self.generator_sets_ok
-            and not self.failures
         )
 
 
@@ -273,27 +271,27 @@ def schreier_quotient_check(k: int, ell: int) -> SchreierReport:
         total += len(fiber)
         if len(fiber) != size:
             rep.fiber_sizes_ok = False
-            rep.failures.append(("fiber-size", render(x), len(fiber)))
+            keep_witnesses(rep.failures, [("fiber-size", x, len(fiber))])
         key = bytes(x)
         moves = {j: bytes(y) for j, y in star_neighbors(x)}
         hit = set()
         for s in fiber:
             if bytes(s).translate(collapse) != key:
                 rep.fibers_are_cosets = False
-                rep.failures.append(("member-outside-its-fiber", render(x), s))
+                keep_witnesses(rep.failures, [("member-outside-its-fiber", x, s)])
             # entries of a Sym string are distinct, so every position j moves
             for j, t in star_neighbors(s):
                 y = bytes(t).translate(collapse)
                 hit.add(y)
                 if y != moves.get(j, key):
                     rep.generator_sets_ok = False
-                    rep.failures.append(("generator-not-well-defined", render(x), j))
+                    keep_witnesses(rep.failures, [("generator-not-well-defined", x, j)])
         if hit - {key} != set(moves.values()):
             rep.quotient_equals_graph = False
-            rep.failures.append(("quotient-neighbours-differ", render(x)))
+            keep_witnesses(rep.failures, [("quotient-neighbours-differ", x)])
     if total != math.factorial(k * ell):
         rep.fibers_are_cosets = False
-        rep.failures.append(("fibers-do-not-partition-sym", total))
+        keep_witnesses(rep.failures, [("fibers-do-not-partition-sym", total)])
     return rep
 
 
@@ -322,7 +320,7 @@ class PancakeReport:
         )
 
 
-def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
+def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:
     """Obstruction checks on the 2-set pancake graph.
 
     The repeat-at-last-position class is an efficient dominating set; every
@@ -368,7 +366,7 @@ def pancake_chain_check(k: int, cap: int = 10**7) -> PancakeReport:
         kept = [label_sets[lid] for y, lid in pc.labeled_row(x) if not inside[y]]
         minus_degrees.add(len(kept))
         remainder_degrees.add(sum(last not in labels for labels in kept))
-    rep.minus_sigma_regular_degree = minus_degrees.pop() if len(minus_degrees) == 1 else None
-    rep.remainder_regular_degree = remainder_degrees.pop() if len(remainder_degrees) == 1 else None
+    rep.minus_sigma_regular_degree = regular_degree(minus_degrees)
+    rep.remainder_regular_degree = regular_degree(remainder_degrees)
     rep.neighborhoods_partition_remainder = covered.count(1) == pc.n
     return rep

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
 from .mstrings import MString, list_assignment
-from .report import WITNESS_CAP
+from .report import WITNESS_CAP, keep_witnesses
 
 #: The witness kinds of the efficiency flag.
 EFFICIENCY_KINDS = ("not-regular-with-matching-palette", "non-rainbow-neighborhood")
@@ -221,8 +221,7 @@ def verify_coloring(g: Graph, tc: TotalColoring) -> ColoringReport:
 
     def add(kind: str, *items) -> None:
         found[kind] += 1
-        if found[kind] <= WITNESS_CAP:
-            kept[kind].append((kind,) + items)
+        keep_witnesses(kept[kind], [(kind, *items)])
 
     if total and not regular:
         add("not-regular-with-matching-palette", shape, degs, len(tc.palette))
@@ -364,10 +363,8 @@ def efficiency_obstruction_witness(g: PermGraph, v: MString) -> ObstructionRepor
                 rep.passed = False
                 rep.counterexample = sel
                 return rep
-            if len(rep.witnesses) < WITNESS_CAP:
-                rep.witnesses.append((pair[0], pair[1], sel[pair[0]]))
-            else:
-                rep.truncated = True
+            rep.truncated = len(rep.witnesses) == WITNESS_CAP
+            keep_witnesses(rep.witnesses, [(pair[0], pair[1], sel[pair[0]])])
         return rep
 
     rep.method = "backtracking"

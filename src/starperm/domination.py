@@ -22,12 +22,13 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional
 
 from .coloring import TotalColoring
 from .errors import CapExceeded, GirthPrecondition
 from .graphs import Graph, PermGraph
-from .report import WITNESS_CAP
+from .report import WITNESS_CAP, keep_witnesses
 
 CODE_SEARCH_VERTEX_CAP = 1000
 CODE_SEARCH_NODE_BUDGET = 5_000_000
@@ -51,10 +52,8 @@ class DominationCertificate:
         return not self.violations
 
     def add(self, kind: str, where: tuple, detail: tuple = ()) -> None:
-        if len(self.violations) < WITNESS_CAP:
-            self.violations.append(Violation(kind, where, detail))
-        else:
-            self.truncated = True
+        self.truncated = len(self.violations) == WITNESS_CAP
+        keep_witnesses(self.violations, [Violation(kind, where, detail)])
 
 
 def se_set(g: PermGraph, i: int) -> array:
@@ -229,12 +228,13 @@ class PartitionReport:
 
 
 def _edges_covered_other_than(g: PermGraph, cover: bytearray, times: int) -> list[tuple[int, int]]:
-    """Edges (u, v), u < v, in canonical order, whose count in `cover`
-    (indexed as in verify_partition_and_edge_cover) is not `times`."""
+    """The first WITNESS_CAP edges (u, v), u < v, in canonical order, whose
+    count in `cover` (indexed as in verify_partition_and_edge_cover) is not `times`."""
     if cover.count(times) == g.m:  # only edges are counted, each at its own index
         return []
     length = g.params.length
-    return [(u, v) for u, v, labels in g.edge_ids() if cover[u * length + labels[0]] != times]
+    bad = ((u, v) for u, v, labels in g.edge_ids() if cover[u * length + labels[0]] != times)
+    return list(islice(bad, WITNESS_CAP))
 
 
 def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> PartitionReport:
@@ -282,9 +282,8 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
             counts[x] += 1
         count = _dominator_counts(g, members)
         if count.count(dom_ell) != n - len(members):
-            for v in range(n):
-                if not inside[v] and count[v] != dom_ell:
-                    rep.failures.append(("wrong-dominator-count", verts[v], count[v]))
+            wrong = (v for v in range(n) if not inside[v] and count[v] != dom_ell)
+            keep_witnesses(rep.failures, (("wrong-dominator-count", verts[v], count[v]) for v in wrong))
         once = bytearray(n * length) if rep.per_symbol_edge_partition_ok is not None else None
         for x in members:
             for v, lid in labeled_row(x):
@@ -298,12 +297,13 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
             rep.per_symbol_edge_partition_ok = False
     if counts.count(1) != n:
         rep.is_partition = False
-        rep.failures.insert(0, ("not-a-partition", [verts[x] for x in range(n) if counts[x] != 1][:WITNESS_CAP]))
+        shared = list(islice((verts[x] for x in range(n) if counts[x] != 1), WITNESS_CAP))
+        rep.failures = [("not-a-partition", shared), *rep.failures][:WITNESS_CAP]
 
     bad = _edges_covered_other_than(g, cover, 2)
     if bad:
         rep.double_cover_ok = False
-        rep.failures.append(("edge-not-double-covered", [(verts[u], verts[v]) for u, v in bad[:WITNESS_CAP]]))
+        keep_witnesses(rep.failures, [("edge-not-double-covered", [(verts[u], verts[v]) for u, v in bad])])
 
     census = Counter(memberships)
     del census[0]
@@ -323,9 +323,9 @@ def verify_ei_avoidance(g: PermGraph, tc: TotalColoring) -> dict:
     for u, v, labels in g.edge_ids():
         c = color(u, v, labels)
         if c in bad and c in (pos[u], pos[v]):
-            bad[c].append((verts[u], verts[v]))
+            keep_witnesses(bad[c], [(verts[u], verts[v])])
     return {
-        "per_color": {i: {"passed": not b, "witnesses": b[:WITNESS_CAP]} for i, b in bad.items()},
+        "per_color": {i: {"passed": not b, "witnesses": b} for i, b in bad.items()},
         "passed": not any(bad.values()),
         "last_position_rationale": all(v[0] == v[-1] for v, p in zip(verts, pos) if p == last),
     }

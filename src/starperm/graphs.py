@@ -354,6 +354,11 @@ class Graph:
         return self.odd_closed_walk() is None
 
 
+def regular_degree(degrees: set[int]) -> Optional[int]:
+    """The one degree in `degrees`, or None unless they are all equal."""
+    return next(iter(degrees)) if len(degrees) == 1 else None
+
+
 # ---------------------------------------------------------------------------
 # generator families and permutation graphs
 # ---------------------------------------------------------------------------

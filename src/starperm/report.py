@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 SCHEMA_VERSION = 1
 
@@ -23,6 +24,11 @@ WITNESS_CAP = 32
 #: Most witnesses a suite report shows per check; a check that had more is
 #: marked truncated.
 SHOWN_WITNESSES = 8
+
+
+def keep_witnesses(kept: list, found: Iterable) -> None:
+    """Extend `kept` from `found` until it holds WITNESS_CAP, reading no further."""
+    kept.extend(islice(found, max(0, WITNESS_CAP - len(kept))))
 
 
 @dataclass

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coloring import ColoringReport, TotalColoring, verify_coloring
-from .graphs import Graph, Params, PermGraph, build_graph, six_cycles
+from .graphs import Graph, Params, PermGraph, build_graph, regular_degree, six_cycles
 from .iso import ISO_CAP, isomorphic
+from .report import keep_witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ def color_class_decomposition(g: Graph, tc: TotalColoring, checked: Optional[Col
                 minus_w_degrees.add(w_degree + degree)
                 minus_e_degrees.add(cross + degree)
                 big_side_is_class = big_side_is_class and cross + degree != h - 2
-            regular = degrees.pop() if len(degrees) == 1 else None
+            regular = regular_degree(degrees)
             # phi is one-to-one on the component, onto |ST(k-1,2)| strings,
             # and maps edges to edges; equal degrees then give equal edge
             # counts, so phi is an isomorphism onto ST(k-1,2).
@@ -181,7 +182,7 @@ def color_class_decomposition(g: Graph, tc: TotalColoring, checked: Optional[Col
         # G - W_i is the components joined by their E_i edges.
         links = {(part[x], part[y]) for x, y in zip(e_ids[::2], e_ids[1::2]) if part[x] != part[y]}
         case.minus_class_connected = Graph(range(len(case.components)), links).is_connected()
-        case.minus_class_regular_degree = minus_w_degrees.pop() if len(minus_w_degrees) == 1 else None
+        case.minus_class_regular_degree = regular_degree(minus_w_degrees)
         case.minus_edges_degrees = tuple(sorted(minus_e_degrees))
         case.minus_edges_big_side_is_class = big_side_is_class
         case.minus_edges_class_independent = independent
@@ -337,18 +338,18 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, groups: CycleGroups, d1: 
         ]
         if len(landing) != 6 or len(set(landing)) != 6:
             rep.departures_ok = False
-            rep.departure_failures.append(("departure-count", shown, d, len(landing)))
+            keep_witnesses(rep.departure_failures, [("departure-count", shown, d, len(landing))])
             continue
         classes_hit = {vcol[y] for y in landing}
         if len(classes_hit) != 1:
             rep.departures_ok = False
-            rep.departure_failures.append(("landing-not-monochromatic", shown, d, sorted(classes_hit)))
+            keep_witnesses(rep.departure_failures, [("landing-not-monochromatic", shown, d, sorted(classes_hit))])
             continue
         hit = classes_hit.pop()
         census[hit] = census.get(hit, 0) + 1
         if hit == last and not all(x[0] == x[-1] for x in map(verts.__getitem__, landing)):
             rep.sigma_pendant_ok = False
-            rep.departure_failures.append(("landing-shape", shown, d))
+            keep_witnesses(rep.departure_failures, [("landing-shape", shown, d)])
         # Each landing vertex hangs off the 6-cycle, whose vertices are at
         # most 3 apart, so two landing vertices are at most 1 + 3 + 1 apart.
         pair_dists = set()

@@ -37,43 +37,52 @@ from .domination import (
 )
 from .errors import CapExceeded, GirthPrecondition
 from .graphs import Params, PermGraph, build_graph
-from .mstrings import list_assignment
+from .mstrings import DEFAULT_VERTEX_CAP, list_assignment
 from .report import FAIL, PASS, PRECONDITION, SHOWN_WITNESSES, SKIP, CheckResult, SuiteReport
 from .structure import CycleGroups, classify_six_cycles, color_class_decomposition, toroidal_assembly, toroidal_colors
 
 
 class _Runner:
-    """Appends timed checks to a report."""
+    """Appends checks to a report on one running clock: a check's seconds run
+    from the end of the line before it (or the start of the part), so they
+    include the work the suite did first, such as a shared report or a build."""
 
     def __init__(self, report: SuiteReport) -> None:
-        self.report = report
+        self.report, self.clock = report, time.perf_counter()
+
+    def _append(self, name: str, status: str, detail: str, witnesses=()) -> None:
+        witnesses, now = list(witnesses), time.perf_counter()
+        shown, truncated = witnesses[:SHOWN_WITNESSES], len(witnesses) > SHOWN_WITNESSES
+        self.report.checks.append(CheckResult(name, status, detail, shown, seconds=now - self.clock, truncated=truncated))
+        self.clock = now
+
+    def head(self, name: str, unmet: Optional[str], compute):
+        """compute(), the report the suite's checks read, or None after one
+        line under `name`: PRECONDITION when `unmet` says why the suite does
+        not apply (compute is then not called) or compute stops at a
+        precondition, SKIP when it hits a cap."""
+        if unmet:
+            self._append(name, PRECONDITION, unmet)
+            return None
+        try:
+            return compute()
+        except GirthPrecondition as exc:
+            self._append(name, PRECONDITION, str(exc))
+        except CapExceeded as exc:
+            self._append(name, SKIP, str(exc))
+        return None
 
     def add(self, name: str, fn) -> CheckResult:
-        t0 = time.perf_counter()
-        try:
-            ok, detail, witnesses = fn()
-            status = PASS if ok else FAIL
-        except GirthPrecondition as exc:
-            status, detail, witnesses = PRECONDITION, str(exc), []
-        except CapExceeded as exc:
-            status, detail, witnesses = SKIP, str(exc), []
-        witnesses = list(witnesses)
-        res = CheckResult(
-            name=name,
-            status=status,
-            detail=detail,
-            witnesses=witnesses[:SHOWN_WITNESSES],
-            seconds=time.perf_counter() - t0,
-            truncated=len(witnesses) > SHOWN_WITNESSES,
-        )
-        self.report.checks.append(res)
-        return res
+        """A PASS or FAIL line for fn() -> (ok, detail, witnesses), or the line head adds."""
+        outcome = self.head(name, None, fn)
+        if outcome is not None:
+            ok, detail, witnesses = outcome
+            self._append(name, PASS if ok else FAIL, detail, witnesses)
+        return self.report.checks[-1]
 
-    def precondition(self, name: str, detail: str) -> None:
-        self.report.checks.append(CheckResult(name=name, status=PRECONDITION, detail=detail))
 
-    def skip(self, name: str, detail: str) -> None:
-        self.report.checks.append(CheckResult(name=name, status=SKIP, detail=detail))
+def _needs_l2(ell: int) -> Optional[str]:
+    return None if ell == 2 else f"suite needs l = 2, got l = {ell}"
 
 
 class _Context:
@@ -115,11 +124,11 @@ class _Context:
 def _suite_domination(run: _Runner, ctx: _Context) -> None:
     k, ell = ctx.k, ctx.ell
     if (k, ell) == (2, 1):
-        run.precondition("girth-precondition", "excluded instance: the 2-symbol 1-repetition graph (a single edge) has no girth above 3")
+        run.head("girth-precondition", "excluded instance: the 2-symbol 1-repetition graph (a single edge) has no girth above 3", None)
         return
     g = ctx.graph
 
-    def girth():  # the triangle scan runs here, so the check times it
+    def girth():  # a triangle raises GirthPrecondition: a PRECONDITION line that ends the suite
         require_girth_above_three(g)
         return True, "triangle-free", []
 
@@ -212,16 +221,16 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
 
 
 def _suite_chi(run: _Runner, ctx: _Context) -> None:
-    k, ell = ctx.k, ctx.ell
-    if ell != 2:
-        run.precondition("chi-preconditions", f"suite needs l = 2, got l = {ell}")
+    rep = run.head(
+        "chi-preconditions", _needs_l2(ctx.ell), lambda: color_class_decomposition(ctx.graph, ctx.coloring, ctx.coloring_report)
+    )
+    if rep is None:
         return
-    rep = color_class_decomposition(ctx.graph, ctx.coloring, ctx.coloring_report)
     if not rep.precondition_ok:
-        run.precondition("chi-preconditions", rep.precondition_detail)
+        run.head("chi-preconditions", rep.precondition_detail, None)
         return
     run.add("chi-preconditions", lambda: (True, f"h={rep.h}", []))
-    expected_components = k * 2 ** (k - 1)
+    expected_components = ctx.k * 2 ** (ctx.k - 1)
     for case in rep.cases:
         i = case.color
         run.add(
@@ -248,14 +257,10 @@ def _suite_chi(run: _Runner, ctx: _Context) -> None:
 
 
 def _suite_cycles(run: _Runner, ctx: _Context) -> None:
-    if ctx.ell != 2:
-        run.precondition("cycle-classification", f"suite needs l = 2, got l = {ctx.ell}")
+    classified = run.head("cycle-classification", _needs_l2(ctx.ell), lambda: ctx.classified_cycles)
+    if classified is None:
         return
-    try:
-        groups, census = ctx.classified_cycles
-    except CapExceeded as exc:
-        run.skip("cycle-classification", str(exc))
-        return
+    groups, census = classified
     run.add(
         "all-six-cycles-classified",
         lambda: (census["other"] == 0 and sum(census.values()) > 0, f"census={census}", []),
@@ -269,17 +274,16 @@ def _suite_cycles(run: _Runner, ctx: _Context) -> None:
 
 def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
     k, ell = ctx.k, ctx.ell
-    if ell != 2 or k < 3:
-        run.precondition("toroidal-audit", f"suite needs l = 2 and k >= 3, got k = {k}, l = {ell}")
-        return
-    g, tc = ctx.graph, ctx.coloring
-    d1 = ctx.d1 if ctx.d1 is not None else 2 * k - 1
-    # a usage error, reported before a capped 6-cycle enumeration can SKIP
-    quad = toroidal_colors(tc, d1, ctx.quad or (1, 2, 3, 4))
-    try:
-        rep = toroidal_assembly(g, tc, ctx.classified_cycles[0], d1, quad)
-    except CapExceeded as exc:
-        run.skip("toroidal-audit", str(exc))
+    unmet = None if ell == 2 and k >= 3 else f"suite needs l = 2 and k >= 3, got k = {k}, l = {ell}"
+
+    def assemble():
+        d1 = ctx.d1 if ctx.d1 is not None else 2 * k - 1
+        # a usage error, raised before a capped 6-cycle enumeration can SKIP
+        quad = toroidal_colors(ctx.coloring, d1, ctx.quad or (1, 2, 3, 4))
+        return toroidal_assembly(ctx.graph, ctx.coloring, ctx.classified_cycles[0], d1, quad)
+
+    rep = run.head("toroidal-audit", unmet, assemble)
+    if rep is None:
         return
     run.add(
         "type2-union-built",
@@ -290,7 +294,7 @@ def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
         "departure-sextuples-monochromatic",
         lambda: (rep.departures_ok, f"landing_census={rep.landing_class_census}", rep.departure_failures),
     )
-    if len(tc.palette) == 5:
+    if len(ctx.coloring.palette) == 5:
         run.add("departures-land-in-d1-class", lambda: (rep.all_land_in_d1, f"d1={rep.d1}", []))
     run.add("class-vertices-pendant", lambda: (rep.sigma_pendant_ok, "", rep.departure_failures))
     run.add(
@@ -301,13 +305,8 @@ def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
 
 def _suite_chains(run: _Runner, ctx: _Context) -> None:
     k = ctx.k
-    if ctx.ell != 2:
-        run.precondition("chain-embeddings", f"suite needs l = 2, got l = {ctx.ell}")
-        return
-    try:
-        rep = verify_chain(k, cap=ctx.cap)
-    except CapExceeded as exc:
-        run.skip("chain-embeddings", str(exc))
+    rep = run.head("chain-embeddings", _needs_l2(ctx.ell), lambda: verify_chain(k, cap=ctx.cap))
+    if rep is None:
         return
     run.add("images-disjoint-induced", lambda: (rep.images_disjoint and rep.images_induced_isomorphic, f"images={k + 1}", rep.failures))
     run.add("sigma-bijection", lambda: (rep.sigma_bijection_ok and rep.blocks_partition_sigma, f"blocks={rep.block_sizes}", []))
@@ -315,10 +314,8 @@ def _suite_chains(run: _Runner, ctx: _Context) -> None:
 
 
 def _suite_schreier(run: _Runner, ctx: _Context) -> None:
-    try:
-        rep = schreier_quotient_check(ctx.k, ctx.ell)
-    except CapExceeded as exc:
-        run.skip("schreier-quotient", str(exc))
+    rep = run.head("schreier-quotient", None, lambda: schreier_quotient_check(ctx.k, ctx.ell))
+    if rep is None:
         return
     run.add("fibers-are-cosets", lambda: (rep.fibers_are_cosets and rep.fiber_sizes_ok, "", rep.failures))
     run.add("quotient-matches-graph", lambda: (rep.quotient_equals_graph, "", rep.failures))
@@ -326,13 +323,8 @@ def _suite_schreier(run: _Runner, ctx: _Context) -> None:
 
 
 def _suite_pancake(run: _Runner, ctx: _Context) -> None:
-    if ctx.ell != 2:
-        run.precondition("pancake-obstructions", f"suite needs l = 2, got l = {ctx.ell}")
-        return
-    try:
-        rep = pancake_chain_check(ctx.k, cap=ctx.cap)
-    except CapExceeded as exc:
-        run.skip("pancake-obstructions", str(exc))
+    rep = run.head("pancake-obstructions", _needs_l2(ctx.ell), lambda: pancake_chain_check(ctx.k, cap=ctx.cap))
+    if rep is None:
         return
     run.add(
         "last-sigma-is-e-set",
@@ -371,7 +363,7 @@ def run_suite(
     k: int,
     ell: int,
     graph: Optional[PermGraph | _Context] = None,
-    cap: int = 10**7,
+    cap: int = DEFAULT_VERTEX_CAP,
     seed: Optional[int] = None,
     d1: Optional[int] = None,
     quad: Optional[tuple[int, ...]] = None,

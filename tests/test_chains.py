@@ -19,7 +19,8 @@ from starperm import (
     verify_chain,
     verify_efficient_domination,
 )
-from starperm.mstrings import render, repeat_position
+from starperm.mstrings import prefix_reversal, render, repeat_position
+from starperm.report import WITNESS_CAP
 
 from .faults import drop_source_string, lose_first_fiber, move_sym_strings, shift_one_embedding
 from .oracles import brute_local_generators, labels_of
@@ -131,6 +132,15 @@ def test_verify_chain_wrong_shift_is_no_induced_copy(monkeypatch):
     assert rep.block_sizes == (90, 0, 90, 90)
 
 
+def test_verify_chain_keeps_at_most_the_witness_cap_of_failures(monkeypatch):
+    # a wrong shift at k = 4 finds 7,560 failures; all were kept, 1.85 MiB
+    shift_one_embedding(monkeypatch, 1)
+    rep = verify_chain(4)
+    assert len(rep.failures) == WITNESS_CAP
+    assert not rep.images_induced_isomorphic and not rep.sigma_bijection_ok and not rep.blocks_partition_sigma
+    assert rep.images_disjoint and rep.cardinality_identity_ok
+
+
 def test_verify_chain_lost_source_string_breaks_the_bijection(monkeypatch):
     # 001122 is not streamed: its four images are missing, and so are the
     # Sigma_7 neighbours they would have had
@@ -215,6 +225,23 @@ def test_schreier_quotient_check_can_fail(monkeypatch):
     rep = schreier_quotient_check(2, 2)
     assert not rep.quotient_equals_graph
     assert rep.fibers_are_cosets and rep.fiber_sizes_ok
+
+
+def test_schreier_keeps_at_most_the_witness_cap_of_failures(monkeypatch):
+    # prefix reversals on the Sym strings fail 189,912 times at (4,2); all
+    # were kept, with a peak of 23.9 MiB
+    move_sym_strings(monkeypatch, prefix_reversal)
+    schreier_quotient_check(3, 2)  # warm every import and cache first
+    tracemalloc.start()
+    try:
+        rep = schreier_quotient_check(4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.failures) == WITNESS_CAP
+    assert not rep.quotient_equals_graph and not rep.generator_sets_ok
+    assert rep.fibers_are_cosets and rep.fiber_sizes_ok
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_schreier_cap():

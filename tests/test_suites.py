@@ -110,6 +110,16 @@ def test_domination_check_seconds_cover_the_run(st42):
     assert sum(c.seconds for c in report.checks) >= 0.6 * wall
 
 
+def test_all_check_seconds_cover_the_run():
+    # a check's seconds run from the end of the line before it, so the work
+    # a suite does before its first check (its shared report, the first
+    # build of the graph or coloring) is charged to that check
+    t0 = time.perf_counter()
+    report = run_suite("all", 4, 2)
+    wall = time.perf_counter() - t0
+    assert sum(c.seconds for c in report.checks) >= 0.9 * wall
+
+
 def test_the_girth_check_times_its_triangle_scan_and_a_triangle_ends_the_suite(monkeypatch):
     def slow_scan(g, answer):
         time.sleep(0.05)
@@ -226,6 +236,23 @@ def test_a_chain_cap_skips_chains_and_keeps_the_rest():
     golden = json.loads((GOLDEN / "all_k3_l2.json").read_text())["checks"]
     decided = [dict(c, seconds=0) for c in checks if c["status"] != "skip"]
     assert decided == [c for c in golden if not c["name"].startswith("chains/")]
+
+
+@pytest.mark.parametrize(
+    "suite,head",
+    [
+        ("chi", "chi-preconditions"),
+        ("cycles", "cycle-classification"),
+        ("toroidal", "toroidal-audit"),
+        ("chains", "chain-embeddings"),
+        ("pancake", "pancake-obstructions"),
+    ],
+)
+def test_a_cap_on_the_graph_skips_the_suite_head(suite, head):
+    # the same SKIP line for every suite whose report the cap stops
+    (only,) = run_suite(suite, 3, 2, cap=50).checks
+    assert (only.name, only.status) == (head, "skip")
+    assert "90 vertices exceeds cap 50" in only.detail
 
 
 def test_an_all_run_enumerates_the_six_cycles_once(monkeypatch):
