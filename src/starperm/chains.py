@@ -312,11 +312,17 @@ class PancakeReport:
     neighborhoods_partition_remainder: bool = False
 
     @property
+    def degrees_drop(self) -> bool:
+        """Degree 2k-3 without the last class, 2k-4 without its edges too."""
+        return (self.minus_sigma_regular_degree, self.remainder_regular_degree) == (2 * self.k - 3, 2 * self.k - 4)
+
+    @property
     def passed(self) -> bool:
         return (
             self.last_sigma_passes
             and self.all_lower_sigmas_fail
             and self.neighborhoods_partition_remainder
+            and self.degrees_drop
         )
 
 
@@ -326,10 +332,12 @@ def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:
     The repeat-at-last-position class is an efficient dominating set; every
     other repeat class fails, each with a concrete violation witness
     (preferring an adjacent pair inside the class when one exists).
-    Removing the last class drops each remaining degree by one; removing
-    the full-reversal edges as well drops it once more, and the open
-    neighborhoods of the removed vertices partition what is left.  Both
-    removals are read from the graph's rows by vertex id, not copied.
+    Removing the last class drops each remaining degree by one, from 2k-2
+    to 2k-3; removing the full-reversal edges as well drops it once more,
+    to 2k-4, and the open neighborhoods of the removed vertices partition
+    what is left.  Both removals are read from the graph's rows by vertex
+    id, not copied.  The class's certificate decides the partition: a
+    perfect code is a set whose closed neighborhoods partition the vertices.
     """
     pc = build_graph(Params(k, 2), GeneratorFamily.pancake(), cap=cap)
     rep = PancakeReport(k=k)
@@ -337,7 +345,7 @@ def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:
 
     black = sigma_set(pc, last)
     cert = verify_efficient_domination(pc, black, 1)
-    rep.last_sigma_passes = cert.passed
+    rep.last_sigma_passes = rep.neighborhoods_partition_remainder = cert.passed
     rep.last_sigma_min_distance = cert.min_internal_distance
 
     for i in range(1, last):
@@ -351,22 +359,17 @@ def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:
     rep.all_lower_sigmas_fail = set(rep.failing_sigmas) == set(range(1, last))
 
     # One scan: the degrees after deleting the class, then its full-reversal
-    # edges too, and how often each vertex is the class or a neighbour of it
-    # (at most its degree plus one, 2k, so a byte holds it).
+    # edges too.
     inside = bytearray(pc.n)
     for x in black:
         inside[x] = 1
-    covered = bytearray(inside)
     minus_degrees, remainder_degrees, label_sets = set(), set(), pc.label_sets
     for x in range(pc.n):
         if inside[x]:
-            for y in pc.row(x):
-                covered[y] += 1
             continue
         kept = [label_sets[lid] for y, lid in pc.labeled_row(x) if not inside[y]]
         minus_degrees.add(len(kept))
         remainder_degrees.add(sum(last not in labels for labels in kept))
     rep.minus_sigma_regular_degree = regular_degree(minus_degrees)
     rep.remainder_regular_degree = regular_degree(remainder_degrees)
-    rep.neighborhoods_partition_remainder = covered.count(1) == pc.n
     return rep

@@ -278,15 +278,12 @@ def max_selector(v: MString, colors: frozenset[int]) -> int:
 
 
 def choosability_suite(g: PermGraph, selector: Selector) -> tuple[bool, dict]:
-    """Check L(v) and L(w) are disjoint across every edge, then apply the
-    selector and verify the resulting vertex coloring is proper.
+    """Apply the selector to every list and return whether the resulting
+    vertex coloring is proper, with the coloring.
 
-    Disjointness makes any selector proper, so the boolean comes back True
-    unless the graph itself breaks the claim.
+    Lists disjoint across every edge (the coloring suite's own check) make
+    any selection proper; the verdict here is the selection's alone.
     """
-    for u, v, _ in g.edges():
-        if list_assignment(u) & list_assignment(v):
-            return False, {}
     chosen = {}
     for v in g.vertices:
         colors = list_assignment(v)
@@ -317,9 +314,14 @@ class ObstructionReport:
     truncated: bool = False
 
 
-def efficiency_obstruction_witness(g: PermGraph, v: MString) -> ObstructionReport:
-    """Show that no list selection on the distance-2 ball of v keeps all
-    color classes at pairwise distance >= 3.
+def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:
+    """Show that no list selection on the distance-2 ball of g's first
+    vertex v keeps all color classes at pairwise distance >= 3.
+
+    One centre decides every centre: symbol permutations, and permutations
+    of the positions 1.. with the colors renamed alike, are automorphisms
+    of g that carry each vertex's list to its image's list, and together
+    they act transitively on the vertices.
 
     Every selection must contain two same-colored vertices at distance <= 2
     (distance measured in the whole graph).  Small balls are enumerated
@@ -331,6 +333,7 @@ def efficiency_obstruction_witness(g: PermGraph, v: MString) -> ObstructionRepor
     ell = g.params.ell
     if ell < 3:
         raise ValueError(f"obstruction check needs ell >= 3, got ell = {ell}")
+    v = g.vertices[0]
     dist_v = g.bfs_distances(v, limit=2)
     ball = sorted(dist_v, key=g.index)
     if len(ball) > OBSTRUCTION_BALL_CAP:

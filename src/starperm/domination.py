@@ -202,13 +202,12 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
 
 
 # ---------------------------------------------------------------------------
-# partition / edge-cover structure of the SE- and Sigma-families
+# partition / edge-cover structure of the SE-family
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class PartitionReport:
-    family: str
     is_partition: bool
     stars_are_k1l: bool
     double_cover_ok: bool
@@ -237,8 +236,8 @@ def _edges_covered_other_than(g: PermGraph, cover: bytearray, times: int) -> lis
     return list(islice(bad, WITNESS_CAP))
 
 
-def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> PartitionReport:
-    """Partition and edge-cover structure of the SE- (or Sigma-) family.
+def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
+    """Partition and edge-cover structure of the SE-family.
 
     Checks: the sets partition the vertices; each dominator set induces a
     K_{1,ell} star (independent leaves: a star-family graph has no
@@ -251,23 +250,13 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
     if g.family.kind != "star":
         raise ValueError("partition structure is defined for star-family graphs")
     k, ell = g.params.k, g.params.ell
-    if family == "SE":
-        sets = (se_set(g, i) for i in range(k))
-        dom_ell = ell
-    elif family == "sigma":
-        sets = (sigma_set(g, i) for i in range(1, 2 * k))
-        dom_ell = 1
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
     rep = PartitionReport(
-        family=family,
         is_partition=True,
         stars_are_k1l=not g.has_triangle(),
         double_cover_ok=True,
-        per_symbol_edge_partition_ok=(True if (family == "SE" and k == 2) else None),
+        per_symbol_edge_partition_ok=True if k == 2 else None,
         membership_census={},
-        expected_memberships=(k - 1) * ell if family == "SE" else 2 * (k - 1),
+        expected_memberships=(k - 1) * ell,
     )
     n, labeled_row, label_sets, verts = g.n, g.labeled_row, g.label_sets, g.vertices
     # A star-graph edge is fixed by its lower endpoint and the position its
@@ -276,18 +265,18 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
     cover = bytearray(n * length)
     # sets each vertex lies in, and stars it leads (at most its degree)
     counts, memberships = bytearray(n), bytearray(n)
-    for s in sets:
-        inside, members = _member_mask(g, s)
+    for i in range(k):
+        inside, members = _member_mask(g, se_set(g, i))
         for x in members:
             counts[x] += 1
         count = _dominator_counts(g, members)
-        if count.count(dom_ell) != n - len(members):
-            wrong = (v for v in range(n) if not inside[v] and count[v] != dom_ell)
+        if count.count(ell) != n - len(members):
+            wrong = (v for v in range(n) if not inside[v] and count[v] != ell)
             keep_witnesses(rep.failures, (("wrong-dominator-count", verts[v], count[v]) for v in wrong))
         once = bytearray(n * length) if rep.per_symbol_edge_partition_ok is not None else None
         for x in members:
             for v, lid in labeled_row(x):
-                if count[v] == dom_ell:  # never a member, whose count is 0
+                if count[v] == ell:  # never a member, whose count is 0
                     memberships[x] += 1
                     slot = (v if v < x else x) * length + label_sets[lid][0]
                     cover[slot] += 1
@@ -313,20 +302,18 @@ def verify_partition_and_edge_cover(g: PermGraph, family: str = "SE") -> Partiti
 
 def verify_ei_avoidance(g: PermGraph, tc: TotalColoring) -> dict:
     """No color-i edge touches a Sigma_i vertex; color-(2k-1) vertices have
-    equal first and last entries.  Returns per-color verdicts."""
+    equal first and last entries.  The witnesses are the first offending
+    edges, each as (i, u, v)."""
     _require_ell2(g)
     last = 2 * g.params.k - 1
     # Sigma_i holds the vertices at repeat position i, so one pass over the
     # edges, by vertex id, decides all i.
     pos, verts, color = g.repeat_positions(), g.vertices, tc.edge_color_reader(g)
-    bad: dict = {i: [] for i in range(1, last + 1)}
-    for u, v, labels in g.edge_ids():
-        c = color(u, v, labels)
-        if c in bad and c in (pos[u], pos[v]):
-            keep_witnesses(bad[c], [(verts[u], verts[v])])
+    bad = ((c, verts[u], verts[v]) for u, v, labels in g.edge_ids() if (c := color(u, v, labels)) in (pos[u], pos[v]))
+    witnesses = list(islice(bad, WITNESS_CAP))
     return {
-        "per_color": {i: {"passed": not b, "witnesses": b} for i, b in bad.items()},
-        "passed": not any(bad.values()),
+        "passed": not witnesses,
+        "witnesses": witnesses,
         "last_position_rationale": all(v[0] == v[-1] for v, p in zip(verts, pos) if p == last),
     }
 
@@ -443,8 +430,12 @@ def code_search(g: Graph, ell: int) -> list[array]:
                     work.extend(_bit_indices(free))
         return in_mask, out_mask
 
-    def search(in_mask: int, out_mask: int) -> None:
-        nonlocal nodes
+    # Depth-first on an explicit stack, so depth is bounded by memory, not
+    # by the recursion limit: each popped state is a node, and its least
+    # undecided vertex's two decisions are pushed, "out" below "in".
+    stack = [(0, 0)]
+    while stack:
+        in_mask, out_mask = stack.pop()
         nodes += 1
         if nodes > CODE_SEARCH_NODE_BUDGET:
             raise CapExceeded(f"code search exceeded node budget {CODE_SEARCH_NODE_BUDGET}")
@@ -452,14 +443,12 @@ def code_search(g: Graph, ell: int) -> list[array]:
         if not undecided:
             if _is_code(nbr, in_mask, n, ell):
                 solutions.add(in_mask)
-            return
+            continue
         v = (undecided & -undecided).bit_length() - 1
-        for member in (True, False):
+        for member in (False, True):
             res = apply(v, member, in_mask, out_mask)
             if res is not None:
-                search(*res)
-
-    search(0, 0)
+                stack.append(res)
     found = []
     for mask in sorted(solutions):
         ids = array("i", _bit_indices(mask))

@@ -175,7 +175,8 @@ def color_class_decomposition(g: Graph, tc: TotalColoring, checked: Optional[Col
             total = True
             if not case.components:
                 sub = g.induced_subgraph(verts[x] for x in comp)
-                sub = sub.subgraph(delete_edges=[(u, v) for u, v, _ in sub.edges() if tc.edge_color(u, v) == i])
+                # the E_i edges found so far are this component's or lead out of it
+                sub = sub.subgraph(delete_edges=[(verts[x], verts[y]) for x, y in zip(e_ids[::2], e_ids[1::2]) if part[x] == part[y]])
                 total = bool(verify_coloring(sub, tc).total)
                 typed = typed and (reference is None or isomorphic(sub, reference)[0])
             case.components.append(ComponentAudit(len(comp), regular, total, typed))

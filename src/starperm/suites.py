@@ -142,7 +142,7 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
         return cert.passed, f"violations={len(cert.violations)}", [v.kind for v in cert.violations]
 
     def se_partition():
-        prep = verify_partition_and_edge_cover(g, "SE")
+        prep = verify_partition_and_edge_cover(g)
         return prep.passed, "", prep.failures
 
     for i in range(k):
@@ -171,7 +171,7 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
 
     def ei_avoidance():
         ei = verify_ei_avoidance(g, ctx.coloring)
-        return ei["passed"] and ei["last_position_rationale"], "", []
+        return ei["passed"] and ei["last_position_rationale"], "", ei["witnesses"]
 
     run.add("sigma-partition", sigma_partition)
     for i in range(1, 2 * k):
@@ -211,7 +211,7 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
             return not bad, f"edges={g.m}", bad
 
         def obstruction():
-            obs = efficiency_obstruction_witness(g, g.vertices[0])
+            obs = efficiency_obstruction_witness(g)
             return obs.passed, f"method={obs.method} selections={obs.selection_count}", obs.witnesses
 
         run.add("list-disjointness", disjoint)
@@ -337,7 +337,7 @@ def _suite_pancake(run: _Runner, ctx: _Context) -> None:
     run.add(
         "black-removal-neighborhood-partition",
         lambda: (
-            rep.neighborhoods_partition_remainder,
+            rep.neighborhoods_partition_remainder and rep.degrees_drop,
             f"degree_after_vertices={rep.minus_sigma_regular_degree} after_edges={rep.remainder_regular_degree}",
             [],
         ),

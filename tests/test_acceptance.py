@@ -250,7 +250,7 @@ def test_c11_choosability(st23):
     ok_min, chosen_min = choosability_suite(st23, min_selector)
     ok_max, chosen_max = choosability_suite(st23, max_selector)
     assert ok_min and ok_max and chosen_min != chosen_max
-    rep = efficiency_obstruction_witness(st23, ms("000111"))
+    rep = efficiency_obstruction_witness(st23)
     assert rep.passed and rep.method == "exhaustive"
     assert rep.selection_count == 2**10 and rep.counterexample is None
     c.done()

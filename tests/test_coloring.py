@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import starperm.coloring
 from starperm import (
     Graph,
     TotalColoring,
@@ -201,6 +202,15 @@ def test_choosability_desargues(st23):
         assert c in list_assignment(v)
 
 
+def test_choosability_verdict_is_the_selection_alone(st23, monkeypatch):
+    # lists that meet on every edge: the min selection stays proper, the max
+    # selection picks 99 everywhere
+    lists = starperm.coloring.list_assignment
+    monkeypatch.setattr(starperm.coloring, "list_assignment", lambda v: lists(v) | {99})
+    assert choosability_suite(st23, min_selector)[0]
+    assert not choosability_suite(st23, max_selector)[0]
+
+
 def test_choosability_selector_out_of_list(st23):
     with pytest.raises(ValueError):
         choosability_suite(st23, lambda v, colors: -1)
@@ -214,7 +224,7 @@ def test_choosability_degenerate_ell2(st22, tc22):
 
 
 def test_obstruction_st23_exhaustive(st23):
-    rep = efficiency_obstruction_witness(st23, ms("000111"))
+    rep = efficiency_obstruction_witness(st23)
     assert rep.passed
     assert rep.method == "exhaustive"
     assert rep.selection_count == 2**10
@@ -223,7 +233,7 @@ def test_obstruction_st23_exhaustive(st23):
 
 
 def test_obstruction_witnesses_are_close_pairs(st23):
-    rep = efficiency_obstruction_witness(st23, ms("000111"))
+    rep = efficiency_obstruction_witness(st23)
     for x, y, c in rep.witnesses:
         assert c in list_assignment(x) and c in list_assignment(y)
         assert st23.distance(x, y) <= 2
@@ -231,7 +241,7 @@ def test_obstruction_witnesses_are_close_pairs(st23):
 
 def test_obstruction_st24_backtracking():
     g = build_graph(Params(2, 4))
-    rep = efficiency_obstruction_witness(g, ms("00001111"))
+    rep = efficiency_obstruction_witness(g)
     assert rep.passed
     assert rep.method == "backtracking"
     assert rep.selection_count == 3**17
@@ -239,7 +249,7 @@ def test_obstruction_st24_backtracking():
 
 def test_obstruction_requires_ell_3(st32):
     with pytest.raises(ValueError):
-        efficiency_obstruction_witness(st32, ms("001122"))
+        efficiency_obstruction_witness(st32)
 
 
 @pytest.mark.parametrize("k,ell", [(2, 3), (3, 2), (2, 4), (3, 3)])

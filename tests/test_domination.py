@@ -9,11 +9,13 @@ import starperm.domination
 from starperm import (
     GirthPrecondition,
     Graph,
+    TotalColoring,
     code_search,
     color_class_decomposition,
     mstring,
     oracle_check,
     pancake_chain_check,
+    repeat_position,
     se_set,
     sigma_set,
     verify_efficient_domination,
@@ -114,23 +116,20 @@ def test_verifier_matches_oracle_on_random_subsets(graph, ells, request):
 
 
 def test_partition_and_edge_cover_reports_an_overlap(st32, monkeypatch):
-    sigma = starperm.domination.sigma_set
-    extra = min(sigma(st32, 2))
-    monkeypatch.setattr(
-        starperm.domination, "sigma_set", lambda g, i: array("i", sorted({*sigma(g, i), extra})) if i == 1 else sigma(g, i)
-    )
-    rep = verify_partition_and_edge_cover(st32, "sigma")
+    se = starperm.domination.se_set
+    extra = min(se(st32, 2))
+    monkeypatch.setattr(starperm.domination, "se_set", lambda g, i: array("i", sorted({*se(g, i), extra})) if i == 1 else se(g, i))
+    rep = verify_partition_and_edge_cover(st32)
     assert not rep.is_partition and not rep.double_cover_ok and not rep.passed
     assert [f[0] for f in rep.failures] == [
         "not-a-partition",
-        "wrong-dominator-count",
         "wrong-dominator-count",
         "wrong-dominator-count",
         "edge-not-double-covered",
     ]
     assert rep.failures[0][1] == [st32.vertices[extra]]
     uncovered = rep.failures[-1][1]
-    assert len(uncovered) == 4
+    assert len(uncovered) == 6
     assert uncovered == sorted(uncovered, key=lambda e: (st32.index(e[0]), st32.index(e[1])))
 
 
@@ -141,7 +140,7 @@ def test_domination_verifiers_allocate_little(st42):
     s0 = se_set(st42, 0)
     checks = (
         (lambda: verify_efficient_domination(st42, s0, 2), 45_000),
-        (lambda: verify_partition_and_edge_cover(st42, "SE"), 60_000),
+        (lambda: verify_partition_and_edge_cover(st42), 60_000),
     )
     for check, bound in checks:
         tracemalloc.start()
@@ -210,7 +209,7 @@ def test_a_second_common_neighbour_of_two_dominators_is_found():
 
 
 def test_partition_and_edge_cover_st22(st22):
-    rep = verify_partition_and_edge_cover(st22, "SE")
+    rep = verify_partition_and_edge_cover(st22)
     assert rep.passed
     assert rep.per_symbol_edge_partition_ok
     # doubled multigraph: 3 dominator stars per symbol, 2 edges each, 2 symbols
@@ -219,16 +218,8 @@ def test_partition_and_edge_cover_st22(st22):
 
 
 def test_partition_and_edge_cover_st32(st32):
-    rep = verify_partition_and_edge_cover(st32, "SE")
+    rep = verify_partition_and_edge_cover(st32)
     assert rep.passed
-    assert rep.expected_memberships == 4
-    assert all(c == 4 for c in rep.membership_census)
-
-
-def test_partition_sigma_family(st32):
-    rep = verify_partition_and_edge_cover(st32, "sigma")
-    assert rep.passed
-    assert rep.is_partition and rep.stars_are_k1l and rep.double_cover_ok
     assert rep.expected_memberships == 4
     assert all(c == 4 for c in rep.membership_census)
 
@@ -257,6 +248,14 @@ def test_code_search_finds_constructions(st22):
     assert se_set(st22, 0) in twos and se_set(st22, 1) in twos
 
 
+def test_code_search_depth_is_not_bounded_by_the_recursion_limit():
+    # a perfect matching on 1000 vertices: every vertex is decided in turn,
+    # 1000 levels deep, and the whole vertex set is the one 2-set
+    n = 1000
+    g = Graph(range(n), [(i, i + 1) for i in range(0, n, 2)])
+    assert code_search(g, 2) == [array("i", range(n))]
+
+
 def test_code_search_st32_perfect_codes(st32):
     codes = code_search(st32, 1)
     assert len(codes) == 65
@@ -281,6 +280,11 @@ def test_ei_avoidance(st22, tc22, st32, tc32):
     e1 = {e for e, c in tc22.edge_colors.items() if c == 1}
     assert e1 == {(ms("0101"), ms("1001")), (ms("0110"), ms("1010"))}
     assert verify_ei_avoidance(st32, tc32)["passed"]
+    # one edge recolored with its lower end's repeat position is the one witness
+    (u, v), _ = next(iter(tc22.edge_colors.items()))
+    recolored = dict(tc22.edge_colors.items()) | {(u, v): repeat_position(u)}
+    rep = verify_ei_avoidance(st22, TotalColoring(tc22.vertex_colors, recolored, tc22.palette))
+    assert not rep["passed"] and rep["witnesses"] == [(repeat_position(u), u, v)]
 
 
 def test_sigma_total_coloring_feeds_ei(st22, tc22):

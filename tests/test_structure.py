@@ -1,6 +1,7 @@
 import pytest
 
 from starperm import (
+    TotalColoring,
     classify_six_cycles,
     mstring,
     color_class_decomposition,
@@ -47,6 +48,18 @@ def test_chi_suite_st42_actual_structure(st42, tc42):
         assert case.minus_edges_degrees == (5, 6)
         assert case.minus_edges_big_side_is_class
         assert case.odd_closed_walk is not None
+
+
+def test_chi_copies_a_component_without_looking_up_edge_colors(monkeypatch, st42, tc42):
+    # catches a copy that finds its E_i edges again by label: the scan has
+    # them by vertex id
+    def refuse(self, u, v):
+        raise AssertionError("the component copy looked an edge color up by label")
+
+    monkeypatch.setattr(TotalColoring, "edge_color", refuse)
+    rep = color_class_decomposition(st42, tc42)
+    assert rep.passed
+    assert all(case.components[0].coloring_total and case.components[0].isomorphic_to_reference for case in rep.cases)
 
 
 def test_chi_independence_sees_an_edge_inside_the_class(monkeypatch, st32, tc32):

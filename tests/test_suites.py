@@ -167,8 +167,8 @@ def test_an_all_run_verifies_the_total_coloring_once(monkeypatch):
 
 
 def test_coloring_suite_skips_a_capped_obstruction_and_keeps_the_rest(monkeypatch, tmp_path):
-    def capped(g, v, **kwargs):
-        raise CapExceeded(f"2-ball of {v} is over the cap")
+    def capped(g):
+        raise CapExceeded(f"2-ball of {g.vertices[0]} is over the cap")
 
     monkeypatch.setattr(starperm.suites, "efficiency_obstruction_witness", capped)
     out = tmp_path / "report.json"
@@ -253,6 +253,24 @@ def test_a_cap_on_the_graph_skips_the_suite_head(suite, head):
     (only,) = run_suite(suite, 3, 2, cap=50).checks
     assert (only.name, only.status) == (head, "skip")
     assert "90 vertices exceeds cap 50" in only.detail
+
+
+def test_the_pancake_partition_line_decides_the_degrees(monkeypatch):
+    # catches a line that prints the degrees left after the two deletions
+    # but passes whatever they are
+    def line():
+        return {c.name: (c.status, c.detail) for c in run_suite("pancake", 3, 2).checks}["black-removal-neighborhood-partition"]
+
+    assert line() == ("pass", "degree_after_vertices=3 after_edges=2")
+    check = starperm.suites.pancake_chain_check
+
+    def one_edge_kept(k, cap):
+        rep = check(k, cap=cap)
+        rep.remainder_regular_degree += 1
+        return rep
+
+    monkeypatch.setattr(starperm.suites, "pancake_chain_check", one_edge_kept)
+    assert line() == ("fail", "degree_after_vertices=3 after_edges=3")
 
 
 def test_an_all_run_enumerates_the_six_cycles_once(monkeypatch):
