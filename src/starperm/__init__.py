@@ -19,6 +19,7 @@ from .chains import (
 from .coloring import (
     ColoringReport,
     TotalColoring,
+    build_odd_complete_colored,
     choosability_suite,
     efficiency_obstruction_witness,
     max_selector,
@@ -43,7 +44,6 @@ from .graphs import (
     Graph,
     PermGraph,
     build_graph,
-    build_odd_complete_colored,
     six_cycles,
 )
 from .iso import isomorphic

@@ -309,7 +309,6 @@ class PancakeReport:
     all_lower_sigmas_fail: bool = False
     minus_sigma_regular_degree: Optional[int] = None
     remainder_regular_degree: Optional[int] = None
-    neighborhoods_partition_remainder: bool = False
 
     @property
     def degrees_drop(self) -> bool:
@@ -321,7 +320,6 @@ class PancakeReport:
         return (
             self.last_sigma_passes
             and self.all_lower_sigmas_fail
-            and self.neighborhoods_partition_remainder
             and self.degrees_drop
         )
 
@@ -345,7 +343,7 @@ def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:
 
     black = sigma_set(pc, last)
     cert = verify_efficient_domination(pc, black, 1)
-    rep.last_sigma_passes = rep.neighborhoods_partition_remainder = cert.passed
+    rep.last_sigma_passes = cert.passed
     rep.last_sigma_min_distance = cert.min_internal_distance
 
     for i in range(1, last):

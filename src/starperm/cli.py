@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__
-from .coloring import TotalColoring, positional_edge_coloring, sigma_total_coloring
+from .coloring import positional_edge_coloring, sigma_total_coloring
 from .domination import code_search
 from .errors import CapExceeded
 from .export import (
@@ -37,7 +37,7 @@ def _family(args, length: int) -> GeneratorFamily:
     if args.family == "pc":
         return GeneratorFamily.pancake()
     if not args.pi:
-        raise SystemExit("--family custom requires --pi FILE")
+        raise ValueError("--family custom requires --pi FILE")
     return load_pi_file(args.pi, length)
 
 
@@ -124,7 +124,7 @@ def cmd_search_codes(args) -> int:
             g = read_edge_list(fh)
     else:
         if args.k is None or args.l is None:
-            raise SystemExit("search-codes needs either --input or both --k and --l")
+            raise ValueError("search-codes needs either --input or both --k and --l")
         g = build_graph(Params(args.k, args.l), cap=args.cap)
     codes = code_search(g, args.ell)
     print(f"found {len(codes)} efficient dominating-{args.ell} sets")
@@ -144,7 +144,7 @@ def cmd_export(args) -> int:
         elif args.format == "dot":
             write_dot(g, fh, tc=tc, name=f"{args.family}_{args.k}_{args.l}")
         else:
-            write_coloring(tc or TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, p.length))), fh)
+            write_coloring(tc or positional_edge_coloring(g), fh)
     print(f"wrote {args.format} for {args.family}({args.k},{args.l}) to {args.out}")
     return 0
 

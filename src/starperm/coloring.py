@@ -10,6 +10,10 @@ Two constructions:
   On 2k-1 colors this is total and efficient (every closed neighborhood is
   rainbow over the whole palette).
 
+A coloring is held by vertex id on the graph it colors; labels appear only
+where a coloring is given by hand (:meth:`TotalColoring.from_labels`, as
+for the reference K_{2n+1}) and in witnesses.
+
 Efficiency here is the closed-neighborhood rainbow property of a d-regular
 graph totally colored with d+1 colors.  The verifiers report typed violation
 witnesses instead of raising, capped at WITNESS_CAP.
@@ -17,10 +21,10 @@ witnesses instead of raising, capped at WITNESS_CAP.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
@@ -35,45 +39,78 @@ WITNESS_KINDS = ("adjacent-edges", "adjacent-vertices", "vertex-incident-edge", 
 
 @dataclass(frozen=True)
 class TotalColoring:
-    """Vertex and edge color assignments over a shared palette.
+    """A coloring of `graph`, held by vertex id over a shared palette.
 
-    Edge keys are (u, v) pairs ordered by the graph's canonical vertex
-    order; use :meth:`edge_color` to look an edge up either way around.
+    ``vertex_colors`` holds one color per vertex id, None for an edge
+    coloring.  ``edge_colors`` maps each ascending id pair (i, j) to its
+    color, None for the positional coloring, where an edge's color is its
+    one label.  Labels go in through :meth:`from_labels` and come out
+    through :meth:`vertex_color` and :meth:`edge_color`.
     """
 
-    vertex_colors: Mapping = field(hash=False)
-    edge_colors: Mapping = field(hash=False)
-    palette: frozenset[int] = frozenset()
+    graph: Graph
+    vertex_colors: Optional[Sequence[int]] = field(hash=False)
+    edge_colors: Optional[dict[tuple[int, int], int]] = field(hash=False)
+    palette: frozenset[int]
+
+    @classmethod
+    def from_labels(cls, g: Graph, vertex_colors: Mapping, edge_colors: Mapping, palette: Iterable[int]) -> TotalColoring:
+        """A coloring of g given by labels: vertex -> color, empty for an edge
+        coloring, and (u, v) -> color, either way round.  ValueError for a
+        label not in g, a pair that is no edge of g or a vertex left
+        uncolored."""
+        vcol = None
+        if vertex_colors:
+            vcol = [None] * g.n
+            for v, c in vertex_colors.items():
+                vcol[g.index(v)] = c
+            if None in vcol:
+                raise ValueError(f"uncolored vertex {g.vertices[vcol.index(None)]!r}")
+        ecol = {}
+        for (u, v), c in edge_colors.items():
+            i, j = sorted((g.index(u), g.index(v)))
+            if g.label(i, j) is None:
+                raise ValueError(f"unknown edge ({u!r}, {v!r})")
+            ecol[(i, j)] = c
+        return cls(g, vcol, ecol, frozenset(palette))
+
+    def vertex_color(self, v) -> int:
+        return self.vertex_colors[self.graph.index(v)]
 
     def edge_color(self, u, v) -> int:
-        c = self.edge_colors.get((u, v))
-        return self.edge_colors[(v, u)] if c is None else c
+        """The color of the edge {u, v}; KeyError if it is not a colored edge."""
+        g = self.graph
+        i, j = sorted((g.index(u), g.index(v)))
+        if (labels := g.label(i, j)) is None or (c := self.edge_color_reader(g)(i, j, labels)) is None:
+            raise KeyError((u, v))
+        return c
 
     def vertex_colors_by_id(self, g: Graph) -> Sequence[int]:
-        """g's vertex colors by vertex id: its own repeat-position column in
-        place, else a list read once from the mapping (ValueError if partial)."""
-        colors = self.vertex_colors
-        if isinstance(colors, _VertexColumn) and colors._g is g:
-            return colors._column
-        vcol = [colors.get(v) for v in g.vertices]
-        if None in vcol:
-            raise ValueError(f"uncolored vertex {g.vertices[vcol.index(None)]!r}")
-        return vcol
+        """g's vertex colors by vertex id: the column in place when g is the
+        colored graph, else read once by label through it."""
+        if g is self.graph:
+            return self.vertex_colors
+        return [self.vertex_color(v) for v in g.vertices]
 
     def edge_color_reader(self, g: Graph) -> Callable[[int, int, tuple], Optional[int]]:
         """The color of g's edge between vertex ids i < j carrying `labels`,
         None if it has none.  The positional coloring of g, or of a graph g
         was cut from (sharing its label sets), answers from the labels in
-        place; any other is looked up by the endpoints' labels."""
-        colors = self.edge_colors
-        if isinstance(colors, _PositionalColors) and colors._g.label_sets is g.label_sets:
+        place, and the colored graph itself from its id pairs; any other g is
+        read by its endpoints' labels through the colored graph."""
+        own, colors = self.graph, self.edge_colors
+        if colors is None and g.label_sets is own.label_sets:
             return lambda i, j, labels: labels[0]
-        verts = g.vertices
+        if g is own:
+            return lambda i, j, labels: colors.get((i, j))
+        verts, index = g.vertices, own.index
 
         def color(i: int, j: int, labels: tuple) -> Optional[int]:
-            u, v = verts[i], verts[j]
-            c = colors.get((u, v))
-            return colors.get((v, u)) if c is None else c
+            a, b = sorted((index(verts[i]), index(verts[j])))
+            if colors is not None:
+                return colors.get((a, b))
+            own_labels = own.label(a, b)
+            return None if own_labels is None else own_labels[0]
 
         return color
 
@@ -104,113 +141,53 @@ class ColoringReport:
         return all(f is not False for f in flags)
 
 
-class _InPlace(Mapping):
-    """A read-only mapping read in place from a graph.  Subclasses give
-    ``get``, which raises no KeyError, and ``_items``, the (key, value)
-    pairs in canonical order."""
-
-    def __getitem__(self, key):
-        if (value := self.get(key)) is None:
-            raise KeyError(key)
-        return value
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
-
-    def __iter__(self):
-        return (key for key, _ in self._items())
-
-    def items(self):
-        return _Items(self)
-
-    def values(self):
-        return _Values(self)
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return self._mapping._items()
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        return (value for _, value in self._mapping._items())
-
-
-class _PositionalColors(_InPlace):
-    """A star graph's edge labels: canonical (u, v) pairs, in ``g.edges()``
-    order, to the edge's one label."""
-
-    def __init__(self, g: PermGraph) -> None:
-        self._g = g
-
-    def get(self, key, default=None):
-        if type(key) is tuple and len(key) == 2:
-            find = self._g.vertices.find
-            iu, iv = find(key[0]), find(key[1])
-            if 0 <= iu < iv and (labels := self._g.label(iu, iv)) is not None:
-                return labels[0]
-        return default
-
-    def _items(self):
-        return (((u, v), labels[0]) for u, v, labels in self._g.edges())
-
-    def __len__(self) -> int:
-        return self._g.m
-
-
-class _VertexColumn(_InPlace):
-    """A per-vertex column of a permutation graph, by vertex id, read as
-    vertex label -> value."""
-
-    def __init__(self, g: PermGraph, column: bytes) -> None:
-        self._g, self._column = g, column
-
-    def get(self, v, default=None):
-        i = self._g.vertices.find(v)
-        return self._column[i] if i >= 0 else default
-
-    def _items(self):
-        return zip(self._g.vertices, self._column)
-
-    def __len__(self) -> int:
-        return self._g.n
-
-
-def positional_edge_coloring(g: PermGraph) -> Mapping:
-    """Edge -> transposition position, a read-only view of g's edge labels.
-    Star family only: properness needs one generator position per edge."""
+def positional_edge_coloring(g: PermGraph) -> TotalColoring:
+    """The edge coloring of g by transposition position, read in place from
+    g's edge labels.  Star family only: properness needs one generator
+    position per edge."""
     if not isinstance(g, PermGraph) or g.family.kind != "star":
         raise ValueError("positional edge coloring is defined for star-family graphs")
     for i, j, labels in g.edge_ids():
         if len(labels) != 1:
             raise ValueError(f"edge ({g.vertices[i]}, {g.vertices[j]}) carries labels {labels}, want exactly one")
-    return _PositionalColors(g)
+    return TotalColoring(g, None, None, frozenset(range(1, g.params.length)))
 
 
 def sigma_total_coloring(g: PermGraph) -> TotalColoring:
-    """The repeat-position total coloring of a 2-set star graph."""
+    """The repeat-position total coloring of a 2-set star graph: the
+    positional edge coloring, whose palette 1..2k-1 it shares, and the
+    repeat-position column in place."""
     if g.params.ell != 2:
         raise ValueError(f"sigma coloring needs ell = 2, got ell = {g.params.ell}")
-    edge_colors = positional_edge_coloring(g)
-    vertex_colors = _VertexColumn(g, g.repeat_positions())
-    palette = frozenset(range(1, 2 * g.params.k))
-    return TotalColoring(vertex_colors, edge_colors, palette)
+    return replace(positional_edge_coloring(g), vertex_colors=g.repeat_positions())
+
+
+def build_odd_complete_colored(n: int) -> tuple[Graph, TotalColoring]:
+    """K_{2n+1} with its cyclic total coloring.
+
+    Vertex j gets color j; the edge {j-i, j+i} (mod 2n+1) gets color j for
+    0 < i <= n.  The coloring is total and efficient on 2n+1 colors.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    order = 2 * n + 1
+    edge_colors = {((j - i) % order, (j + i) % order): j for j in range(order) for i in range(1, n + 1)}
+    g = Graph(range(order), edge_colors)
+    return g, TotalColoring.from_labels(g, {j: j for j in range(order)}, edge_colors, range(order))
 
 
 def verify_coloring(g: Graph, tc: TotalColoring) -> ColoringReport:
     """Check a coloring of g in one scan of its rows, with witnesses.
 
     Every edge must be colored, and properness of the edge colors is always
-    decided.  An empty vertex mapping makes tc an edge coloring, and nothing
-    more is decided.  Otherwise every vertex must be colored, and proper
-    vertex colors, no vertex color on an incident edge, and efficiency are
+    decided.  For an edge coloring (no vertex colors) nothing more is
+    decided.  Otherwise proper vertex colors, no vertex color on an incident edge, and efficiency are
     decided too: efficiency requires g regular of degree |palette| - 1 and
     every closed neighborhood rainbow over the full palette.
     """
     # The scan runs on vertex ids; labels are looked up only for witnesses.
     verts, label_sets, color = g.vertices, g.label_sets, tc.edge_color_reader(g)
-    total = bool(tc.vertex_colors)
+    total = tc.vertex_colors is not None
     if total:
         vcol = tc.vertex_colors_by_id(g)
         shape, degs = g.regularity()
@@ -224,7 +201,7 @@ def verify_coloring(g: Graph, tc: TotalColoring) -> ColoringReport:
         keep_witnesses(kept[kind], [(kind, *items)])
 
     if total and not regular:
-        add("not-regular-with-matching-palette", shape, degs, len(tc.palette))
+        add("not-regular-with-matching-palette", shape, list(degs), len(tc.palette))
     for x in range(g.n):
         seen: dict[int, int] = {}
         closed = {vcol[x]} if total else None
@@ -247,7 +224,7 @@ def verify_coloring(g: Graph, tc: TotalColoring) -> ColoringReport:
                     if vcol[z] == c:
                         add("vertex-incident-edge", verts[z], (verts[x], verts[y]), c)
         if total and regular and closed != tc.palette:
-            add("non-rainbow-neighborhood", verts[x], tuple(sorted(closed)))
+            add("non-rainbow-neighborhood", verts[x], sorted(closed))
 
     def decided(*kinds: str) -> Optional[bool]:
         return not any(found[kind] for kind in kinds) if total else None
@@ -311,7 +288,6 @@ class ObstructionReport:
     passed: bool
     witnesses: list = field(default_factory=list)
     counterexample: Optional[dict] = None
-    truncated: bool = False
 
 
 def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:
@@ -366,7 +342,6 @@ def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:
                 rep.passed = False
                 rep.counterexample = sel
                 return rep
-            rep.truncated = len(rep.witnesses) == WITNESS_CAP
             keep_witnesses(rep.witnesses, [(pair[0], pair[1], sel[pair[0]])])
         return rep
 

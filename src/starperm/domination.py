@@ -45,14 +45,12 @@ class Violation:
 class DominationCertificate:
     violations: list[Violation] = field(default_factory=list)
     min_internal_distance: Optional[int] = None
-    truncated: bool = False
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
     def add(self, kind: str, where: tuple, detail: tuple = ()) -> None:
-        self.truncated = len(self.violations) == WITNESS_CAP
         keep_witnesses(self.violations, [Violation(kind, where, detail)])
 
 

@@ -118,30 +118,32 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
 
 def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: str = "g") -> None:
     out.write(f"graph {name} {{\n")
-    if tc is not None:
-        for v in g.vertices:
-            c = tc.vertex_colors.get(v)
-            if c is not None:
-                out.write(f'  "{render(v)}" [color={color_name(c)}];\n')
-    for u, v, labels in g.edges():
+    verts = g.vertices
+    if tc is not None and tc.vertex_colors is not None:
+        for v, c in zip(verts, tc.vertex_colors_by_id(g)):
+            out.write(f'  "{render(v)}" [color={color_name(c)}];\n')
+    color = tc.edge_color_reader(g) if tc is not None else None
+    for i, j, labels in g.edge_ids():
         attrs = ""
-        if tc is not None:
-            try:
-                attrs = f" [color={color_name(tc.edge_color(u, v))}]"
-            except KeyError:
-                attrs = ""
+        if color is not None:
+            c = color(i, j, labels)
+            attrs = "" if c is None else f" [color={color_name(c)}]"
         elif labels:
             attrs = f' [label="{",".join(str(x) for x in labels)}"]'
-        out.write(f'  "{render(u)}" -- "{render(v)}"{attrs};\n')
+        out.write(f'  "{render(verts[i])}" -- "{render(verts[j])}"{attrs};\n')
     out.write("}\n")
 
 
 def write_coloring(tc: TotalColoring, out: TextIO) -> None:
     """Lines `V u color` then `E u v color`, canonical order."""
-    for v in tc.vertex_colors:
-        out.write(f"V {render(v)} {tc.vertex_colors[v]}\n")
-    for (u, v), c in tc.edge_colors.items():
-        out.write(f"E {render(u)} {render(v)} {c}\n")
+    g = tc.graph
+    verts, color = g.vertices, tc.edge_color_reader(g)
+    if tc.vertex_colors is not None:
+        for v, c in zip(verts, tc.vertex_colors_by_id(g)):
+            out.write(f"V {render(v)} {c}\n")
+    for i, j, labels in g.edge_ids():
+        if (c := color(i, j, labels)) is not None:
+            out.write(f"E {render(verts[i])} {render(verts[j])} {c}\n")
 
 
 def load_pi_file(path: str, length: int) -> GeneratorFamily:

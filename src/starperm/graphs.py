@@ -716,35 +716,3 @@ def six_cycles(g: Graph) -> list[tuple[int, ...]]:
                         cycles.append((r, x2, y2, z, y1, x1))
     cycles.sort()
     return cycles
-
-
-# ---------------------------------------------------------------------------
-# reference constructions
-# ---------------------------------------------------------------------------
-
-
-def build_odd_complete_colored(n: int):
-    """K_{2n+1} with its cyclic total coloring.
-
-    Vertex j gets color j; the edge {j-i, j+i} (mod 2n+1) gets color j for
-    0 < i <= n.  Returns (graph, TotalColoring); the coloring is total and
-    efficient on 2n+1 colors.
-    """
-    from .coloring import TotalColoring
-
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    order = 2 * n + 1
-    edge_colors = {}
-    for j in range(order):
-        for i in range(1, n + 1):
-            u, v = (j - i) % order, (j + i) % order
-            edge_colors[(u, v) if u < v else (v, u)] = j
-    g = Graph(range(order), edge_colors)
-    vertex_colors = {j: j for j in range(order)}
-    tc = TotalColoring(
-        vertex_colors=vertex_colors,
-        edge_colors=edge_colors,
-        palette=frozenset(range(order)),
-    )
-    return g, tc

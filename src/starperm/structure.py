@@ -284,9 +284,10 @@ class ToroidalReport:
 
 
 def toroidal_colors(tc: TotalColoring, d1: int, quad: Sequence[int]) -> tuple[int, ...]:
-    """quad as a tuple; ValueError unless d1 and quad are five distinct colors of tc."""
+    """quad as a tuple; ValueError unless d1 and the four of quad are five
+    distinct colors of tc."""
     quad = tuple(quad)
-    if len(set(quad) | {d1}) != 5 or d1 in quad:
+    if len(quad) != 4 or len({d1, *quad}) != 5:
         raise ValueError("need d1 and four further pairwise distinct colors")
     unknown = (set(quad) | {d1}) - set(tc.palette)
     if unknown:

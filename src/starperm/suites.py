@@ -188,7 +188,7 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
         if ell == 2:
             rep = ctx.coloring_report
         else:
-            rep = verify_coloring(g, TotalColoring({}, positional_edge_coloring(g), frozenset(range(1, k * ell))))
+            rep = verify_coloring(g, positional_edge_coloring(g))
         return bool(rep.proper_edge), "", [w for w in rep.witnesses if w[0] == "adjacent-edges"]
 
     run.add("positional-edge-proper", positional)
@@ -207,7 +207,8 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
         run.add("sigma-palette-size", palette_size)
     if ell >= 3:
         def disjoint():
-            bad = [(u, v) for u, v, _ in g.edges() if list_assignment(u) & list_assignment(v)]
+            lists, verts = [list_assignment(v) for v in g.vertices], g.vertices
+            bad = [(verts[i], verts[j]) for i, j, _ in g.edge_ids() if lists[i] & lists[j]]
             return not bad, f"edges={g.m}", bad
 
         def obstruction():
@@ -337,7 +338,7 @@ def _suite_pancake(run: _Runner, ctx: _Context) -> None:
     run.add(
         "black-removal-neighborhood-partition",
         lambda: (
-            rep.neighborhoods_partition_remainder and rep.degrees_drop,
+            rep.last_sigma_passes and rep.degrees_drop,
             f"degree_after_vertices={rep.minus_sigma_regular_degree} after_edges={rep.remainder_regular_degree}",
             [],
         ),

@@ -115,7 +115,7 @@ def test_c05_coloring_suite(st22, st32, st42):
         tc = sigma_total_coloring(g)
         rep = verify_coloring(g, tc)
         assert rep.total and rep.efficient
-        used = set(tc.vertex_colors.values()) | set(tc.edge_colors.values())
+        used = set(tc.vertex_colors) | {tc.edge_color(u, v) for u, v, _ in g.edges()}
         assert used == set(range(1, 2 * k)) and len(used) == 2 * k - 1
     k5, k5tc = build_odd_complete_colored(2)
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (2, 4), (3, 0), (4, 1)]
@@ -140,7 +140,7 @@ def test_c06_color_class_decomposition(st32, st42, st22, tc32, tc42):
             assert case.minus_edges_big_side_is_class
             walk = case.odd_closed_walk
             assert walk is not None and walk[0] == walk[-1]
-            left = g.n - sum(c == case.color for c in tc.vertex_colors.values())
+            left = g.n - sum(c == case.color for c in tc.vertex_colors)
             sizes = sorted(comp.n for comp in case.components)
             found[k, case.color] = (
                 len(sizes),

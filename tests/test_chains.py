@@ -277,7 +277,6 @@ def test_pancake_k3(pc32):
     assert pc32.regularity() == ("regular", (4,))
     assert rep.minus_sigma_regular_degree == 3
     assert rep.remainder_regular_degree == 2
-    assert rep.neighborhoods_partition_remainder
     # no full-reversal edge is also another generator's edge
     assert all(labels == (5,) for _, _, labels in pc32.edges() if 5 in labels)
 

@@ -277,18 +277,20 @@ def test_oracle_check_agrees_with_verifier(st32, st23):
 def test_ei_avoidance(st22, tc22, st32, tc32):
     rep = verify_ei_avoidance(st22, tc22)
     assert rep["passed"] and rep["last_position_rationale"]
-    e1 = {e for e, c in tc22.edge_colors.items() if c == 1}
+    e1 = {(u, v) for u, v, _ in st22.edges() if tc22.edge_color(u, v) == 1}
     assert e1 == {(ms("0101"), ms("1001")), (ms("0110"), ms("1010"))}
     assert verify_ei_avoidance(st32, tc32)["passed"]
     # one edge recolored with its lower end's repeat position is the one witness
-    (u, v), _ = next(iter(tc22.edge_colors.items()))
-    recolored = dict(tc22.edge_colors.items()) | {(u, v): repeat_position(u)}
-    rep = verify_ei_avoidance(st22, TotalColoring(tc22.vertex_colors, recolored, tc22.palette))
+    edge_colors = {(u, v): tc22.edge_color(u, v) for u, v, _ in st22.edges()}
+    (u, v), _ = next(iter(edge_colors.items()))
+    vertex_colors = {w: tc22.vertex_color(w) for w in st22.vertices}
+    recolored = edge_colors | {(u, v): repeat_position(u)}
+    rep = verify_ei_avoidance(st22, TotalColoring.from_labels(st22, vertex_colors, recolored, tc22.palette))
     assert not rep["passed"] and rep["witnesses"] == [(repeat_position(u), u, v)]
 
 
 def test_sigma_total_coloring_feeds_ei(st22, tc22):
     sigma1 = labels_of(st22, sigma_set(st22, 1))
-    for (u, v), c in tc22.edge_colors.items():
-        if c == 1:
+    for u, v, _ in st22.edges():
+        if tc22.edge_color(u, v) == 1:
             assert u not in sigma1 and v not in sigma1

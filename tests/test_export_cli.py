@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from starperm import mstring
+from starperm import mstring, positional_edge_coloring
 from starperm.cli import main
 from starperm.export import (
     read_edge_list,
@@ -134,6 +134,29 @@ def test_cli_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope", "--k", "2", "--l", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search-codes", "--k", "3", "--ell", "1"], "search-codes needs either --input or both --k and --l"),
+        (["build", "--k", "2", "--l", "2", "--family", "custom", "--out", "/dev/null"], "--family custom requires --pi FILE"),
+        (["verify", "--suite", "toroidal", "--k", "3", "--l", "2", "--quad", "1,2,3,4,4"], "need d1 and four further pairwise distinct colors"),
+        (["verify", "--suite", "toroidal", "--k", "3", "--l", "2", "--quad", "1,2,3"], "need d1 and four further pairwise distinct colors"),
+    ],
+)
+def test_cli_usage_errors_exit_2(argv, message, capsys):
+    # exit 1 is kept for a false claim
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_edge_coloring_writes_edge_lines_only(st23):
+    buf = io.StringIO()
+    write_coloring(positional_edge_coloring(st23), buf)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == st23.m and all(line.startswith("E ") for line in lines)
+    assert lines[0] == "E 000111 100011 3"
 
 
 def test_cli_export_formats(tmp_path):

@@ -135,7 +135,7 @@ def test_subgraph_and_components(st32):
     assert minus.is_connected()
 
     tc = sigma_total_coloring(st32)
-    e5 = [e for e, c in tc.edge_colors.items() if c == 5]
+    e5 = [(u, v) for u, v, _ in st32.edges() if tc.edge_color(u, v) == 5]
     kept = [e for e in e5 if minus.has_vertex(e[0]) and minus.has_vertex(e[1])]
     comps = minus.subgraph(delete_edges=kept).components()
     assert len(comps) == 12
@@ -188,7 +188,7 @@ def test_isomorphic_st32_components(st32, st22):
 
     tc = sigma_total_coloring(st32)
     minus = st32.subgraph(delete_vertices=[st32.vertices[x] for x in sigma_set(st32, 5)])
-    e5 = [e for e, c in tc.edge_colors.items() if c == 5 and minus.has_vertex(e[0]) and minus.has_vertex(e[1])]
+    e5 = [(u, v) for u, v, _ in st32.edges() if tc.edge_color(u, v) == 5 and minus.has_vertex(u) and minus.has_vertex(v)]
     for comp in minus.subgraph(delete_edges=e5).components():
         ok, mapping = isomorphic(comp, st22)
         assert ok
@@ -200,7 +200,7 @@ def test_odd_complete_k5_colors():
     g, tc = build_odd_complete_colored(2)
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (2, 4), (3, 0), (4, 1)]
     assert [tc.edge_color(u, v) for u, v in pairs] == [3, 4, 0, 1, 2, 1, 2, 3, 4, 0]
-    assert tc.vertex_colors == {j: j for j in range(5)}
+    assert [tc.vertex_color(j) for j in range(5)] == list(tc.vertex_colors) == list(range(5))
     assert g.girth() == 3
     assert verify_coloring(g, tc).passed
 

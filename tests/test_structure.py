@@ -8,6 +8,8 @@ from starperm import (
     toroidal_assembly,
 )
 
+from starperm.structure import toroidal_colors
+
 from .faults import add_to_w1
 from .oracles import brute_component_keys, brute_move_graph
 
@@ -134,11 +136,11 @@ def test_toroidal_dual_color_sextuples(st32, tc32):
     cyc_set = {st32.vertices[x] for x in groups["type1", (2, 3, 4)][:6]}
     for d, landing_color in ((1, 5), (5, 1)):
         landings = set()
-        for (u, v), color in tc32.edge_colors.items():
-            if color == d and ((u in cyc_set) != (v in cyc_set)):
+        for u, v, _ in st32.edges():
+            if tc32.edge_color(u, v) == d and ((u in cyc_set) != (v in cyc_set)):
                 landings.add(v if u in cyc_set else u)
         assert len(landings) == 6
-        assert {tc32.vertex_colors[x] for x in landings} == {landing_color}
+        assert {tc32.vertex_color(x) for x in landings} == {landing_color}
 
 
 def test_toroidal_rejects_bad_colors(st32, tc32):
@@ -147,3 +149,11 @@ def test_toroidal_rejects_bad_colors(st32, tc32):
         toroidal_assembly(st32, tc32, groups, 5, (1, 2, 3, 5))
     with pytest.raises(ValueError):
         toroidal_assembly(st32, tc32, groups, 9, (1, 2, 3, 4))
+
+
+def test_toroidal_colors_want_exactly_four(tc32):
+    # a repeated color makes five entries but only four distinct ones
+    assert toroidal_colors(tc32, 5, [1, 2, 3, 4]) == (1, 2, 3, 4)
+    for quad in ((1, 2, 3, 4, 4), (1, 2, 3)):
+        with pytest.raises(ValueError, match="need d1 and four further pairwise distinct colors"):
+            toroidal_colors(tc32, 5, quad)

@@ -255,6 +255,16 @@ def test_a_cap_on_the_graph_skips_the_suite_head(suite, head):
     assert "90 vertices exceeds cap 50" in only.detail
 
 
+def test_list_disjointness_reads_each_list_once(monkeypatch):
+    # catches a scan that looks both lists up again on every edge
+    calls = []
+    lists = starperm.suites.list_assignment
+    monkeypatch.setattr(starperm.suites, "list_assignment", lambda v: calls.append(v) or lists(v))
+    report = run_suite("coloring", 3, 3)
+    assert {c.name: c.status for c in report.checks}["list-disjointness"] == "pass"
+    assert len(calls) == len(set(calls)) == Params(3, 3).vertex_count() == 1680
+
+
 def test_the_pancake_partition_line_decides_the_degrees(monkeypatch):
     # catches a line that prints the degrees left after the two deletions
     # but passes whatever they are
