@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
@@ -75,44 +75,36 @@ class TotalColoring:
         return cls(g, vcol, ecol, frozenset(palette))
 
     def vertex_color(self, v) -> int:
+        if self.vertex_colors is None:
+            raise ValueError("an edge coloring has no vertex colors")
         return self.vertex_colors[self.graph.index(v)]
 
     def edge_color(self, u, v) -> int:
         """The color of the edge {u, v}; KeyError if it is not a colored edge."""
         g = self.graph
         i, j = sorted((g.index(u), g.index(v)))
-        if (labels := g.label(i, j)) is None or (c := self.edge_color_reader(g)(i, j, labels)) is None:
+        if (labels := g.label(i, j)) is None or (c := self.edge_color_reader()(i, j, labels)) is None:
             raise KeyError((u, v))
         return c
 
-    def vertex_colors_by_id(self, g: Graph) -> Sequence[int]:
-        """g's vertex colors by vertex id: the column in place when g is the
-        colored graph, else read once by label through it."""
-        if g is self.graph:
-            return self.vertex_colors
-        return [self.vertex_color(v) for v in g.vertices]
-
-    def edge_color_reader(self, g: Graph) -> Callable[[int, int, tuple], Optional[int]]:
-        """The color of g's edge between vertex ids i < j carrying `labels`,
-        None if it has none.  The positional coloring of g, or of a graph g
-        was cut from (sharing its label sets), answers from the labels in
-        place, and the colored graph itself from its id pairs; any other g is
-        read by its endpoints' labels through the colored graph."""
-        own, colors = self.graph, self.edge_colors
-        if colors is None and g.label_sets is own.label_sets:
+    def edge_color_reader(self) -> Callable[[int, int, tuple], Optional[int]]:
+        """The color of the edge between vertex ids i < j carrying `labels`,
+        None if it has none: its one label for the positional coloring,
+        else read by id pair."""
+        colors = self.edge_colors
+        if colors is None:
             return lambda i, j, labels: labels[0]
-        if g is own:
-            return lambda i, j, labels: colors.get((i, j))
-        verts, index = g.vertices, own.index
+        return lambda i, j, labels: colors.get((i, j))
 
-        def color(i: int, j: int, labels: tuple) -> Optional[int]:
-            a, b = sorted((index(verts[i]), index(verts[j])))
-            if colors is not None:
-                return colors.get((a, b))
-            own_labels = own.label(a, b)
-            return None if own_labels is None else own_labels[0]
-
-        return color
+    def restrict(self, keep: Sequence[int], drop: Container[tuple[int, int]] = ()) -> TotalColoring:
+        """This coloring on ``graph.restrict(keep, drop)``: the vertex column
+        sliced, the edge colors renumbered."""
+        g, col, colors = self.graph.restrict(keep, drop), self.vertex_colors, self.edge_colors
+        if col is not None:
+            col = [col[x] for x in keep]
+        if colors is not None:
+            colors = {(i, j): c for i, j, _ in g.edge_ids() if (c := colors.get((keep[i], keep[j]))) is not None}
+        return TotalColoring(g, col, colors, self.palette)
 
 
 @dataclass
@@ -176,8 +168,8 @@ def build_odd_complete_colored(n: int) -> tuple[Graph, TotalColoring]:
     return g, TotalColoring.from_labels(g, {j: j for j in range(order)}, edge_colors, range(order))
 
 
-def verify_coloring(g: Graph, tc: TotalColoring) -> ColoringReport:
-    """Check a coloring of g in one scan of its rows, with witnesses.
+def verify_coloring(tc: TotalColoring) -> ColoringReport:
+    """Check a coloring of its graph g in one scan of g's rows, with witnesses.
 
     Every edge must be colored, and properness of the edge colors is always
     decided.  For an edge coloring (no vertex colors) nothing more is
@@ -186,10 +178,9 @@ def verify_coloring(g: Graph, tc: TotalColoring) -> ColoringReport:
     every closed neighborhood rainbow over the full palette.
     """
     # The scan runs on vertex ids; labels are looked up only for witnesses.
-    verts, label_sets, color = g.vertices, g.label_sets, tc.edge_color_reader(g)
-    total = tc.vertex_colors is not None
+    g, vcol, color = tc.graph, tc.vertex_colors, tc.edge_color_reader()
+    verts, label_sets, total = g.vertices, g.label_sets, vcol is not None
     if total:
-        vcol = tc.vertex_colors_by_id(g)
         shape, degs = g.regularity()
         regular = shape == "regular" and degs[0] + 1 == len(tc.palette)
     # One buffer per witness kind, each capped; joined in WITNESS_KINDS order.

@@ -298,15 +298,16 @@ def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
     return rep
 
 
-def verify_ei_avoidance(g: PermGraph, tc: TotalColoring) -> dict:
-    """No color-i edge touches a Sigma_i vertex; color-(2k-1) vertices have
-    equal first and last entries.  The witnesses are the first offending
-    edges, each as (i, u, v)."""
+def verify_ei_avoidance(tc: TotalColoring) -> dict:
+    """In tc's graph, no color-i edge touches a Sigma_i vertex; color-(2k-1)
+    vertices have equal first and last entries.  The witnesses are the
+    first offending edges, each as (i, u, v)."""
+    g = tc.graph
     _require_ell2(g)
     last = 2 * g.params.k - 1
     # Sigma_i holds the vertices at repeat position i, so one pass over the
     # edges, by vertex id, decides all i.
-    pos, verts, color = g.repeat_positions(), g.vertices, tc.edge_color_reader(g)
+    pos, verts, color = g.repeat_positions(), g.vertices, tc.edge_color_reader()
     bad = ((c, verts[u], verts[v]) for u, v, labels in g.edge_ids() if (c := color(u, v, labels)) in (pos[u], pos[v]))
     witnesses = list(islice(bad, WITNESS_CAP))
     return {

@@ -120,9 +120,9 @@ def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: s
     out.write(f"graph {name} {{\n")
     verts = g.vertices
     if tc is not None and tc.vertex_colors is not None:
-        for v, c in zip(verts, tc.vertex_colors_by_id(g)):
+        for v, c in zip(verts, tc.vertex_colors):
             out.write(f'  "{render(v)}" [color={color_name(c)}];\n')
-    color = tc.edge_color_reader(g) if tc is not None else None
+    color = tc.edge_color_reader() if tc is not None else None
     for i, j, labels in g.edge_ids():
         attrs = ""
         if color is not None:
@@ -137,9 +137,9 @@ def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: s
 def write_coloring(tc: TotalColoring, out: TextIO) -> None:
     """Lines `V u color` then `E u v color`, canonical order."""
     g = tc.graph
-    verts, color = g.vertices, tc.edge_color_reader(g)
+    verts, color = g.vertices, tc.edge_color_reader()
     if tc.vertex_colors is not None:
-        for v, c in zip(verts, tc.vertex_colors_by_id(g)):
+        for v, c in zip(verts, tc.vertex_colors):
             out.write(f"V {render(v)} {c}\n")
     for i, j, labels in g.edge_ids():
         if (c := color(i, j, labels)) is not None:

@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
 from .mstrings import DEFAULT_VERTEX_CAP, Params, iter_vertices, mstring, prefix_reversal, repeat_position
@@ -229,14 +229,14 @@ class Graph:
                         seen[y] = True
                         comp.append(y)
                         queue.append(y)
-            comps.append(self.induced_subgraph([self.vertices[i] for i in sorted(comp)]))
+            comps.append(self.restrict(sorted(comp)))
         return comps
 
     # -- surgery -----------------------------------------------------------
 
     def induced_subgraph(self, keep: Iterable[Label]) -> "Graph":
         """The subgraph induced on `keep`, its vertices in this graph's order."""
-        return self._filtered(sorted(map(self.index, keep)), set())
+        return self.restrict(sorted(map(self.index, keep)))
 
     def subgraph(
         self,
@@ -253,11 +253,12 @@ class Graph:
             if self.label(iu, iv) is None or (iu, iv) in cut:
                 raise ValueError(f"unknown edge ({u!r}, {v!r})")
             cut.update(((iu, iv), (iv, iu)))
-        return self._filtered([i for i in range(self.n) if i not in drop], cut)
+        return self.restrict([i for i in range(self.n) if i not in drop], cut)
 
-    def _filtered(self, keep: list[int], cut: set[tuple[int, int]]) -> "Graph":
+    def restrict(self, keep: Sequence[int], drop: Container[tuple[int, int]] = ()) -> "Graph":
         """The subgraph on the ascending vertex ids `keep`, without the edges
-        whose id pairs are in `cut`; the edges keep their label ids."""
+        `drop` holds both ways round, as (i, j) and (j, i); vertex id
+        ``keep[i]`` becomes i, and the edges keep their label ids."""
         new_id = array("i", [-1]) * self.n
         for new, old in enumerate(keep):
             new_id[old] = new
@@ -268,7 +269,7 @@ class Graph:
         for i in keep:
             for p in range(self._start[i], self._start[i + 1]):
                 w = self._nbr[p]
-                if new_id[w] >= 0 and (i, w) not in cut:
+                if new_id[w] >= 0 and (i, w) not in drop:
                     g._nbr.append(new_id[w])
                     g._lab.append(self._lab[p])
             g._start.append(len(g._nbr))
@@ -677,8 +678,10 @@ def build_graph(
 SIX_CYCLE_CAP = 10**4
 
 
-def six_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """All 6-cycles, each once, as canonical tuples of vertex ids, sorted.
+def six_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
+    """All 6-cycles, each once, as canonical tuples of vertex ids, in
+    ascending order, one root's batch at a time.  The cap is checked here,
+    at the call, not when the first cycle is asked for.
 
     A cycle is reported rooted at its least vertex r with its opposite
     vertex fourth; the two halves (r-x-y-z and r-x'-y'-z) are joined with
@@ -688,8 +691,11 @@ def six_cycles(g: Graph) -> list[tuple[int, ...]]:
     """
     if g.n > SIX_CYCLE_CAP:
         raise CapExceeded(f"6-cycle enumeration capped at {SIX_CYCLE_CAP} vertices, graph has {g.n}")
+    return _rooted_six_cycles(g)
+
+
+def _rooted_six_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
     adj = [g.row(i) for i in range(g.n)]
-    cycles = []
     for r in range(g.n):
         buckets: dict[int, list[tuple[int, int]]] = {}
         for x in adj[r]:
@@ -702,6 +708,7 @@ def six_cycles(g: Graph) -> list[tuple[int, ...]]:
                     if z <= r or z == x:
                         continue
                     buckets.setdefault(z, []).append((x, y))
+        cycles = []  # every cycle rooted at r starts with r: sorting each batch sorts them all
         for z in sorted(buckets):
             halves = buckets[z]
             for a in range(len(halves)):
@@ -714,5 +721,5 @@ def six_cycles(g: Graph) -> list[tuple[int, ...]]:
                         cycles.append((r, x1, y1, z, y2, x2))
                     else:
                         cycles.append((r, x2, y2, z, y1, x1))
-    cycles.sort()
-    return cycles
+        cycles.sort()
+        yield from cycles

@@ -84,11 +84,11 @@ class DecompositionReport:
         )
 
 
-def color_class_decomposition(g: Graph, tc: TotalColoring, checked: Optional[ColoringReport] = None) -> DecompositionReport:
-    """Run the per-color decomposition checks on ST(k,2); hypothesis failures
-    come back as a precondition report, not an exception.  `checked` is
-    ``verify_coloring(g, tc)`` when the caller already has it; otherwise
-    the precondition runs it.
+def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringReport] = None) -> DecompositionReport:
+    """Run the per-color decomposition checks on tc's graph g = ST(k,2);
+    hypothesis failures come back as a precondition report, not an
+    exception.  `checked` is ``verify_coloring(tc)`` when the caller
+    already has it; otherwise the precondition runs it.
 
     In ST(k,2) - W_i - E_i neither s = v[i] nor its other copy at p moves: a
     move at i is an E_i edge, and a move at p puts s in front, into W_i.  So
@@ -96,9 +96,10 @@ def color_class_decomposition(g: Graph, tc: TotalColoring, checked: Optional[Col
     and renumbering the symbols above s one down, maps it onto ST(k-1,2),
     the move at j onto the move at rho(j) = j - [j > i] - [j > p].  One scan
     per color finds the components, checks phi on each and takes the
-    degrees of G - W_i and G - E_i; the first component per color is also
-    copied for verify_coloring and isomorphic.
+    degrees of G - W_i and G - E_i; the coloring of the first component per
+    color is also cut out, by vertex id, for verify_coloring and isomorphic.
     """
+    g = tc.graph
     if not (isinstance(g, PermGraph) and g.family.kind == "star" and g.params.ell == 2):
         return DecompositionReport(h=0, precondition_ok=False, precondition_detail="need a 2-set star graph")
     h = 2 * g.params.k  # ST(k,2) is connected and (h-2)-regular
@@ -107,12 +108,11 @@ def color_class_decomposition(g: Graph, tc: TotalColoring, checked: Optional[Col
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail=f"need even h > 4, got h = {h}")
     if len(tc.palette) != h - 1:
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail=f"palette has {len(tc.palette)} colors, want {h - 1}")
-    eff = checked if checked is not None else verify_coloring(g, tc)
+    eff = checked if checked is not None else verify_coloring(tc)
     if not (eff.passed and eff.efficient):
         return DecompositionReport(h=h, precondition_ok=False, precondition_detail="coloring is not efficient")
 
-    n, verts, label_sets, color = g.n, g.vertices, g.label_sets, tc.edge_color_reader(g)
-    vcol = tc.vertex_colors_by_id(g)
+    n, verts, label_sets, color, vcol = g.n, g.vertices, g.label_sets, tc.edge_color_reader(), tc.vertex_colors
     size = Params(g.params.k - 1, 2).vertex_count()
     reference = build_graph(Params(g.params.k - 1, 2)) if size <= ISO_CAP else None
     for i in sorted(tc.palette):
@@ -171,14 +171,14 @@ def color_class_decomposition(g: Graph, tc: TotalColoring, checked: Optional[Col
             # counts, so phi is an isomorphism onto ST(k-1,2).
             typed = typed and len(set(images.values())) == len(comp) == size and regular == h - 4
             # A restriction of a total coloring is total; verify_coloring
-            # confirms it on the first component's copy.
+            # confirms it on the first component's coloring.
             total = True
             if not case.components:
-                sub = g.induced_subgraph(verts[x] for x in comp)
                 # the E_i edges found so far are this component's or lead out of it
-                sub = sub.subgraph(delete_edges=[(verts[x], verts[y]) for x, y in zip(e_ids[::2], e_ids[1::2]) if part[x] == part[y]])
-                total = bool(verify_coloring(sub, tc).total)
-                typed = typed and (reference is None or isomorphic(sub, reference)[0])
+                drop = {e for x, y in zip(e_ids[::2], e_ids[1::2]) if part[x] == part[y] for e in ((x, y), (y, x))}
+                sub = tc.restrict(sorted(comp), drop)
+                total = bool(verify_coloring(sub).total)
+                typed = typed and (reference is None or isomorphic(sub.graph, reference)[0])
             case.components.append(ComponentAudit(len(comp), regular, total, typed))
         # G - W_i is the components joined by their E_i edges.
         links = {(part[x], part[y]) for x, y in zip(e_ids[::2], e_ids[1::2]) if part[x] != part[y]}
@@ -211,8 +211,8 @@ def _keyed(v: tuple, i: int) -> tuple[tuple[int, int], tuple[int, ...]]:
 CycleGroups = dict[tuple[str, tuple[int, ...]], array]
 
 
-def classify_six_cycles(g: PermGraph, tc: TotalColoring) -> tuple[CycleGroups, dict[str, int]]:
-    """Classify every 6-cycle of a 2-set star graph under its coloring.
+def classify_six_cycles(tc: TotalColoring) -> tuple[CycleGroups, dict[str, int]]:
+    """Classify every 6-cycle of a 2-set star graph under its coloring tc.
 
     Type 1: the three opposite edge pairs are monochromatic in 3 distinct
     colors.  Type 2: edge colors alternate between two distinct colors.
@@ -220,9 +220,9 @@ def classify_six_cycles(g: PermGraph, tc: TotalColoring) -> tuple[CycleGroups, d
     """
     groups: CycleGroups = {}
     census = {"type1": 0, "type2": 0, "other": 0}
-    label, color = g.label, tc.edge_color_reader(g)
+    g, color = tc.graph, tc.edge_color_reader()
     for cyc in six_cycles(g):
-        ec = [color(i, j, label(i, j)) for i, j in _cycle_edges(cyc)]
+        ec = [color(i, j, g.label(i, j)) for i, j in _cycle_edges(cyc)]
         if ec[0] == ec[3] and ec[1] == ec[4] and ec[2] == ec[5] and len({ec[0], ec[1], ec[2]}) == 3:
             kind, colors = "type1", tuple(sorted({ec[0], ec[1], ec[2]}))
         elif ec[0] == ec[2] == ec[4] and ec[1] == ec[3] == ec[5] and ec[0] != ec[1]:
@@ -295,10 +295,10 @@ def toroidal_colors(tc: TotalColoring, d1: int, quad: Sequence[int]) -> tuple[in
     return quad
 
 
-def toroidal_assembly(g: PermGraph, tc: TotalColoring, groups: CycleGroups, d1: int, quad: Sequence[int]) -> ToroidalReport:
+def toroidal_assembly(tc: TotalColoring, groups: CycleGroups, d1: int, quad: Sequence[int]) -> ToroidalReport:
     """Union of the type-2 cycles pairing d1 with each quad color, audited.
 
-    `groups` is what classify_six_cycles(g, tc) returned.  Checks: the
+    `groups` is what classify_six_cycles(tc) returned.  Checks: the
     contained type-1 cycles on quad colors are vertex-disjoint;
     from each of them exactly six edges of its left-over quad color depart,
     landing on six distinct vertices of the d1 class (so the class hangs
@@ -309,8 +309,8 @@ def toroidal_assembly(g: PermGraph, tc: TotalColoring, groups: CycleGroups, d1: 
     """
     quad = toroidal_colors(tc, d1, quad)
     type2 = _cycles_of(groups, "type2", lambda cs: d1 in cs and cs - {d1} <= set(quad))
-    verts, label_sets, color = g.vertices, g.label_sets, tc.edge_color_reader(g)
-    vcol = tc.vertex_colors_by_id(g)
+    g, vcol, color = tc.graph, tc.vertex_colors, tc.edge_color_reader()
+    verts, label_sets = g.vertices, g.label_sets
     edge_set = {e for _, c in type2 for e in _cycle_edges(c)}
     union = {x for e in edge_set for x in e}
 

@@ -90,12 +90,12 @@ class _Context:
     (passed in, or built on first use), its repeat-position coloring, that
     coloring's verify_coloring report and its 6-cycles classified under it
     (each computed on first use).  Nothing larger is kept, as whatever is
-    cached lives through every later sub-suite.  The 6-cycle pass sets the
-    run's peak memory: at k = 4 the process's high-water mark rises by
-    1.6 MB (16.2 to 17.8 MB) in the cycles sub-suite, which lists all 6,300
-    cycles as tuples before grouping them, and by 0.3 MB or less in each
-    sub-suite after it, chains included.  The 6-cycle groups, a flat array
-    of vertex ids per (kind, colors), stay cached: about 150 KB at k = 4."""
+    cached lives through every later sub-suite.  At k = 4 the process's
+    high-water mark rises by 0.4 MB (16.2 to 16.6 MB) in the cycles
+    sub-suite, which groups the 6,300 cycles one root's batch at a time,
+    and by 0.5 MB or less in each sub-suite after it (17.4 MB at the end).
+    The 6-cycle groups, a flat array of vertex ids per (kind, colors), stay
+    cached: about 150 KB at k = 4."""
 
     def __init__(
         self, k: int, ell: int, graph: Optional[PermGraph], cap: int, d1: Optional[int], quad: Optional[tuple[int, ...]]
@@ -114,11 +114,11 @@ class _Context:
 
     @cached_property
     def coloring_report(self) -> ColoringReport:
-        return verify_coloring(self.graph, self.coloring)
+        return verify_coloring(self.coloring)
 
     @cached_property
     def classified_cycles(self) -> tuple[CycleGroups, dict[str, int]]:
-        return classify_six_cycles(self.graph, self.coloring)
+        return classify_six_cycles(self.coloring)
 
 
 def _suite_domination(run: _Runner, ctx: _Context) -> None:
@@ -170,7 +170,7 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
         )
 
     def ei_avoidance():
-        ei = verify_ei_avoidance(g, ctx.coloring)
+        ei = verify_ei_avoidance(ctx.coloring)
         return ei["passed"] and ei["last_position_rationale"], "", ei["witnesses"]
 
     run.add("sigma-partition", sigma_partition)
@@ -188,7 +188,7 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
         if ell == 2:
             rep = ctx.coloring_report
         else:
-            rep = verify_coloring(g, positional_edge_coloring(g))
+            rep = verify_coloring(positional_edge_coloring(g))
         return bool(rep.proper_edge), "", [w for w in rep.witnesses if w[0] == "adjacent-edges"]
 
     run.add("positional-edge-proper", positional)
@@ -197,8 +197,8 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
 
         def palette_size():
             # by vertex id and edge by edge, with no label unpacked
-            color = tc.edge_color_reader(g)
-            used = set(tc.vertex_colors_by_id(g))
+            color = tc.edge_color_reader()
+            used = set(tc.vertex_colors)
             used.update(color(i, j, labels) for i, j, labels in g.edge_ids())
             return used == tc.palette and len(used) == 2 * k - 1, f"colors={sorted(used)}", []
 
@@ -223,7 +223,7 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
 
 def _suite_chi(run: _Runner, ctx: _Context) -> None:
     rep = run.head(
-        "chi-preconditions", _needs_l2(ctx.ell), lambda: color_class_decomposition(ctx.graph, ctx.coloring, ctx.coloring_report)
+        "chi-preconditions", _needs_l2(ctx.ell), lambda: color_class_decomposition(ctx.coloring, ctx.coloring_report)
     )
     if rep is None:
         return
@@ -281,7 +281,7 @@ def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
         d1 = ctx.d1 if ctx.d1 is not None else 2 * k - 1
         # a usage error, raised before a capped 6-cycle enumeration can SKIP
         quad = toroidal_colors(ctx.coloring, d1, ctx.quad or (1, 2, 3, 4))
-        return toroidal_assembly(ctx.graph, ctx.coloring, ctx.classified_cycles[0], d1, quad)
+        return toroidal_assembly(ctx.coloring, ctx.classified_cycles[0], d1, quad)
 
     rep = run.head("toroidal-audit", unmet, assemble)
     if rep is None:
@@ -376,7 +376,10 @@ def run_suite(
     report = SuiteReport(suite=suite, params={"k": k, "l": ell}, tool_version=__version__, seed=seed)
     ctx = graph if isinstance(graph, _Context) else _Context(k, ell, graph, cap, d1, quad)
     if suite != "all":
-        _PARTS[suite](_Runner(report), ctx)
+        if k == 1:  # ST(1, l) is a single vertex, below every claim
+            _Runner(report).head("instance-precondition", "suite needs k > 1, got k = 1", None)
+        else:
+            _PARTS[suite](_Runner(report), ctx)
         return report
     for part in _PARTS:
         # One run_suite call per part, so that a wrapper around run_suite

@@ -1,8 +1,8 @@
-"""Fault injection: for the chi tests an altered W_1, read through the
-vertex colors by id of the whole graph; for the chain tests a wrong shift
-or a lost source string; for the Schreier tests a lost fiber or a different
-move on Sym strings."""
+"""Fault injection: for the chi tests an altered W_1, put into a coloring's
+vertex column; for the chain tests a wrong shift or a lost source string;
+for the Schreier tests a lost fiber or a different move on Sym strings."""
 
+from dataclasses import replace
 from itertools import islice
 
 import starperm.chains
@@ -10,7 +10,7 @@ import starperm.structure
 import starperm.suites
 from starperm import ChainEmbedding, ColoringReport, Params, PermGraph, TotalColoring
 
-_by_id = TotalColoring.vertex_colors_by_id
+_sigma_total_coloring = starperm.suites.sigma_total_coloring
 _verify_coloring = starperm.structure.verify_coloring
 
 
@@ -24,28 +24,26 @@ class AlsoColorOne(int):
     __hash__ = int.__hash__
 
 
-def add_to_w1(monkeypatch, pick):
-    """Make the vertex id ``pick(g, column)`` of the whole graph g a member
-    of W_1 as well, and let chi's precondition pass on g, whose coloring is
-    no longer total, whether chi verifies the coloring itself or reads the
-    suite's shared report.  A component copy (a plain Graph) sees the true
-    colors."""
+def add_to_w1(monkeypatch, tc: TotalColoring, pick) -> TotalColoring:
+    """tc with the vertex id ``pick(g, column)`` of its graph g a member of
+    W_1 as well; the suites' repeat-position coloring gets the same fault.
+    chi's precondition passes on g, whose coloring is no longer total,
+    whether chi verifies the coloring itself or reads the suite's shared
+    report.  A component's coloring is verified, and sees the fault."""
 
-    def vertex_colors_by_id(self, g):
-        column = _by_id(self, g)
-        if not isinstance(g, PermGraph):
-            return column
-        column = list(column)
-        x = pick(g, column)
+    def faulted(tc):
+        column = list(tc.vertex_colors)
+        x = pick(tc.graph, column)
         column[x] = AlsoColorOne(column[x])
-        return column
+        return replace(tc, vertex_colors=column)
 
-    def verify_coloring(g, tc):
-        return ColoringReport(True, True, True, True) if isinstance(g, PermGraph) else _verify_coloring(g, tc)
+    def verify_coloring(tc):
+        return ColoringReport(True, True, True, True) if isinstance(tc.graph, PermGraph) else _verify_coloring(tc)
 
-    monkeypatch.setattr(TotalColoring, "vertex_colors_by_id", vertex_colors_by_id)
     monkeypatch.setattr(starperm.structure, "verify_coloring", verify_coloring)
     monkeypatch.setattr(starperm.suites, "verify_coloring", verify_coloring)
+    monkeypatch.setattr(starperm.suites, "sigma_total_coloring", lambda g: faulted(_sigma_total_coloring(g)))
+    return faulted(tc)
 
 
 def shift_one_embedding(monkeypatch, j):

@@ -43,7 +43,13 @@ def test_positional_incident_colors_at_100122(st32):
 def test_positional_properness_exhaustive(st32):
     tc = positional_edge_coloring(st32)
     assert tc.palette == frozenset(range(1, 6)) and tc.vertex_colors is None
-    assert verify_coloring(st32, tc).proper_edge
+    assert verify_coloring(tc).proper_edge
+
+
+def test_vertex_color_on_an_edge_coloring_says_so(st23):
+    tc = positional_edge_coloring(st23)
+    with pytest.raises(ValueError, match="an edge coloring has no vertex colors"):
+        tc.vertex_color(st23.vertices[0])
 
 
 def test_positional_rejects_pancake(pc22):
@@ -62,8 +68,8 @@ def test_sigma_coloring_requires_ell_2(st23):
         sigma_total_coloring(st23)
 
 
-def test_sigma_total_and_efficient(st32, tc32):
-    rep = verify_coloring(st32, tc32)
+def test_sigma_total_and_efficient(tc32):
+    rep = verify_coloring(tc32)
     assert rep.total and rep.efficient and rep.passed
 
 
@@ -91,7 +97,7 @@ def test_verify_coloring_negative_witness(st22):
     vertex_colors = {v: 1 for v in st22.vertices}
     edge_colors = {(u, v): 2 for u, v, _ in st22.edges()}
     tc = TotalColoring.from_labels(st22, vertex_colors, edge_colors, {1, 2})
-    rep = verify_coloring(st22, tc)
+    rep = verify_coloring(tc)
     assert not rep.proper_vertex and not rep.passed
     # every flag fails; the adjacent-vertices witnesses follow the adjacent-edges ones
     kind, u, v, c = next(w for w in rep.witnesses if w[0] == "adjacent-vertices")
@@ -116,7 +122,7 @@ def test_proper_edge_mode_reads_no_vertex_color(st32, tc32):
     _, edge_colors = _labeled(st32, tc32)
     tc = TotalColoring.from_labels(st32, {}, edge_colors, range(1, 6))
     assert tc.vertex_colors is None
-    rep = verify_coloring(st32, tc)
+    rep = verify_coloring(tc)
     assert rep.passed and rep.proper_edge
     assert (rep.proper_vertex, rep.no_incidence_clash, rep.efficient, rep.total) == (None, None, None, None)
     # a vertex mapping that is not empty must color every vertex
@@ -134,10 +140,10 @@ def test_from_labels_round_trip(st22, tc22):
     assert all(tc.vertex_color(v) == c for v, c in vertex_colors.items())
     assert all(tc.edge_color(u, v) == c == tc.edge_color(v, u) for (u, v), c in edge_colors.items())
     assert list(tc.vertex_colors) == list(tc22.vertex_colors)
-    color = tc.edge_color_reader(st22)
+    color = tc.edge_color_reader()
     assert tc.edge_colors == {(i, j): labels[0] for i, j, labels in st22.edge_ids()}
     assert all(color(i, j, labels) == labels[0] for i, j, labels in st22.edge_ids())
-    assert verify_coloring(st22, tc) == verify_coloring(st22, tc22)
+    assert verify_coloring(tc) == verify_coloring(tc22)
     with pytest.raises(KeyError):
         tc.edge_color(ms("0011"), ms("1100"))
 
@@ -150,18 +156,6 @@ def test_from_labels_refuses_a_label_not_in_the_graph(st22, tc22):
         TotalColoring.from_labels(st22, vertex_colors, edge_colors | {(ms("0011"), ms("0000")): 1}, tc22.palette)
     with pytest.raises(ValueError, match="unknown edge"):
         TotalColoring.from_labels(st22, vertex_colors, edge_colors | {(ms("0011"), ms("1100")): 1}, tc22.palette)
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_verify_coloring_on_a_second_build_reads_by_label(k):
-    # a graph equal to the colored one but not it: read through the labels
-    g, again = build_graph(Params(k, 2)), build_graph(Params(k, 2))
-    tc = sigma_total_coloring(g)
-    assert again is not g and again.label_sets is not g.label_sets
-    assert verify_coloring(again, tc) == verify_coloring(g, tc)
-    recolored = _recolored(g, tc, 3)
-    assert not verify_coloring(g, recolored).passed
-    assert verify_coloring(again, recolored) == verify_coloring(g, recolored)
 
 
 def _non_regular():
@@ -214,7 +208,7 @@ def test_verify_coloring_flags_match_the_oracle(request, name, seed):
     g, tc = ORACLE_COLORINGS[name](request)
     if seed is not None:
         tc = _recolored(g, tc, seed)
-    rep = verify_coloring(g, tc)
+    rep = verify_coloring(tc)
     edge_color = {frozenset((u, v)): tc.edge_color(u, v) for u, v, _ in g.edges()}
     flags = brute_coloring_flags(adjacency_dict(g), _labeled(g, tc)[0], edge_color, tc.palette)
     assert (rep.proper_edge, rep.proper_vertex, rep.no_incidence_clash, rep.efficient) == flags
@@ -223,6 +217,26 @@ def test_verify_coloring_flags_match_the_oracle(request, name, seed):
     assert kinds == sorted(kinds, key=list(KIND_FLAGS).index)  # grouped, in kind order
     if not rep.truncated:
         assert {KIND_FLAGS[kind] for kind in kinds} == {f for f in set(KIND_FLAGS.values()) if getattr(rep, f) is False}
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+@pytest.mark.parametrize("name", ["st32", "st23-edges"])
+def test_restrict_keeps_every_color(request, name, seed):
+    g, tc = ORACLE_COLORINGS[name](request)
+    tc = _recolored(g, tc, seed)
+    keep = [x for x in range(g.n) if x % 5]
+    kept = [(i, j) for i, j, _ in g.edge_ids() if i % 5 and j % 5]
+    drop = {e for i, j in kept[::7] for e in ((i, j), (j, i))}
+    sub = tc.restrict(keep, drop)
+    assert sub.graph.vertices == tuple(g.vertices[x] for x in keep) and sub.palette == tc.palette
+    assert sorted((u, v) for u, v, _ in sub.graph.edges()) == sorted(
+        (g.vertices[i], g.vertices[j]) for i, j in kept if (i, j) not in drop
+    )
+    if tc.vertex_colors is None:
+        assert sub.vertex_colors is None
+    else:
+        assert all(sub.vertex_color(v) == tc.vertex_color(v) for v in sub.graph.vertices)
+    assert all(sub.edge_color(u, v) == tc.edge_color(u, v) for u, v, _ in sub.graph.edges())
 
 
 def test_choosability_desargues(st23):
@@ -297,8 +311,8 @@ def test_coloring_witness_colors_and_degrees_read_as_lists_in_json(st22, tc22):
 
     vertex_colors, edge_colors = _labeled(st22, tc22)
     vertex_colors[ms("0011")] = 3  # its neighbours 1001 and 1010 have 3 and 2
-    clashing = verify_coloring(st22, TotalColoring.from_labels(st22, vertex_colors, edge_colors, tc22.palette))
-    uneven = verify_coloring(*_non_regular())
+    clashing = verify_coloring(TotalColoring.from_labels(st22, vertex_colors, edge_colors, tc22.palette))
+    uneven = verify_coloring(_non_regular()[1])
     kinds = ("non-rainbow-neighborhood", "not-regular-with-matching-palette")
     witnesses = [next(w for w in clashing.witnesses + uneven.witnesses if w[0] == kind) for kind in kinds]
     report = SuiteReport("coloring", {}, "0", [CheckResult("c", "fail", witnesses=witnesses)])

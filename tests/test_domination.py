@@ -152,10 +152,10 @@ def test_domination_verifiers_allocate_little(st42):
         assert peak < bound
 
 
-def test_pancake_and_chi_copy_no_whole_graph(st42, tc42):
+def test_pancake_and_chi_copy_no_whole_graph(tc42):
     # a copy of PC(4,2) or ST(4,2) less a vertex or edge class takes about
     # 1 MB more; the checks peak near 0.5 MB without one (tracemalloc)
-    checks = (lambda: pancake_chain_check(4), lambda: color_class_decomposition(st42, tc42))
+    checks = (lambda: pancake_chain_check(4), lambda: color_class_decomposition(tc42))
     for check in checks:
         tracemalloc.start()
         try:
@@ -274,18 +274,18 @@ def test_oracle_check_agrees_with_verifier(st32, st23):
     assert not oracle_check(st32, list(se_set(st32, 0))[:5], 2)
 
 
-def test_ei_avoidance(st22, tc22, st32, tc32):
-    rep = verify_ei_avoidance(st22, tc22)
+def test_ei_avoidance(st22, tc22, tc32):
+    rep = verify_ei_avoidance(tc22)
     assert rep["passed"] and rep["last_position_rationale"]
     e1 = {(u, v) for u, v, _ in st22.edges() if tc22.edge_color(u, v) == 1}
     assert e1 == {(ms("0101"), ms("1001")), (ms("0110"), ms("1010"))}
-    assert verify_ei_avoidance(st32, tc32)["passed"]
+    assert verify_ei_avoidance(tc32)["passed"]
     # one edge recolored with its lower end's repeat position is the one witness
     edge_colors = {(u, v): tc22.edge_color(u, v) for u, v, _ in st22.edges()}
     (u, v), _ = next(iter(edge_colors.items()))
     vertex_colors = {w: tc22.vertex_color(w) for w in st22.vertices}
     recolored = edge_colors | {(u, v): repeat_position(u)}
-    rep = verify_ei_avoidance(st22, TotalColoring.from_labels(st22, vertex_colors, recolored, tc22.palette))
+    rep = verify_ei_avoidance(TotalColoring.from_labels(st22, vertex_colors, recolored, tc22.palette))
     assert not rep["passed"] and rep["witnesses"] == [(repeat_position(u), u, v)]
 
 

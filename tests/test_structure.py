@@ -1,13 +1,17 @@
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 
 from starperm import (
-    TotalColoring,
+    PermGraph,
     classify_six_cycles,
     mstring,
     color_class_decomposition,
     toroidal_assembly,
 )
 
+from starperm.graphs import PackedLabels
 from starperm.structure import toroidal_colors
 
 from .faults import add_to_w1
@@ -16,8 +20,8 @@ from .oracles import brute_component_keys, brute_move_graph
 ms = mstring
 
 
-def test_chi_suite_st32(st32, tc32):
-    rep = color_class_decomposition(st32, tc32)
+def test_chi_suite_st32(tc32):
+    rep = color_class_decomposition(tc32)
     assert rep.precondition_ok and rep.h == 6
     assert rep.passed
     for case in rep.cases:
@@ -36,8 +40,8 @@ def test_chi_suite_st32(st32, tc32):
         assert walk is not None and walk[0] == walk[-1] and len(walk) % 2 == 0
 
 
-def test_chi_suite_st42_actual_structure(st42, tc42):
-    rep = color_class_decomposition(st42, tc42)
+def test_chi_suite_st42_actual_structure(tc42):
+    rep = color_class_decomposition(tc42)
     assert rep.precondition_ok and rep.h == 8
     assert rep.passed
     for case in rep.cases:
@@ -52,40 +56,41 @@ def test_chi_suite_st42_actual_structure(st42, tc42):
         assert case.odd_closed_walk is not None
 
 
-def test_chi_copies_a_component_without_looking_up_edge_colors(monkeypatch, st42, tc42):
-    # catches a copy that finds its E_i edges again by label: the scan has
-    # them by vertex id
-    def refuse(self, u, v):
-        raise AssertionError("the component copy looked an edge color up by label")
+def test_chi_copies_a_component_without_looking_up_edge_colors(monkeypatch, tc42):
+    # catches a copy cut out by label, or one that finds its E_i edges again
+    # by label: the scan has its vertices and edges by vertex id
+    def refuse(self, v):
+        raise AssertionError("the component copy looked a vertex label up")
 
-    monkeypatch.setattr(TotalColoring, "edge_color", refuse)
-    rep = color_class_decomposition(st42, tc42)
+    monkeypatch.setattr(PermGraph, "index", refuse)
+    monkeypatch.setattr(PackedLabels, "find", refuse)
+    rep = color_class_decomposition(tc42)
     assert rep.passed
     assert all(case.components[0].coloring_total and case.components[0].isomorphic_to_reference for case in rep.cases)
 
 
-def test_chi_independence_sees_an_edge_inside_the_class(monkeypatch, st32, tc32):
+def test_chi_independence_sees_an_edge_inside_the_class(monkeypatch, tc32):
     # catches an independence check that never looks at W_i's edges:
     # W_1 gains a neighbour of its first vertex
-    add_to_w1(monkeypatch, lambda g, column: g.row(column.index(1))[0])
-    rep = color_class_decomposition(st32, tc32)
+    tc = add_to_w1(monkeypatch, tc32, lambda g, column: g.row(column.index(1))[0])
+    rep = color_class_decomposition(tc)
     independent = {case.color: case.minus_edges_class_independent for case in rep.cases}
     assert independent == {1: False, 2: True, 3: True, 4: True, 5: True}
 
 
-def test_chi_preconditions_reported_not_raised(st22, tc22, pc32, tc32):
-    rep = color_class_decomposition(st22, tc22)
+def test_chi_preconditions_reported_not_raised(tc22, pc32, tc32):
+    rep = color_class_decomposition(tc22)
     assert not rep.precondition_ok  # h = 4 is outside the hypothesis
     assert "h = 4" in rep.precondition_detail
     assert not rep.passed
-    rep = color_class_decomposition(pc32, tc32)  # the key map needs star moves
+    rep = color_class_decomposition(replace(tc32, graph=pc32))  # the key map needs star moves
     assert not rep.precondition_ok and rep.precondition_detail == "need a 2-set star graph"
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_chi_components_agree_with_the_key_oracle(request, k):
     g, tc = request.getfixturevalue(f"st{k}2"), request.getfixturevalue(f"tc{k}2")
-    rep = color_class_decomposition(g, tc)
+    rep = color_class_decomposition(tc)
     adj = brute_move_graph(k, 2)
     for case in rep.cases:
         keyed = brute_component_keys(adj, case.color)
@@ -96,7 +101,7 @@ def test_chi_components_agree_with_the_key_oracle(request, k):
 
 
 def test_classify_six_cycles_st22(st22, tc22):
-    groups, census = classify_six_cycles(st22, tc22)
+    groups, census = classify_six_cycles(tc22)
     assert census == {"type1": 1, "type2": 0, "other": 0}
     assert list(groups) == [("type1", (1, 2, 3))]
     only = [st22.vertices[x] for x in groups["type1", (1, 2, 3)]]
@@ -104,22 +109,35 @@ def test_classify_six_cycles_st22(st22, tc22):
     assert only == [ms(s) for s in ("0011", "1001", "0101", "1100", "0110", "1010")]
 
 
-def test_classify_six_cycles_st32(st32, tc32):
-    groups, census = classify_six_cycles(st32, tc32)
+def test_classify_six_cycles_st32(tc32):
+    groups, census = classify_six_cycles(tc32)
     assert census["other"] == 0
     assert census == {"type1": 30, "type2": 60, "other": 0}
     assert ("type1", (2, 3, 4)) in groups
     assert {kind: sum(len(ids) for (kd, _), ids in groups.items() if kd == kind) // 6 for kind in census} == census
 
 
-def test_classify_six_cycles_st42(st42, tc42):
-    _, census = classify_six_cycles(st42, tc42)
+def test_classify_six_cycles_st42(tc42):
+    _, census = classify_six_cycles(tc42)
     assert census["other"] == 0
     assert census["type1"] + census["type2"] == 6300
 
 
-def test_toroidal_t5(st32, tc32):
-    rep = toroidal_assembly(st32, tc32, classify_six_cycles(st32, tc32)[0], 5, (1, 2, 3, 4))
+def test_classify_six_cycles_streams_the_cycles(tc42):
+    # the tracemalloc peak at k = 4 was 1.43 MiB with all 6,300 cycles
+    # listed as tuples before grouping, 0.43 MiB with one root's cycles at a
+    # time beside the grouped arrays
+    tracemalloc.start()
+    try:
+        _, census = classify_six_cycles(tc42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census["type1"] + census["type2"] == 6300 and peak < 2**20
+
+
+def test_toroidal_t5(tc32):
+    rep = toroidal_assembly(tc32, classify_six_cycles(tc32)[0], 5, (1, 2, 3, 4))
     assert rep.passed
     assert rep.type2_cycle_count == 24
     assert rep.union_vertex_count == 72
@@ -132,7 +150,7 @@ def test_toroidal_t5(st32, tc32):
 
 
 def test_toroidal_dual_color_sextuples(st32, tc32):
-    groups, _ = classify_six_cycles(st32, tc32)
+    groups, _ = classify_six_cycles(tc32)
     cyc_set = {st32.vertices[x] for x in groups["type1", (2, 3, 4)][:6]}
     for d, landing_color in ((1, 5), (5, 1)):
         landings = set()
@@ -143,12 +161,12 @@ def test_toroidal_dual_color_sextuples(st32, tc32):
         assert {tc32.vertex_color(x) for x in landings} == {landing_color}
 
 
-def test_toroidal_rejects_bad_colors(st32, tc32):
-    groups, _ = classify_six_cycles(st32, tc32)
+def test_toroidal_rejects_bad_colors(tc32):
+    groups, _ = classify_six_cycles(tc32)
     with pytest.raises(ValueError):
-        toroidal_assembly(st32, tc32, groups, 5, (1, 2, 3, 5))
+        toroidal_assembly(tc32, groups, 5, (1, 2, 3, 5))
     with pytest.raises(ValueError):
-        toroidal_assembly(st32, tc32, groups, 9, (1, 2, 3, 4))
+        toroidal_assembly(tc32, groups, 9, (1, 2, 3, 4))
 
 
 def test_toroidal_colors_want_exactly_four(tc32):

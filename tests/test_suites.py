@@ -140,8 +140,8 @@ def test_coloring_suite_makes_one_coloring_pass(monkeypatch):
     reports = []
     verify = starperm.suites.verify_coloring
 
-    def counted(g, tc):
-        reports.append(verify(g, tc))
+    def counted(tc):
+        reports.append(verify(tc))
         return reports[-1]
 
     monkeypatch.setattr(starperm.suites, "verify_coloring", counted)
@@ -152,13 +152,13 @@ def test_coloring_suite_makes_one_coloring_pass(monkeypatch):
 
 def test_an_all_run_verifies_the_total_coloring_once(monkeypatch):
     # chi's precondition reads the coloring suite's report; chi still
-    # verifies its component copies, which are plain graphs
+    # verifies its components' colorings, on plain graphs
     graphs = []
     verify = starperm.coloring.verify_coloring
 
-    def counted(g, tc):
-        graphs.append(g)
-        return verify(g, tc)
+    def counted(tc):
+        graphs.append(tc.graph)
+        return verify(tc)
 
     monkeypatch.setattr(starperm.suites, "verify_coloring", counted)
     monkeypatch.setattr(starperm.structure, "verify_coloring", counted)
@@ -283,6 +283,16 @@ def test_the_pancake_partition_line_decides_the_degrees(monkeypatch):
     assert line() == ("fail", "degree_after_vertices=3 after_edges=3")
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_k1_is_a_precondition_of_every_part(ell, capsys):
+    # ST(1, l) is a single vertex: no claim is false there, so the run exits 0
+    report = run_suite("all", 1, ell)
+    assert [(c.name, c.status, c.detail) for c in report.checks] == [
+        (f"{part}/instance-precondition", "precondition", "suite needs k > 1, got k = 1") for part in starperm.suites._PARTS
+    ]
+    assert main(["verify", "--suite", "all", "--k", "1", "--l", str(ell)]) == 0
+
+
 def test_an_all_run_enumerates_the_six_cycles_once(monkeypatch):
     calls = []
     six_cycles = starperm.structure.six_cycles
@@ -292,16 +302,20 @@ def test_an_all_run_enumerates_the_six_cycles_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_chi_types_a_component_missing_a_vertex_as_false(monkeypatch):
+def test_chi_types_a_component_missing_a_vertex_as_false(monkeypatch, tc32):
     # one vertex outside W_1 is added to it, so one color-1 component loses it
     def statuses():
         return {c.name: (c.status, c.detail) for c in run_suite("chi", 3, 2).checks}
 
     before = statuses()
-    add_to_w1(monkeypatch, lambda g, column: next(x for x, c in enumerate(column) if c != 1))
+    add_to_w1(monkeypatch, tc32, lambda g, column: next(x for x, c in enumerate(column) if c != 1))
     after = statuses()
     name = "color-1-component-count-and-type"
     assert before[name] == ("pass", "count=12 expected=12") and after[name][0] == "fail"
-    assert {n: s for n, s in after.items() if not n.startswith("color-1-")} == {
-        n: s for n, s in before.items() if not n.startswith("color-1-")
+    # the first component of colors 4 and 5 holds that vertex, whose color
+    # now also clashes as color 1: the coloring cut out for it is not total
+    changed = {n: s for n, s in after.items() if s != before[n] and not n.startswith("color-1-")}
+    assert changed == {
+        "color-4-components-regular-totally-colored": ("fail", "components=12"),
+        "color-5-components-regular-totally-colored": ("fail", "components=12"),
     }
