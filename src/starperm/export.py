@@ -10,7 +10,6 @@ DOT uses the fixed palette-to-name table 1=red 2=blue 3=green 4=hazel
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Iterator, Optional, TextIO
 
 from .coloring import TotalColoring
@@ -24,22 +23,28 @@ def color_name(c: int) -> str:
     return PALETTE_NAMES.get(c, f"c{c}")
 
 
+def _namer(g: Graph) -> Callable[[int], str]:
+    """Vertex id -> the text form of its label, as :func:`render` writes it."""
+    if isinstance(g, PermGraph):
+        return g.vertices.text
+    verts = g.vertices
+    return lambda i: render(verts[i])
+
+
 def write_edge_list(g: Graph, out: TextIO) -> None:
     if isinstance(g, PermGraph):
         family, k, ell = g.family.kind, g.params.k, g.params.ell
     else:
         family, k, ell = "generic", 0, 0
     out.write(f"{family} {k} {ell} {g.n} {g.m}\n")
-    # each vertex rendered once, into one string: name i is text[ends[i] : ends[i + 1]]
-    buf, ends = bytearray(), array("q", [0])
-    for name in map(render, g.vertices):
-        buf += name.encode()
-        ends.append(ends[-1] + len(name))
-    text = buf.decode()
-    del buf
-    for iu, iv, labels in g.edge_ids():
-        lab = ",".join(map(str, labels))
-        out.write(f"{text[ends[iu] : ends[iu + 1]]} {text[ends[iv] : ends[iv + 1]]} {lab}".rstrip() + "\n")
+    # no table of names: each line is written as it is made, its endpoints named by id
+    text, labeled_row = _namer(g), g.labeled_row
+    tails = [f" {','.join(map(str, labels))}" if labels else "" for labels in g.label_sets]
+    for i in range(g.n):
+        u = text(i)
+        for j, lid in labeled_row(i):
+            if j > i:
+                out.write(f"{u} {text(j)}{tails[lid]}\n")
 
 
 def _edge_lines(src: TextIO, parse: Callable[[str], object] = mstring) -> Iterator[tuple]:
@@ -82,9 +87,9 @@ def read_edge_list(src: TextIO) -> Graph:
 
 def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     """Whether an edge list holds the star graph g's vertices, edges and
-    merged edge labels, read line by line into bytearrays over g (the labels
-    g lacks are kept too, to count them).  A file :func:`read_edge_list`
-    refuses raises its ValueError."""
+    merged edge labels, read line by line into a byte per vertex and a bit
+    per edge of g (the labels g lacks are kept too, to count them).  A file
+    :func:`read_edge_list` refuses raises its ValueError."""
     find = g.vertices.find_text
 
     def vertex(token: str):
@@ -95,7 +100,8 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     lines = _edge_lines(src, vertex)
     n, m = next(lines)
     length = g.params.length
-    seen, covered, foreign = bytearray(g.n), bytearray(g.n * length), set()
+    # covered: bit (lower endpoint) * length + label of each edge line matched
+    seen, covered, foreign = bytearray(g.n), bytearray((g.n * length + 7) >> 3), set()
     edge_lines, differs, loop = 0, False, None
     for edge_lines, (u, v, labels) in enumerate(lines, 1):
         for x in (u, v):
@@ -108,20 +114,23 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
         elif type(u) is not int or type(v) is not int or (own := g.label(u, v)) is None or any(j != own[0] for j in labels):
             differs = True
         elif labels:
-            covered[min(u, v) * length + labels[0]] = 1
+            slot = min(u, v) * length + labels[0]
+            covered[slot >> 3] |= 1 << (slot & 7)
     known = seen.count(1)
     _check_counts(n, m, known + len(foreign), edge_lines)
     if loop is not None:
         raise ValueError(f"loop at {g.vertices[loop] if type(loop) is int else loop!r}")
-    return not differs and known == g.n and covered.count(1) == g.m
+    return not differs and known == g.n and int.from_bytes(covered, "little").bit_count() == g.m
 
 
 def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: str = "g") -> None:
+    if tc is not None and tc.graph is not g:
+        raise ValueError("the coloring given is not a coloring of this graph")
     out.write(f"graph {name} {{\n")
-    verts = g.vertices
+    text = _namer(g)
     if tc is not None and tc.vertex_colors is not None:
-        for v, c in zip(verts, tc.vertex_colors):
-            out.write(f'  "{render(v)}" [color={color_name(c)}];\n')
+        for i, c in enumerate(tc.vertex_colors):
+            out.write(f'  "{text(i)}" [color={color_name(c)}];\n')
     color = tc.edge_color_reader() if tc is not None else None
     for i, j, labels in g.edge_ids():
         attrs = ""
@@ -130,20 +139,20 @@ def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: s
             attrs = "" if c is None else f" [color={color_name(c)}]"
         elif labels:
             attrs = f' [label="{",".join(str(x) for x in labels)}"]'
-        out.write(f'  "{render(verts[i])}" -- "{render(verts[j])}"{attrs};\n')
+        out.write(f'  "{text(i)}" -- "{text(j)}"{attrs};\n')
     out.write("}\n")
 
 
 def write_coloring(tc: TotalColoring, out: TextIO) -> None:
     """Lines `V u color` then `E u v color`, canonical order."""
     g = tc.graph
-    verts, color = g.vertices, tc.edge_color_reader()
+    text, color = _namer(g), tc.edge_color_reader()
     if tc.vertex_colors is not None:
-        for v, c in zip(verts, tc.vertex_colors):
-            out.write(f"V {render(v)} {c}\n")
+        for i, c in enumerate(tc.vertex_colors):
+            out.write(f"V {text(i)} {c}\n")
     for i, j, labels in g.edge_ids():
         if (c := color(i, j, labels)) is not None:
-            out.write(f"E {render(verts[i])} {render(verts[j])} {c}\n")
+            out.write(f"E {text(i)} {text(j)} {c}\n")
 
 
 def load_pi_file(path: str, length: int) -> GeneratorFamily:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Container, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
-from .mstrings import DEFAULT_VERTEX_CAP, Params, iter_vertices, mstring, prefix_reversal, repeat_position
+from .mstrings import DEFAULT_VERTEX_CAP, Params, iter_vertices, mstring, prefix_reversal, render, repeat_position
 
 Label = Hashable
 Edge = tuple[Label, Label]
@@ -539,6 +539,13 @@ class PackedLabels(SequenceABC):
                 return -1
             return self._find_code(int(token, 16))
         return self.find(mstring(token))
+
+    def text(self, i: int) -> str:
+        """The text form of label i (see :func:`~starperm.mstrings.render`),
+        the inverse of :meth:`find_text`: the code's hex digits while they
+        are all decimal, one per symbol."""
+        digits = self._digits(self._codes[i])
+        return digits if digits.isdigit() else render(self[i])
 
     def _find_code(self, c: int) -> int:
         codes = self._codes

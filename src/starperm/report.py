@@ -7,7 +7,6 @@ usage problems surface as distinct process exit codes in the CLI.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Optional
@@ -58,6 +57,8 @@ class SuiteReport:
         return 0 if self.passed else 1
 
     def to_json(self) -> str:
+        import json  # imported here, not at load: only `verify --json` writes it
+
         doc = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": self.tool_version,

@@ -67,6 +67,7 @@ def _mutations(text: str) -> dict[str, str]:
         "dropped-line": [head, *body[:-1]],
         "dropped-line-header-bumped": _with_header([head, *body[:-1]], dm=-1),
         "duplicated-line": [head, *body, body[1]],
+        "dropped-and-duplicated": [head, *body[:-1], body[1]],
         "duplicated-line-header-bumped": _with_header([head, *body, body[1]], dm=1),
         "swapped-endpoints": [head, f"{v} {u} {lab}", *body[2:], body[0]],
         "comma-vertex-token": [head, body[0], f"{','.join(u)} {v} {lab}", *body[2:]],
@@ -133,7 +134,7 @@ def test_corpus_covers_every_verdict(tmp_path):
         verdicts[name] = _oracle(path, 3, 2)[1]
     assert verdicts["unchanged"] == verdicts["duplicated-line-header-bumped"] == verdicts["swapped-endpoints"] == ""
     assert verdicts["doubled-label"] == verdicts["comma-vertex-token"] == verdicts["no-label-beside-labelled"] == ""
-    for name in ("dropped-line-header-bumped", "wrong-label", "extra-label", "no-label", "renamed-vertex", "generic-family"):
+    for name in ("dropped-line-header-bumped", "dropped-and-duplicated", "wrong-label", "extra-label", "no-label", "renamed-vertex", "generic-family"):
         assert verdicts[name] == MISMATCH, name
     assert verdicts["dropped-line"].startswith("error: header says n=90 m=180, file has n=90 m=179")
     assert verdicts["unknown-vertex"].startswith("error: header says n=90 m=180, file has n=91 m=180")
@@ -205,3 +206,13 @@ def test_streaming_check_peaks_below_reading_the_file(st42, tmp_path):
 
     assert _peak(stream) < 0.25 * _peak(whole)
 
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_writing_an_edge_list_keeps_no_per_vertex_table(st32, st42):
+    # a table of every vertex's name grew about 28x from ST(3,2)'s 90 vertices to ST(4,2)'s 2,520
+    small = _peak(lambda: write_edge_list(st32, _Discard()))
+    assert _peak(lambda: write_edge_list(st42, _Discard())) <= 2 * small

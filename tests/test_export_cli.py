@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from starperm import mstring, positional_edge_coloring
+from starperm import GeneratorFamily, Params, build_graph, mstring, positional_edge_coloring, render, sigma_total_coloring
 from starperm.cli import main
 from starperm.export import (
     read_edge_list,
@@ -22,6 +22,16 @@ def test_edge_list_format_exact(st22):
     assert lines[0] == "star 2 2 6 6"
     assert lines[1] == "0011 1001 2"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("family,k,ell", [("star", 4, 2), ("star", 3, 3), ("pancake", 3, 2)])
+def test_edge_list_is_one_rendered_line_per_edge(family, k, ell):
+    g = build_graph(Params(k, ell), getattr(GeneratorFamily, family)())
+    lines = [f"{family} {k} {ell} {g.n} {g.m}"]
+    lines += [f"{render(u)} {render(v)} {','.join(map(str, labels))}" for u, v, labels in g.edges()]
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    assert buf.getvalue() == "\n".join(lines) + "\n"
 
 
 def test_edge_list_roundtrip(st32):
@@ -47,6 +57,13 @@ def test_dot_export_palette_names(st22, tc22):
     assert '"0011" [color=red];' in text
     assert '"0110" [color=green];' in text
     assert '"0011" -- "1001" [color=blue];' in text
+
+
+def test_dot_export_refuses_a_coloring_of_another_graph(st22):
+    # a second build of the same parameters is another graph: its colours are not read by st22's ids
+    other = sigma_total_coloring(build_graph(Params(2, 2)))
+    with pytest.raises(ValueError, match="not a coloring of this graph"):
+        write_dot(st22, io.StringIO(), tc=other)
 
 
 def test_coloring_roundtrip(st22, tc22):

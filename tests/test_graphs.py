@@ -20,6 +20,7 @@ from starperm import (
     six_cycles,
     verify_coloring,
 )
+from starperm.graphs import PackedLabels
 
 from .oracles import adjacency_dict, brute_component_sizes, brute_count_six_cycles, brute_move_graph
 
@@ -320,6 +321,7 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
     for i, v in enumerate(verts):
         assert g.index(v) == i and g.vertices[i] == v and g.has_vertex(v) and v in g.vertices
         assert g.vertices.find_text(render(v)) == i == g.vertices.find_text(",".join(map(str, v)))
+        assert g.vertices.text(i) == render(v)
     v = verts[-1]
     strangers = [
         v[:-1],  # wrong length
@@ -340,6 +342,15 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
         with pytest.raises(ValueError):
             g.index(x)
     assert g.vertices.find_text("9" * p.length) == g.vertices.find_text(render(v)[:-1]) == -1
+
+
+def test_packed_label_text_takes_the_comma_form_past_symbol_nine():
+    # no graph at desk scale has k > 10, so the codes are written out here, odd length and all
+    strings = [(0, 1, 2, 3, 4), (0, 10, 15, 3, 1), (9, 9, 0, 1, 2), (11, 12, 13, 14, 15), (15, 0, 0, 0, 0)]
+    labels = PackedLabels([int("".join(f"{s:x}" for s in v), 16) for v in strings], 5)
+    texts = [labels.text(i) for i in range(len(strings))]
+    assert texts == list(map(render, strings)) == ["01234", "0,10,15,3,1", "99012", "11,12,13,14,15", "15,0,0,0,0"]
+    assert list(labels) == strings and [labels.find_text(t) for t in texts] == [0, 1, 2, 3, 4]
 
 
 def test_build_refuses_more_than_sixteen_symbols():
