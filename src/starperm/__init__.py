@@ -22,8 +22,6 @@ from .coloring import (
     build_odd_complete_colored,
     choosability_suite,
     efficiency_obstruction_witness,
-    max_selector,
-    min_selector,
     positional_edge_coloring,
     sigma_total_coloring,
     verify_coloring,
@@ -88,8 +86,6 @@ __all__ = [
     "isomorphic",
     "kappa_embed",
     "list_assignment",
-    "max_selector",
-    "min_selector",
     "mstring",
     "oracle_check",
     "pancake_chain_check",

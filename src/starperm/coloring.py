@@ -28,7 +28,7 @@ from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
-from .mstrings import MString, list_assignment
+from .mstrings import list_assignment
 from .report import WITNESS_CAP, keep_witnesses
 
 #: The witness kinds of the efficiency flag.
@@ -139,9 +139,10 @@ def positional_edge_coloring(g: PermGraph) -> TotalColoring:
     position per edge."""
     if not isinstance(g, PermGraph) or g.family.kind != "star":
         raise ValueError("positional edge coloring is defined for star-family graphs")
-    for i, j, labels in g.edge_ids():
-        if len(labels) != 1:
-            raise ValueError(f"edge ({g.vertices[i]}, {g.vertices[j]}) carries labels {labels}, want exactly one")
+    # _set_rows interns a label tuple only when an edge carries it
+    if any(len(labels) != 1 for labels in g.label_sets):
+        i, j, labels = next(e for e in g.edge_ids() if len(e[2]) != 1)
+        raise ValueError(f"edge ({g.vertices[i]}, {g.vertices[j]}) carries labels {labels}, want exactly one")
     return TotalColoring(g, None, None, frozenset(range(1, g.params.length)))
 
 
@@ -234,33 +235,15 @@ def verify_coloring(tc: TotalColoring) -> ColoringReport:
 # list colorings / choosability
 # ---------------------------------------------------------------------------
 
-Selector = Callable[[MString, frozenset[int]], int]
-
-
-def min_selector(v: MString, colors: frozenset[int]) -> int:
-    return min(colors)
-
-
-def max_selector(v: MString, colors: frozenset[int]) -> int:
-    return max(colors)
-
-
-def choosability_suite(g: PermGraph, selector: Selector) -> tuple[bool, dict]:
-    """Apply the selector to every list and return whether the resulting
-    vertex coloring is proper, with the coloring.
+def choosability_suite(g: Graph, selection: Sequence[int]) -> bool:
+    """Whether a selection, one color per vertex id (the coloring suite
+    takes each from the vertex's list L(v)), is a proper vertex coloring
+    of g.
 
     Lists disjoint across every edge (the coloring suite's own check) make
     any selection proper; the verdict here is the selection's alone.
     """
-    chosen = {}
-    for v in g.vertices:
-        colors = list_assignment(v)
-        c = selector(v, colors)
-        if c not in colors:
-            raise ValueError(f"selector chose {c} outside L({v}) = {sorted(colors)}")
-        chosen[v] = c
-    proper = all(chosen[u] != chosen[v] for u, v, _ in g.edges())
-    return proper, chosen
+    return all(selection[i] != selection[j] for i, j, _ in g.edge_ids())
 
 
 #: Most selections the obstruction check enumerates one by one; above it,
@@ -300,63 +283,57 @@ def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:
     ell = g.params.ell
     if ell < 3:
         raise ValueError(f"obstruction check needs ell >= 3, got ell = {ell}")
-    v = g.vertices[0]
-    dist_v = g.bfs_distances(v, limit=2)
-    ball = sorted(dist_v, key=g.index)
+    # The ball is held by position; labels are looked up only for output.
+    verts, ball = g.vertices, sorted(g.bfs_ids(0, limit=2))
     if len(ball) > OBSTRUCTION_BALL_CAP:
-        raise CapExceeded(f"2-ball of {v} has {len(ball)} vertices, cap {OBSTRUCTION_BALL_CAP}")
-    lists = {x: sorted(list_assignment(x)) for x in ball}
-
-    near: dict[MString, set[MString]] = {x: set() for x in ball}
-    for x in ball:
-        for y, d in g.bfs_distances(x, limit=2).items():
-            if y in near and y != x and d <= 2:
-                near[x].add(y)
+        raise CapExceeded(f"2-ball of {verts[0]} has {len(ball)} vertices, cap {OBSTRUCTION_BALL_CAP}")
+    lists = [sorted(list_assignment(verts[x])) for x in ball]
+    at = {x: p for p, x in enumerate(ball)}
+    # ball positions p < q at distance <= 2 whose lists meet, ascending
     conflicts = [
-        (x, y)
-        for i, x in enumerate(ball)
-        for y in ball[i + 1 :]
-        if y in near[x] and set(lists[x]) & set(lists[y])
+        (p, q)
+        for p, x in enumerate(ball)
+        for q in sorted(at[y] for y in g.bfs_ids(x, limit=2) if at.get(y, -1) > p)
+        if set(lists[p]).intersection(lists[q])
     ]
 
     total = 1
-    for x in ball:
-        total *= len(lists[x])
+    for colors in lists:
+        total *= len(colors)
     rep = ObstructionReport(selection_count=total, method="", passed=True)
 
     if total <= OBSTRUCTION_EXHAUSTIVE_CAP:
         rep.method = "exhaustive"
-        for choice in product(*(lists[x] for x in ball)):
-            sel = dict(zip(ball, choice))
-            pair = next(((x, y) for x, y in conflicts if sel[x] == sel[y]), None)
+        for sel in product(*lists):
+            pair = next(((p, q) for p, q in conflicts if sel[p] == sel[q]), None)
             if pair is None:
                 rep.passed = False
-                rep.counterexample = sel
+                rep.counterexample = {verts[x]: c for x, c in zip(ball, sel)}
                 return rep
-            keep_witnesses(rep.witnesses, [(pair[0], pair[1], sel[pair[0]])])
+            keep_witnesses(rep.witnesses, [(verts[ball[pair[0]]], verts[ball[pair[1]]], sel[pair[0]])])
         return rep
 
     rep.method = "backtracking"
-    adj: dict[MString, list[MString]] = {x: [] for x in ball}
-    for x, y in conflicts:
-        adj[x].append(y)
-        adj[y].append(x)
-    assignment: dict[MString, int] = {}
+    adj: list[list[int]] = [[] for _ in ball]
+    for p, q in conflicts:
+        adj[p].append(q)
+        adj[q].append(p)
+    chosen: list[Optional[int]] = [None] * len(ball)
 
-    def free_selection(pos: int) -> bool:
-        if pos == len(ball):
+    def free_selection(p: int) -> bool:
+        # on False, positions p.. are left unchosen
+        if p == len(ball):
             return True
-        x = ball[pos]
-        for c in lists[x]:
-            if any(assignment.get(y) == c for y in adj[x]):
+        for c in lists[p]:
+            if any(chosen[q] == c for q in adj[p]):
                 continue
-            assignment[x] = c
-            if free_selection(pos + 1):
+            chosen[p] = c
+            if free_selection(p + 1):
                 return True
-            del assignment[x]
+        chosen[p] = None
         return False
 
     if free_selection(0):
         rep.passed = False
-        rep.counterexample = dict(assignment)
+        rep.counterexample = {verts[x]: c for x, c in zip(ball, chosen)}
     return rep

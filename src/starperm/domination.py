@@ -304,7 +304,6 @@ def verify_ei_avoidance(tc: TotalColoring) -> dict:
     first offending edges, each as (i, u, v)."""
     g = tc.graph
     _require_ell2(g)
-    last = 2 * g.params.k - 1
     # Sigma_i holds the vertices at repeat position i, so one pass over the
     # edges, by vertex id, decides all i.
     pos, verts, color = g.repeat_positions(), g.vertices, tc.edge_color_reader()
@@ -313,7 +312,7 @@ def verify_ei_avoidance(tc: TotalColoring) -> dict:
     return {
         "passed": not witnesses,
         "witnesses": witnesses,
-        "last_position_rationale": all(v[0] == v[-1] for v, p in zip(verts, pos) if p == last),
+        "last_position_rationale": all(v[0] == v[-1] for v in map(verts.__getitem__, sigma_set(g, 2 * g.params.k - 1))),
     }
 
 

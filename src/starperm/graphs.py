@@ -579,8 +579,8 @@ class PermGraph(Graph):
     vertices: PackedLabels
     params: Params
     family: GeneratorFamily
-    #: custom-family edges created by an application with v[j] == v[0]
-    nonstar_edges: frozenset
+    #: custom-family edges created by an application with v[j] == v[0], as id pairs i < j
+    nonstar_edges: frozenset[tuple[int, int]]
 
     def index(self, u: Label) -> int:
         if (i := self.vertices.find(u)) < 0:
@@ -624,7 +624,7 @@ def build_graph(
     if p.k > 16:
         raise ValueError(f"packed codes hold symbols 0..15, so k <= 16, got k = {p.k}")
     length = p.length
-    nonstar: set[Edge] = set()
+    nonstar: set[tuple[int, int]] = set()
     if family.kind == "custom":
         family.validate_pis(length)
         maps = family.position_maps(length)
@@ -665,8 +665,7 @@ def build_graph(
                     continue
                 iw = g.vertices._find_code(int(w, 16))
                 if family.kind == "custom" and h[j] == h[0]:
-                    a, b = sorted((iv, iw))
-                    nonstar.add((g.vertices[a], g.vertices[b]))
+                    nonstar.add((iv, iw) if iv < iw else (iw, iv))
                 row[iw] = row.get(iw, ()) + (j,)
             yield sorted(row.items())
 

@@ -76,11 +76,10 @@ class DecompositionReport:
 
     @property
     def passed(self) -> bool:
-        if not self.precondition_ok:
-            return False
-        return all(
-            c.item1_ok(self.h) and c.item2_ok(self.h) and c.item3_ok(self.h)
-            for c in self.cases
+        """Items 1-3 hold for every color.  The component count is not part
+        of it: at k = 4 this is True while chi fails on count=24 expected=32."""
+        return self.precondition_ok and all(
+            c.item1_ok(self.h) and c.item2_ok(self.h) and c.item3_ok(self.h) for c in self.cases
         )
 
 

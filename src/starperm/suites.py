@@ -21,8 +21,6 @@ from .coloring import (
     TotalColoring,
     choosability_suite,
     efficiency_obstruction_witness,
-    max_selector,
-    min_selector,
     positional_edge_coloring,
     sigma_total_coloring,
     verify_coloring,
@@ -206,8 +204,11 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
         run.add("sigma-efficient", lambda: (bool(eff.efficient), "", eff.witnesses))
         run.add("sigma-palette-size", palette_size)
     if ell >= 3:
+        # every list check reads this one column of L(v) by vertex id
+        lists = [list_assignment(v) for v in g.vertices]
+
         def disjoint():
-            lists, verts = [list_assignment(v) for v in g.vertices], g.vertices
+            verts = g.vertices
             bad = [(verts[i], verts[j]) for i, j, _ in g.edge_ids() if lists[i] & lists[j]]
             return not bad, f"edges={g.m}", bad
 
@@ -216,8 +217,8 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
             return obs.passed, f"method={obs.method} selections={obs.selection_count}", obs.witnesses
 
         run.add("list-disjointness", disjoint)
-        run.add("selector-min-proper", lambda: (choosability_suite(g, min_selector)[0], "", []))
-        run.add("selector-max-proper", lambda: (choosability_suite(g, max_selector)[0], "", []))
+        run.add("selector-min-proper", lambda: (choosability_suite(g, [min(L) for L in lists]), "", []))
+        run.add("selector-max-proper", lambda: (choosability_suite(g, [max(L) for L in lists]), "", []))
         run.add("efficiency-obstruction", obstruction)
 
 

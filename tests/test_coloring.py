@@ -1,9 +1,11 @@
 import json
 import random
+import re
 
 import pytest
 
 import starperm.coloring
+import starperm.suites
 from starperm import (
     Graph,
     TotalColoring,
@@ -11,15 +13,13 @@ from starperm import (
     choosability_suite,
     efficiency_obstruction_witness,
     list_assignment,
-    max_selector,
-    min_selector,
     mstring,
     positional_edge_coloring,
-    repeat_position,
     sigma_total_coloring,
     verify_coloring,
 )
 from starperm.graphs import Params, build_graph
+from starperm.suites import run_suite
 
 from .oracles import adjacency_dict, brute_coloring_flags
 
@@ -50,6 +50,26 @@ def test_vertex_color_on_an_edge_coloring_says_so(st23):
     tc = positional_edge_coloring(st23)
     with pytest.raises(ValueError, match="an edge coloring has no vertex colors"):
         tc.vertex_color(st23.vertices[0])
+
+
+def test_positional_decides_one_label_per_edge_without_an_edge_walk(monkeypatch):
+    # the graph's distinct label tuples decide it; the edges are not read
+    g = build_graph(Params(3, 2))
+
+    def no_walk(self):
+        raise AssertionError("positional_edge_coloring walked the edges")
+
+    monkeypatch.setattr(Graph, "edge_ids", no_walk)
+    tc = positional_edge_coloring(g)
+    assert tc.graph is g and tc.palette == frozenset(range(1, 6))
+
+
+def test_positional_names_an_edge_that_carries_two_labels():
+    g = build_graph(Params(3, 2))
+    g._labels = ((1, 2), *g._labels[1:])
+    i, j, _ = next(e for e in g.edge_ids() if len(e[2]) == 2)
+    with pytest.raises(ValueError, match=re.escape(f"edge ({g.vertices[i]}, {g.vertices[j]}) carries labels (1, 2)")):
+        positional_edge_coloring(g)
 
 
 def test_positional_rejects_pancake(pc22):
@@ -239,34 +259,35 @@ def test_restrict_keeps_every_color(request, name, seed):
     assert all(sub.edge_color(u, v) == tc.edge_color(u, v) for u, v, _ in sub.graph.edges())
 
 
+def _column(g, pick):
+    return [pick(list_assignment(v)) for v in g.vertices]
+
+
 def test_choosability_desargues(st23):
-    ok_min, chosen_min = choosability_suite(st23, min_selector)
-    ok_max, chosen_max = choosability_suite(st23, max_selector)
+    chosen_min, chosen_max = _column(st23, min), _column(st23, max)
+    ok_min, ok_max = choosability_suite(st23, chosen_min), choosability_suite(st23, chosen_max)
     assert ok_min and ok_max
     assert chosen_min != chosen_max
-    for v, c in chosen_min.items():
+    for v, c in zip(st23.vertices, chosen_min):
         assert c in list_assignment(v)
 
 
 def test_choosability_verdict_is_the_selection_alone(st23, monkeypatch):
     # lists that meet on every edge: the min selection stays proper, the max
     # selection picks 99 everywhere
-    lists = starperm.coloring.list_assignment
-    monkeypatch.setattr(starperm.coloring, "list_assignment", lambda v: lists(v) | {99})
-    assert choosability_suite(st23, min_selector)[0]
-    assert not choosability_suite(st23, max_selector)[0]
-
-
-def test_choosability_selector_out_of_list(st23):
-    with pytest.raises(ValueError):
-        choosability_suite(st23, lambda v, colors: -1)
+    lists = starperm.suites.list_assignment
+    monkeypatch.setattr(starperm.suites, "list_assignment", lambda v: lists(v) | {99})
+    checks = {c.name: c.status for c in run_suite("coloring", 2, 3, st23).checks}
+    assert checks["list-disjointness"] == "fail"
+    assert checks["selector-min-proper"] == "pass"
+    assert checks["selector-max-proper"] == "fail"
 
 
 def test_choosability_degenerate_ell2(st22, tc22):
-    ok, chosen = choosability_suite(st22, min_selector)
-    assert ok
-    assert chosen == {v: repeat_position(v) for v in st22.vertices}
-    assert chosen == {v: tc22.vertex_color(v) for v in st22.vertices}
+    chosen = _column(st22, min)
+    assert choosability_suite(st22, chosen)
+    assert chosen == list(st22.repeat_positions())
+    assert chosen == list(tc22.vertex_colors)
 
 
 def test_obstruction_st23_exhaustive(st23):
@@ -291,6 +312,23 @@ def test_obstruction_st24_backtracking():
     assert rep.passed
     assert rep.method == "backtracking"
     assert rep.selection_count == 3**17
+
+
+@pytest.mark.parametrize("k,ell,method", [(2, 3, "exhaustive"), (2, 4, "backtracking")])
+def test_obstruction_fails_on_lists_no_two_vertices_share(k, ell, method, monkeypatch):
+    # then no two ball vertices can collide, and the first selection tried
+    # is a counterexample over the whole ball
+    g = build_graph(Params(k, ell))
+    lists = starperm.coloring.list_assignment
+
+    def disjoint(v):
+        return frozenset(c + 100 * g.index(v) for c in lists(v))
+
+    monkeypatch.setattr(starperm.coloring, "list_assignment", disjoint)
+    rep = efficiency_obstruction_witness(g)
+    assert rep.method == method and not rep.passed and not rep.witnesses
+    assert set(rep.counterexample) == set(g.bfs_distances(g.vertices[0], limit=2))
+    assert all(c in disjoint(x) for x, c in rep.counterexample.items())
 
 
 def test_obstruction_requires_ell_3(st32):

@@ -256,13 +256,18 @@ def test_a_cap_on_the_graph_skips_the_suite_head(suite, head):
 
 
 def test_list_disjointness_reads_each_list_once(monkeypatch):
-    # catches a scan that looks both lists up again on every edge
-    calls = []
-    lists = starperm.suites.list_assignment
-    monkeypatch.setattr(starperm.suites, "list_assignment", lambda v: calls.append(v) or lists(v))
+    # catches a scan that looks both lists up again on every edge, and a
+    # list check that reads L(v) again instead of the suite's one column
+    calls = {"suites": [], "coloring": []}
+    for name, module in (("suites", starperm.suites), ("coloring", starperm.coloring)):
+        lists = module.list_assignment
+        monkeypatch.setattr(module, "list_assignment", lambda v, c=calls[name], f=lists: c.append(v) or f(v))
     report = run_suite("coloring", 3, 3)
     assert {c.name: c.status for c in report.checks}["list-disjointness"] == "pass"
-    assert len(calls) == len(set(calls)) == Params(3, 3).vertex_count() == 1680
+    assert len(calls["suites"]) == len(set(calls["suites"])) == Params(3, 3).vertex_count() == 1680
+    # the obstruction reads its 37-vertex ball's lists once each
+    assert len(calls["coloring"]) == len(set(calls["coloring"])) == 37
+    assert len(calls["suites"]) + len(calls["coloring"]) == 1717
 
 
 def test_the_pancake_partition_line_decides_the_degrees(monkeypatch):
