@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain, groupby, permutations, product
 from typing import Iterator, Optional
 
@@ -31,16 +30,13 @@ from .report import keep_witnesses
 SCHREIER_SYM_CAP = 8
 
 
-@dataclass(frozen=True)
 class ChainEmbedding:
     """kappa_j from the graph on k symbols into the one on k+1 symbols."""
 
-    source_k: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.j <= self.source_k:
-            raise ValueError(f"index {self.j} out of range [0, {self.source_k}]")
+    def __init__(self, source_k: int, j: int) -> None:
+        if not 0 <= j <= source_k:
+            raise ValueError(f"index {j} out of range [0, {source_k}]")
+        self.source_k, self.j = source_k, j
 
     @property
     def shift(self) -> int:
@@ -67,17 +63,23 @@ def kappa_embed(v: MString, j: int, k: int) -> MString:
     return ChainEmbedding(k, j).apply(v)
 
 
-@dataclass
 class ChainReport:
-    k: int
-    images_disjoint: bool = True
-    images_induced_isomorphic: bool = True
-    sigma_bijection_ok: bool = True
-    blocks_partition_sigma: bool = True
-    cardinality_identity_ok: bool = False
-    sigma_size: int = 0
-    block_sizes: tuple[int, ...] = ()
-    failures: list = field(default_factory=list)
+    def __init__(
+        self,
+        k: int,
+        images_disjoint: bool = True,
+        images_induced_isomorphic: bool = True,
+        sigma_bijection_ok: bool = True,
+        blocks_partition_sigma: bool = True,
+        cardinality_identity_ok: bool = False,
+        sigma_size: int = 0,
+        block_sizes: tuple[int, ...] = (),
+        failures: Optional[list] = None,
+    ) -> None:
+        self.k, self.images_disjoint, self.images_induced_isomorphic = k, images_disjoint, images_induced_isomorphic
+        self.sigma_bijection_ok, self.blocks_partition_sigma = sigma_bijection_ok, blocks_partition_sigma
+        self.cardinality_identity_ok, self.sigma_size, self.block_sizes = cardinality_identity_ok, sigma_size, block_sizes
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -231,13 +233,18 @@ def _fibers(k: int, ell: int) -> Iterator[tuple[MString, tuple[tuple[int, ...], 
         yield x, tuple(map(tuple, sorted(lift.translate(t) for t in tables)))
 
 
-@dataclass
 class SchreierReport:
-    fibers_are_cosets: bool = True
-    fiber_sizes_ok: bool = True
-    quotient_equals_graph: bool = True
-    generator_sets_ok: bool = True
-    failures: list = field(default_factory=list)
+    def __init__(
+        self,
+        fibers_are_cosets: bool = True,
+        fiber_sizes_ok: bool = True,
+        quotient_equals_graph: bool = True,
+        generator_sets_ok: bool = True,
+        failures: Optional[list] = None,
+    ) -> None:
+        self.fibers_are_cosets, self.fiber_sizes_ok = fibers_are_cosets, fiber_sizes_ok
+        self.quotient_equals_graph, self.generator_sets_ok = quotient_equals_graph, generator_sets_ok
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -300,15 +307,21 @@ def schreier_quotient_check(k: int, ell: int) -> SchreierReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PancakeReport:
-    k: int
-    last_sigma_passes: bool = False
-    last_sigma_min_distance: Optional[int] = None
-    failing_sigmas: dict = field(default_factory=dict)
-    all_lower_sigmas_fail: bool = False
-    minus_sigma_regular_degree: Optional[int] = None
-    remainder_regular_degree: Optional[int] = None
+    def __init__(
+        self,
+        k: int,
+        last_sigma_passes: bool = False,
+        last_sigma_min_distance: Optional[int] = None,
+        failing_sigmas: Optional[dict] = None,
+        all_lower_sigmas_fail: bool = False,
+        minus_sigma_regular_degree: Optional[int] = None,
+        remainder_regular_degree: Optional[int] = None,
+    ) -> None:
+        self.k, self.last_sigma_passes, self.last_sigma_min_distance = k, last_sigma_passes, last_sigma_min_distance
+        self.failing_sigmas = {} if failing_sigmas is None else failing_sigmas
+        self.all_lower_sigmas_fail = all_lower_sigmas_fail
+        self.minus_sigma_regular_degree, self.remainder_regular_degree = minus_sigma_regular_degree, remainder_regular_degree
 
     @property
     def degrees_drop(self) -> bool:

@@ -136,15 +136,18 @@ def cmd_search_codes(args) -> int:
 def cmd_export(args) -> int:
     p = Params(args.k, args.l)
     g = build_graph(p, _family(args, p.length), cap=args.cap)
+    # the coloring is decided before --out is opened, so a refused one leaves the file as it was
+    sigma = args.format != "edges" and args.l == 2 and args.family == "st"
+    tc = sigma_total_coloring(g) if sigma else None
+    if args.format == "coloring" and tc is None:
+        tc = positional_edge_coloring(g)
     with open(args.out, "w") as fh:
-        sigma = args.format != "edges" and args.l == 2 and args.family == "st"
-        tc = sigma_total_coloring(g) if sigma else None
         if args.format == "edges":
             write_edge_list(g, fh)
         elif args.format == "dot":
             write_dot(g, fh, tc=tc, name=f"{args.family}_{args.k}_{args.l}")
         else:
-            write_coloring(tc or positional_edge_coloring(g), fh)
+            write_coloring(tc, fh)
     print(f"wrote {args.format} for {args.family}({args.k},{args.l}) to {args.out}")
     return 0
 

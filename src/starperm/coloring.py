@@ -22,7 +22,6 @@ witnesses instead of raising, capped at WITNESS_CAP.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Container, Iterable, Optional, Sequence
 
@@ -37,7 +36,6 @@ EFFICIENCY_KINDS = ("not-regular-with-matching-palette", "non-rainbow-neighborho
 WITNESS_KINDS = ("adjacent-edges", "adjacent-vertices", "vertex-incident-edge", *EFFICIENCY_KINDS)
 
 
-@dataclass(frozen=True)
 class TotalColoring:
     """A coloring of `graph`, held by vertex id over a shared palette.
 
@@ -48,10 +46,14 @@ class TotalColoring:
     through :meth:`vertex_color` and :meth:`edge_color`.
     """
 
-    graph: Graph
-    vertex_colors: Optional[Sequence[int]] = field(hash=False)
-    edge_colors: Optional[dict[tuple[int, int], int]] = field(hash=False)
-    palette: frozenset[int]
+    def __init__(
+        self,
+        graph: Graph,
+        vertex_colors: Optional[Sequence[int]],
+        edge_colors: Optional[dict[tuple[int, int], int]],
+        palette: frozenset[int],
+    ) -> None:
+        self.graph, self.vertex_colors, self.edge_colors, self.palette = graph, vertex_colors, edge_colors, palette
 
     @classmethod
     def from_labels(cls, g: Graph, vertex_colors: Mapping, edge_colors: Mapping, palette: Iterable[int]) -> TotalColoring:
@@ -107,17 +109,27 @@ class TotalColoring:
         return TotalColoring(g, col, colors, self.palette)
 
 
-@dataclass
 class ColoringReport:
     """Verdict flags, None where undecided, plus the first few violation
     witnesses."""
 
-    proper_edge: Optional[bool] = None
-    proper_vertex: Optional[bool] = None
-    no_incidence_clash: Optional[bool] = None
-    efficient: Optional[bool] = None
-    witnesses: list = field(default_factory=list)
-    truncated: bool = False
+    def __init__(
+        self,
+        proper_edge: Optional[bool] = None,
+        proper_vertex: Optional[bool] = None,
+        no_incidence_clash: Optional[bool] = None,
+        efficient: Optional[bool] = None,
+        witnesses: Optional[list] = None,
+        truncated: bool = False,
+    ) -> None:
+        self.proper_edge, self.proper_vertex, self.no_incidence_clash = proper_edge, proper_vertex, no_incidence_clash
+        self.efficient, self.truncated = efficient, truncated
+        self.witnesses = [] if witnesses is None else witnesses
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ColoringReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def total(self) -> Optional[bool]:
@@ -152,7 +164,8 @@ def sigma_total_coloring(g: PermGraph) -> TotalColoring:
     repeat-position column in place."""
     if g.params.ell != 2:
         raise ValueError(f"sigma coloring needs ell = 2, got ell = {g.params.ell}")
-    return replace(positional_edge_coloring(g), vertex_colors=g.repeat_positions())
+    palette = positional_edge_coloring(g).palette
+    return TotalColoring(g, g.repeat_positions(), None, palette)
 
 
 def build_odd_complete_colored(n: int) -> tuple[Graph, TotalColoring]:
@@ -253,15 +266,21 @@ OBSTRUCTION_EXHAUSTIVE_CAP = 1 << 17
 OBSTRUCTION_BALL_CAP = 64
 
 
-@dataclass
 class ObstructionReport:
-    """Outcome of the local no-efficient-list-coloring check at one vertex."""
+    """Outcome of the local no-efficient-list-coloring check at one vertex;
+    `method` is "exhaustive" or "backtracking"."""
 
-    selection_count: int
-    method: str  # "exhaustive" or "backtracking"
-    passed: bool
-    witnesses: list = field(default_factory=list)
-    counterexample: Optional[dict] = None
+    def __init__(
+        self,
+        selection_count: int,
+        method: str,
+        passed: bool,
+        witnesses: Optional[list] = None,
+        counterexample: Optional[dict] = None,
+    ) -> None:
+        self.selection_count, self.method, self.passed = selection_count, method, passed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.counterexample = counterexample
 
 
 def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:

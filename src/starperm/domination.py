@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Optional
 
@@ -34,17 +33,28 @@ CODE_SEARCH_VERTEX_CAP = 1000
 CODE_SEARCH_NODE_BUDGET = 5_000_000
 
 
-@dataclass
 class Violation:
-    kind: str  # wrong-count | non-unique-intersection | non-independent | distance
-    where: tuple
-    detail: tuple = ()
+    """One failed condition; `kind` is wrong-count, non-unique-intersection,
+    non-independent or distance."""
+
+    def __init__(self, kind: str, where: tuple, detail: tuple = ()) -> None:
+        self.kind, self.where, self.detail = kind, where, detail
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Violation:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class DominationCertificate:
-    violations: list[Violation] = field(default_factory=list)
-    min_internal_distance: Optional[int] = None
+    def __init__(self, violations: Optional[list[Violation]] = None, min_internal_distance: Optional[int] = None) -> None:
+        self.violations = [] if violations is None else violations
+        self.min_internal_distance = min_internal_distance
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DominationCertificate:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self) -> bool:
@@ -204,16 +214,24 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PartitionReport:
-    is_partition: bool
-    stars_are_k1l: bool
-    double_cover_ok: bool
-    per_symbol_edge_partition_ok: Optional[bool]
-    #: {number of dominator sets a member lies in: members with that number}
-    membership_census: dict
-    expected_memberships: int
-    failures: list = field(default_factory=list)
+    """`membership_census` maps a number of dominator sets a member lies in
+    to the members with that number."""
+
+    def __init__(
+        self,
+        is_partition: bool,
+        stars_are_k1l: bool,
+        double_cover_ok: bool,
+        per_symbol_edge_partition_ok: Optional[bool],
+        membership_census: dict,
+        expected_memberships: int,
+        failures: Optional[list] = None,
+    ) -> None:
+        self.is_partition, self.stars_are_k1l, self.double_cover_ok = is_partition, stars_are_k1l, double_cover_ok
+        self.per_symbol_edge_partition_ok = per_symbol_edge_partition_ok
+        self.membership_census, self.expected_memberships = membership_census, expected_memberships
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -32,7 +32,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
 from typing import Callable, Container, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
@@ -367,7 +366,6 @@ def regular_degree(degrees: set[int]) -> Optional[int]:
 Transposition = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class GeneratorFamily:
     """The edge rule of a permutation graph.
 
@@ -376,10 +374,23 @@ class GeneratorFamily:
     kind "custom": generator j applies (0 j) composed with a given involution
     pi_j, a product of independent transpositions inside {1, ..., j-1}
     (pi_1 = pi_2 = identity).  pis[j-1] holds pi_j as a tuple of (a, b) pairs.
+
+    A value: families of one kind and equal pis compare, hash and print alike.
     """
 
-    kind: str
-    pis: Optional[tuple[tuple[Transposition, ...], ...]] = None
+    def __init__(self, kind: str, pis: Optional[tuple[tuple[Transposition, ...], ...]] = None) -> None:
+        self.kind, self.pis = kind, pis
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GeneratorFamily:
+            return NotImplemented
+        return (self.kind, self.pis) == (other.kind, other.pis)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.pis))
+
+    def __repr__(self) -> str:
+        return f"GeneratorFamily(kind={self.kind!r}, pis={self.pis!r})"
 
     @staticmethod
     def star() -> "GeneratorFamily":

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapExceeded
@@ -28,16 +27,25 @@ MString = tuple[int, ...]
 DEFAULT_VERTEX_CAP = 10**7
 
 
-@dataclass(frozen=True)
 class Params:
-    """Instance parameters: k symbols, each repeated ell times."""
+    """Instance parameters: k symbols, each repeated ell times.  A value:
+    equal pairs compare and hash alike, so a pair keys a dict."""
 
-    k: int
-    ell: int
+    def __init__(self, k: int, ell: int) -> None:
+        if k < 1 or ell < 1:
+            raise ValueError(f"need k >= 1 and ell >= 1, got k={k}, ell={ell}")
+        self.k, self.ell = k, ell
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.ell < 1:
-            raise ValueError(f"need k >= 1 and ell >= 1, got k={self.k}, ell={self.ell}")
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Params:
+            return NotImplemented
+        return (self.k, self.ell) == (other.k, other.ell)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.ell))
+
+    def __repr__(self) -> str:
+        return f"Params(k={self.k!r}, ell={self.ell!r})"
 
     @property
     def length(self) -> int:

@@ -7,7 +7,6 @@ usage problems surface as distinct process exit codes in the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Optional
 
@@ -30,23 +29,28 @@ def keep_witnesses(kept: list, found: Iterable) -> None:
     kept.extend(islice(found, max(0, WITNESS_CAP - len(kept))))
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    detail: str = ""
-    witnesses: list = field(default_factory=list)
-    seconds: float = 0.0
-    truncated: bool = False
+    def __init__(
+        self,
+        name: str,
+        status: str,
+        detail: str = "",
+        witnesses: Optional[list] = None,
+        seconds: float = 0.0,
+        truncated: bool = False,
+    ) -> None:
+        self.name, self.status, self.detail = name, status, detail
+        self.witnesses = [] if witnesses is None else witnesses
+        self.seconds, self.truncated = seconds, truncated
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    params: dict
-    tool_version: str
-    checks: list[CheckResult] = field(default_factory=list)
-    seed: Optional[int] = None
+    def __init__(
+        self, suite: str, params: dict, tool_version: str, checks: Optional[list[CheckResult]] = None, seed: Optional[int] = None
+    ) -> None:
+        self.suite, self.params, self.tool_version = suite, params, tool_version
+        self.checks = [] if checks is None else checks
+        self.seed = seed
 
     @property
     def passed(self) -> bool:

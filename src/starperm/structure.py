@@ -19,7 +19,6 @@ coloring, and the toroidal union of type-2 cycles sharing a color.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coloring import ColoringReport, TotalColoring, verify_coloring
@@ -33,24 +32,29 @@ from .report import keep_witnesses
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ComponentAudit:
-    n: int
-    regular_degree: Optional[int]
-    coloring_total: bool
-    isomorphic_to_reference: bool
+    def __init__(self, n: int, regular_degree: Optional[int], coloring_total: bool, isomorphic_to_reference: bool) -> None:
+        self.n, self.regular_degree = n, regular_degree
+        self.coloring_total, self.isomorphic_to_reference = coloring_total, isomorphic_to_reference
 
 
-@dataclass
 class ColorCaseReport:
-    color: int
-    minus_class_connected: bool
-    minus_class_regular_degree: Optional[int]
-    components: list[ComponentAudit] = field(default_factory=list)
-    minus_edges_degrees: tuple[int, ...] = ()
-    minus_edges_big_side_is_class: bool = False
-    minus_edges_class_independent: bool = False
-    odd_closed_walk: Optional[list] = None
+    def __init__(
+        self,
+        color: int,
+        minus_class_connected: bool,
+        minus_class_regular_degree: Optional[int],
+        components: Optional[list[ComponentAudit]] = None,
+        minus_edges_degrees: tuple[int, ...] = (),
+        minus_edges_big_side_is_class: bool = False,
+        minus_edges_class_independent: bool = False,
+        odd_closed_walk: Optional[list] = None,
+    ) -> None:
+        self.color, self.minus_class_connected = color, minus_class_connected
+        self.minus_class_regular_degree = minus_class_regular_degree
+        self.components = [] if components is None else components
+        self.minus_edges_degrees, self.minus_edges_big_side_is_class = minus_edges_degrees, minus_edges_big_side_is_class
+        self.minus_edges_class_independent, self.odd_closed_walk = minus_edges_class_independent, odd_closed_walk
 
     def item1_ok(self, h: int) -> bool:
         return self.minus_class_connected and self.minus_class_regular_degree == h - 3
@@ -67,12 +71,12 @@ class ColorCaseReport:
         )
 
 
-@dataclass
 class DecompositionReport:
-    h: int
-    precondition_ok: bool
-    precondition_detail: str = ""
-    cases: list[ColorCaseReport] = field(default_factory=list)
+    def __init__(
+        self, h: int, precondition_ok: bool, precondition_detail: str = "", cases: Optional[list[ColorCaseReport]] = None
+    ) -> None:
+        self.h, self.precondition_ok, self.precondition_detail = h, precondition_ok, precondition_detail
+        self.cases = [] if cases is None else cases
 
     @property
     def passed(self) -> bool:
@@ -248,27 +252,40 @@ def _cycles_of(groups: CycleGroups, kind: str, keep) -> list[tuple[tuple[int, ..
     ]
 
 
-@dataclass
 class ToroidalReport:
-    d1: int
-    quad: tuple[int, ...]
-    #: vertices of the union of those type-2 cycles
-    union_vertex_count: int
-    type2_cycle_count: int
-    contained_type1: list[tuple[int, ...]] = field(default_factory=list)
-    type1_disjoint: bool = False
-    departures_ok: bool = True
-    departure_failures: list = field(default_factory=list)
-    #: how many contained type-1 cycles land their departure sextuple in
-    #: each vertex color class; on 5 colors the only possible class is d1
-    landing_class_census: dict = field(default_factory=dict)
-    all_land_in_d1: bool = False
-    #: landing vertices have the first = last shape when their class is the
-    #: last position, hang pendant off each departure star, and never lie
-    #: inside the union itself
-    sigma_pendant_ok: bool = False
-    landing_min_distance_3: bool = True
-    landing_distance_values: tuple[int, ...] = ()
+    def __init__(
+        self,
+        d1: int,
+        quad: tuple[int, ...],
+        union_vertex_count: int,
+        type2_cycle_count: int,
+        contained_type1: Optional[list[tuple[int, ...]]] = None,
+        type1_disjoint: bool = False,
+        departures_ok: bool = True,
+        departure_failures: Optional[list] = None,
+        landing_class_census: Optional[dict] = None,
+        all_land_in_d1: bool = False,
+        sigma_pendant_ok: bool = False,
+        landing_min_distance_3: bool = True,
+        landing_distance_values: tuple[int, ...] = (),
+    ) -> None:
+        self.d1, self.quad = d1, quad
+        #: vertices of the union of those type-2 cycles
+        self.union_vertex_count = union_vertex_count
+        self.type2_cycle_count = type2_cycle_count
+        self.contained_type1 = [] if contained_type1 is None else contained_type1
+        self.type1_disjoint, self.departures_ok = type1_disjoint, departures_ok
+        self.departure_failures = [] if departure_failures is None else departure_failures
+        #: how many contained type-1 cycles land their departure sextuple in
+        #: each vertex color class; on 5 colors the only possible class is d1
+        self.landing_class_census = {} if landing_class_census is None else landing_class_census
+        self.all_land_in_d1 = all_land_in_d1
+        #: landing vertices have the first = last shape when their class is the
+        #: last position, hang pendant off each departure star, and never lie
+        #: inside the union itself
+        self.sigma_pendant_ok = sigma_pendant_ok
+        self.landing_min_distance_3 = landing_min_distance_3
+        self.landing_distance_values = landing_distance_values
 
     @property
     def passed(self) -> bool:

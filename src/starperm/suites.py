@@ -89,10 +89,9 @@ class _Context:
     coloring's verify_coloring report and its 6-cycles classified under it
     (each computed on first use).  Nothing larger is kept, as whatever is
     cached lives through every later sub-suite.  At k = 4 the process's
-    high-water mark rises by 0.4 MB (16.2 to 16.6 MB) in the cycles
-    sub-suite, which groups the 6,300 cycles one root's batch at a time,
-    and by 0.5 MB or less in each sub-suite after it (17.4 MB at the end).
-    The 6-cycle groups, a flat array of vertex ids per (kind, colors), stay
+    high-water mark rises by 0.4 MB in the cycles sub-suite, which groups
+    the 6,300 cycles one root's batch at a time, and by 0.5 MB or less in
+    each sub-suite after it.  The 6-cycle groups, a flat array of vertex ids per (kind, colors), stay
     cached: about 150 KB at k = 4."""
 
     def __init__(

@@ -2,7 +2,6 @@
 vertex column; for the chain tests a wrong shift or a lost source string;
 for the Schreier tests a lost fiber or a different move on Sym strings."""
 
-from dataclasses import replace
 from itertools import islice
 
 import starperm.chains
@@ -35,7 +34,7 @@ def add_to_w1(monkeypatch, tc: TotalColoring, pick) -> TotalColoring:
         column = list(tc.vertex_colors)
         x = pick(tc.graph, column)
         column[x] = AlsoColorOne(column[x])
-        return replace(tc, vertex_colors=column)
+        return TotalColoring(tc.graph, column, tc.edge_colors, tc.palette)
 
     def verify_coloring(tc):
         return ColoringReport(True, True, True, True) if isinstance(tc.graph, PermGraph) else _verify_coloring(tc)

@@ -185,6 +185,15 @@ def test_cli_export_formats(tmp_path):
     assert "V 0011 1" in col.read_text()
 
 
+@pytest.mark.parametrize("ell", [2, 3])
+def test_cli_refused_coloring_export_leaves_the_file_as_it_was(tmp_path, capsys, ell):
+    out = tmp_path / "pc.col"
+    out.write_bytes(b"kept\n")
+    assert main(["export", "--format", "coloring", "--family", "pc", "--k", "3", "--l", str(ell), "--out", str(out)]) == 2
+    assert "positional edge coloring is defined for star-family graphs" in capsys.readouterr().err
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_cli_custom_family_pi_file(tmp_path):
     pi = tmp_path / "pi.json"
     pi.write_text(json.dumps([[], [], [], [[1, 3]], []]))

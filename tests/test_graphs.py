@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -241,6 +242,19 @@ def test_position_maps_are_the_custom_rule_only():
             other.position_maps(6)
 
 
+def test_families_compare_hash_and_print_by_value():
+    # the benchmark tracer counts distinct builds by (Params, repr(family))
+    star, pancake = GeneratorFamily.star(), GeneratorFamily.pancake()
+    assert star == GeneratorFamily.star() and hash(star) == hash(GeneratorFamily.star())
+    assert repr(star) == repr(GeneratorFamily.star())
+    assert star != pancake and repr(star) != repr(pancake)
+    pis = [[], [], [], [(1, 3)], []]
+    custom = GeneratorFamily.custom(pis)
+    assert custom == GeneratorFamily.custom(pis) and hash(custom) == hash(GeneratorFamily.custom(pis))
+    assert repr(custom) == repr(GeneratorFamily.custom(pis))
+    assert custom != GeneratorFamily.custom([[]] * 5) and custom != star
+
+
 def test_custom_family_validation():
     with pytest.raises(ValueError):
         GeneratorFamily.custom([[(1, 2)], [], [], [], []])  # pi_1 must be identity
@@ -403,3 +417,16 @@ def test_every_package_export_resolves_once():
     names = starperm.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(starperm, n)] == []
+
+
+def test_importing_the_cli_loads_no_code_introspection_modules():
+    # dataclasses brings in inspect, ast, dis and tokenize: about 1 MB on
+    # every CLI process's peak
+    src = str(Path(starperm.__file__).parent.parent)
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import starperm.cli, starperm; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -27,6 +27,14 @@ def test_params_validation():
     assert Params(3, 2).length == 6
 
 
+def test_params_are_values():
+    p = Params(5, 2)
+    assert p == Params(5, 2) and hash(p) == hash(Params(5, 2))
+    assert p != Params(2, 5) and p != (5, 2)
+    assert {p: "st52"}[Params(5, 2)] == "st52"
+    assert len({Params(5, 2), Params(5, 2), Params(3, 2)}) == 2
+
+
 def test_enumeration_k2_l2_exact():
     got = enumerate_vertices(Params(2, 2))
     assert [render(v) for v in got] == ["0011", "0101", "0110", "1001", "1010", "1100"]

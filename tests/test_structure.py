@@ -1,10 +1,10 @@
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
 from starperm import (
     PermGraph,
+    TotalColoring,
     classify_six_cycles,
     mstring,
     color_class_decomposition,
@@ -83,7 +83,8 @@ def test_chi_preconditions_reported_not_raised(tc22, pc32, tc32):
     assert not rep.precondition_ok  # h = 4 is outside the hypothesis
     assert "h = 4" in rep.precondition_detail
     assert not rep.passed
-    rep = color_class_decomposition(replace(tc32, graph=pc32))  # the key map needs star moves
+    # the key map needs star moves
+    rep = color_class_decomposition(TotalColoring(pc32, tc32.vertex_colors, tc32.edge_colors, tc32.palette))
     assert not rep.precondition_ok and rep.precondition_detail == "need a 2-set star graph"
 
 
