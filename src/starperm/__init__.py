@@ -36,7 +36,7 @@ from .domination import (
     verify_ei_avoidance,
     verify_partition_and_edge_cover,
 )
-from .errors import CapExceeded, GirthPrecondition
+from .errors import CapExceeded, Precondition
 from .graphs import (
     GeneratorFamily,
     Graph,
@@ -69,11 +69,11 @@ __all__ = [
     "ColoringReport",
     "DominationCertificate",
     "GeneratorFamily",
-    "GirthPrecondition",
     "Graph",
     "MString",
     "Params",
     "PermGraph",
+    "Precondition",
     "TotalColoring",
     "build_graph",
     "build_odd_complete_colored",

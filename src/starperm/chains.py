@@ -66,7 +66,6 @@ def kappa_embed(v: MString, j: int, k: int) -> MString:
 class ChainReport:
     def __init__(
         self,
-        k: int,
         images_disjoint: bool = True,
         images_induced_isomorphic: bool = True,
         sigma_bijection_ok: bool = True,
@@ -76,20 +75,10 @@ class ChainReport:
         block_sizes: tuple[int, ...] = (),
         failures: Optional[list] = None,
     ) -> None:
-        self.k, self.images_disjoint, self.images_induced_isomorphic = k, images_disjoint, images_induced_isomorphic
+        self.images_disjoint, self.images_induced_isomorphic = images_disjoint, images_induced_isomorphic
         self.sigma_bijection_ok, self.blocks_partition_sigma = sigma_bijection_ok, blocks_partition_sigma
         self.cardinality_identity_ok, self.sigma_size, self.block_sizes = cardinality_identity_ok, sigma_size, block_sizes
         self.failures = [] if failures is None else failures
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.images_disjoint
-            and self.images_induced_isomorphic
-            and self.sigma_bijection_ok
-            and self.blocks_partition_sigma
-            and self.cardinality_identity_ok
-        )
 
 
 def verify_chain(k: int, cap: int = DEFAULT_VERTEX_CAP) -> ChainReport:
@@ -115,7 +104,7 @@ def verify_chain(k: int, cap: int = DEFAULT_VERTEX_CAP) -> ChainReport:
     # which re-validates each well-formed string, and kept alone: the
     # ST(k+1,2) strings (7.48 M of them at k = 5) stream past
     sigma = PackedLabels(map(_pack, (v for v in iter_vertices(Params(k + 1, 2), cap) if v[last] == v[0])), length)
-    rep = ChainReport(k=k, sigma_size=len(sigma))
+    rep = ChainReport(sigma_size=len(sigma))
 
     # kappa_j's codes by source id
     embeddings = [ChainEmbedding(k, j) for j in range(k + 1)]
@@ -246,15 +235,6 @@ class SchreierReport:
         self.quotient_equals_graph, self.generator_sets_ok = quotient_equals_graph, generator_sets_ok
         self.failures = [] if failures is None else failures
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.fibers_are_cosets
-            and self.fiber_sizes_ok
-            and self.quotient_equals_graph
-            and self.generator_sets_ok
-        )
-
 
 def schreier_quotient_check(k: int, ell: int) -> SchreierReport:
     """Realize the multiset star graph as a quotient of Sym_{k*ell}.
@@ -327,14 +307,6 @@ class PancakeReport:
     def degrees_drop(self) -> bool:
         """Degree 2k-3 without the last class, 2k-4 without its edges too."""
         return (self.minus_sigma_regular_degree, self.remainder_regular_degree) == (2 * self.k - 3, 2 * self.k - 4)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.last_sigma_passes
-            and self.all_lower_sigmas_fail
-            and self.degrees_drop
-        )
 
 
 def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:

@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Iterable, Optional
 
 from .coloring import TotalColoring
-from .errors import CapExceeded, GirthPrecondition
+from .errors import CapExceeded, Precondition
 from .graphs import Graph, PermGraph
 from .report import WITNESS_CAP, keep_witnesses
 
@@ -125,7 +125,7 @@ def _dominator_counts(g: Graph, members: array) -> array:
 
 def require_girth_above_three(g: Graph) -> None:
     if g.has_triangle():
-        raise GirthPrecondition("graph contains a triangle")
+        raise Precondition("graph contains a triangle")
 
 
 def _min_internal_distance(g: Graph, members: array) -> tuple[Optional[int], Optional[array]]:
@@ -168,7 +168,7 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     """Full certificate for the efficient dominating-ell set predicate on
     the vertex ids s, in any order and with repeats.
 
-    Raises GirthPrecondition on graphs with triangles (the K_5 exclusion),
+    Raises Precondition on graphs with triangles (the K_5 exclusion),
     so the dominators of one vertex are never adjacent; otherwise returns
     the certificate, passing iff no violations.  Labels are looked up only
     for what the certificate records.

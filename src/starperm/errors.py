@@ -5,5 +5,5 @@ class CapExceeded(RuntimeError):
     """An instance exceeds a configured size cap ("instance too large")."""
 
 
-class GirthPrecondition(ValueError):
-    """A domination verifier requires girth > 3 and the graph has a triangle."""
+class Precondition(ValueError):
+    """An instance lies outside a claim's hypothesis."""

@@ -166,4 +166,8 @@ def load_pi_file(path: str, length: int) -> GeneratorFamily:
         raise ValueError("pi file must hold a JSON list of transposition lists")
     if len(data) != length - 1:
         raise ValueError(f"pi file must list {length - 1} involutions, has {len(data)}")
-    return GeneratorFamily.custom([[(int(a), int(b)) for a, b in pi] for pi in data])
+    for j, pi in enumerate(data, start=1):
+        pairs = isinstance(pi, list) and all(isinstance(t, list) and len(t) == 2 for t in pi)
+        if not (pairs and all(type(x) is int for t in pi for x in t)):
+            raise ValueError(f"pi_{j} must be a list of [a, b] integer pairs")
+    return GeneratorFamily.custom(data)

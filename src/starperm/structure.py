@@ -22,6 +22,7 @@ from array import array
 from typing import Optional, Sequence
 
 from .coloring import ColoringReport, TotalColoring, verify_coloring
+from .errors import Precondition
 from .graphs import Graph, Params, PermGraph, build_graph, regular_degree, six_cycles
 from .iso import ISO_CAP, isomorphic
 from .report import keep_witnesses
@@ -72,26 +73,15 @@ class ColorCaseReport:
 
 
 class DecompositionReport:
-    def __init__(
-        self, h: int, precondition_ok: bool, precondition_detail: str = "", cases: Optional[list[ColorCaseReport]] = None
-    ) -> None:
-        self.h, self.precondition_ok, self.precondition_detail = h, precondition_ok, precondition_detail
-        self.cases = [] if cases is None else cases
-
-    @property
-    def passed(self) -> bool:
-        """Items 1-3 hold for every color.  The component count is not part
-        of it: at k = 4 this is True while chi fails on count=24 expected=32."""
-        return self.precondition_ok and all(
-            c.item1_ok(self.h) and c.item2_ok(self.h) and c.item3_ok(self.h) for c in self.cases
-        )
+    def __init__(self, h: int, cases: Optional[list[ColorCaseReport]] = None) -> None:
+        self.h, self.cases = h, [] if cases is None else cases
 
 
 def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringReport] = None) -> DecompositionReport:
     """Run the per-color decomposition checks on tc's graph g = ST(k,2);
-    hypothesis failures come back as a precondition report, not an
-    exception.  `checked` is ``verify_coloring(tc)`` when the caller
-    already has it; otherwise the precondition runs it.
+    raises Precondition when a hypothesis fails.  `checked` is
+    ``verify_coloring(tc)`` when the caller already has it; otherwise the
+    efficiency hypothesis runs it.
 
     In ST(k,2) - W_i - E_i neither s = v[i] nor its other copy at p moves: a
     move at i is an E_i edge, and a move at p puts s in front, into W_i.  So
@@ -104,16 +94,16 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
     """
     g = tc.graph
     if not (isinstance(g, PermGraph) and g.family.kind == "star" and g.params.ell == 2):
-        return DecompositionReport(h=0, precondition_ok=False, precondition_detail="need a 2-set star graph")
+        raise Precondition("need a 2-set star graph")
     h = 2 * g.params.k  # ST(k,2) is connected and (h-2)-regular
-    rep = DecompositionReport(h=h, precondition_ok=True)
     if h <= 4:
-        return DecompositionReport(h=h, precondition_ok=False, precondition_detail=f"need even h > 4, got h = {h}")
+        raise Precondition(f"need even h > 4, got h = {h}")
     if len(tc.palette) != h - 1:
-        return DecompositionReport(h=h, precondition_ok=False, precondition_detail=f"palette has {len(tc.palette)} colors, want {h - 1}")
+        raise Precondition(f"palette has {len(tc.palette)} colors, want {h - 1}")
     eff = checked if checked is not None else verify_coloring(tc)
     if not (eff.passed and eff.efficient):
-        return DecompositionReport(h=h, precondition_ok=False, precondition_detail="coloring is not efficient")
+        raise Precondition("coloring is not efficient")
+    rep = DecompositionReport(h=h)
 
     n, verts, label_sets, color, vcol = g.n, g.vertices, g.label_sets, tc.edge_color_reader(), tc.vertex_colors
     size = Params(g.params.k - 1, 2).vertex_count()
@@ -256,7 +246,6 @@ class ToroidalReport:
     def __init__(
         self,
         d1: int,
-        quad: tuple[int, ...],
         union_vertex_count: int,
         type2_cycle_count: int,
         contained_type1: Optional[list[tuple[int, ...]]] = None,
@@ -269,7 +258,7 @@ class ToroidalReport:
         landing_min_distance_3: bool = True,
         landing_distance_values: tuple[int, ...] = (),
     ) -> None:
-        self.d1, self.quad = d1, quad
+        self.d1 = d1
         #: vertices of the union of those type-2 cycles
         self.union_vertex_count = union_vertex_count
         self.type2_cycle_count = type2_cycle_count
@@ -286,17 +275,6 @@ class ToroidalReport:
         self.sigma_pendant_ok = sigma_pendant_ok
         self.landing_min_distance_3 = landing_min_distance_3
         self.landing_distance_values = landing_distance_values
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.type2_cycle_count > 0
-            and bool(self.contained_type1)
-            and self.type1_disjoint
-            and self.departures_ok
-            and self.sigma_pendant_ok
-            and self.landing_min_distance_3
-        )
 
 
 def toroidal_colors(tc: TotalColoring, d1: int, quad: Sequence[int]) -> tuple[int, ...]:
@@ -330,7 +308,7 @@ def toroidal_assembly(tc: TotalColoring, groups: CycleGroups, d1: int, quad: Seq
     edge_set = {e for _, c in type2 for e in _cycle_edges(c)}
     union = {x for e in edge_set for x in e}
 
-    rep = ToroidalReport(d1=d1, quad=quad, union_vertex_count=len(union), type2_cycle_count=len(type2))
+    rep = ToroidalReport(d1=d1, union_vertex_count=len(union), type2_cycle_count=len(type2))
 
     contained = [
         (colors, c)

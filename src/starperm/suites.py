@@ -33,7 +33,7 @@ from .domination import (
     verify_ei_avoidance,
     verify_partition_and_edge_cover,
 )
-from .errors import CapExceeded, GirthPrecondition
+from .errors import CapExceeded, Precondition
 from .graphs import Params, PermGraph, build_graph
 from .mstrings import DEFAULT_VERTEX_CAP, list_assignment
 from .report import FAIL, PASS, PRECONDITION, SHOWN_WITNESSES, SKIP, CheckResult, SuiteReport
@@ -64,7 +64,7 @@ class _Runner:
             return None
         try:
             return compute()
-        except GirthPrecondition as exc:
+        except Precondition as exc:
             self._append(name, PRECONDITION, str(exc))
         except CapExceeded as exc:
             self._append(name, SKIP, str(exc))
@@ -125,7 +125,7 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
         return
     g = ctx.graph
 
-    def girth():  # a triangle raises GirthPrecondition: a PRECONDITION line that ends the suite
+    def girth():  # a triangle raises Precondition: a PRECONDITION line that ends the suite
         require_girth_above_three(g)
         return True, "triangle-free", []
 
@@ -226,9 +226,6 @@ def _suite_chi(run: _Runner, ctx: _Context) -> None:
         "chi-preconditions", _needs_l2(ctx.ell), lambda: color_class_decomposition(ctx.coloring, ctx.coloring_report)
     )
     if rep is None:
-        return
-    if not rep.precondition_ok:
-        run.head("chi-preconditions", rep.precondition_detail, None)
         return
     run.add("chi-preconditions", lambda: (True, f"h={rep.h}", []))
     expected_components = ctx.k * 2 ** (ctx.k - 1)

@@ -20,7 +20,8 @@ from starperm import (
     verify_efficient_domination,
 )
 from starperm.mstrings import prefix_reversal, render, repeat_position
-from starperm.report import WITNESS_CAP
+from starperm.report import PASS, WITNESS_CAP
+from starperm.suites import run_suite
 
 from .faults import drop_source_string, lose_first_fiber, move_sym_strings, shift_one_embedding
 from .oracles import brute_local_generators, labels_of
@@ -59,7 +60,6 @@ def test_kappa_neighbor_positions(st32):
 
 def test_verify_chain_k2():
     rep = verify_chain(2)
-    assert rep.passed
     assert rep.images_disjoint and rep.images_induced_isomorphic
     assert rep.sigma_bijection_ok and rep.blocks_partition_sigma
     assert rep.block_sizes == (6, 6, 6)
@@ -78,7 +78,8 @@ def test_verify_chain_k2_images_are_six_cycles(st32):
 
 def test_verify_chain_k3():
     rep = verify_chain(3)
-    assert rep.passed
+    assert rep.images_disjoint and rep.images_induced_isomorphic
+    assert rep.sigma_bijection_ok and rep.blocks_partition_sigma and rep.cardinality_identity_ok
     assert rep.block_sizes == (90, 90, 90, 90)
     assert rep.sigma_size == 360
 
@@ -89,7 +90,8 @@ def test_verify_chain_builds_no_graph(monkeypatch):
         raise AssertionError("verify_chain reads strings and star moves only")
 
     monkeypatch.setattr(starperm.chains, "build_graph", refuse)
-    assert verify_chain(3).passed
+    lines = [(c.name, c.status) for c in run_suite("chains", 3, 2).checks]
+    assert lines == [("images-disjoint-induced", PASS), ("sigma-bijection", PASS), ("cardinality-identity", PASS)]
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -115,7 +117,8 @@ def test_verify_chain_k4_values_and_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.passed
+    assert rep.images_disjoint and rep.images_induced_isomorphic
+    assert rep.sigma_bijection_ok and rep.blocks_partition_sigma and rep.cardinality_identity_ok
     assert rep.block_sizes == (2520,) * 5
     assert rep.sigma_size == 12600
     assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
@@ -126,7 +129,7 @@ def test_verify_chain_wrong_shift_is_no_induced_copy(monkeypatch):
     # but its images hold 1 in the body, so they are no vertices of ST(4,2)
     shift_one_embedding(monkeypatch, 1)
     rep = verify_chain(3)
-    assert not rep.images_induced_isomorphic and not rep.passed
+    assert not rep.images_induced_isomorphic
     assert rep.images_disjoint and rep.cardinality_identity_ok
     assert ("symbol-in-body", 1, ms("33001111")) in rep.failures
     assert rep.block_sizes == (90, 0, 90, 90)
@@ -157,7 +160,8 @@ def test_verify_chain_lost_source_string_breaks_the_bijection(monkeypatch):
 
 def test_schreier_coset_table_values():
     rep = schreier_quotient_check(2, 2)
-    assert rep.passed
+    assert rep.fibers_are_cosets and rep.fiber_sizes_ok
+    assert rep.quotient_equals_graph and rep.generator_sets_ok
     fibers = dict(schreier_fibers(2, 2))
     assert fibers[ms("0011")] == tuple(map(ms, ("0123", "0132", "1023", "1032")))
     assert fibers[ms("1100")] == tuple(map(ms, ("2301", "2310", "3201", "3210")))
@@ -175,7 +179,8 @@ def test_schreier_coset_table_values():
 @pytest.mark.parametrize("k,ell,size", [(3, 2, 8), (2, 3, 36)])
 def test_schreier_other_params(k, ell, size):
     rep = schreier_quotient_check(k, ell)
-    assert rep.passed
+    assert rep.fibers_are_cosets and rep.fiber_sizes_ok
+    assert rep.quotient_equals_graph and rep.generator_sets_ok
     assert all(len(f) == size for _, f in schreier_fibers(k, ell))
 
 
@@ -193,10 +198,12 @@ def test_schreier_streams_one_fiber_at_a_time():
     schreier_quotient_check(3, 2)  # warm every import and cache first
     tracemalloc.start()
     try:
-        assert schreier_quotient_check(4, 2).passed
+        rep = schreier_quotient_check(4, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert rep.fibers_are_cosets and rep.fiber_sizes_ok
+    assert rep.quotient_equals_graph and rep.generator_sets_ok
     assert peak <= 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -256,12 +263,13 @@ def test_schreier_builds_no_graph(monkeypatch, k, ell):
         raise AssertionError("the quotient is compared with star moves, not a built graph")
 
     monkeypatch.setattr(starperm.chains, "build_graph", refuse)
-    assert schreier_quotient_check(k, ell).passed
+    lines = [(c.name, c.status) for c in run_suite("schreier", k, ell).checks]
+    assert lines == [("fibers-are-cosets", PASS), ("quotient-matches-graph", PASS), ("local-generator-sets", PASS)]
 
 
 def test_pancake_k2(pc22):
     rep = pancake_chain_check(2)
-    assert rep.passed
+    assert rep.degrees_drop
     assert rep.last_sigma_passes and rep.last_sigma_min_distance == 3
     kind, where = rep.failing_sigmas[1]
     assert kind == "non-independent" and set(where) == {ms("0011"), ms("1100")}
@@ -271,7 +279,7 @@ def test_pancake_k2(pc22):
 
 def test_pancake_k3(pc32):
     rep = pancake_chain_check(3)
-    assert rep.passed
+    assert rep.all_lower_sigmas_fail and rep.degrees_drop
     assert rep.last_sigma_passes and rep.last_sigma_min_distance == 3
     assert set(rep.failing_sigmas) == {1, 2, 3, 4}
     assert pc32.regularity() == ("regular", (4,))

@@ -7,8 +7,8 @@ import pytest
 import starperm.domination
 
 from starperm import (
-    GirthPrecondition,
     Graph,
+    Precondition,
     TotalColoring,
     code_search,
     color_class_decomposition,
@@ -87,9 +87,9 @@ def test_verify_sigma1_st22(st22):
 
 
 def test_girth_precondition_k5():
-    with pytest.raises(GirthPrecondition):
+    with pytest.raises(Precondition):
         verify_efficient_domination(k5(), [0], 1)
-    with pytest.raises(GirthPrecondition):
+    with pytest.raises(Precondition):
         code_search(k5(), 1)
 
 
@@ -155,14 +155,22 @@ def test_domination_verifiers_allocate_little(st42):
 def test_pancake_and_chi_copy_no_whole_graph(tc42):
     # a copy of PC(4,2) or ST(4,2) less a vertex or edge class takes about
     # 1 MB more; the checks peak near 0.5 MB without one (tracemalloc)
-    checks = (lambda: pancake_chain_check(4), lambda: color_class_decomposition(tc42))
-    for check in checks:
+    # each check with the fields its suite lines read
+    checks = (
+        (lambda: pancake_chain_check(4), lambda rep: rep.last_sigma_passes and rep.all_lower_sigmas_fail and rep.degrees_drop),
+        (
+            lambda: color_class_decomposition(tc42),
+            lambda rep: all(c.item1_ok(8) and c.item2_ok(8) and c.item3_ok(8) for c in rep.cases),
+        ),
+    )
+    for check, holds in checks:
         tracemalloc.start()
         try:
-            assert check().passed
+            rep = check()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert holds(rep)
         assert peak < 2**20
 
 

@@ -205,6 +205,16 @@ def test_cli_custom_family_pi_file(tmp_path):
     assert out.read_text().splitlines()[0].startswith("custom 3 2 90")
 
 
+@pytest.mark.parametrize("data,j", [([1, 2, 3], 1), ([[], [], [[1, None]]], 3)], ids=["int-entry", "null-in-pair"])
+def test_cli_custom_family_refuses_a_pi_that_is_no_list_of_pairs(tmp_path, capsys, data, j):
+    # an int where pi_1's list goes, a null where pi_3 has an integer
+    pi = tmp_path / "pi.json"
+    pi.write_text(json.dumps(data))
+    argv = ["build", "--family", "custom", "--k", "2", "--l", "2", "--pi", str(pi), "--out", str(tmp_path / "custom.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: pi_{j} must be a list of [a, b] integer pairs\n"
+
+
 def test_cli_pancake_suite():
     assert main(["verify", "--suite", "pancake", "--k", "2", "--l", "2"]) == 0
 

@@ -4,6 +4,7 @@ import pytest
 
 from starperm import (
     PermGraph,
+    Precondition,
     TotalColoring,
     classify_six_cycles,
     mstring,
@@ -22,8 +23,8 @@ ms = mstring
 
 def test_chi_suite_st32(tc32):
     rep = color_class_decomposition(tc32)
-    assert rep.precondition_ok and rep.h == 6
-    assert rep.passed
+    assert rep.h == 6 and [case.color for case in rep.cases] == [1, 2, 3, 4, 5]
+    assert all(case.item1_ok(6) and case.item2_ok(6) and case.item3_ok(6) for case in rep.cases)
     for case in rep.cases:
         assert case.minus_class_connected
         assert case.minus_class_regular_degree == 3
@@ -42,8 +43,8 @@ def test_chi_suite_st32(tc32):
 
 def test_chi_suite_st42_actual_structure(tc42):
     rep = color_class_decomposition(tc42)
-    assert rep.precondition_ok and rep.h == 8
-    assert rep.passed
+    assert rep.h == 8 and len(rep.cases) == 7
+    assert all(case.item1_ok(8) and case.item2_ok(8) and case.item3_ok(8) for case in rep.cases)
     for case in rep.cases:
         assert case.minus_class_regular_degree == 5 and case.minus_class_connected
         # 2k(k-1) components, each a copy of the graph one symbol down
@@ -65,7 +66,7 @@ def test_chi_copies_a_component_without_looking_up_edge_colors(monkeypatch, tc42
     monkeypatch.setattr(PermGraph, "index", refuse)
     monkeypatch.setattr(PackedLabels, "find", refuse)
     rep = color_class_decomposition(tc42)
-    assert rep.passed
+    assert all(case.item1_ok(8) and case.item2_ok(8) and case.item3_ok(8) for case in rep.cases)
     assert all(case.components[0].coloring_total and case.components[0].isomorphic_to_reference for case in rep.cases)
 
 
@@ -78,14 +79,20 @@ def test_chi_independence_sees_an_edge_inside_the_class(monkeypatch, tc32):
     assert independent == {1: False, 2: True, 3: True, 4: True, 5: True}
 
 
-def test_chi_preconditions_reported_not_raised(tc22, pc32, tc32):
-    rep = color_class_decomposition(tc22)
-    assert not rep.precondition_ok  # h = 4 is outside the hypothesis
-    assert "h = 4" in rep.precondition_detail
-    assert not rep.passed
+def test_chi_hypotheses_raise_precondition(tc22, pc32, tc32):
+    with pytest.raises(Precondition, match="^need even h > 4, got h = 4$"):
+        color_class_decomposition(tc22)
     # the key map needs star moves
-    rep = color_class_decomposition(TotalColoring(pc32, tc32.vertex_colors, tc32.edge_colors, tc32.palette))
-    assert not rep.precondition_ok and rep.precondition_detail == "need a 2-set star graph"
+    with pytest.raises(Precondition, match="^need a 2-set star graph$"):
+        color_class_decomposition(TotalColoring(pc32, tc32.vertex_colors, tc32.edge_colors, tc32.palette))
+    # the same colouring over a sixth, unused colour
+    with pytest.raises(Precondition, match="^palette has 6 colors, want 5$"):
+        color_class_decomposition(TotalColoring(tc32.graph, tc32.vertex_colors, tc32.edge_colors, tc32.palette | {6}))
+    # one vertex recoloured
+    column = list(tc32.vertex_colors)
+    column[0] = column[0] % 5 + 1
+    with pytest.raises(Precondition, match="^coloring is not efficient$"):
+        color_class_decomposition(TotalColoring(tc32.graph, column, tc32.edge_colors, tc32.palette))
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -139,7 +146,6 @@ def test_classify_six_cycles_streams_the_cycles(tc42):
 
 def test_toroidal_t5(tc32):
     rep = toroidal_assembly(tc32, classify_six_cycles(tc32)[0], 5, (1, 2, 3, 4))
-    assert rep.passed
     assert rep.type2_cycle_count == 24
     assert rep.union_vertex_count == 72
     assert len(rep.contained_type1) == 12 and rep.type1_disjoint
