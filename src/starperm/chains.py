@@ -64,21 +64,10 @@ def kappa_embed(v: MString, j: int, k: int) -> MString:
 
 
 class ChainReport:
-    def __init__(
-        self,
-        images_disjoint: bool = True,
-        images_induced_isomorphic: bool = True,
-        sigma_bijection_ok: bool = True,
-        blocks_partition_sigma: bool = True,
-        cardinality_identity_ok: bool = False,
-        sigma_size: int = 0,
-        block_sizes: tuple[int, ...] = (),
-        failures: Optional[list] = None,
-    ) -> None:
-        self.images_disjoint, self.images_induced_isomorphic = images_disjoint, images_induced_isomorphic
-        self.sigma_bijection_ok, self.blocks_partition_sigma = sigma_bijection_ok, blocks_partition_sigma
-        self.cardinality_identity_ok, self.sigma_size, self.block_sizes = cardinality_identity_ok, sigma_size, block_sizes
-        self.failures = [] if failures is None else failures
+    def __init__(self, sigma_size: int) -> None:
+        self.images_disjoint = self.images_induced_isomorphic = self.sigma_bijection_ok = self.blocks_partition_sigma = True
+        self.cardinality_identity_ok, self.sigma_size, self.block_sizes = False, sigma_size, ()
+        self.failures: list = []
 
 
 def verify_chain(k: int, cap: int = DEFAULT_VERTEX_CAP) -> ChainReport:
@@ -223,17 +212,9 @@ def _fibers(k: int, ell: int) -> Iterator[tuple[MString, tuple[tuple[int, ...], 
 
 
 class SchreierReport:
-    def __init__(
-        self,
-        fibers_are_cosets: bool = True,
-        fiber_sizes_ok: bool = True,
-        quotient_equals_graph: bool = True,
-        generator_sets_ok: bool = True,
-        failures: Optional[list] = None,
-    ) -> None:
-        self.fibers_are_cosets, self.fiber_sizes_ok = fibers_are_cosets, fiber_sizes_ok
-        self.quotient_equals_graph, self.generator_sets_ok = quotient_equals_graph, generator_sets_ok
-        self.failures = [] if failures is None else failures
+    def __init__(self) -> None:
+        self.fibers_are_cosets = self.fiber_sizes_ok = self.quotient_equals_graph = self.generator_sets_ok = True
+        self.failures: list = []
 
 
 def schreier_quotient_check(k: int, ell: int) -> SchreierReport:
@@ -291,16 +272,15 @@ class PancakeReport:
     def __init__(
         self,
         k: int,
-        last_sigma_passes: bool = False,
-        last_sigma_min_distance: Optional[int] = None,
-        failing_sigmas: Optional[dict] = None,
-        all_lower_sigmas_fail: bool = False,
-        minus_sigma_regular_degree: Optional[int] = None,
-        remainder_regular_degree: Optional[int] = None,
+        last_sigma_passes: bool,
+        last_sigma_min_distance: Optional[int],
+        failing_sigmas: dict,
+        all_lower_sigmas_fail: bool,
+        minus_sigma_regular_degree: Optional[int],
+        remainder_regular_degree: Optional[int],
     ) -> None:
         self.k, self.last_sigma_passes, self.last_sigma_min_distance = k, last_sigma_passes, last_sigma_min_distance
-        self.failing_sigmas = {} if failing_sigmas is None else failing_sigmas
-        self.all_lower_sigmas_fail = all_lower_sigmas_fail
+        self.failing_sigmas, self.all_lower_sigmas_fail = failing_sigmas, all_lower_sigmas_fail
         self.minus_sigma_regular_degree, self.remainder_regular_degree = minus_sigma_regular_degree, remainder_regular_degree
 
     @property
@@ -323,14 +303,12 @@ def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:
     perfect code is a set whose closed neighborhoods partition the vertices.
     """
     pc = build_graph(Params(k, 2), GeneratorFamily.pancake(), cap=cap)
-    rep = PancakeReport(k=k)
     last = 2 * k - 1
 
     black = sigma_set(pc, last)
     cert = verify_efficient_domination(pc, black, 1)
-    rep.last_sigma_passes = cert.passed
-    rep.last_sigma_min_distance = cert.min_internal_distance
 
+    failing_sigmas = {}
     for i in range(1, last):
         cert_i = verify_efficient_domination(pc, sigma_set(pc, i), 1)
         if not cert_i.passed:
@@ -338,8 +316,7 @@ def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:
                 (w for w in cert_i.violations if w.kind == "non-independent"),
                 cert_i.violations[0],
             )
-            rep.failing_sigmas[i] = (v.kind, v.where)
-    rep.all_lower_sigmas_fail = set(rep.failing_sigmas) == set(range(1, last))
+            failing_sigmas[i] = (v.kind, v.where)
 
     # One scan: the degrees after deleting the class, then its full-reversal
     # edges too.
@@ -353,6 +330,6 @@ def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:
         kept = [label_sets[lid] for y, lid in pc.labeled_row(x) if not inside[y]]
         minus_degrees.add(len(kept))
         remainder_degrees.add(sum(last not in labels for labels in kept))
-    rep.minus_sigma_regular_degree = regular_degree(minus_degrees)
-    rep.remainder_regular_degree = regular_degree(remainder_degrees)
-    return rep
+    all_fail = set(failing_sigmas) == set(range(1, last))
+    minus_degree, remainder_degree = regular_degree(minus_degrees), regular_degree(remainder_degrees)
+    return PancakeReport(k, cert.passed, cert.min_internal_distance, failing_sigmas, all_fail, minus_degree, remainder_degree)

@@ -115,16 +115,15 @@ class ColoringReport:
 
     def __init__(
         self,
-        proper_edge: Optional[bool] = None,
-        proper_vertex: Optional[bool] = None,
-        no_incidence_clash: Optional[bool] = None,
-        efficient: Optional[bool] = None,
-        witnesses: Optional[list] = None,
-        truncated: bool = False,
+        proper_edge: bool,
+        proper_vertex: Optional[bool],
+        no_incidence_clash: Optional[bool],
+        efficient: Optional[bool],
+        witnesses: list,
+        truncated: bool,
     ) -> None:
         self.proper_edge, self.proper_vertex, self.no_incidence_clash = proper_edge, proper_vertex, no_incidence_clash
-        self.efficient, self.truncated = efficient, truncated
-        self.witnesses = [] if witnesses is None else witnesses
+        self.efficient, self.truncated, self.witnesses = efficient, truncated, witnesses
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ColoringReport:
@@ -270,17 +269,10 @@ class ObstructionReport:
     """Outcome of the local no-efficient-list-coloring check at one vertex;
     `method` is "exhaustive" or "backtracking"."""
 
-    def __init__(
-        self,
-        selection_count: int,
-        method: str,
-        passed: bool,
-        witnesses: Optional[list] = None,
-        counterexample: Optional[dict] = None,
-    ) -> None:
-        self.selection_count, self.method, self.passed = selection_count, method, passed
-        self.witnesses = [] if witnesses is None else witnesses
-        self.counterexample = counterexample
+    def __init__(self, selection_count: int, method: str) -> None:
+        self.selection_count, self.method, self.passed = selection_count, method, True
+        self.witnesses: list = []
+        self.counterexample: Optional[dict] = None
 
 
 def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:
@@ -319,10 +311,9 @@ def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:
     total = 1
     for colors in lists:
         total *= len(colors)
-    rep = ObstructionReport(selection_count=total, method="", passed=True)
+    rep = ObstructionReport(total, "exhaustive" if total <= OBSTRUCTION_EXHAUSTIVE_CAP else "backtracking")
 
-    if total <= OBSTRUCTION_EXHAUSTIVE_CAP:
-        rep.method = "exhaustive"
+    if rep.method == "exhaustive":
         for sel in product(*lists):
             pair = next(((p, q) for p, q in conflicts if sel[p] == sel[q]), None)
             if pair is None:
@@ -332,7 +323,6 @@ def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:
             keep_witnesses(rep.witnesses, [(verts[ball[pair[0]]], verts[ball[pair[1]]], sel[pair[0]])])
         return rep
 
-    rep.method = "backtracking"
     adj: list[list[int]] = [[] for _ in ball]
     for p, q in conflicts:
         adj[p].append(q)

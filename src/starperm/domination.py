@@ -37,7 +37,7 @@ class Violation:
     """One failed condition; `kind` is wrong-count, non-unique-intersection,
     non-independent or distance."""
 
-    def __init__(self, kind: str, where: tuple, detail: tuple = ()) -> None:
+    def __init__(self, kind: str, where: tuple, detail: tuple) -> None:
         self.kind, self.where, self.detail = kind, where, detail
 
     def __eq__(self, other: object) -> bool:
@@ -47,9 +47,9 @@ class Violation:
 
 
 class DominationCertificate:
-    def __init__(self, violations: Optional[list[Violation]] = None, min_internal_distance: Optional[int] = None) -> None:
-        self.violations = [] if violations is None else violations
-        self.min_internal_distance = min_internal_distance
+    def __init__(self) -> None:
+        self.violations: list[Violation] = []
+        self.min_internal_distance: Optional[int] = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not DominationCertificate:
@@ -168,11 +168,13 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     """Full certificate for the efficient dominating-ell set predicate on
     the vertex ids s, in any order and with repeats.
 
-    Raises Precondition on graphs with triangles (the K_5 exclusion),
-    so the dominators of one vertex are never adjacent; otherwise returns
-    the certificate, passing iff no violations.  Labels are looked up only
-    for what the certificate records.
+    Raises ValueError unless ell >= 1, and Precondition on graphs with
+    triangles (the K_5 exclusion), so the dominators of one vertex are
+    never adjacent; otherwise returns the certificate, passing iff no
+    violations.  Labels are looked up only for what the certificate records.
     """
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got ell = {ell}")
     require_girth_above_three(g)
     inside, members = _member_mask(g, s)
     cert = DominationCertificate()
@@ -218,20 +220,11 @@ class PartitionReport:
     """`membership_census` maps a number of dominator sets a member lies in
     to the members with that number."""
 
-    def __init__(
-        self,
-        is_partition: bool,
-        stars_are_k1l: bool,
-        double_cover_ok: bool,
-        per_symbol_edge_partition_ok: Optional[bool],
-        membership_census: dict,
-        expected_memberships: int,
-        failures: Optional[list] = None,
-    ) -> None:
-        self.is_partition, self.stars_are_k1l, self.double_cover_ok = is_partition, stars_are_k1l, double_cover_ok
+    def __init__(self, stars_are_k1l: bool, per_symbol_edge_partition_ok: Optional[bool], expected_memberships: int) -> None:
+        self.is_partition, self.stars_are_k1l, self.double_cover_ok = True, stars_are_k1l, True
         self.per_symbol_edge_partition_ok = per_symbol_edge_partition_ok
-        self.membership_census, self.expected_memberships = membership_census, expected_memberships
-        self.failures = [] if failures is None else failures
+        self.membership_census, self.expected_memberships = {}, expected_memberships
+        self.failures: list = []
 
     @property
     def passed(self) -> bool:
@@ -267,12 +260,7 @@ def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
         raise ValueError("partition structure is defined for star-family graphs")
     k, ell = g.params.k, g.params.ell
     rep = PartitionReport(
-        is_partition=True,
-        stars_are_k1l=not g.has_triangle(),
-        double_cover_ok=True,
-        per_symbol_edge_partition_ok=True if k == 2 else None,
-        membership_census={},
-        expected_memberships=(k - 1) * ell,
+        stars_are_k1l=not g.has_triangle(), per_symbol_edge_partition_ok=True if k == 2 else None, expected_memberships=(k - 1) * ell
     )
     n, labeled_row, label_sets, verts = g.n, g.labeled_row, g.label_sets, g.vertices
     # A star-graph edge is fixed by its lower endpoint and the position its
@@ -402,8 +390,10 @@ def code_search(g: Graph, ell: int) -> list[array]:
     one that can only just reach ell forces them in, and for ell = 1 a
     member forces its neighbors out.  Results are deduplicated,
     deterministic, and re-checked by :func:`verify_efficient_domination`
-    before being returned.
+    before being returned.  Raises ValueError unless ell >= 1.
     """
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got ell = {ell}")
     require_girth_above_three(g)
     n = g.n
     if n > CODE_SEARCH_VERTEX_CAP:

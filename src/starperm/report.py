@@ -30,26 +30,15 @@ def keep_witnesses(kept: list, found: Iterable) -> None:
 
 
 class CheckResult:
-    def __init__(
-        self,
-        name: str,
-        status: str,
-        detail: str = "",
-        witnesses: Optional[list] = None,
-        seconds: float = 0.0,
-        truncated: bool = False,
-    ) -> None:
+    def __init__(self, name: str, status: str, detail: str, witnesses: list, seconds: float, truncated: bool) -> None:
         self.name, self.status, self.detail = name, status, detail
-        self.witnesses = [] if witnesses is None else witnesses
-        self.seconds, self.truncated = seconds, truncated
+        self.witnesses, self.seconds, self.truncated = witnesses, seconds, truncated
 
 
 class SuiteReport:
-    def __init__(
-        self, suite: str, params: dict, tool_version: str, checks: Optional[list[CheckResult]] = None, seed: Optional[int] = None
-    ) -> None:
+    def __init__(self, suite: str, params: dict, tool_version: str, seed: Optional[int]) -> None:
         self.suite, self.params, self.tool_version = suite, params, tool_version
-        self.checks = [] if checks is None else checks
+        self.checks: list[CheckResult] = []
         self.seed = seed
 
     @property

@@ -45,15 +45,14 @@ class ColorCaseReport:
         color: int,
         minus_class_connected: bool,
         minus_class_regular_degree: Optional[int],
-        components: Optional[list[ComponentAudit]] = None,
-        minus_edges_degrees: tuple[int, ...] = (),
-        minus_edges_big_side_is_class: bool = False,
-        minus_edges_class_independent: bool = False,
-        odd_closed_walk: Optional[list] = None,
+        components: list[ComponentAudit],
+        minus_edges_degrees: tuple[int, ...],
+        minus_edges_big_side_is_class: bool,
+        minus_edges_class_independent: bool,
+        odd_closed_walk: Optional[list],
     ) -> None:
         self.color, self.minus_class_connected = color, minus_class_connected
-        self.minus_class_regular_degree = minus_class_regular_degree
-        self.components = [] if components is None else components
+        self.minus_class_regular_degree, self.components = minus_class_regular_degree, components
         self.minus_edges_degrees, self.minus_edges_big_side_is_class = minus_edges_degrees, minus_edges_big_side_is_class
         self.minus_edges_class_independent, self.odd_closed_walk = minus_edges_class_independent, odd_closed_walk
 
@@ -73,8 +72,8 @@ class ColorCaseReport:
 
 
 class DecompositionReport:
-    def __init__(self, h: int, cases: Optional[list[ColorCaseReport]] = None) -> None:
-        self.h, self.cases = h, [] if cases is None else cases
+    def __init__(self, h: int, cases: list[ColorCaseReport]) -> None:
+        self.h, self.cases = h, cases
 
 
 def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringReport] = None) -> DecompositionReport:
@@ -103,13 +102,13 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
     eff = checked if checked is not None else verify_coloring(tc)
     if not (eff.passed and eff.efficient):
         raise Precondition("coloring is not efficient")
-    rep = DecompositionReport(h=h)
 
     n, verts, label_sets, color, vcol = g.n, g.vertices, g.label_sets, tc.edge_color_reader(), tc.vertex_colors
     size = Params(g.params.k - 1, 2).vertex_count()
     reference = build_graph(Params(g.params.k - 1, 2)) if size <= ISO_CAP else None
+    cases = []
     for i in sorted(tc.palette):
-        case = ColorCaseReport(color=i, minus_class_connected=False, minus_class_regular_degree=None)
+        components: list[ComponentAudit] = []
         masked = bytes(c == i for c in vcol)  # W_i by vertex id
         e_ids = array("i")  # E_i edges outside W_i, by vertex id, x < y in pairs
         part = array("i", [-1]) * n  # component index by vertex id
@@ -127,7 +126,7 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
                 continue
             if part[root] >= 0:
                 continue
-            part[root] = len(case.components)
+            part[root] = len(components)
             comp, degrees = [root], set()
             key, image = _keyed(verts[root], i)
             images, typed = {root: image}, True
@@ -166,23 +165,20 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
             # A restriction of a total coloring is total; verify_coloring
             # confirms it on the first component's coloring.
             total = True
-            if not case.components:
+            if not components:
                 # the E_i edges found so far are this component's or lead out of it
                 drop = {e for x, y in zip(e_ids[::2], e_ids[1::2]) if part[x] == part[y] for e in ((x, y), (y, x))}
                 sub = tc.restrict(sorted(comp), drop)
                 total = bool(verify_coloring(sub).total)
                 typed = typed and (reference is None or isomorphic(sub.graph, reference)[0])
-            case.components.append(ComponentAudit(len(comp), regular, total, typed))
+            components.append(ComponentAudit(len(comp), regular, total, typed))
         # G - W_i is the components joined by their E_i edges.
         links = {(part[x], part[y]) for x, y in zip(e_ids[::2], e_ids[1::2]) if part[x] != part[y]}
-        case.minus_class_connected = Graph(range(len(case.components)), links).is_connected()
-        case.minus_class_regular_degree = regular_degree(minus_w_degrees)
-        case.minus_edges_degrees = tuple(sorted(minus_e_degrees))
-        case.minus_edges_big_side_is_class = big_side_is_class
-        case.minus_edges_class_independent = independent
-        case.odd_closed_walk = g.odd_closed_walk(skip=lambda x, y, labels: color(x, y, labels) == i)
-        rep.cases.append(case)
-    return rep
+        connected = Graph(range(len(components)), links).is_connected()
+        minus_w, minus_e = regular_degree(minus_w_degrees), tuple(sorted(minus_e_degrees))
+        walk = g.odd_closed_walk(skip=lambda x, y, labels: color(x, y, labels) == i)
+        cases.append(ColorCaseReport(i, connected, minus_w, components, minus_e, big_side_is_class, independent, walk))
+    return DecompositionReport(h, cases)
 
 
 def _keyed(v: tuple, i: int) -> tuple[tuple[int, int], tuple[int, ...]]:
@@ -243,38 +239,23 @@ def _cycles_of(groups: CycleGroups, kind: str, keep) -> list[tuple[tuple[int, ..
 
 
 class ToroidalReport:
-    def __init__(
-        self,
-        d1: int,
-        union_vertex_count: int,
-        type2_cycle_count: int,
-        contained_type1: Optional[list[tuple[int, ...]]] = None,
-        type1_disjoint: bool = False,
-        departures_ok: bool = True,
-        departure_failures: Optional[list] = None,
-        landing_class_census: Optional[dict] = None,
-        all_land_in_d1: bool = False,
-        sigma_pendant_ok: bool = False,
-        landing_min_distance_3: bool = True,
-        landing_distance_values: tuple[int, ...] = (),
-    ) -> None:
+    def __init__(self, d1: int, union_vertex_count: int, type2_cycle_count: int) -> None:
         self.d1 = d1
         #: vertices of the union of those type-2 cycles
         self.union_vertex_count = union_vertex_count
         self.type2_cycle_count = type2_cycle_count
-        self.contained_type1 = [] if contained_type1 is None else contained_type1
-        self.type1_disjoint, self.departures_ok = type1_disjoint, departures_ok
-        self.departure_failures = [] if departure_failures is None else departure_failures
+        self.contained_type1: list[tuple[int, ...]] = []
+        self.type1_disjoint, self.departures_ok = False, True
+        self.departure_failures: list = []
         #: how many contained type-1 cycles land their departure sextuple in
         #: each vertex color class; on 5 colors the only possible class is d1
-        self.landing_class_census = {} if landing_class_census is None else landing_class_census
-        self.all_land_in_d1 = all_land_in_d1
+        self.landing_class_census: dict = {}
+        self.all_land_in_d1 = False
         #: landing vertices have the first = last shape when their class is the
         #: last position, hang pendant off each departure star, and never lie
         #: inside the union itself
-        self.sigma_pendant_ok = sigma_pendant_ok
-        self.landing_min_distance_3 = landing_min_distance_3
-        self.landing_distance_values = landing_distance_values
+        self.sigma_pendant_ok = False
+        self.landing_min_distance_3, self.landing_distance_values = True, ()
 
 
 def toroidal_colors(tc: TotalColoring, d1: int, quad: Sequence[int]) -> tuple[int, ...]:
@@ -308,7 +289,7 @@ def toroidal_assembly(tc: TotalColoring, groups: CycleGroups, d1: int, quad: Seq
     edge_set = {e for _, c in type2 for e in _cycle_edges(c)}
     union = {x for e in edge_set for x in e}
 
-    rep = ToroidalReport(d1=d1, union_vertex_count=len(union), type2_cycle_count=len(type2))
+    rep = ToroidalReport(d1, len(union), len(type2))
 
     contained = [
         (colors, c)

@@ -51,7 +51,7 @@ class _Runner:
     def _append(self, name: str, status: str, detail: str, witnesses=()) -> None:
         witnesses, now = list(witnesses), time.perf_counter()
         shown, truncated = witnesses[:SHOWN_WITNESSES], len(witnesses) > SHOWN_WITNESSES
-        self.report.checks.append(CheckResult(name, status, detail, shown, seconds=now - self.clock, truncated=truncated))
+        self.report.checks.append(CheckResult(name, status, detail, shown, now - self.clock, truncated))
         self.clock = now
 
     def head(self, name: str, unmet: Optional[str], compute):
@@ -370,7 +370,7 @@ def run_suite(
     when omitted), or, for the parts of an "all" run, that run's context."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
-    report = SuiteReport(suite=suite, params={"k": k, "l": ell}, tool_version=__version__, seed=seed)
+    report = SuiteReport(suite, {"k": k, "l": ell}, __version__, seed)
     ctx = graph if isinstance(graph, _Context) else _Context(k, ell, graph, cap, d1, quad)
     if suite != "all":
         if k == 1:  # ST(1, l) is a single vertex, below every claim

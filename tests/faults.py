@@ -37,7 +37,7 @@ def add_to_w1(monkeypatch, tc: TotalColoring, pick) -> TotalColoring:
         return TotalColoring(tc.graph, column, tc.edge_colors, tc.palette)
 
     def verify_coloring(tc):
-        return ColoringReport(True, True, True, True) if isinstance(tc.graph, PermGraph) else _verify_coloring(tc)
+        return ColoringReport(True, True, True, True, [], False) if isinstance(tc.graph, PermGraph) else _verify_coloring(tc)
 
     monkeypatch.setattr(starperm.structure, "verify_coloring", verify_coloring)
     monkeypatch.setattr(starperm.suites, "verify_coloring", verify_coloring)

@@ -353,7 +353,8 @@ def test_coloring_witness_colors_and_degrees_read_as_lists_in_json(st22, tc22):
     uneven = verify_coloring(_non_regular()[1])
     kinds = ("non-rainbow-neighborhood", "not-regular-with-matching-palette")
     witnesses = [next(w for w in clashing.witnesses + uneven.witnesses if w[0] == kind) for kind in kinds]
-    report = SuiteReport("coloring", {}, "0", [CheckResult("c", "fail", witnesses=witnesses)])
+    report = SuiteReport("coloring", {}, "0", None)
+    report.checks.append(CheckResult("c", "fail", "", witnesses, 0.0, False))
     assert json.loads(report.to_json())["checks"][0]["witnesses"] == [
         ["non-rainbow-neighborhood", "0011", [2, 3]],
         ["not-regular-with-matching-palette", "irregular", [1, 2, 3], 5],

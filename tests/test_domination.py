@@ -264,6 +264,15 @@ def test_code_search_depth_is_not_bounded_by_the_recursion_limit():
     assert code_search(g, 2) == [array("i", range(n))]
 
 
+def test_ell_below_one_is_refused_before_any_work(st22):
+    triangle = Graph(range(3), [(0, 1), (1, 2), (0, 2)])  # would otherwise raise Precondition
+    for g in (st22, triangle):
+        with pytest.raises(ValueError, match="need ell >= 1, got ell = 0"):
+            code_search(g, 0)
+        with pytest.raises(ValueError, match="need ell >= 1, got ell = 0"):
+            verify_efficient_domination(g, [], 0)
+
+
 def test_code_search_st32_perfect_codes(st32):
     codes = code_search(st32, 1)
     assert len(codes) == 65

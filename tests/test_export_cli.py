@@ -160,6 +160,8 @@ def test_cli_usage_exit_code():
         (["build", "--k", "2", "--l", "2", "--family", "custom", "--out", "/dev/null"], "--family custom requires --pi FILE"),
         (["verify", "--suite", "toroidal", "--k", "3", "--l", "2", "--quad", "1,2,3,4,4"], "need d1 and four further pairwise distinct colors"),
         (["verify", "--suite", "toroidal", "--k", "3", "--l", "2", "--quad", "1,2,3"], "need d1 and four further pairwise distinct colors"),
+        (["search-codes", "--k", "2", "--l", "2", "--ell", "0"], "need ell >= 1, got ell = 0"),
+        (["search-codes", "--k", "2", "--l", "2", "--ell", "-1"], "need ell >= 1, got ell = -1"),
     ],
 )
 def test_cli_usage_errors_exit_2(argv, message, capsys):

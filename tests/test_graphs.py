@@ -413,6 +413,30 @@ def test_only_graphs_reads_the_core():
     assert not hasattr(build_graph(Params(2, 2)), "_adj")
 
 
+def test_record_constructors_declare_no_defaults():
+    # each record takes exactly what its one caller passes; a field filled
+    # in later starts in the constructor body
+    records = {
+        "chains.py": {"ChainReport", "SchreierReport", "PancakeReport"},
+        "structure.py": {"ToroidalReport", "ColorCaseReport", "DecompositionReport", "ComponentAudit"},
+        "domination.py": {"PartitionReport", "DominationCertificate", "Violation"},
+        "coloring.py": {"ColoringReport", "ObstructionReport"},
+        "report.py": {"CheckResult", "SuiteReport"},
+    }
+    package = Path(starperm.__file__).parent
+    found, defaulted = set(), []
+    for name, classes in records.items():
+        for node in ast.parse((package / name).read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                init = next(f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+                found.add(node.name)
+                args = init.args
+                if args.defaults or any(d is not None for d in args.kw_defaults):
+                    defaulted.append(node.name)
+    assert found == set().union(*records.values())
+    assert defaulted == []
+
+
 def test_every_package_export_resolves_once():
     names = starperm.__all__
     assert len(names) == len(set(names))

@@ -156,6 +156,26 @@ def test_toroidal_t5(tc32):
     assert rep.landing_distance_values == (3, 5)
 
 
+def test_toroidal_failure_branches(tc32):
+    # the cycles stay those of the true coloring; only vertex colors change
+    groups = classify_six_cycles(tc32)[0]
+    cycle = toroidal_assembly(tc32, groups, 5, (1, 2, 3, 4)).contained_type1[0]
+
+    def recolored(x, c):
+        column = list(tc32.vertex_colors)
+        column[x] = c
+        return TotalColoring(tc32.graph, column, tc32.edge_colors, tc32.palette)
+
+    # one of the cycle's departures now lands in class 1, the others in class 5
+    landing = next(y for x in cycle for y in tc32.graph.row(x) if tc32.vertex_colors[y] == 5)
+    rep = toroidal_assembly(recolored(landing, 1), groups, 5, (1, 2, 3, 4))
+    assert not rep.departures_ok
+    assert "landing-not-monochromatic" in [w[0] for w in rep.departure_failures]
+    # a class-5 vertex inside the type-2 union
+    rep = toroidal_assembly(recolored(cycle[0], 5), groups, 5, (1, 2, 3, 4))
+    assert not rep.sigma_pendant_ok
+
+
 def test_toroidal_dual_color_sextuples(st32, tc32):
     groups, _ = classify_six_cycles(tc32)
     cyc_set = {st32.vertices[x] for x in groups["type1", (2, 3, 4)][:6]}
