@@ -22,8 +22,8 @@ witnesses instead of raising, capped at WITNESS_CAP.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import product
-from typing import Callable, Container, Iterable, Optional, Sequence
+from math import prod
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
@@ -258,21 +258,21 @@ def choosability_suite(g: Graph, selection: Sequence[int]) -> bool:
     return all(selection[i] != selection[j] for i, j, _ in g.edge_ids())
 
 
-#: Most selections the obstruction check enumerates one by one; above it,
-#: backtracking decides.
-OBSTRUCTION_EXHAUSTIVE_CAP = 1 << 17
-#: Most vertices of a 2-ball the obstruction check takes on.
-OBSTRUCTION_BALL_CAP = 64
+#: Most color placements the obstruction search makes before it gives up.
+OBSTRUCTION_NODE_BUDGET = 10**6
 
 
 class ObstructionReport:
-    """Outcome of the local no-efficient-list-coloring check at one vertex;
-    `method` is "exhaustive" or "backtracking"."""
+    """Outcome of the local no-efficient-list-coloring check at one vertex:
+    the selections the ball's lists allow, the color placements the search
+    made, and a collision-free selection by label, None if there is none."""
 
-    def __init__(self, selection_count: int, method: str) -> None:
-        self.selection_count, self.method, self.passed = selection_count, method, True
-        self.witnesses: list = []
-        self.counterexample: Optional[dict] = None
+    def __init__(self, selection_count: int, nodes: int, counterexample: Optional[dict]) -> None:
+        self.selection_count, self.nodes, self.counterexample = selection_count, nodes, counterexample
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:
@@ -285,64 +285,47 @@ def efficiency_obstruction_witness(g: PermGraph) -> ObstructionReport:
     they act transitively on the vertices.
 
     Every selection must contain two same-colored vertices at distance <= 2
-    (distance measured in the whole graph).  Small balls are enumerated
-    exhaustively, recording a monochromatic witness pair per selection;
-    larger ones are settled by complete backtracking over the conflict
-    graph, which either proves no collision-free selection exists (pass) or
-    returns one as a counterexample (fail).
+    (distance measured in the whole graph).  A complete depth-first search
+    chooses the ball's positions in ascending vertex id, each from its list
+    in ascending order, and places a color only where no earlier position
+    at distance <= 2 holds it.  It either proves no collision-free
+    selection exists (pass) or returns one as a counterexample (fail), and
+    raises CapExceeded past OBSTRUCTION_NODE_BUDGET placements.
     """
     ell = g.params.ell
     if ell < 3:
         raise ValueError(f"obstruction check needs ell >= 3, got ell = {ell}")
     # The ball is held by position; labels are looked up only for output.
     verts, ball = g.vertices, sorted(g.bfs_ids(0, limit=2))
-    if len(ball) > OBSTRUCTION_BALL_CAP:
-        raise CapExceeded(f"2-ball of {verts[0]} has {len(ball)} vertices, cap {OBSTRUCTION_BALL_CAP}")
     lists = [sorted(list_assignment(verts[x])) for x in ball]
     at = {x: p for p, x in enumerate(ball)}
-    # ball positions p < q at distance <= 2 whose lists meet, ascending
-    conflicts = [
-        (p, q)
-        for p, x in enumerate(ball)
-        for q in sorted(at[y] for y in g.bfs_ids(x, limit=2) if at.get(y, -1) > p)
-        if set(lists[p]).intersection(lists[q])
-    ]
+    # for each position, the earlier ones at distance <= 2 whose lists meet its own
+    earlier: list[list[int]] = [[] for _ in ball]
+    for p, x in enumerate(ball):
+        for y in g.bfs_ids(x, limit=2):
+            if at.get(y, -1) > p and set(lists[p]).intersection(lists[at[y]]):
+                earlier[at[y]].append(p)
 
-    total = 1
-    for colors in lists:
-        total *= len(colors)
-    rep = ObstructionReport(total, "exhaustive" if total <= OBSTRUCTION_EXHAUSTIVE_CAP else "backtracking")
-
-    if rep.method == "exhaustive":
-        for sel in product(*lists):
-            pair = next(((p, q) for p, q in conflicts if sel[p] == sel[q]), None)
-            if pair is None:
-                rep.passed = False
-                rep.counterexample = {verts[x]: c for x, c in zip(ball, sel)}
-                return rep
-            keep_witnesses(rep.witnesses, [(verts[ball[pair[0]]], verts[ball[pair[1]]], sel[pair[0]])])
-        return rep
-
-    adj: list[list[int]] = [[] for _ in ball]
-    for p, q in conflicts:
-        adj[p].append(q)
-        adj[q].append(p)
-    chosen: list[Optional[int]] = [None] * len(ball)
-
-    def free_selection(p: int) -> bool:
-        # on False, positions p.. are left unchosen
-        if p == len(ball):
-            return True
-        for c in lists[p]:
-            if any(chosen[q] == c for q in adj[p]):
-                continue
-            chosen[p] = c
-            if free_selection(p + 1):
-                return True
-        chosen[p] = None
-        return False
-
-    if free_selection(0):
-        rep.passed = False
-        rep.counterexample = {verts[x]: c for x, c in zip(ball, chosen)}
-    return rep
+    # Backtracking with an explicit stack, one color iterator per position
+    # the search has reached, so the depth is not bounded by the recursion
+    # limit; each color placed is a node.
+    chosen: list[int] = []
+    stack: list[Iterator[int]] = []
+    nodes = 0
+    while len(chosen) < len(ball):
+        p = len(chosen)
+        if len(stack) == p:
+            stack.append(iter(lists[p]))
+        c = next((c for c in stack[-1] if all(chosen[q] != c for q in earlier[p])), None)
+        if c is None:
+            stack.pop()
+            if not stack:
+                break
+            chosen.pop()
+            continue
+        nodes += 1
+        if nodes > OBSTRUCTION_NODE_BUDGET:
+            raise CapExceeded(f"obstruction search at {verts.text(0)} exceeded node budget {OBSTRUCTION_NODE_BUDGET}")
+        chosen.append(c)
+    counterexample = {verts[x]: c for x, c in zip(ball, chosen)} if chosen else None
+    return ObstructionReport(prod(len(colors) for colors in lists), nodes, counterexample)

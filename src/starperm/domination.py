@@ -373,7 +373,9 @@ def _is_code(nbr: list[int], in_mask: int, n: int, ell: int) -> bool:
 def oracle_check(g: Graph, s: Iterable[int], ell: int) -> bool:
     """Re-verify one candidate set of vertex ids through the oracle's
     bitmask predicate, independent of :func:`verify_efficient_domination`'s
-    set arithmetic."""
+    set arithmetic.  Raises ValueError unless ell >= 1."""
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got ell = {ell}")
     require_girth_above_three(g)
     in_mask = 0
     for x in _member_mask(g, s)[1]:

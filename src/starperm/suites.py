@@ -213,7 +213,7 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
 
         def obstruction():
             obs = efficiency_obstruction_witness(g)
-            return obs.passed, f"method={obs.method} selections={obs.selection_count}", obs.witnesses
+            return obs.passed, f"selections={obs.selection_count} nodes={obs.nodes}", list((obs.counterexample or {}).items())
 
         run.add("list-disjointness", disjoint)
         run.add("selector-min-proper", lambda: (choosability_suite(g, [min(L) for L in lists]), "", []))

@@ -18,6 +18,7 @@ from starperm import (
     sigma_total_coloring,
     verify_coloring,
 )
+from starperm.errors import CapExceeded
 from starperm.graphs import Params, build_graph
 from starperm.suites import run_suite
 
@@ -290,34 +291,33 @@ def test_choosability_degenerate_ell2(st22, tc22):
     assert chosen == list(tc22.vertex_colors)
 
 
-def test_obstruction_st23_exhaustive(st23):
+def test_obstruction_st23(st23):
     rep = efficiency_obstruction_witness(st23)
     assert rep.passed
-    assert rep.method == "exhaustive"
     assert rep.selection_count == 2**10
+    assert rep.nodes == 16
     assert rep.counterexample is None
-    assert rep.witnesses  # one monochromatic pair per enumerated selection
 
 
-def test_obstruction_witnesses_are_close_pairs(st23):
-    rep = efficiency_obstruction_witness(st23)
-    for x, y, c in rep.witnesses:
-        assert c in list_assignment(x) and c in list_assignment(y)
-        assert st23.distance(x, y) <= 2
-
-
-def test_obstruction_st24_backtracking():
+def test_obstruction_st24():
     g = build_graph(Params(2, 4))
     rep = efficiency_obstruction_witness(g)
     assert rep.passed
-    assert rep.method == "backtracking"
     assert rep.selection_count == 3**17
+    assert rep.nodes == 158
 
 
-@pytest.mark.parametrize("k,ell,method", [(2, 3, "exhaustive"), (2, 4, "backtracking")])
-def test_obstruction_fails_on_lists_no_two_vertices_share(k, ell, method, monkeypatch):
+def test_obstruction_st34_is_decided_on_its_65_vertex_ball():
+    g = build_graph(Params(3, 4))
+    assert len(g.bfs_distances(g.vertices[0], limit=2)) == 65
+    rep = efficiency_obstruction_witness(g)
+    assert rep.passed and rep.nodes == 2306 and rep.counterexample is None
+
+
+@pytest.mark.parametrize("k,ell", [(2, 3), (2, 4)])
+def test_obstruction_fails_on_lists_no_two_vertices_share(k, ell, monkeypatch):
     # then no two ball vertices can collide, and the first selection tried
-    # is a counterexample over the whole ball
+    # is a counterexample over the whole ball, one placement per position
     g = build_graph(Params(k, ell))
     lists = starperm.coloring.list_assignment
 
@@ -326,9 +326,21 @@ def test_obstruction_fails_on_lists_no_two_vertices_share(k, ell, method, monkey
 
     monkeypatch.setattr(starperm.coloring, "list_assignment", disjoint)
     rep = efficiency_obstruction_witness(g)
-    assert rep.method == method and not rep.passed and not rep.witnesses
-    assert set(rep.counterexample) == set(g.bfs_distances(g.vertices[0], limit=2))
+    ball = g.bfs_distances(g.vertices[0], limit=2)
+    assert not rep.passed and rep.nodes == len(ball)
+    assert set(rep.counterexample) == set(ball)
     assert all(c in disjoint(x) for x, c in rep.counterexample.items())
+
+
+def test_obstruction_past_its_node_budget_is_a_skip(monkeypatch):
+    monkeypatch.setattr(starperm.coloring, "OBSTRUCTION_NODE_BUDGET", 100)
+    g = build_graph(Params(2, 4))
+    with pytest.raises(CapExceeded, match="obstruction search at 00001111 exceeded node budget 100"):
+        efficiency_obstruction_witness(g)
+    checks = {c.name: c for c in run_suite("coloring", 2, 4, g).checks}
+    skipped = checks.pop("efficiency-obstruction")
+    assert skipped.status == "skip" and "node budget 100" in skipped.detail
+    assert [c.status for c in checks.values()] == ["pass"] * 4
 
 
 def test_obstruction_requires_ell_3(st32):

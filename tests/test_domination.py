@@ -271,6 +271,8 @@ def test_ell_below_one_is_refused_before_any_work(st22):
             code_search(g, 0)
         with pytest.raises(ValueError, match="need ell >= 1, got ell = 0"):
             verify_efficient_domination(g, [], 0)
+        with pytest.raises(ValueError, match="need ell >= 1, got ell = 0"):
+            oracle_check(g, [], 0)
 
 
 def test_code_search_st32_perfect_codes(st32):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import starperm.domination
 from starperm import GeneratorFamily, Params, build_graph, mstring, positional_edge_coloring, render, sigma_total_coloring
 from starperm.cli import main
 from starperm.export import (
@@ -145,6 +146,21 @@ def test_cli_search_codes_from_file(tmp_path, capsys):
 
 def test_cli_cap_exit_code():
     assert main(["build", "--family", "st", "--k", "3", "--l", "2", "--cap", "10", "--out", "/dev/null"]) == 3
+
+
+@pytest.mark.parametrize(
+    "k, budget, message",
+    [
+        (4, None, "code search capped at 1000 vertices, graph has 2520"),
+        (3, 10, "code search exceeded node budget 10"),
+    ],
+    ids=["vertex-cap", "node-budget"],
+)
+def test_cli_code_search_bounds_exit_3(k, budget, message, monkeypatch, capsys):
+    if budget is not None:
+        monkeypatch.setattr(starperm.domination, "CODE_SEARCH_NODE_BUDGET", budget)
+    assert main(["search-codes", "--k", str(k), "--l", "2", "--ell", "1"]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_cli_usage_exit_code():

@@ -9,7 +9,7 @@ import starperm.coloring
 import starperm.graphs
 import starperm.structure
 import starperm.suites
-from starperm import CapExceeded, Params, PermGraph
+from starperm import CapExceeded, Params, PermGraph, build_graph
 from starperm.cli import main
 from starperm.suites import run_suite
 
@@ -168,7 +168,7 @@ def test_an_all_run_verifies_the_total_coloring_once(monkeypatch):
 
 def test_coloring_suite_skips_a_capped_obstruction_and_keeps_the_rest(monkeypatch, tmp_path):
     def capped(g):
-        raise CapExceeded(f"2-ball of {g.vertices[0]} is over the cap")
+        raise CapExceeded(f"obstruction search at {g.vertices.text(0)} exceeded node budget 1")
 
     monkeypatch.setattr(starperm.suites, "efficiency_obstruction_witness", capped)
     out = tmp_path / "report.json"
@@ -193,9 +193,14 @@ def test_coloring_check_seconds_cover_the_run(st42):
 
 
 def test_a_check_shows_eight_witnesses_and_says_when_it_dropped_some(monkeypatch):
-    # the (2,3) obstruction keeps 32 of its 1,024 selections' witnesses and shows 8
-    (check,) = [c for c in run_suite("coloring", 2, 3).checks if c.name == "efficiency-obstruction"]
-    assert check.status == "pass" and len(check.witnesses) == 8 and check.truncated
+    # on lists no two ball vertices share, the (2,4) obstruction fails with
+    # its 17 counterexample pairs and shows 8
+    lists = starperm.coloring.list_assignment
+    g = build_graph(Params(2, 4))
+    monkeypatch.setattr(starperm.coloring, "list_assignment", lambda v: frozenset(c + 100 * g.index(v) for c in lists(v)))
+    (check,) = [c for c in run_suite("coloring", 2, 4, g).checks if c.name == "efficiency-obstruction"]
+    assert check.status == "fail" and len(check.witnesses) == 8 and check.truncated
+    assert dict(check.witnesses).keys() < set(g.bfs_distances(g.vertices[0], limit=2))
     # a failing domination check passes every violation kind it found
     violations = [SimpleNamespace(kind=f"kind-{i}") for i in range(9)]
     cert = SimpleNamespace(passed=False, violations=violations, min_internal_distance=1)
