@@ -10,9 +10,9 @@ Two constructions:
   On 2k-1 colors this is total and efficient (every closed neighborhood is
   rainbow over the whole palette).
 
-A coloring is held by vertex id on the graph it colors; labels appear only
-where a coloring is given by hand (:meth:`TotalColoring.from_labels`, as
-for the reference K_{2n+1}) and in witnesses.
+A coloring is held by vertex id on the graph it colors, and an edge's color
+is its one label; vertex labels appear only where a coloring is given by
+hand (:meth:`TotalColoring.from_labels`) and in witnesses.
 
 Efficiency here is the closed-neighborhood rainbow property of a d-regular
 graph totally colored with d+1 colors.  The verifiers report typed violation
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from math import prod
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
@@ -40,27 +40,26 @@ class TotalColoring:
     """A coloring of `graph`, held by vertex id over a shared palette.
 
     ``vertex_colors`` holds one color per vertex id, None for an edge
-    coloring.  ``edge_colors`` maps each ascending id pair (i, j) to its
-    color, None for the positional coloring, where an edge's color is its
-    one label.  Labels go in through :meth:`from_labels` and come out
-    through :meth:`vertex_color` and :meth:`edge_color`.
+    coloring.  An edge's color is its one label, so the graph must carry
+    exactly one label per edge.  Labels go in through :meth:`from_labels`
+    and come out through :meth:`vertex_color` and :meth:`edge_color`.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        vertex_colors: Optional[Sequence[int]],
-        edge_colors: Optional[dict[tuple[int, int], int]],
-        palette: frozenset[int],
-    ) -> None:
-        self.graph, self.vertex_colors, self.edge_colors, self.palette = graph, vertex_colors, edge_colors, palette
+    def __init__(self, graph: Graph, vertex_colors: Optional[Sequence[int]], palette: frozenset[int]) -> None:
+        # a restriction shares its parent's label sets, so an edge names the bad one
+        if any(len(labels) != 1 for labels in graph.label_sets):
+            for i, j, labels in graph.edge_ids():
+                if len(labels) != 1:
+                    raise ValueError(f"edge ({graph.vertices[i]}, {graph.vertices[j]}) carries labels {labels}, want exactly one")
+        self.graph, self.vertex_colors, self.palette = graph, vertex_colors, palette
 
     @classmethod
     def from_labels(cls, g: Graph, vertex_colors: Mapping, edge_colors: Mapping, palette: Iterable[int]) -> TotalColoring:
-        """A coloring of g given by labels: vertex -> color, empty for an edge
-        coloring, and (u, v) -> color, either way round.  ValueError for a
-        label not in g, a pair that is no edge of g or a vertex left
-        uncolored."""
+        """A coloring of a copy of g given by labels: vertex -> color, empty
+        for an edge coloring, and (u, v) -> color, either way round; the
+        copy is a plain Graph on g's vertices whose edge labels are the
+        colors.  ValueError for a label not in g, a pair that is no edge of
+        g or a vertex or edge left uncolored."""
         vcol = None
         if vertex_colors:
             vcol = [None] * g.n
@@ -74,7 +73,11 @@ class TotalColoring:
             if g.label(i, j) is None:
                 raise ValueError(f"unknown edge ({u!r}, {v!r})")
             ecol[(i, j)] = c
-        return cls(g, vcol, ecol, frozenset(palette))
+        verts = g.vertices
+        if len(ecol) != g.m:
+            i, j, _ = next(e for e in g.edge_ids() if e[:2] not in ecol)
+            raise ValueError(f"uncolored edge ({verts[i]!r}, {verts[j]!r})")
+        return cls(Graph(verts, [(verts[i], verts[j], (c,)) for (i, j), c in ecol.items()]), vcol, frozenset(palette))
 
     def vertex_color(self, v) -> int:
         if self.vertex_colors is None:
@@ -82,31 +85,17 @@ class TotalColoring:
         return self.vertex_colors[self.graph.index(v)]
 
     def edge_color(self, u, v) -> int:
-        """The color of the edge {u, v}; KeyError if it is not a colored edge."""
+        """The color of the edge {u, v}; KeyError if it is no edge."""
         g = self.graph
-        i, j = sorted((g.index(u), g.index(v)))
-        if (labels := g.label(i, j)) is None or (c := self.edge_color_reader()(i, j, labels)) is None:
+        if (labels := g.label(g.index(u), g.index(v))) is None:
             raise KeyError((u, v))
-        return c
-
-    def edge_color_reader(self) -> Callable[[int, int, tuple], Optional[int]]:
-        """The color of the edge between vertex ids i < j carrying `labels`,
-        None if it has none: its one label for the positional coloring,
-        else read by id pair."""
-        colors = self.edge_colors
-        if colors is None:
-            return lambda i, j, labels: labels[0]
-        return lambda i, j, labels: colors.get((i, j))
+        return labels[0]
 
     def restrict(self, keep: Sequence[int], drop: Container[tuple[int, int]] = ()) -> TotalColoring:
         """This coloring on ``graph.restrict(keep, drop)``: the vertex column
-        sliced, the edge colors renumbered."""
-        g, col, colors = self.graph.restrict(keep, drop), self.vertex_colors, self.edge_colors
-        if col is not None:
-            col = [col[x] for x in keep]
-        if colors is not None:
-            colors = {(i, j): c for i, j, _ in g.edge_ids() if (c := colors.get((keep[i], keep[j]))) is not None}
-        return TotalColoring(g, col, colors, self.palette)
+        sliced, the edges keeping their labels."""
+        col = self.vertex_colors
+        return TotalColoring(self.graph.restrict(keep, drop), None if col is None else [col[x] for x in keep], self.palette)
 
 
 class ColoringReport:
@@ -150,11 +139,7 @@ def positional_edge_coloring(g: PermGraph) -> TotalColoring:
     position per edge."""
     if not isinstance(g, PermGraph) or g.family.kind != "star":
         raise ValueError("positional edge coloring is defined for star-family graphs")
-    # _set_rows interns a label tuple only when an edge carries it
-    if any(len(labels) != 1 for labels in g.label_sets):
-        i, j, labels = next(e for e in g.edge_ids() if len(e[2]) != 1)
-        raise ValueError(f"edge ({g.vertices[i]}, {g.vertices[j]}) carries labels {labels}, want exactly one")
-    return TotalColoring(g, None, None, frozenset(range(1, g.params.length)))
+    return TotalColoring(g, None, frozenset(range(1, g.params.length)))
 
 
 def sigma_total_coloring(g: PermGraph) -> TotalColoring:
@@ -164,34 +149,33 @@ def sigma_total_coloring(g: PermGraph) -> TotalColoring:
     if g.params.ell != 2:
         raise ValueError(f"sigma coloring needs ell = 2, got ell = {g.params.ell}")
     palette = positional_edge_coloring(g).palette
-    return TotalColoring(g, g.repeat_positions(), None, palette)
+    return TotalColoring(g, g.repeat_positions(), palette)
 
 
 def build_odd_complete_colored(n: int) -> tuple[Graph, TotalColoring]:
     """K_{2n+1} with its cyclic total coloring.
 
-    Vertex j gets color j; the edge {j-i, j+i} (mod 2n+1) gets color j for
-    0 < i <= n.  The coloring is total and efficient on 2n+1 colors.
+    Vertex j gets color j; the edge {j-i, j+i} (mod 2n+1) gets color j, its
+    label, for 0 < i <= n.  The coloring is total and efficient on 2n+1 colors.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     order = 2 * n + 1
-    edge_colors = {((j - i) % order, (j + i) % order): j for j in range(order) for i in range(1, n + 1)}
-    g = Graph(range(order), edge_colors)
-    return g, TotalColoring.from_labels(g, {j: j for j in range(order)}, edge_colors, range(order))
+    g = Graph(range(order), [((j - i) % order, (j + i) % order, (j,)) for j in range(order) for i in range(1, n + 1)])
+    return g, TotalColoring(g, list(range(order)), frozenset(range(order)))
 
 
 def verify_coloring(tc: TotalColoring) -> ColoringReport:
     """Check a coloring of its graph g in one scan of g's rows, with witnesses.
 
-    Every edge must be colored, and properness of the edge colors is always
-    decided.  For an edge coloring (no vertex colors) nothing more is
-    decided.  Otherwise proper vertex colors, no vertex color on an incident edge, and efficiency are
-    decided too: efficiency requires g regular of degree |palette| - 1 and
-    every closed neighborhood rainbow over the full palette.
+    Properness of the edge colors is always decided.  For an edge coloring
+    (no vertex colors) nothing more is decided.  Otherwise proper vertex
+    colors, no vertex color on an incident edge, and efficiency are decided
+    too: efficiency requires g regular of degree |palette| - 1 and every
+    closed neighborhood rainbow over the full palette.
     """
-    # The scan runs on vertex ids; labels are looked up only for witnesses.
-    g, vcol, color = tc.graph, tc.vertex_colors, tc.edge_color_reader()
+    # The scan runs on vertex ids; vertex labels are looked up only for witnesses.
+    g, vcol = tc.graph, tc.vertex_colors
     verts, label_sets, total = g.vertices, g.label_sets, vcol is not None
     if total:
         shape, degs = g.regularity()
@@ -210,10 +194,7 @@ def verify_coloring(tc: TotalColoring) -> ColoringReport:
         seen: dict[int, int] = {}
         closed = {vcol[x]} if total else None
         for y, lid in g.labeled_row(x):
-            i, j = (x, y) if x < y else (y, x)
-            c = color(i, j, label_sets[lid])
-            if c is None:
-                raise ValueError(f"uncolored edge ({verts[i]!r}, {verts[j]!r})")
+            c = label_sets[lid][0]
             if c in seen:
                 add("adjacent-edges", verts[x], verts[seen[c]], verts[y], c)
             else:

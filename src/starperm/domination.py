@@ -24,7 +24,6 @@ from collections import Counter
 from itertools import islice
 from typing import Iterable, Optional
 
-from .coloring import TotalColoring
 from .errors import CapExceeded, Precondition
 from .graphs import Graph, PermGraph
 from .report import WITNESS_CAP, keep_witnesses
@@ -220,19 +219,18 @@ class PartitionReport:
     """`membership_census` maps a number of dominator sets a member lies in
     to the members with that number."""
 
-    def __init__(self, stars_are_k1l: bool, per_symbol_edge_partition_ok: Optional[bool], expected_memberships: int) -> None:
-        self.is_partition, self.stars_are_k1l, self.double_cover_ok = True, stars_are_k1l, True
+    def __init__(self, per_symbol_edge_partition_ok: Optional[bool], expected_memberships: int) -> None:
+        self.is_partition, self.double_cover_ok = True, True
         self.per_symbol_edge_partition_ok = per_symbol_edge_partition_ok
         self.membership_census, self.expected_memberships = {}, expected_memberships
         self.failures: list = []
 
     @property
     def passed(self) -> bool:
-        checks = [self.is_partition, self.stars_are_k1l, self.double_cover_ok]
-        if self.per_symbol_edge_partition_ok is not None:
-            checks.append(self.per_symbol_edge_partition_ok)
-        checks.append(all(c == self.expected_memberships for c in self.membership_census))
-        return all(checks) and not self.failures
+        # per_symbol_edge_partition_ok is None where it is not decided (k > 2)
+        edges_ok = self.double_cover_ok and self.per_symbol_edge_partition_ok is not False
+        memberships_ok = all(c == self.expected_memberships for c in self.membership_census)
+        return self.is_partition and edges_ok and memberships_ok and not self.failures
 
 
 def _edges_covered_other_than(g: PermGraph, cover: bytearray, times: int) -> list[tuple[int, int]]:
@@ -248,9 +246,9 @@ def _edges_covered_other_than(g: PermGraph, cover: bytearray, times: int) -> lis
 def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
     """Partition and edge-cover structure of the SE-family.
 
-    Checks: the sets partition the vertices; each dominator set induces a
-    K_{1,ell} star (independent leaves: a star-family graph has no
-    triangle); over all symbols i the dominator stars cover every edge
+    Checks: the sets partition the vertices; over all symbols i the
+    dominator stars (each a K_{1,ell}, as a star-family graph has no
+    triangle, which the girth precondition decides) cover every edge
     exactly twice (the doubled-multigraph statement); for k = 2 the stars of
     a single i partition the edge set; and every member of S_i lies in
     exactly (k-1)*ell dominator sets, its degree.  Each set is read from its
@@ -259,9 +257,7 @@ def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
     if g.family.kind != "star":
         raise ValueError("partition structure is defined for star-family graphs")
     k, ell = g.params.k, g.params.ell
-    rep = PartitionReport(
-        stars_are_k1l=not g.has_triangle(), per_symbol_edge_partition_ok=True if k == 2 else None, expected_memberships=(k - 1) * ell
-    )
+    rep = PartitionReport(per_symbol_edge_partition_ok=True if k == 2 else None, expected_memberships=(k - 1) * ell)
     n, labeled_row, label_sets, verts = g.n, g.labeled_row, g.label_sets, g.vertices
     # A star-graph edge is fixed by its lower endpoint and the position its
     # transposition swaps, the edge's one label: cover[lower * length + j].
@@ -304,16 +300,17 @@ def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
     return rep
 
 
-def verify_ei_avoidance(tc: TotalColoring) -> dict:
-    """In tc's graph, no color-i edge touches a Sigma_i vertex; color-(2k-1)
-    vertices have equal first and last entries.  The witnesses are the
-    first offending edges, each as (i, u, v)."""
-    g = tc.graph
+def verify_ei_avoidance(g: PermGraph) -> dict:
+    """In g, no color-i edge (one labelled i) touches a Sigma_i vertex;
+    color-(2k-1) vertices have equal first and last entries.  The witnesses
+    are the first offending edges, each as (i, u, v)."""
+    if g.family.kind != "star":
+        raise ValueError("edge colors by position are defined for star-family graphs")
     _require_ell2(g)
     # Sigma_i holds the vertices at repeat position i, so one pass over the
     # edges, by vertex id, decides all i.
-    pos, verts, color = g.repeat_positions(), g.vertices, tc.edge_color_reader()
-    bad = ((c, verts[u], verts[v]) for u, v, labels in g.edge_ids() if (c := color(u, v, labels)) in (pos[u], pos[v]))
+    pos, verts = g.repeat_positions(), g.vertices
+    bad = ((c, verts[u], verts[v]) for u, v, labels in g.edge_ids() if (c := labels[0]) in (pos[u], pos[v]))
     witnesses = list(islice(bad, WITNESS_CAP))
     return {
         "passed": not witnesses,

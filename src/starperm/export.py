@@ -1,8 +1,10 @@
 """Text formats: edge lists, DOT figures, coloring dumps.
 
 Edge list: a header line `family k l n m`, then one line per edge
-`u v label[,label...]` in canonical order.  Generic graphs (for the oracle)
-use family "generic" with k = l = 0 and arbitrary vertex tokens.
+`u v label[,label...]` in canonical order, and a vertex without edges as a
+line holding its name alone, in vertex order; m counts the edge lines.
+Generic graphs (for the oracle) use family "generic" with k = l = 0 and
+arbitrary vertex tokens.
 
 DOT uses the fixed palette-to-name table 1=red 2=blue 3=green 4=hazel
 5=black; higher colors fall back to c<N>.
@@ -42,6 +44,8 @@ def write_edge_list(g: Graph, out: TextIO) -> None:
     tails = [f" {','.join(map(str, labels))}" if labels else "" for labels in g.label_sets]
     for i in range(g.n):
         u = text(i)
+        if not g.row(i):
+            out.write(f"{u}\n")
         for j, lid in labeled_row(i):
             if j > i:
                 out.write(f"{u} {text(j)}{tails[lid]}\n")
@@ -49,8 +53,9 @@ def write_edge_list(g: Graph, out: TextIO) -> None:
 
 def _edge_lines(src: TextIO, parse: Callable[[str], object] = mstring) -> Iterator[tuple]:
     """The edge-list grammar: yields the header's (n, m), then (u, v, labels)
-    per edge line, a permutation family's vertex tokens read by `parse`; a
-    malformed line or integer raises ValueError where it is."""
+    per edge line and (u,) per vertex line, a permutation family's vertex
+    tokens read by `parse`; a malformed line or integer raises ValueError
+    where it is."""
     header = src.readline().split()
     if len(header) != 5:
         raise ValueError(f"malformed header {' '.join(header)!r}")
@@ -61,6 +66,9 @@ def _edge_lines(src: TextIO, parse: Callable[[str], object] = mstring) -> Iterat
     for line in src:
         parts = line.split()
         if not parts:
+            continue
+        if len(parts) == 1:
+            yield (parse(parts[0]),)
             continue
         if len(parts) not in (2, 3):
             raise ValueError(f"malformed edge line {line.rstrip()!r}")
@@ -79,8 +87,9 @@ def read_edge_list(src: TextIO) -> Graph:
     Permutation families come back as plain Graphs carrying the file's
     vertices in sorted order; the header is validated against the contents.
     """
-    (n, m), *edges = _edge_lines(src)
-    seen = {x for u, v, _ in edges for x in (u, v)}
+    (n, m), *lines = _edge_lines(src)
+    edges = [line for line in lines if len(line) == 3]
+    seen = {x for line in lines for x in line[:2]}
     _check_counts(n, m, len(seen), len(edges))
     return Graph(sorted(seen), edges)
 
@@ -103,12 +112,16 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     # covered: bit (lower endpoint) * length + label of each edge line matched
     seen, covered, foreign = bytearray(g.n), bytearray((g.n * length + 7) >> 3), set()
     edge_lines, differs, loop = 0, False, None
-    for edge_lines, (u, v, labels) in enumerate(lines, 1):
-        for x in (u, v):
+    for line in lines:
+        for x in line[:2]:
             if type(x) is int:
                 seen[x] = 1
             else:
                 foreign.add(x)
+        if len(line) == 1:
+            continue
+        u, v, labels = line
+        edge_lines += 1
         if u == v:
             loop = u if loop is None else loop
         elif type(u) is not int or type(v) is not int or (own := g.label(u, v)) is None or any(j != own[0] for j in labels):
@@ -120,7 +133,7 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     _check_counts(n, m, known + len(foreign), edge_lines)
     if loop is not None:
         raise ValueError(f"loop at {g.vertices[loop] if type(loop) is int else loop!r}")
-    return not differs and known == g.n and int.from_bytes(covered, "little").bit_count() == g.m
+    return not differs and not foreign and known == g.n and int.from_bytes(covered, "little").bit_count() == g.m
 
 
 def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: str = "g") -> None:
@@ -131,12 +144,10 @@ def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: s
     if tc is not None and tc.vertex_colors is not None:
         for i, c in enumerate(tc.vertex_colors):
             out.write(f'  "{text(i)}" [color={color_name(c)}];\n')
-    color = tc.edge_color_reader() if tc is not None else None
     for i, j, labels in g.edge_ids():
         attrs = ""
-        if color is not None:
-            c = color(i, j, labels)
-            attrs = "" if c is None else f" [color={color_name(c)}]"
+        if tc is not None:
+            attrs = f" [color={color_name(labels[0])}]"
         elif labels:
             attrs = f' [label="{",".join(str(x) for x in labels)}"]'
         out.write(f'  "{text(i)}" -- "{text(j)}"{attrs};\n')
@@ -146,13 +157,12 @@ def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: s
 def write_coloring(tc: TotalColoring, out: TextIO) -> None:
     """Lines `V u color` then `E u v color`, canonical order."""
     g = tc.graph
-    text, color = _namer(g), tc.edge_color_reader()
+    text = _namer(g)
     if tc.vertex_colors is not None:
         for i, c in enumerate(tc.vertex_colors):
             out.write(f"V {text(i)} {c}\n")
     for i, j, labels in g.edge_ids():
-        if (c := color(i, j, labels)) is not None:
-            out.write(f"E {text(i)} {text(j)} {c}\n")
+        out.write(f"E {text(i)} {text(j)} {labels[0]}\n")
 
 
 def load_pi_file(path: str, length: int) -> GeneratorFamily:

@@ -314,11 +314,10 @@ class Graph:
                             best = cand
         return best
 
-    def odd_closed_walk(self, skip: Optional[Callable[[int, int, tuple], bool]] = None) -> Optional[list]:
+    def odd_closed_walk(self, skip: Optional[Callable[[tuple], bool]] = None) -> Optional[list]:
         """An explicit odd closed walk (vertex list, first = last), or None
-        if the graph is bipartite.  With `skip`, the edges for which
-        ``skip(i, j, labels)`` holds (vertex ids i < j) are left out, as if
-        deleted."""
+        if the graph is bipartite.  With `skip`, each edge whose labels
+        satisfy ``skip(labels)`` is left out, as if deleted."""
         labels = self._labels
         color = [-1] * self.n
         for start in range(self.n):
@@ -330,7 +329,7 @@ class Graph:
             while queue:
                 x = queue.popleft()
                 for y, lid in self.labeled_row(x):
-                    if skip is not None and skip(min(x, y), max(x, y), labels[lid]):
+                    if skip is not None and skip(labels[lid]):
                         continue
                     if color[y] == -1:
                         color[y] = color[x] ^ 1

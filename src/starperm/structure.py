@@ -103,7 +103,7 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
     if not (eff.passed and eff.efficient):
         raise Precondition("coloring is not efficient")
 
-    n, verts, label_sets, color, vcol = g.n, g.vertices, g.label_sets, tc.edge_color_reader(), tc.vertex_colors
+    n, verts, label_sets, vcol = g.n, g.vertices, g.label_sets, tc.vertex_colors
     size = Params(g.params.k - 1, 2).vertex_count()
     reference = build_graph(Params(g.params.k - 1, 2)) if size <= ISO_CAP else None
     cases = []
@@ -119,7 +119,7 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
         big_side_is_class = independent = True
         for root in range(n):
             if masked[root]:
-                kept = [y for y, lid in g.labeled_row(root) if color(root, y, label_sets[lid]) != i]
+                kept = [y for y, lid in g.labeled_row(root) if label_sets[lid][0] != i]
                 minus_e_degrees.add(len(kept))
                 big_side_is_class = big_side_is_class and len(kept) == h - 2
                 independent = independent and not any(masked[y] for y in kept)
@@ -133,8 +133,8 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
             for x in comp:  # grows as the traversal finds vertices
                 degree = w_degree = cross = 0
                 for y, lid in g.labeled_row(x):
-                    labels = label_sets[lid]
-                    if color(x, y, labels) == i:
+                    j = label_sets[lid][0]
+                    if j == i:
                         if x < y and not masked[y]:
                             e_ids.extend((x, y))
                         w_degree += not masked[y]
@@ -149,7 +149,7 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
                         y_key, images[y] = _keyed(verts[y], i)
                         typed = typed and y_key == key
                     if x < y:  # the move at j must map to the move at rho(j)
-                        j, a = labels[0], images[x]
+                        a = images[x]
                         r = j - (j > i) - (j > key[1])
                         if j in (i, key[1]) or images[y] != (a[r],) + a[1:r] + (a[0],) + a[r + 1 :]:
                             typed = False
@@ -176,7 +176,7 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
         links = {(part[x], part[y]) for x, y in zip(e_ids[::2], e_ids[1::2]) if part[x] != part[y]}
         connected = Graph(range(len(components)), links).is_connected()
         minus_w, minus_e = regular_degree(minus_w_degrees), tuple(sorted(minus_e_degrees))
-        walk = g.odd_closed_walk(skip=lambda x, y, labels: color(x, y, labels) == i)
+        walk = g.odd_closed_walk(skip=lambda labels: labels[0] == i)
         cases.append(ColorCaseReport(i, connected, minus_w, components, minus_e, big_side_is_class, independent, walk))
     return DecompositionReport(h, cases)
 
@@ -209,9 +209,9 @@ def classify_six_cycles(tc: TotalColoring) -> tuple[CycleGroups, dict[str, int]]
     """
     groups: CycleGroups = {}
     census = {"type1": 0, "type2": 0, "other": 0}
-    g, color = tc.graph, tc.edge_color_reader()
+    g = tc.graph
     for cyc in six_cycles(g):
-        ec = [color(i, j, g.label(i, j)) for i, j in _cycle_edges(cyc)]
+        ec = [g.label(i, j)[0] for i, j in _cycle_edges(cyc)]
         if ec[0] == ec[3] and ec[1] == ec[4] and ec[2] == ec[5] and len({ec[0], ec[1], ec[2]}) == 3:
             kind, colors = "type1", tuple(sorted({ec[0], ec[1], ec[2]}))
         elif ec[0] == ec[2] == ec[4] and ec[1] == ec[3] == ec[5] and ec[0] != ec[1]:
@@ -284,7 +284,7 @@ def toroidal_assembly(tc: TotalColoring, groups: CycleGroups, d1: int, quad: Seq
     """
     quad = toroidal_colors(tc, d1, quad)
     type2 = _cycles_of(groups, "type2", lambda cs: d1 in cs and cs - {d1} <= set(quad))
-    g, vcol, color = tc.graph, tc.vertex_colors, tc.edge_color_reader()
+    g, vcol = tc.graph, tc.vertex_colors
     verts, label_sets = g.vertices, g.label_sets
     edge_set = {e for _, c in type2 for e in _cycle_edges(c)}
     union = {x for e in edge_set for x in e}
@@ -311,7 +311,7 @@ def toroidal_assembly(tc: TotalColoring, groups: CycleGroups, d1: int, quad: Seq
             y
             for x in c
             for y, lid in g.labeled_row(x)
-            if y not in c and (color(x, y, label_sets[lid]) if x < y else color(y, x, label_sets[lid])) == d
+            if y not in c and label_sets[lid][0] == d
         ]
         if len(landing) != 6 or len(set(landing)) != 6:
             rep.departures_ok = False

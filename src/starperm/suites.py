@@ -167,7 +167,7 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
         )
 
     def ei_avoidance():
-        ei = verify_ei_avoidance(ctx.coloring)
+        ei = verify_ei_avoidance(g)
         return ei["passed"] and ei["last_position_rationale"], "", ei["witnesses"]
 
     run.add("sigma-partition", sigma_partition)
@@ -193,10 +193,9 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
         eff, tc = ctx.coloring_report, ctx.coloring
 
         def palette_size():
-            # by vertex id and edge by edge, with no label unpacked
-            color = tc.edge_color_reader()
+            # the vertex column and the edge label sets, with no label unpacked
             used = set(tc.vertex_colors)
-            used.update(color(i, j, labels) for i, j, labels in g.edge_ids())
+            used.update(labels[0] for labels in g.label_sets)
             return used == tc.palette and len(used) == 2 * k - 1, f"colors={sorted(used)}", []
 
         run.add("sigma-total", lambda: (bool(eff.total), "", [w for w in eff.witnesses if w[0] not in EFFICIENCY_KINDS]))

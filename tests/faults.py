@@ -34,7 +34,7 @@ def add_to_w1(monkeypatch, tc: TotalColoring, pick) -> TotalColoring:
         column = list(tc.vertex_colors)
         x = pick(tc.graph, column)
         column[x] = AlsoColorOne(column[x])
-        return TotalColoring(tc.graph, column, tc.edge_colors, tc.palette)
+        return TotalColoring(tc.graph, column, tc.palette)
 
     def verify_coloring(tc):
         return ColoringReport(True, True, True, True, [], False) if isinstance(tc.graph, PermGraph) else _verify_coloring(tc)

@@ -138,6 +138,23 @@ def test_verify_coloring_uncolored_element(st22, tc22):
         TotalColoring.from_labels(st22, vertex_colors, edge_colors, tc22.palette)
 
 
+def test_from_labels_refuses_an_uncolored_edge(st22, tc22):
+    vertex_colors, edge_colors = _labeled(st22, tc22)
+    (u, v), _ = edge_colors.popitem()
+    with pytest.raises(ValueError, match=re.escape(f"uncolored edge ({u!r}, {v!r})")):
+        TotalColoring.from_labels(st22, vertex_colors, edge_colors, tc22.palette)
+
+
+def test_a_coloring_needs_one_label_per_edge():
+    with pytest.raises(ValueError, match=re.escape("edge (0, 1) carries labels (), want exactly one")):
+        TotalColoring(Graph(range(3), [(0, 1), (1, 2)]), None, frozenset({1}))
+    g = Graph(range(3), [(0, 1, (1,)), (1, 2, (1, 2))])
+    with pytest.raises(ValueError, match=re.escape("edge (1, 2) carries labels (1, 2), want exactly one")):
+        TotalColoring(g, None, frozenset({1, 2}))
+    # a restriction shares its parent's label sets; only its own edges count
+    assert TotalColoring(g.restrict([0, 1]), None, frozenset({1})).edge_color(0, 1) == 1
+
+
 def test_proper_edge_mode_reads_no_vertex_color(st32, tc32):
     # an empty vertex mapping is an edge coloring: only proper_edge is decided
     _, edge_colors = _labeled(st32, tc32)
@@ -157,13 +174,12 @@ def test_from_labels_round_trip(st22, tc22):
     # pair keys either way round
     flipped = {(v, u): c for (u, v), c in list(edge_colors.items())[::2]}
     tc = TotalColoring.from_labels(st22, vertex_colors, dict(list(edge_colors.items())[1::2]) | flipped, tc22.palette)
-    assert tc.graph is st22 and tc.palette == tc22.palette
+    # a plain copy of st22 whose edge labels are the colors
+    assert tc.graph is not st22 and tc.palette == tc22.palette
+    assert tc.graph.vertices == tuple(st22.vertices) and list(tc.graph.edge_ids()) == list(st22.edge_ids())
     assert all(tc.vertex_color(v) == c for v, c in vertex_colors.items())
     assert all(tc.edge_color(u, v) == c == tc.edge_color(v, u) for (u, v), c in edge_colors.items())
     assert list(tc.vertex_colors) == list(tc22.vertex_colors)
-    color = tc.edge_color_reader()
-    assert tc.edge_colors == {(i, j): labels[0] for i, j, labels in st22.edge_ids()}
-    assert all(color(i, j, labels) == labels[0] for i, j, labels in st22.edge_ids())
     assert verify_coloring(tc) == verify_coloring(tc22)
     with pytest.raises(KeyError):
         tc.edge_color(ms("0011"), ms("1100"))

@@ -9,13 +9,11 @@ import starperm.domination
 from starperm import (
     Graph,
     Precondition,
-    TotalColoring,
     code_search,
     color_class_decomposition,
     mstring,
     oracle_check,
     pancake_chain_check,
-    repeat_position,
     se_set,
     sigma_set,
     verify_efficient_domination,
@@ -293,19 +291,23 @@ def test_oracle_check_agrees_with_verifier(st32, st23):
     assert not oracle_check(st32, list(se_set(st32, 0))[:5], 2)
 
 
-def test_ei_avoidance(st22, tc22, tc32):
-    rep = verify_ei_avoidance(tc22)
+def test_ei_avoidance(monkeypatch, st22, st32, pc22):
+    rep = verify_ei_avoidance(st22)
     assert rep["passed"] and rep["last_position_rationale"]
-    e1 = {(u, v) for u, v, _ in st22.edges() if tc22.edge_color(u, v) == 1}
+    # a prefix reversal's label is no color
+    with pytest.raises(ValueError, match="star-family"):
+        verify_ei_avoidance(pc22)
+    e1 = {(u, v) for u, v, labels in st22.edges() if labels == (1,)}
     assert e1 == {(ms("0101"), ms("1001")), (ms("0110"), ms("1010"))}
-    assert verify_ei_avoidance(tc32)["passed"]
-    # one edge recolored with its lower end's repeat position is the one witness
-    edge_colors = {(u, v): tc22.edge_color(u, v) for u, v, _ in st22.edges()}
-    (u, v), _ = next(iter(edge_colors.items()))
-    vertex_colors = {w: tc22.vertex_color(w) for w in st22.vertices}
-    recolored = edge_colors | {(u, v): repeat_position(u)}
-    rep = verify_ei_avoidance(TotalColoring.from_labels(st22, vertex_colors, recolored, tc22.palette))
-    assert not rep["passed"] and rep["witnesses"] == [(repeat_position(u), u, v)]
+    assert verify_ei_avoidance(st32)["passed"]
+    # the lower end of the first edge given that edge's color as its repeat
+    # position is the one witness
+    u, v, (c,) = next(st22.edges())
+    pos = bytearray(st22.repeat_positions())
+    pos[st22.index(u)] = c
+    monkeypatch.setattr(type(st22), "repeat_positions", lambda g: bytes(pos))
+    rep = verify_ei_avoidance(st22)
+    assert not rep["passed"] and rep["witnesses"] == [(c, u, v)]
 
 
 def test_sigma_total_coloring_feeds_ei(st22, tc22):

@@ -84,6 +84,9 @@ def _mutations(text: str) -> dict[str, str]:
         "loop-line-header-kept": [head, *body, f"{u} {u} {lab}"],
         "two-loops": _with_header([head, *body, f"{v} {v} 1", f"{u} {u} 1"], dm=2),
         "loop-then-malformed": _with_header([head, f"{u} {u} 1", *body, "a b c d"], dm=1),
+        "vertex-line": [head, body[0], u, *body[1:]],
+        "stranger-vertex-line": _with_header([head, *body, stranger], dn=1),
+        "stranger-vertex-line-header-kept": [head, *body, stranger],
         "header-n-off": _with_header(lines, dn=1),
         "header-m-off": _with_header(lines, dm=-1),
         "header-k-l-ignored": [" ".join(head.split()[:1] + ["7", "7"] + head.split()[3:]), *body],
@@ -115,12 +118,29 @@ def test_streaming_input_check_agrees_with_reading_the_whole_file(k, tmp_path, c
     assert codes == {0, 2}
 
 
-def test_a_graph_with_an_isolated_vertex_is_never_matched(tmp_path, capsys):
-    # ST(1,2) is one vertex and no edge; an edge list cannot name it
+def test_a_file_that_does_not_name_an_isolated_vertex_is_not_matched(tmp_path, capsys):
+    # ST(1,2) is one vertex and no edge; a file that does not name it on a
+    # line of its own, or names it in a loop, does not match
     for text in ("star 1 2 0 0\n", "star 1 2 1 0\n", "star 1 2 0 0\n00 00\n"):
         path = tmp_path / "st12.edges"
         path.write_text(text)
         assert _cli(capsys, path, 1, 2) == _oracle(path, 1, 2) != (0, ""), text
+
+
+def test_an_isolated_vertex_is_a_line_of_its_own(tmp_path, capsys):
+    g = build_graph(Params(1, 2))
+    assert _text(g) == "star 1 2 1 0\n00\n"
+    for text, verdict in (
+        ("star 1 2 1 0\n00\n", (0, "")),
+        ("star 1 2 2 0\n00\n11\n", (2, MISMATCH)),
+        ("star 1 2 1 0\n11\n", (2, MISMATCH)),
+        ("star 1 2 1 0\n00\n00\n", (0, "")),
+    ):
+        path = tmp_path / "st12.edges"
+        path.write_text(text)
+        assert _cli(capsys, path, 1, 2) == _oracle(path, 1, 2) == verdict, text
+    loaded = read_edge_list(io.StringIO(_text(g)))
+    assert loaded.vertices == tuple(g.vertices) and loaded.m == 0
 
 
 def test_corpus_covers_every_verdict(tmp_path):
@@ -134,6 +154,8 @@ def test_corpus_covers_every_verdict(tmp_path):
         verdicts[name] = _oracle(path, 3, 2)[1]
     assert verdicts["unchanged"] == verdicts["duplicated-line-header-bumped"] == verdicts["swapped-endpoints"] == ""
     assert verdicts["doubled-label"] == verdicts["comma-vertex-token"] == verdicts["no-label-beside-labelled"] == ""
+    assert verdicts["vertex-line"] == "" and verdicts["stranger-vertex-line"] == MISMATCH
+    assert verdicts["stranger-vertex-line-header-kept"].startswith("error: header says n=90 m=180, file has n=91 m=180")
     for name in ("dropped-line-header-bumped", "dropped-and-duplicated", "wrong-label", "extra-label", "no-label", "renamed-vertex", "generic-family"):
         assert verdicts[name] == MISMATCH, name
     assert verdicts["dropped-line"].startswith("error: header says n=90 m=180, file has n=90 m=179")

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -125,6 +126,21 @@ def test_cli_chi_reports_component_count_mismatch_at_k4(tmp_path):
     for c in doc["checks"]:
         if c["status"] == "fail":
             assert "count=24 expected=32" in c["detail"]
+
+
+def test_cli_k1_round_trip_reads_what_build_wrote(tmp_path, capsys):
+    # ST(1,2) is one vertex and no edge: build names the vertex on a line of its own
+    path = tmp_path / "st12.edges"
+    assert main(["build", "--k", "1", "--l", "2", "--out", str(path)]) == 0
+    assert path.read_text() == "star 1 2 1 0\n00\n"
+    capsys.readouterr()
+    for argv in (["verify", "--suite", "all"], ["search-codes", "--ell", "1"]):
+        runs = []
+        for extra in ([], ["--input", str(path)]):
+            code = main([*argv, "--k", "1", "--l", "2", *extra])
+            out, err = capsys.readouterr()
+            runs.append((code, re.sub(r"\[\d+\.\d+s\]", "[s]", out), err))
+        assert runs[0] == runs[1] and runs[0][0] == 0, argv
 
 
 def test_cli_search_codes(capsys):

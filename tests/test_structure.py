@@ -39,6 +39,8 @@ def test_chi_suite_st32(tc32):
         assert case.minus_edges_class_independent
         walk = case.odd_closed_walk
         assert walk is not None and walk[0] == walk[-1] and len(walk) % 2 == 0
+        # a walk in G - E_i: each step is an edge, none of color i
+        assert all(tc32.graph.edge_labels(a, b) != (case.color,) for a, b in zip(walk, walk[1:]))
 
 
 def test_chi_suite_st42_actual_structure(tc42):
@@ -84,15 +86,15 @@ def test_chi_hypotheses_raise_precondition(tc22, pc32, tc32):
         color_class_decomposition(tc22)
     # the key map needs star moves
     with pytest.raises(Precondition, match="^need a 2-set star graph$"):
-        color_class_decomposition(TotalColoring(pc32, tc32.vertex_colors, tc32.edge_colors, tc32.palette))
+        color_class_decomposition(TotalColoring(pc32, tc32.vertex_colors, tc32.palette))
     # the same colouring over a sixth, unused colour
     with pytest.raises(Precondition, match="^palette has 6 colors, want 5$"):
-        color_class_decomposition(TotalColoring(tc32.graph, tc32.vertex_colors, tc32.edge_colors, tc32.palette | {6}))
+        color_class_decomposition(TotalColoring(tc32.graph, tc32.vertex_colors, tc32.palette | {6}))
     # one vertex recoloured
     column = list(tc32.vertex_colors)
     column[0] = column[0] % 5 + 1
     with pytest.raises(Precondition, match="^coloring is not efficient$"):
-        color_class_decomposition(TotalColoring(tc32.graph, column, tc32.edge_colors, tc32.palette))
+        color_class_decomposition(TotalColoring(tc32.graph, column, tc32.palette))
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -164,7 +166,7 @@ def test_toroidal_failure_branches(tc32):
     def recolored(x, c):
         column = list(tc32.vertex_colors)
         column[x] = c
-        return TotalColoring(tc32.graph, column, tc32.edge_colors, tc32.palette)
+        return TotalColoring(tc32.graph, column, tc32.palette)
 
     # one of the cycle's departures now lands in class 1, the others in class 5
     landing = next(y for x in cycle for y in tc32.graph.row(x) if tc32.vertex_colors[y] == 5)
