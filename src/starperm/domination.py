@@ -13,8 +13,8 @@ with unit propagation, so constructed sets can be checked against an
 independent path.
 
 A vertex set is an ascending ``array('i')`` of vertex ids throughout, and
-a verifier marks it in one byte mask by vertex id; labels appear only in
-the witnesses a certificate or report records.
+a verifier keeps only byte columns by vertex id beside it; labels appear
+only in the witnesses a certificate or report records.
 """
 
 from __future__ import annotations
@@ -105,9 +105,10 @@ def _member_mask(g: Graph, s: Iterable[int]) -> tuple[bytearray, array]:
     return inside, _ids_where(inside, 1)
 
 
-def _dominator_counts(g: Graph, members: array) -> array:
+def _dominator_counts(g: Graph, members: array) -> tuple[array, bool]:
     """Each outside vertex's member neighbours, by vertex id, 0 for the
-    members; one byte a vertex unless one has 256 member neighbours."""
+    members, and whether two members are adjacent; one byte a vertex unless
+    one has 256 member neighbours."""
     for typecode in "Bi":
         count = array(typecode, [0]) * g.n
         try:
@@ -117,9 +118,10 @@ def _dominator_counts(g: Graph, members: array) -> array:
             break
         except OverflowError:
             pass
-    for x in members:  # adjacent members counted each other
+    adjacent = any(map(count.__getitem__, members))  # they counted each other
+    for x in members:
         count[x] = 0
-    return count
+    return count, adjacent
 
 
 def require_girth_above_three(g: Graph) -> None:
@@ -127,30 +129,31 @@ def require_girth_above_three(g: Graph) -> None:
         raise Precondition("graph contains a triangle")
 
 
-def _min_internal_distance(g: Graph, members: array) -> tuple[Optional[int], Optional[array]]:
-    """Minimum pairwise distance inside a vertex set, by multi-source BFS
-    from the ascending members, and the owning source of each vertex
-    reached.  The members are expanded first, so once all of them are, a
-    member's neighbour is owned by its least member neighbour; the owners
-    are None if the search stopped sooner.  The queue's iterator reads the
-    entries appended after it started."""
-    if len(members) < 2:
-        return None, None
+def _min_internal_distance(g: Graph, members: array, count: array) -> Optional[int]:
+    """Minimum pairwise distance inside a vertex set with no two members
+    adjacent, read off its dominator counts: 2 if an outside vertex has two
+    dominators, and 3 if a member's walk of two steps ends at a vertex with
+    one, which is not the member, as the graph has no triangle.  Beyond 3 a
+    multi-source BFS from the members decides it."""
+    row = g.row
+    if count.count(0) + count.count(1) < g.n:
+        return 2
+    if any(count[v] == 1 for x in members for u in row(x) for v in row(u)):
+        return 3
     owner = array("i", [-1]) * g.n
     dist = array("i", [0]) * g.n
     for s in members:
         owner[s] = s
     queue = array("i", members)
     best: Optional[int] = None
+    # the queue's iterator reads the entries appended after it started
     for x in queue:
         dx, ox = dist[x], owner[x]
         # a pair met from a vertex at distance dx is at least 2 dx + 1 apart:
         # a neighbour at dx - 1 met x when it was expanded
         if best is not None and 2 * dx + 1 >= best:
-            if dx == 0:
-                owner = None
             break
-        for y in g.row(x):
+        for y in row(x):
             oy = owner[y]
             if oy < 0:
                 owner[y] = ox
@@ -160,7 +163,30 @@ def _min_internal_distance(g: Graph, members: array) -> tuple[Optional[int], Opt
                 cand = dx + dist[y] + 1
                 if best is None or cand < best:
                     best = cand
-    return best, owner
+    return best
+
+
+def _no_two_members_meet_twice(g: Graph, members: array) -> bool:
+    """Whether no two members share two neighbours, no two being adjacent and
+    every outside vertex having two dominators.  The first ascending member
+    to reach a vertex, its lesser dominator, leaves its index in the vertex's
+    row plus one; a later one finds its neighbours' lesser dominators distinct."""
+    row = g.row
+    for typecode in "Bi":  # one byte a vertex unless a row index reaches 255
+        lesser = array(typecode, [0]) * g.n
+        try:
+            for x in members:
+                seen = set()
+                for y in row(x):
+                    if not (p := lesser[y]):
+                        lesser[y] = row(y).index(x) + 1
+                    elif (w := row(y)[p - 1]) in seen:
+                        return False
+                    else:
+                        seen.add(w)
+            return True
+        except OverflowError:
+            pass
 
 
 def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> DominationCertificate:
@@ -177,9 +203,9 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     require_girth_above_three(g)
     inside, members = _member_mask(g, s)
     cert = DominationCertificate()
-    cert.min_internal_distance, owner = _min_internal_distance(g, members)
     n, row, verts = g.n, g.row, g.vertices
-    count = _dominator_counts(g, members)
+    count, adjacent = _dominator_counts(g, members)
+    cert.min_internal_distance = 1 if adjacent else _min_internal_distance(g, members, count)
     if ell == 1:
         if cert.min_internal_distance == 1:
             for x in members:
@@ -192,11 +218,9 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     if clean and ell == 1:
         return cert
     # With two dominators each and no two members adjacent, another common
-    # neighbour of v's two has the same two: the greater one sees the lesser
-    # as the owner of two neighbours.
-    if clean and ell == 2 and cert.min_internal_distance == 2 and owner is not None:
-        if all(len(o) == len(set(o)) for o in ([owner[y] for y in row(x) if owner[y] != x] for x in members)):
-            return cert
+    # neighbour of v's two has the same two.
+    if clean and ell == 2 and cert.min_internal_distance == 2 and _no_two_members_meet_twice(g, members):
+        return cert
     for v in range(n):
         if inside[v] or (ell == 1 and count[v] == 1):
             continue
@@ -233,16 +257,6 @@ class PartitionReport:
         return self.is_partition and edges_ok and memberships_ok and not self.failures
 
 
-def _edges_covered_other_than(g: PermGraph, cover: bytearray, times: int) -> list[tuple[int, int]]:
-    """The first WITNESS_CAP edges (u, v), u < v, in canonical order, whose
-    count in `cover` (indexed as in verify_partition_and_edge_cover) is not `times`."""
-    if cover.count(times) == g.m:  # only edges are counted, each at its own index
-        return []
-    length = g.params.length
-    bad = ((u, v) for u, v, labels in g.edge_ids() if cover[u * length + labels[0]] != times)
-    return list(islice(bad, WITNESS_CAP))
-
-
 def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
     """Partition and edge-cover structure of the SE-family.
 
@@ -251,48 +265,54 @@ def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
     triangle, which the girth precondition decides) cover every edge
     exactly twice (the doubled-multigraph statement); for k = 2 the stars of
     a single i partition the edge set; and every member of S_i lies in
-    exactly (k-1)*ell dominator sets, its degree.  Each set is read from its
-    members' rows.
+    exactly (k-1)*ell dominator sets, its degree.  Each set's counts are
+    read from its members' rows, and the edges in one pass over all rows.
     """
     if g.family.kind != "star":
         raise ValueError("partition structure is defined for star-family graphs")
     k, ell = g.params.k, g.params.ell
     rep = PartitionReport(per_symbol_edge_partition_ok=True if k == 2 else None, expected_memberships=(k - 1) * ell)
-    n, labeled_row, label_sets, verts = g.n, g.labeled_row, g.label_sets, g.vertices
-    # A star-graph edge is fixed by its lower endpoint and the position its
-    # transposition swaps, the edge's one label: cover[lower * length + j].
-    length = g.params.length
-    cover = bytearray(n * length)
-    # sets each vertex lies in, and stars it leads (at most its degree)
-    counts, memberships = bytearray(n), bytearray(n)
+    n, row, verts = g.n, g.row, g.vertices
+    # k-bit masks by vertex id: bit i of sets[x] says S_i holds x, and of
+    # led[v] that v lies outside S_i and has ell dominators there
+    full = (1 << k) - 1
+    sets = array("B" if k <= 8 else "H", [0]) * n
+    led = array(sets.typecode, [full]) * n
     for i in range(k):
-        inside, members = _member_mask(g, se_set(g, i))
+        bit, members = 1 << i, se_set(g, i)
         for x in members:
-            counts[x] += 1
-        count = _dominator_counts(g, members)
+            sets[x] |= bit
+            led[x] &= ~bit
+        count = _dominator_counts(g, members)[0]
         if count.count(ell) != n - len(members):
-            wrong = (v for v in range(n) if not inside[v] and count[v] != ell)
-            keep_witnesses(rep.failures, (("wrong-dominator-count", verts[v], count[v]) for v in wrong))
-        once = bytearray(n * length) if rep.per_symbol_edge_partition_ok is not None else None
-        for x in members:
-            for v, lid in labeled_row(x):
-                if count[v] == ell:  # never a member, whose count is 0
-                    memberships[x] += 1
-                    slot = (v if v < x else x) * length + label_sets[lid][0]
-                    cover[slot] += 1
-                    if once is not None:
-                        once[slot] += 1
-        if once is not None and _edges_covered_other_than(g, once, 1):
-            rep.per_symbol_edge_partition_ok = False
-    if counts.count(1) != n:
+            for v in range(n):
+                if led[v] & bit and count[v] != ell:
+                    led[v] ^= bit
+                    keep_witnesses(rep.failures, [("wrong-dominator-count", verts[v], count[v])])
+    if sum(map(sets.count, (1 << i for i in range(k)))) != n:
         rep.is_partition = False
-        shared = list(islice((verts[x] for x in range(n) if counts[x] != 1), WITNESS_CAP))
+        shared = list(islice((verts[x] for x in range(n) if sets[x].bit_count() != 1), WITNESS_CAP))
         rep.failures = [("not-a-partition", shared), *rep.failures][:WITNESS_CAP]
 
-    bad = _edges_covered_other_than(g, cover, 2)
+    # Edge {u, v} lies in the stars of u's sets that lead v and of v's that
+    # lead u; u leads a star for each neighbour and set of u that leads it.
+    bad, memberships = [], bytearray(n)
+    for u in range(n):
+        su, lu, stars = sets[u], led[u], 0
+        for v in row(u):
+            a = su & led[v]
+            c = a.bit_count()
+            stars += c
+            if v > u:
+                b = sets[v] & lu
+                if c + b.bit_count() != 2 and len(bad) < WITNESS_CAP:
+                    bad.append((verts[u], verts[v]))
+                if k == 2 and a ^ b != full:  # each edge in one star of each S_i
+                    rep.per_symbol_edge_partition_ok = False
+        memberships[u] = stars
     if bad:
         rep.double_cover_ok = False
-        keep_witnesses(rep.failures, [("edge-not-double-covered", [(verts[u], verts[v]) for u, v in bad])])
+        keep_witnesses(rep.failures, [("edge-not-double-covered", bad)])
 
     census = Counter(memberships)
     del census[0]

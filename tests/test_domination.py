@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from array import array
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +22,7 @@ from starperm import (
     verify_partition_and_edge_cover,
 )
 
-from .oracles import adjacency_dict, brute_is_e_ell_set, labels_of
+from .oracles import adjacency_dict, brute_distance, brute_is_e_ell_set, labels_of
 
 ms = mstring
 
@@ -32,6 +33,18 @@ def k23():
 
 def k5():
     return Graph(range(5), [(i, j) for i in range(5) for j in range(i + 1, 5)])
+
+
+def brute_min_distance(adj, s):
+    """The least brute_distance over pairs of s; None if no pair is connected."""
+    best = None
+    for u, v in combinations(sorted(s), 2):
+        d = brute_distance(adj, u, v)
+        if d is not None and (best is None or d < best):
+            best = d
+            if best == 1:
+                break
+    return best
 
 
 def test_se_set_examples(st22, st32):
@@ -111,6 +124,49 @@ def test_verifier_matches_oracle_on_random_subsets(graph, ells, request):
         s = labels_of(g, ids)
         for ell in ells:
             assert verify_efficient_domination(g, ids, ell).passed == brute_is_e_ell_set(adj, s, ell), (sorted(s), ell)
+        assert verify_efficient_domination(g, ids, ells[0]).min_internal_distance == brute_min_distance(adj, s)
+
+
+def cycle(n):
+    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "g,s,distance",
+    [
+        (cycle(6), [0, 1], 1),  # adjacent members
+        (cycle(6), [0, 2], 2),  # an outside vertex with two dominators
+        (cycle(6), [0, 3], 3),  # a walk of two steps to a vertex with one
+        (cycle(8), [0, 4], 4),  # the BFS
+        (cycle(10), [0, 5], 5),
+        (Graph(range(8), [(i, (i + 1) % 4) for i in range(4)] + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]), [0, 4], None),
+        (cycle(6), [2], None),
+        (cycle(6), [], None),
+    ],
+)
+def test_min_internal_distance_matches_the_oracle(g, s, distance):
+    assert brute_min_distance(adjacency_dict(g), s) == distance
+    for ell in (1, 2):
+        assert verify_efficient_domination(g, s, ell).min_internal_distance == distance
+
+
+def test_two_dominators_read_past_index_255_of_a_row():
+    # y's row holds z_0..z_299 and then a and b, its two dominators, so a sits
+    # at index 300; each z_i has its own two dominators c_i and d_i.
+    zs, cs, ds = [("z", i) for i in range(300)], [("c", i) for i in range(300)], [("d", i) for i in range(300)]
+    edges = [("y", "a"), ("y", "b")] + [("y", z) for z in zs]
+    edges += [(z, c) for z, c in zip(zs, cs)] + [(z, d) for z, d in zip(zs, ds)]
+    s = ["a", "b", *cs, *ds]
+    for second, verdict in ((False, True), (True, False)):  # a second common neighbour of a and b
+        g = Graph([*zs, "a", "b", "y", *cs, *ds, *["y2"] * second], edges + [("y2", "a"), ("y2", "b")] * second)
+        assert g.row(g.index("y")).index(g.index("a")) == 300
+        cert = verify_efficient_domination(g, [g.index(v) for v in s], 2)
+        assert cert.passed is verdict is brute_is_e_ell_set(adjacency_dict(g), s, 2)
+        if second:
+            assert [(v.kind, v.where, v.detail) for v in cert.violations] == [
+                ("non-unique-intersection", ("y",), ("y", "y2")),
+                ("non-unique-intersection", ("y2",), ("y", "y2")),
+            ]
 
 
 def test_partition_and_edge_cover_reports_an_overlap(st32, monkeypatch):
@@ -131,14 +187,23 @@ def test_partition_and_edge_cover_reports_an_overlap(st32, monkeypatch):
     assert uncovered == sorted(uncovered, key=lambda e: (st32.index(e[0]), st32.index(e[1])))
 
 
+def test_per_symbol_edge_partition_can_fail(st22, monkeypatch):
+    se = starperm.domination.se_set
+    extra = min(se(st22, 1))
+    monkeypatch.setattr(starperm.domination, "se_set", lambda g, i: array("i", sorted({*se(g, i), extra})) if i == 0 else se(g, i))
+    rep = verify_partition_and_edge_cover(st22)
+    assert rep.per_symbol_edge_partition_ok is False and not rep.passed
+
+
 def test_domination_verifiers_allocate_little(st42):
-    # The ST(4,2) graph itself is about 2 MB. The checks keep a few arrays
-    # by vertex id, 2,520 entries each: about 37 and 42 KB measured, against
-    # 56 and 111 KB with frozensets and one pass over all rows per set.
-    s0 = se_set(st42, 0)
+    # The ST(4,2) graph itself is about 2 MB. The checks keep byte columns
+    # by vertex id, 2,520 entries each, and the members' ids: about 12, 16
+    # and 8 KB measured. Int arrays by vertex id take 36 KB or more.
+    s0, sigma1 = se_set(st42, 0), sigma_set(st42, 1)
     checks = (
-        (lambda: verify_efficient_domination(st42, s0, 2), 45_000),
-        (lambda: verify_partition_and_edge_cover(st42), 60_000),
+        (lambda: verify_efficient_domination(st42, s0, 2), 15_000),
+        (lambda: verify_partition_and_edge_cover(st42), 20_000),
+        (lambda: verify_efficient_domination(st42, sigma1, 1), 15_000),
     )
     for check, bound in checks:
         tracemalloc.start()
