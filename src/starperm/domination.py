@@ -171,7 +171,7 @@ def _no_two_members_meet_twice(g: Graph, members: array) -> bool:
     every outside vertex having two dominators.  The first ascending member
     to reach a vertex, its lesser dominator, leaves its index in the vertex's
     row plus one; a later one finds its neighbours' lesser dominators distinct."""
-    row = g.row
+    row, row_index, row_entry = g.row, g.row_index, g.row_entry
     for typecode in "Bi":  # one byte a vertex unless a row index reaches 255
         lesser = array(typecode, [0]) * g.n
         try:
@@ -179,8 +179,8 @@ def _no_two_members_meet_twice(g: Graph, members: array) -> bool:
                 seen = set()
                 for y in row(x):
                     if not (p := lesser[y]):
-                        lesser[y] = row(y).index(x) + 1
-                    elif (w := row(y)[p - 1]) in seen:
+                        lesser[y] = row_index(y, x) + 1
+                    elif (w := row_entry(y, p - 1)) in seen:
                         return False
                     else:
                         seen.add(w)

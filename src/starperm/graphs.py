@@ -9,12 +9,16 @@ permutations, edges come from a generator family (star transpositions,
 prefix reversals, or a custom sequence of position involutions).
 
 The adjacency is one compressed-row core of vertex ids, known to this
-module only: row i of the neighbour ids is ``_nbr[_start[i]:_start[i + 1]]``
-in ascending order, and ``_lab`` holds each entry's index into ``_labels``,
-the tuple of distinct edge-label tuples (one byte per entry while there are
-at most 256 of them, as in every star graph).  Other modules read it through
-:meth:`Graph.row`, :meth:`Graph.labeled_row` (with
-:attr:`Graph.label_sets`), :meth:`Graph.label` and :meth:`Graph.edge_ids`.
+module only: ``_nbr`` holds the rows of neighbour ids one after another,
+each ascending, and ``_lab`` holds each entry's index into ``_labels``, the
+tuple of distinct edge-label tuples (one byte per entry while there are at
+most 256 of them, as in every star graph).  A regular graph of degree d,
+as every graph the paper studies is, keeps ``_stride = d`` and no offsets:
+row i is ``_nbr[i * d : i * d + d]``.  Any other keeps ``_stride = None``
+and 4-byte row offsets: row i is ``_nbr[_start[i]:_start[i + 1]]``.  Other
+modules read the core through :meth:`Graph.row`, :meth:`Graph.labeled_row`
+(with :attr:`Graph.label_sets`), :meth:`Graph.row_index`,
+:meth:`Graph.row_entry`, :meth:`Graph.label` and :meth:`Graph.edge_ids`.
 
 A plain :class:`Graph` keeps its labels as a tuple and a label -> id dict.
 A :class:`PermGraph` keeps none of either: its labels are
@@ -50,7 +54,7 @@ class Graph:
     operation downstream is deterministic.
     """
 
-    __slots__ = ("vertices", "_index", "_start", "_nbr", "_lab", "_labels", "_triangle")
+    __slots__ = ("vertices", "_index", "_stride", "_start", "_nbr", "_lab", "_labels", "_triangle")
 
     def __init__(
         self,
@@ -77,19 +81,41 @@ class Graph:
     def _set_rows(self, rows: Iterable[Iterable[tuple[int, tuple]]]) -> None:
         """Pack the core from one row of (neighbour id, labels) pairs per
         vertex, ids ascending in each."""
-        # 4-byte row offsets: 2^31 of them would hold 8 GB of neighbour ids
-        start, nbr, lab, ids = array("i", [0]), array("i"), array("B"), {}
-        for row in rows:
-            for iw, labels in row:
-                nbr.append(iw)
-                lid = ids.setdefault(labels, len(ids))
-                try:
-                    lab.append(lid)
-                except OverflowError:  # a 257th label set: widen the label ids
-                    lab = array("i", lab)
-                    lab.append(lid)
-            start.append(len(nbr))
-        self._start, self._nbr, self._lab, self._labels = start, nbr, lab, tuple(ids)
+        nbr, lab, ids = array("i"), array("B"), {}
+
+        def ends() -> Iterator[int]:
+            nonlocal lab
+            for row in rows:
+                for iw, labels in row:
+                    nbr.append(iw)
+                    lid = ids.setdefault(labels, len(ids))
+                    try:
+                        lab.append(lid)
+                    except OverflowError:  # a 257th label set: widen the label ids
+                        lab = array("i", lab)
+                        lab.append(lid)
+                yield len(nbr)
+
+        self._lay_out(ends())
+        self._nbr, self._lab, self._labels = nbr, lab, tuple(ids)
+
+    def _lay_out(self, ends: Iterable[int]) -> None:
+        """Decide the row layout from each row's end in ``_nbr``, read as
+        the rows are filled, in vertex order: a fixed stride d while every
+        row has d entries, and 4-byte row offsets from the first row that
+        does not, which is the only time they are built (an offset of 2^31
+        would stand for 8 GB of neighbour ids)."""
+        stride, start = None, None
+        for i, end in enumerate(ends):
+            if start is not None:
+                start.append(end)
+            elif stride is None:
+                stride = end
+            elif end != (i + 1) * stride:
+                start = array("i", (p * stride for p in range(i + 1)))
+                start.append(end)
+        self._stride = (stride or 0) if start is None else None
+        self._start = start
         #: has_triangle's verdict, None until asked
         self._triangle: Optional[bool] = None
 
@@ -97,13 +123,41 @@ class Graph:
 
     def row(self, i: int) -> array:
         """Neighbour ids of vertex id i, ascending."""
-        return self._nbr[self._start[i] : self._start[i + 1]]
+        d = self._stride
+        if d is None:
+            return self._nbr[self._start[i] : self._start[i + 1]]
+        return self._nbr[i * d : i * d + d]
 
     def labeled_row(self, i: int) -> Iterator[tuple[int, int]]:
         """(neighbour id, label id) pairs of vertex id i, ids ascending: one
         slice of each; ``label_sets[label id]`` is the edge's labels."""
-        lo, hi = self._start[i], self._start[i + 1]
+        d = self._stride
+        if d is None:
+            lo, hi = self._start[i], self._start[i + 1]
+        else:
+            lo = i * d
+            hi = lo + d
         return zip(self._nbr[lo:hi], self._lab[lo:hi])
+
+    def row_index(self, i: int, j: int) -> int:
+        """The index of vertex id j in row i, by bisection: ``row(i).index(j)``
+        without the slice.  ValueError if j is not in the row."""
+        d = self._stride
+        if d is None:
+            lo, hi = self._start[i], self._start[i + 1]
+        else:
+            lo = i * d
+            hi = lo + d
+        p = bisect_left(self._nbr, j, lo, hi)
+        if p == hi or self._nbr[p] != j:
+            raise ValueError(f"vertex id {j} is not in row {i}")
+        return p - lo
+
+    def row_entry(self, i: int, p: int) -> int:
+        """Entry p of row i, ``0 <= p < len(row(i))``: ``row(i)[p]`` without
+        the slice."""
+        d = self._stride
+        return self._nbr[(self._start[i] if d is None else i * d) + p]
 
     @property
     def label_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -113,16 +167,25 @@ class Graph:
 
     def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         """Labels of the edge between vertex ids i and j; None if there is none."""
-        hi = self._start[i + 1]
-        p = bisect_left(self._nbr, j, self._start[i], hi)
+        d = self._stride
+        if d is None:
+            lo, hi = self._start[i], self._start[i + 1]
+        else:
+            lo = i * d
+            hi = lo + d
+        p = bisect_left(self._nbr, j, lo, hi)
         return self._labels[self._lab[p]] if p < hi and self._nbr[p] == j else None
 
     def edge_ids(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """Edges as (i, j, labels) by vertex id, i < j, in canonical order."""
-        start, nbr, lab, labels = self._start, self._nbr, self._lab, self._labels
+        d, start, nbr, lab, labels = self._stride, self._start, self._nbr, self._lab, self._labels
         for i in range(self.n):
-            hi = start[i + 1]
-            for p in range(bisect_right(nbr, i, start[i], hi), hi):
+            if d is None:
+                lo, hi = start[i], start[i + 1]
+            else:
+                lo = i * d
+                hi = lo + d
+            for p in range(bisect_right(nbr, i, lo, hi), hi):
                 yield i, nbr[p], labels[lab[p]]
 
     # -- basic accessors ---------------------------------------------------
@@ -168,6 +231,8 @@ class Graph:
     # -- degree structure --------------------------------------------------
 
     def degree_census(self) -> dict[int, int]:
+        if self._stride is not None:
+            return {self._stride: self.n} if self.n else {}
         start = self._start
         return dict(sorted(Counter(start[i + 1] - start[i] for i in range(self.n)).items()))
 
@@ -263,15 +328,18 @@ class Graph:
             new_id[old] = new
         g = Graph.__new__(Graph)
         g._set_vertices(tuple(self.vertices[i] for i in keep))
-        g._start, g._nbr, g._lab, g._labels = array("i", [0]), array("i"), array(self._lab.typecode), self._labels
-        g._triangle = None
-        for i in keep:
-            for p in range(self._start[i], self._start[i + 1]):
-                w = self._nbr[p]
-                if new_id[w] >= 0 and (i, w) not in drop:
-                    g._nbr.append(new_id[w])
-                    g._lab.append(self._lab[p])
-            g._start.append(len(g._nbr))
+        nbr, lab = array("i"), array(self._lab.typecode)
+
+        def ends() -> Iterator[int]:
+            for i in keep:
+                for w, lid in self.labeled_row(i):
+                    if new_id[w] >= 0 and (i, w) not in drop:
+                        nbr.append(new_id[w])
+                        lab.append(lid)
+                yield len(nbr)
+
+        g._lay_out(ends())
+        g._nbr, g._lab, g._labels = nbr, lab, self._labels
         return g
 
     # -- cycles, parity ----------------------------------------------------

@@ -42,6 +42,25 @@ def brute_move_graph(k, ell, family="star", pis=None):
     return adj
 
 
+def brute_edge_adjacency(vertices, edges):
+    """{u: {v: labels}} of an edge list over the given vertices, in their
+    order: an edge is (u, v) or (u, v, labels), and parallel edges merge
+    their labels, ascending."""
+    adj = {u: {} for u in vertices}
+    for e in edges:
+        u, v = e[0], e[1]
+        labels = tuple(sorted(set(adj[u].get(v, ())) | set(e[2] if len(e) > 2 else ())))
+        adj[u][v] = adj[v][u] = labels
+    return adj
+
+
+def brute_cut(adj, keep, drop=()):
+    """adj restricted to the vertices keep, less the edges (u, v) in drop,
+    either way round."""
+    gone = {frozenset(e) for e in drop}
+    return {u: {v: labels for v, labels in adj[u].items() if v in keep and frozenset((u, v)) not in gone} for u in keep}
+
+
 def brute_component_sizes(adj):
     """Sorted component sizes of a dict-of-sets graph, by BFS."""
     seen, sizes = set(), []

@@ -2,6 +2,7 @@ import ast
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,14 @@ from starperm import (
 )
 from starperm.graphs import PackedLabels
 
-from .oracles import adjacency_dict, brute_component_sizes, brute_count_six_cycles, brute_move_graph
+from .oracles import (
+    adjacency_dict,
+    brute_component_sizes,
+    brute_count_six_cycles,
+    brute_cut,
+    brute_edge_adjacency,
+    brute_move_graph,
+)
 
 ms = mstring
 
@@ -317,6 +325,78 @@ def test_subgraph_matches_string_oracle(family, k, ell):
     assert sorted(c.n for c in h.components()) == brute_component_sizes(adj)
 
 
+# ---------------------------------------------------------------------------
+# the two row layouts: a fixed stride for regular graphs, offsets otherwise
+# ---------------------------------------------------------------------------
+
+
+def _assert_core_is(g, adj):
+    """Every reader of g's core agrees with the oracle adjacency adj, a
+    {u: {v: labels}} dict in g's vertex order, and g keeps row offsets
+    exactly when its degrees differ."""
+    assert tuple(g.vertices) == tuple(adj)
+    pos = {u: i for i, u in enumerate(adj)}
+    rows = [sorted((pos[v], labels) for v, labels in adj[u].items()) for u in adj]
+    degrees = Counter(map(len, rows))
+    for i, row in enumerate(rows):
+        assert list(g.row(i)) == [j for j, _ in row]
+        assert [(j, g.label_sets[lid]) for j, lid in g.labeled_row(i)] == row
+        for p, (j, labels) in enumerate(row):
+            assert g.label(i, j) == labels and g.row_index(i, j) == p and g.row_entry(i, p) == j
+        for j in set(range(g.n)) - {j for j, _ in row}:
+            assert g.label(i, j) is None
+            with pytest.raises(ValueError):
+                g.row_index(i, j)
+    assert list(g.edge_ids()) == [(i, j, labels) for i, row in enumerate(rows) for j, labels in row if j > i]
+    assert g.degree_census() == dict(sorted(degrees.items()))
+    kind = {1: "regular", 2: "biregular"}.get(len(degrees), "irregular")
+    assert g.regularity() == (kind, tuple(sorted(degrees)))
+    assert g.m == sum(degrees[d] * d for d in degrees) // 2
+    if len(degrees) > 1:
+        assert g._stride is None and g._start is not None
+    else:  # one degree, or no vertex: a stride and no offsets
+        assert g._stride == max(degrees, default=0) and g._start is None
+
+
+# C_4 on 0..3 with a pendant 4 at 3: rows 0-2 share degree 2, so the
+# layout switches to offsets at row 3
+SWITCH = (range(5), [(0, 1, (1,)), (1, 2, (2,)), (2, 3, (1,)), (3, 0, (2,)), (3, 4, (3,)), (4, 3, (1,))])
+
+
+@pytest.mark.parametrize(
+    "vertices,edges",
+    [
+        ("abcde", [("a", "b", (1,)), ("b", "c"), ("c", "d", (2, 1)), ("d", "e", (1,)), ("e", "a", (3,))]),  # C_5
+        SWITCH,
+        (range(3), []),  # degree 0
+        ((), []),  # no vertex
+    ],
+    ids=["regular", "switches-to-offsets", "degree-0", "empty"],
+)
+def test_core_layouts_match_the_edge_list(vertices, edges):
+    _assert_core_is(Graph(vertices, edges), brute_edge_adjacency(vertices, edges))
+
+
+@pytest.mark.parametrize("family,k,ell", [("star", 3, 2), ("custom", 3, 2), ("star", 1, 2)])
+def test_built_core_layouts_match_the_string_oracle(family, k, ell):
+    g, adj = _core_and_oracle(family, k, ell)
+    _assert_core_is(g, adj)
+    # the custom pi_4 = (1 3) makes ST(3,2) irregular: 78 vertices of degree 4, 12 of 5
+    assert g.degree_census() == ({4: 78, 5: 12} if family == "custom" else {(k - 1) * ell: g.n})
+
+
+def test_restrict_lays_out_its_own_rows(st32):
+    adj = brute_move_graph(3, 2)
+    # without its first vertex ST(3,2) is irregular; the other cuts are regular
+    for keep in (range(1, st32.n), range(st32.n), range(0)):
+        _assert_core_is(st32.restrict(keep), brute_cut(adj, [st32.vertices[i] for i in keep]))
+    vertices, edges = SWITCH
+    g, adj = Graph(vertices, edges), brute_edge_adjacency(vertices, edges)
+    _assert_core_is(g.restrict([0, 1, 2, 3]), brute_cut(adj, [0, 1, 2, 3]))  # irregular to regular: C_4
+    _assert_core_is(g.restrict([0, 1, 2, 3], {(0, 3), (3, 0)}), brute_cut(adj, [0, 1, 2, 3], [(0, 3)]))  # a path
+    _assert_core_is(g.restrict([1, 3, 4]), brute_cut(adj, [1, 3, 4]))  # 1 isolated, 3-4 an edge
+
+
 def _family(name, length):
     if name == "custom":  # pi_4 = (1 3) where there is a pi_4
         return GeneratorFamily.custom(([[], [], [], [(1, 3)]] + [[]] * (length - 5))[: length - 1])
@@ -385,22 +465,23 @@ def _retained_by_build(p):
 
 def test_built_graph_holds_no_per_vertex_containers():
     # ST(4,2) held 1.37 MB with one neighbour dict per vertex, 0.57 MB with
-    # one label tuple per vertex and a label -> id dict, and 0.25 MB as a
-    # list of int codes with 4-byte label ids; it retains 115 KB as 8 bytes
-    # of code per vertex, 1-byte label ids and 4-byte row offsets
+    # one label tuple per vertex and a label -> id dict, 0.25 MB as a list
+    # of int codes with 4-byte label ids, and 115 KB with 4-byte row offsets;
+    # it retains 104 KB as 8 bytes of code per vertex, 1-byte label ids and
+    # one stride for its rows
     g, retained = _retained_by_build(Params(4, 2))
-    assert g.n == 2520 and retained < 0.14e6  # 20% above the measured 115 KB
+    assert g.n == 2520 and retained < 0.11e6  # 5% above the measured 104 KB
 
 
 def test_st52_core_fits_in_seven_megabytes():
     # 13.7 MB with a list of int codes, 4-byte label ids and 8-byte row
-    # offsets; 6.5 MB measured
+    # offsets, 6.5 MB with 4-byte ones; 6.0 MB measured at a fixed stride
     g, retained = _retained_by_build(Params(5, 2))
     assert g.n == 113400 and retained <= 7e6
 
 
 def test_only_graphs_reads_the_core():
-    core = {"_adj", "_start", "_nbr", "_lab", "_labels", "_index", "_codes"}
+    core = {"_adj", "_stride", "_start", "_nbr", "_lab", "_labels", "_index", "_codes"}
     package = Path(starperm.__file__).parent
     reads = [
         f"{path.name}:{node.lineno} .{node.attr}"
