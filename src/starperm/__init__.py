@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .chains import (
     ChainEmbedding,
-    kappa_embed,
     pancake_chain_check,
     schreier_fibers,
     schreier_quotient_check,
@@ -19,7 +18,6 @@ from .chains import (
 from .coloring import (
     ColoringReport,
     TotalColoring,
-    build_odd_complete_colored,
     choosability_suite,
     efficiency_obstruction_witness,
     positional_edge_coloring,
@@ -29,7 +27,6 @@ from .coloring import (
 from .domination import (
     DominationCertificate,
     code_search,
-    oracle_check,
     se_set,
     sigma_set,
     verify_efficient_domination,
@@ -76,7 +73,6 @@ __all__ = [
     "Precondition",
     "TotalColoring",
     "build_graph",
-    "build_odd_complete_colored",
     "choosability_suite",
     "classify_six_cycles",
     "code_search",
@@ -84,10 +80,8 @@ __all__ = [
     "enumerate_vertices",
     "iter_vertices",
     "isomorphic",
-    "kappa_embed",
     "list_assignment",
     "mstring",
-    "oracle_check",
     "pancake_chain_check",
     "positional_edge_coloring",
     "prefix_reversal",

@@ -31,7 +31,8 @@ SCHREIER_SYM_CAP = 8
 
 
 class ChainEmbedding:
-    """kappa_j from the graph on k symbols into the one on k+1 symbols."""
+    """kappa_j from the graph on k symbols into the one on k+1 symbols: a
+    string's symbols go through `table`, then `suffix` is appended."""
 
     def __init__(self, source_k: int, j: int) -> None:
         if not 0 <= j <= source_k:
@@ -51,16 +52,6 @@ class ChainEmbedding:
         """The shift as a bytes.translate table on the symbols 0..k-1."""
         mod = self.source_k + 1
         return bytes((s + self.shift) % mod if s < self.source_k else s for s in range(256))
-
-    def apply(self, v: MString) -> MString:
-        return tuple(bytes(v).translate(self.table)) + self.suffix
-
-
-def kappa_embed(v: MString, j: int, k: int) -> MString:
-    """Image of a 2-set permutation on k symbols under kappa_j."""
-    if len(v) != 2 * k:
-        raise ValueError(f"expected a 2-set permutation on {k} symbols, got length {len(v)}")
-    return ChainEmbedding(k, j).apply(v)
 
 
 class ChainReport:

@@ -11,8 +11,8 @@ Two constructions:
   rainbow over the whole palette).
 
 A coloring is held by vertex id on the graph it colors, and an edge's color
-is its one label; vertex labels appear only where a coloring is given by
-hand (:meth:`TotalColoring.from_labels`) and in witnesses.
+is its one label; vertex labels appear only in witnesses.  A coloring by
+hand is a graph whose edge labels are the colors, plus a vertex column.
 
 Efficiency here is the closed-neighborhood rainbow property of a d-regular
 graph totally colored with d+1 colors.  The verifiers report typed violation
@@ -21,9 +21,8 @@ witnesses instead of raising, capped at WITNESS_CAP.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from math import prod
-from typing import Container, Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
 from .graphs import Graph, PermGraph
@@ -41,8 +40,7 @@ class TotalColoring:
 
     ``vertex_colors`` holds one color per vertex id, None for an edge
     coloring.  An edge's color is its one label, so the graph must carry
-    exactly one label per edge.  Labels go in through :meth:`from_labels`
-    and come out through :meth:`vertex_color` and :meth:`edge_color`.
+    exactly one label per edge: ``graph.label(i, j)[0]``.
     """
 
     def __init__(self, graph: Graph, vertex_colors: Optional[Sequence[int]], palette: frozenset[int]) -> None:
@@ -52,44 +50,6 @@ class TotalColoring:
                 if len(labels) != 1:
                     raise ValueError(f"edge ({graph.vertices[i]}, {graph.vertices[j]}) carries labels {labels}, want exactly one")
         self.graph, self.vertex_colors, self.palette = graph, vertex_colors, palette
-
-    @classmethod
-    def from_labels(cls, g: Graph, vertex_colors: Mapping, edge_colors: Mapping, palette: Iterable[int]) -> TotalColoring:
-        """A coloring of a copy of g given by labels: vertex -> color, empty
-        for an edge coloring, and (u, v) -> color, either way round; the
-        copy is a plain Graph on g's vertices whose edge labels are the
-        colors.  ValueError for a label not in g, a pair that is no edge of
-        g or a vertex or edge left uncolored."""
-        vcol = None
-        if vertex_colors:
-            vcol = [None] * g.n
-            for v, c in vertex_colors.items():
-                vcol[g.index(v)] = c
-            if None in vcol:
-                raise ValueError(f"uncolored vertex {g.vertices[vcol.index(None)]!r}")
-        ecol = {}
-        for (u, v), c in edge_colors.items():
-            i, j = sorted((g.index(u), g.index(v)))
-            if g.label(i, j) is None:
-                raise ValueError(f"unknown edge ({u!r}, {v!r})")
-            ecol[(i, j)] = c
-        verts = g.vertices
-        if len(ecol) != g.m:
-            i, j, _ = next(e for e in g.edge_ids() if e[:2] not in ecol)
-            raise ValueError(f"uncolored edge ({verts[i]!r}, {verts[j]!r})")
-        return cls(Graph(verts, [(verts[i], verts[j], (c,)) for (i, j), c in ecol.items()]), vcol, frozenset(palette))
-
-    def vertex_color(self, v) -> int:
-        if self.vertex_colors is None:
-            raise ValueError("an edge coloring has no vertex colors")
-        return self.vertex_colors[self.graph.index(v)]
-
-    def edge_color(self, u, v) -> int:
-        """The color of the edge {u, v}; KeyError if it is no edge."""
-        g = self.graph
-        if (labels := g.label(g.index(u), g.index(v))) is None:
-            raise KeyError((u, v))
-        return labels[0]
 
     def restrict(self, keep: Sequence[int], drop: Container[tuple[int, int]] = ()) -> TotalColoring:
         """This coloring on ``graph.restrict(keep, drop)``: the vertex column
@@ -113,11 +73,6 @@ class ColoringReport:
     ) -> None:
         self.proper_edge, self.proper_vertex, self.no_incidence_clash = proper_edge, proper_vertex, no_incidence_clash
         self.efficient, self.truncated, self.witnesses = efficient, truncated, witnesses
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ColoringReport:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     @property
     def total(self) -> Optional[bool]:
@@ -150,19 +105,6 @@ def sigma_total_coloring(g: PermGraph) -> TotalColoring:
         raise ValueError(f"sigma coloring needs ell = 2, got ell = {g.params.ell}")
     palette = positional_edge_coloring(g).palette
     return TotalColoring(g, g.repeat_positions(), palette)
-
-
-def build_odd_complete_colored(n: int) -> tuple[Graph, TotalColoring]:
-    """K_{2n+1} with its cyclic total coloring.
-
-    Vertex j gets color j; the edge {j-i, j+i} (mod 2n+1) gets color j, its
-    label, for 0 < i <= n.  The coloring is total and efficient on 2n+1 colors.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    order = 2 * n + 1
-    g = Graph(range(order), [((j - i) % order, (j + i) % order, (j,)) for j in range(order) for i in range(1, n + 1)])
-    return g, TotalColoring(g, list(range(order)), frozenset(range(order)))
 
 
 def verify_coloring(tc: TotalColoring) -> ColoringReport:

@@ -39,21 +39,11 @@ class Violation:
     def __init__(self, kind: str, where: tuple, detail: tuple) -> None:
         self.kind, self.where, self.detail = kind, where, detail
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Violation:
-            return NotImplemented
-        return vars(self) == vars(other)
-
 
 class DominationCertificate:
     def __init__(self) -> None:
         self.violations: list[Violation] = []
         self.min_internal_distance: Optional[int] = None
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DominationCertificate:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     @property
     def passed(self) -> bool:
@@ -333,7 +323,6 @@ def verify_ei_avoidance(g: PermGraph) -> dict:
     bad = ((c, verts[u], verts[v]) for u, v, labels in g.edge_ids() if (c := labels[0]) in (pos[u], pos[v]))
     witnesses = list(islice(bad, WITNESS_CAP))
     return {
-        "passed": not witnesses,
         "witnesses": witnesses,
         "last_position_rationale": all(v[0] == v[-1] for v in map(verts.__getitem__, sigma_set(g, 2 * g.params.k - 1))),
     }
@@ -385,19 +374,6 @@ def _is_code(nbr: list[int], in_mask: int, n: int, ell: int) -> bool:
     if ok and ell == 1:
         ok = all(not nbr[v] & in_mask for v in _bit_indices(in_mask))
     return ok
-
-
-def oracle_check(g: Graph, s: Iterable[int], ell: int) -> bool:
-    """Re-verify one candidate set of vertex ids through the oracle's
-    bitmask predicate, independent of :func:`verify_efficient_domination`'s
-    set arithmetic.  Raises ValueError unless ell >= 1."""
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got ell = {ell}")
-    require_girth_above_three(g)
-    in_mask = 0
-    for x in _member_mask(g, s)[1]:
-        in_mask |= 1 << x
-    return _is_code(_neighbor_masks(g), in_mask, g.n, ell)
 
 
 def code_search(g: Graph, ell: int) -> list[array]:

@@ -1,12 +1,12 @@
 """Graph construction and structural metrics.
 
 The central type is an immutable simple undirected :class:`Graph` whose
-vertices are arbitrary hashable labels kept in a fixed canonical order, with
-an optional tuple of integer labels per edge (the transposition positions
-that realize the edge).  :class:`PermGraph` specializes it to the multiset
-permutation graphs: vertices are the lexicographically ordered ell-set
-permutations, edges come from a generator family (star transpositions,
-prefix reversals, or a custom sequence of position involutions).
+vertices are hashable labels in a fixed canonical order, read by vertex id
+(``index(v)``, ``vertices[i]``), and whose edges each carry a tuple, maybe
+empty, of integer labels: the generator positions that realize the edge.
+:class:`PermGraph` specializes it to the multiset permutation graphs: the
+lexicographically ordered ell-set permutations, with the edges of a
+generator family (star transpositions, prefix reversals, or custom ones).
 
 The adjacency is one compressed-row core of vertex ids, known to this
 module only: ``_nbr`` holds the rows of neighbour ids one after another,
@@ -203,24 +203,6 @@ class Graph:
             return self._index[u]
         except KeyError:
             raise ValueError(f"unknown vertex {u!r}") from None
-
-    def has_vertex(self, u: Label) -> bool:
-        return u in self._index
-
-    def has_edge(self, u: Label, v: Label) -> bool:
-        return self.label(self.index(u), self.index(v)) is not None
-
-    def neighbors(self, u: Label) -> tuple:
-        return tuple(self.vertices[i] for i in self.row(self.index(u)))
-
-    def degree(self, u: Label) -> int:
-        return len(self.row(self.index(u)))
-
-    def edge_labels(self, u: Label, v: Label) -> tuple[int, ...]:
-        labels = self.label(self.index(u), self.index(v))
-        if labels is None:
-            raise ValueError(f"unknown edge ({u!r}, {v!r})")
-        return labels
 
     def edges(self) -> Iterator[tuple[Label, Label, tuple[int, ...]]]:
         """Edges as (u, v, labels) with index(u) < index(v), canonical order."""
@@ -664,9 +646,6 @@ class PermGraph(Graph):
         if (i := self.vertices.find(u)) < 0:
             raise ValueError(f"unknown vertex {u!r}")
         return i
-
-    def has_vertex(self, u: Label) -> bool:
-        return u in self.vertices
 
     def first_symbols(self) -> bytes:
         """v[0] of every vertex, by vertex id; computed on first use."""

@@ -168,7 +168,7 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
 
     def ei_avoidance():
         ei = verify_ei_avoidance(g)
-        return ei["passed"] and ei["last_position_rationale"], "", ei["witnesses"]
+        return not ei["witnesses"] and ei["last_position_rationale"], "", ei["witnesses"]
 
     run.add("sigma-partition", sigma_partition)
     for i in range(1, 2 * k):

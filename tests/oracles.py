@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code with the package:
 itertools-based enumeration, the generator moves applied to the strings,
 rooted path DFS for cycle counting, a direct per-definition domination
-predicate over plain dicts of sets, and BFS component counts.
+predicate over plain dicts of sets, BFS component counts, the cyclic total
+coloring of K_{2n+1} and the chain embeddings kappa_j, as plain data.
 """
 
 from itertools import permutations
@@ -81,7 +82,9 @@ def brute_component_sizes(adj):
 
 
 def adjacency_dict(g):
-    return {v: set(g.neighbors(v)) for v in g.vertices}
+    """{label: set of neighbour labels} of a graph read by vertex id."""
+    verts = g.vertices
+    return {v: {verts[j] for j in g.row(i)} for i, v in enumerate(verts)}
 
 
 def labels_of(g, ids):
@@ -241,3 +244,22 @@ def brute_local_generators(fibers, ell):
             per_member.add(tuple(leaving))
         out[x] = per_member.pop() if len(per_member) == 1 else None
     return out
+
+
+def odd_complete_total_coloring(n):
+    """K_{2n+1} with its cyclic total coloring, as plain data: the vertices
+    0..2n, the edges (u, v, (color,)) and the vertex colors by vertex.
+
+    Vertex j gets color j; the edge {j-i, j+i} (mod 2n+1) gets color j, for
+    0 < i <= n.  The coloring is total and efficient on 2n+1 colors.
+    """
+    order = 2 * n + 1
+    edges = [((j - i) % order, (j + i) % order, (j,)) for j in range(order) for i in range(1, n + 1)]
+    return list(range(order)), edges, list(range(order))
+
+
+def brute_kappa(v, j, k):
+    """kappa_j of a 2-set string on k symbols: every symbol s becomes
+    s + j - k mod k + 1, then jj is appended."""
+    assert len(v) == 2 * k and 0 <= j <= k
+    return tuple((s + j - k) % (k + 1) for s in v) + (j, j)

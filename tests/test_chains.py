@@ -6,10 +6,10 @@ import pytest
 import starperm.chains
 from starperm import (
     CapExceeded,
+    ChainEmbedding,
     GeneratorFamily,
     Params,
     build_graph,
-    kappa_embed,
     mstring,
     pancake_chain_check,
     schreier_fibers,
@@ -24,26 +24,30 @@ from starperm.report import PASS, WITNESS_CAP
 from starperm.suites import run_suite
 
 from .faults import drop_source_string, lose_first_fiber, move_sym_strings, shift_one_embedding
-from .oracles import brute_local_generators, labels_of
+from .oracles import adjacency_dict, brute_kappa, brute_local_generators, labels_of
 
 ms = mstring
 
 
+def _embedded(v, j, k):
+    """v under kappa_j as the chain check maps it: its symbols through the
+    embedding's table, then its suffix."""
+    emb = ChainEmbedding(k, j)
+    return tuple(bytes(v).translate(emb.table)) + emb.suffix
+
+
 def test_kappa_examples():
-    assert render(kappa_embed(ms("0011"), 2, 2)) == "001122"
-    assert render(kappa_embed(ms("0011"), 0, 2)) == "112200"
-    assert render(kappa_embed(ms("0011"), 1, 2)) == "220011"
+    for j, want in enumerate(("112200", "220011", "001122")):
+        assert render(_embedded(ms("0011"), j, 2)) == render(brute_kappa(ms("0011"), j, 2)) == want
     with pytest.raises(ValueError):
-        kappa_embed(ms("0011"), 3, 2)
-    with pytest.raises(ValueError):
-        kappa_embed(ms("001122"), 0, 2)
+        ChainEmbedding(2, 3)
 
 
 def test_kappa_suffix_symbol_only_in_suffix():
     source = build_graph(Params(2, 2))
     for j in range(3):
         for v in source.vertices:
-            w = kappa_embed(v, j, 2)
+            w = _embedded(v, j, 2)
             assert w[-2:] == (j, j)
             assert j not in w[:-2]
 
@@ -51,7 +55,7 @@ def test_kappa_suffix_symbol_only_in_suffix():
 def test_kappa_neighbor_positions(st32):
     # swapping position 2k lands in the last repeat class, 2k+1 does not
     for v in build_graph(Params(2, 2)).vertices:
-        w = kappa_embed(v, 2, 2)
+        w = _embedded(v, 2, 2)
         via_4 = (w[4],) + w[1:4] + (w[0],) + w[5:]
         via_5 = (w[5],) + w[1:5] + (w[0],)
         assert repeat_position(via_4) == 5
@@ -70,7 +74,7 @@ def test_verify_chain_k2():
 def test_verify_chain_k2_images_are_six_cycles(st32):
     source = build_graph(Params(2, 2))
     for j in range(3):
-        image = [kappa_embed(v, j, 2) for v in source.vertices]
+        image = [brute_kappa(v, j, 2) for v in source.vertices]
         induced = st32.induced_subgraph(sorted(image, key=st32.index))
         assert induced.n == 6 and induced.m == 6
         assert induced.regularity() == ("regular", (2,))
@@ -100,8 +104,9 @@ def test_verify_chain_counts_match_target_graph(k):
     target = build_graph(Params(k + 1, 2))
     sigma = labels_of(target, sigma_set(target, 2 * k + 1))
     source = build_graph(Params(k, 2)).vertices
-    images = [{kappa_embed(v, j, k) for v in source} for j in range(k + 1)]
-    blocks = [{x for w in image for x in target.neighbors(w) if x in sigma} for image in images]
+    images = [{brute_kappa(v, j, k) for v in source} for j in range(k + 1)]
+    adj = adjacency_dict(target)
+    blocks = [{x for w in image for x in adj[w] if x in sigma} for image in images]
     rep = verify_chain(k)
     assert rep.block_sizes == tuple(map(len, blocks))
     assert rep.sigma_size == len(sigma)
@@ -153,7 +158,7 @@ def test_verify_chain_lost_source_string_breaks_the_bijection(monkeypatch):
     assert rep.images_disjoint and rep.images_induced_isomorphic and rep.cardinality_identity_ok
     assert rep.block_sizes == (89,) * 4 and rep.sigma_size == 360
     lost = sorted(
-        x for j in range(4) for _, x in star_neighbors(kappa_embed(ms("001122"), j, 3)) if repeat_position(x) == 7
+        x for j in range(4) for _, x in star_neighbors(brute_kappa(ms("001122"), j, 3)) if repeat_position(x) == 7
     )
     assert rep.failures == [("sigma-vertex-image-degree", x, 0) for x in lost]
 

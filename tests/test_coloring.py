@@ -9,7 +9,6 @@ import starperm.suites
 from starperm import (
     Graph,
     TotalColoring,
-    build_odd_complete_colored,
     choosability_suite,
     efficiency_obstruction_witness,
     list_assignment,
@@ -22,21 +21,41 @@ from starperm.errors import CapExceeded
 from starperm.graphs import Params, build_graph
 from starperm.suites import run_suite
 
-from .oracles import adjacency_dict, brute_coloring_flags
+from .oracles import adjacency_dict, brute_coloring_flags, odd_complete_total_coloring
 
 ms = mstring
 
 
+def _colored(verts, vertex_colors, edge_colors, palette):
+    """A coloring by hand: a plain Graph on verts whose edge labels are the
+    colors, edge_colors {(i, j): color} by vertex ids, and vertex_colors by
+    vertex id, None for an edge coloring."""
+    edges = [(verts[i], verts[j], (c,)) for (i, j), c in edge_colors.items()]
+    return TotalColoring(Graph(verts, edges), vertex_colors, frozenset(palette))
+
+
+def _by_id(tc):
+    """tc's vertex colors as a list (None for an edge coloring) and its edge
+    colors as {(i, j): color}, i < j."""
+    vcol = tc.vertex_colors
+    return None if vcol is None else list(vcol), {(i, j): labels[0] for i, j, labels in tc.graph.edge_ids()}
+
+
+def _edge_color(g, u, v):
+    return g.label(g.index(u), g.index(v))[0]
+
+
 def test_positional_colors_examples(st22):
-    tc = positional_edge_coloring(st22)
-    assert tc.edge_color(ms("0011"), ms("1001")) == 2
-    assert tc.edge_color(ms("0011"), ms("1010")) == 3
+    g = positional_edge_coloring(st22).graph
+    assert _edge_color(g, ms("0011"), ms("1001")) == 2
+    assert _edge_color(g, ms("0011"), ms("1010")) == 3
 
 
 def test_positional_incident_colors_at_100122(st32):
-    tc = positional_edge_coloring(st32)
+    g = positional_edge_coloring(st32).graph
     v = ms("100122")
-    incident = {tc.edge_color(v, w) for w in st32.neighbors(v)}
+    x = g.index(v)
+    incident = {g.label(x, y)[0] for y in g.row(x)}
     assert incident == {1, 2, 4, 5}
     assert incident == {j for j in range(1, 6) if v[j] != v[0]}
 
@@ -45,12 +64,6 @@ def test_positional_properness_exhaustive(st32):
     tc = positional_edge_coloring(st32)
     assert tc.palette == frozenset(range(1, 6)) and tc.vertex_colors is None
     assert verify_coloring(tc).proper_edge
-
-
-def test_vertex_color_on_an_edge_coloring_says_so(st23):
-    tc = positional_edge_coloring(st23)
-    with pytest.raises(ValueError, match="an edge coloring has no vertex colors"):
-        tc.vertex_color(st23.vertices[0])
 
 
 def test_positional_decides_one_label_per_edge_without_an_edge_walk(monkeypatch):
@@ -80,7 +93,6 @@ def test_positional_rejects_pancake(pc22):
 
 def test_sigma_vertex_colors_st22(st22, tc22):
     want = {"0011": 1, "1100": 1, "0101": 2, "1010": 2, "0110": 3, "1001": 3}
-    assert {k: tc22.vertex_color(ms(k)) for k in want} == want
     assert {k: tc22.vertex_colors[st22.index(ms(k))] for k in want} == want
 
 
@@ -95,16 +107,18 @@ def test_sigma_total_and_efficient(tc32):
 
 
 def test_rainbow_closed_neighborhoods(st32, tc32):
-    for v in st32.vertices:
-        seen = {tc32.vertex_color(v)}
-        seen.update(tc32.vertex_color(w) for w in st32.neighbors(v))
+    col = tc32.vertex_colors
+    for x in range(st32.n):
+        seen = {col[x]}
+        seen.update(col[y] for y in st32.row(x))
         assert seen == set(range(1, 6))
 
 
 def test_vertex_color_never_on_incident_edge(st32, tc32):
-    for v in st32.vertices:
-        for w in st32.neighbors(v):
-            assert tc32.edge_color(v, w) != tc32.vertex_color(v)
+    col = tc32.vertex_colors
+    for x in range(st32.n):
+        for y in st32.row(x):
+            assert st32.label(x, y)[0] != col[x]
 
 
 def test_sigma_color_classes_are_sigma_sets(st32, tc32):
@@ -115,34 +129,22 @@ def test_sigma_color_classes_are_sigma_sets(st32, tc32):
 
 
 def test_verify_coloring_negative_witness(st22):
-    vertex_colors = {v: 1 for v in st22.vertices}
-    edge_colors = {(u, v): 2 for u, v, _ in st22.edges()}
-    tc = TotalColoring.from_labels(st22, vertex_colors, edge_colors, {1, 2})
+    tc = _colored(st22.vertices, [1] * st22.n, {(i, j): 2 for i, j, _ in st22.edge_ids()}, {1, 2})
     rep = verify_coloring(tc)
     assert not rep.proper_vertex and not rep.passed
     # every flag fails; the adjacent-vertices witnesses follow the adjacent-edges ones
     kind, u, v, c = next(w for w in rep.witnesses if w[0] == "adjacent-vertices")
-    assert st22.has_edge(u, v) and c == 1
-
-
-def _labeled(g, tc):
-    """tc's vertex and edge colors as label dicts."""
-    vertex_colors = {v: tc.vertex_color(v) for v in g.vertices} if tc.vertex_colors is not None else {}
-    return vertex_colors, {(u, v): tc.edge_color(u, v) for u, v, _ in g.edges()}
+    assert st22.label(st22.index(u), st22.index(v)) is not None and c == 1
 
 
 def test_verify_coloring_uncolored_element(st22, tc22):
-    vertex_colors, edge_colors = _labeled(st22, tc22)
-    del vertex_colors[st22.vertices[-1]]
-    with pytest.raises(ValueError, match="uncolored vertex"):
-        TotalColoring.from_labels(st22, vertex_colors, edge_colors, tc22.palette)
-
-
-def test_from_labels_refuses_an_uncolored_edge(st22, tc22):
-    vertex_colors, edge_colors = _labeled(st22, tc22)
-    (u, v), _ = edge_colors.popitem()
-    with pytest.raises(ValueError, match=re.escape(f"uncolored edge ({u!r}, {v!r})")):
-        TotalColoring.from_labels(st22, vertex_colors, edge_colors, tc22.palette)
+    # a coloring by hand that leaves an edge without a color is refused, by name
+    vertex_colors, edge_colors = _by_id(tc22)
+    i, j = next(iter(edge_colors))
+    verts = st22.vertices
+    edges = [(verts[a], verts[b], () if (a, b) == (i, j) else (c,)) for (a, b), c in edge_colors.items()]
+    with pytest.raises(ValueError, match=re.escape(f"edge ({verts[i]}, {verts[j]}) carries labels (), want exactly one")):
+        TotalColoring(Graph(verts, edges), vertex_colors, tc22.palette)
 
 
 def test_a_coloring_needs_one_label_per_edge():
@@ -152,57 +154,36 @@ def test_a_coloring_needs_one_label_per_edge():
     with pytest.raises(ValueError, match=re.escape("edge (1, 2) carries labels (1, 2), want exactly one")):
         TotalColoring(g, None, frozenset({1, 2}))
     # a restriction shares its parent's label sets; only its own edges count
-    assert TotalColoring(g.restrict([0, 1]), None, frozenset({1})).edge_color(0, 1) == 1
+    assert TotalColoring(g.restrict([0, 1]), None, frozenset({1})).graph.label(0, 1) == (1,)
 
 
 def test_proper_edge_mode_reads_no_vertex_color(st32, tc32):
-    # an empty vertex mapping is an edge coloring: only proper_edge is decided
-    _, edge_colors = _labeled(st32, tc32)
-    tc = TotalColoring.from_labels(st32, {}, edge_colors, range(1, 6))
-    assert tc.vertex_colors is None
+    # no vertex column is an edge coloring: only proper_edge is decided
+    tc = _colored(st32.vertices, None, _by_id(tc32)[1], range(1, 6))
     rep = verify_coloring(tc)
     assert rep.passed and rep.proper_edge
     assert (rep.proper_vertex, rep.no_incidence_clash, rep.efficient, rep.total) == (None, None, None, None)
-    # a vertex mapping that is not empty must color every vertex
-    v = st32.vertices[0]
-    with pytest.raises(ValueError, match="uncolored vertex"):
-        TotalColoring.from_labels(st32, {v: tc32.vertex_color(v)}, edge_colors, tc.palette)
 
 
-def test_from_labels_round_trip(st22, tc22):
-    vertex_colors, edge_colors = _labeled(st22, tc22)
-    # pair keys either way round
-    flipped = {(v, u): c for (u, v), c in list(edge_colors.items())[::2]}
-    tc = TotalColoring.from_labels(st22, vertex_colors, dict(list(edge_colors.items())[1::2]) | flipped, tc22.palette)
+def test_a_coloring_by_hand_verifies_like_the_built_one(st22, tc22):
+    vertex_colors, edge_colors = _by_id(tc22)
+    tc = _colored(st22.vertices, vertex_colors, edge_colors, tc22.palette)
     # a plain copy of st22 whose edge labels are the colors
     assert tc.graph is not st22 and tc.palette == tc22.palette
     assert tc.graph.vertices == tuple(st22.vertices) and list(tc.graph.edge_ids()) == list(st22.edge_ids())
-    assert all(tc.vertex_color(v) == c for v, c in vertex_colors.items())
-    assert all(tc.edge_color(u, v) == c == tc.edge_color(v, u) for (u, v), c in edge_colors.items())
-    assert list(tc.vertex_colors) == list(tc22.vertex_colors)
-    assert verify_coloring(tc) == verify_coloring(tc22)
-    with pytest.raises(KeyError):
-        tc.edge_color(ms("0011"), ms("1100"))
-
-
-def test_from_labels_refuses_a_label_not_in_the_graph(st22, tc22):
-    vertex_colors, edge_colors = _labeled(st22, tc22)
-    with pytest.raises(ValueError, match="unknown vertex"):
-        TotalColoring.from_labels(st22, vertex_colors | {ms("0000"): 1}, edge_colors, tc22.palette)
-    with pytest.raises(ValueError, match="unknown vertex"):
-        TotalColoring.from_labels(st22, vertex_colors, edge_colors | {(ms("0011"), ms("0000")): 1}, tc22.palette)
-    with pytest.raises(ValueError, match="unknown edge"):
-        TotalColoring.from_labels(st22, vertex_colors, edge_colors | {(ms("0011"), ms("1100")): 1}, tc22.palette)
+    assert vars(verify_coloring(tc)) == vars(verify_coloring(tc22))
 
 
 def _non_regular():
     g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5)])
-    return g, TotalColoring.from_labels(
-        g,
-        {0: 0, 1: 1, 2: 0, 3: 2, 4: 3, 5: 0},
-        {(0, 1): 2, (1, 2): 3, (2, 3): 1, (0, 3): 1, (0, 4): 4, (4, 5): 2},
-        range(5),
-    )
+    edge_colors = {(0, 1): 2, (1, 2): 3, (2, 3): 1, (0, 3): 1, (0, 4): 4, (4, 5): 2}
+    return g, _colored(g.vertices, [0, 1, 0, 2, 3, 0], edge_colors, range(5))
+
+
+def _odd_complete(n):
+    verts, edges, colors = odd_complete_total_coloring(n)
+    g = Graph(verts, edges)
+    return g, TotalColoring(g, colors, frozenset(verts))
 
 
 #: The colorings checked against the oracle, by name: (graph, coloring).
@@ -213,7 +194,7 @@ ORACLE_COLORINGS = {
         request.getfixturevalue("st23"),
         positional_edge_coloring(request.getfixturevalue("st23")),
     ),
-    "k5": lambda request: build_odd_complete_colored(2),
+    "k5": lambda request: _odd_complete(2),
     "non-regular": lambda request: _non_regular(),
 }
 #: The witness kinds in report order, and the flag each one refutes.
@@ -229,14 +210,14 @@ KIND_FLAGS = {
 def _recolored(g, tc, seed):
     """tc with 1 to 200 seeded vertices and edges given random palette colors."""
     rng = random.Random(seed)
-    vertex_colors, edge_colors = _labeled(g, tc)
+    vertex_colors, edge_colors = _by_id(tc)
     palette = sorted(tc.palette)
     for _ in range((1, 2, 5, 40, 200)[seed % 5]):
         if vertex_colors and rng.random() < 0.5:
-            vertex_colors[rng.choice(list(vertex_colors))] = rng.choice(palette)
+            vertex_colors[rng.randrange(g.n)] = rng.choice(palette)
         else:
             edge_colors[rng.choice(list(edge_colors))] = rng.choice(palette)
-    return TotalColoring.from_labels(g, vertex_colors, edge_colors, tc.palette)
+    return _colored(g.vertices, vertex_colors, edge_colors, tc.palette)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])
@@ -246,8 +227,9 @@ def test_verify_coloring_flags_match_the_oracle(request, name, seed):
     if seed is not None:
         tc = _recolored(g, tc, seed)
     rep = verify_coloring(tc)
-    edge_color = {frozenset((u, v)): tc.edge_color(u, v) for u, v, _ in g.edges()}
-    flags = brute_coloring_flags(adjacency_dict(g), _labeled(g, tc)[0], edge_color, tc.palette)
+    edge_color = {frozenset((u, v)): labels[0] for u, v, labels in tc.graph.edges()}
+    vertex_colors = dict(zip(g.vertices, tc.vertex_colors or ()))
+    flags = brute_coloring_flags(adjacency_dict(g), vertex_colors, edge_color, tc.palette)
     assert (rep.proper_edge, rep.proper_vertex, rep.no_incidence_clash, rep.efficient) == flags
     assert rep.passed == (False not in flags)
     kinds = [w[0] for w in rep.witnesses]
@@ -272,8 +254,8 @@ def test_restrict_keeps_every_color(request, name, seed):
     if tc.vertex_colors is None:
         assert sub.vertex_colors is None
     else:
-        assert all(sub.vertex_color(v) == tc.vertex_color(v) for v in sub.graph.vertices)
-    assert all(sub.edge_color(u, v) == tc.edge_color(u, v) for u, v, _ in sub.graph.edges())
+        assert sub.vertex_colors == [tc.vertex_colors[x] for x in keep]
+    assert all(labels == tc.graph.label(keep[i], keep[j]) for i, j, labels in sub.graph.edge_ids())
 
 
 def _column(g, pick):
@@ -375,9 +357,9 @@ def test_coloring_witness_colors_and_degrees_read_as_lists_in_json(st22, tc22):
     # a tuple of small ints renders as a vertex label; colors and degrees must not
     from starperm.report import CheckResult, SuiteReport
 
-    vertex_colors, edge_colors = _labeled(st22, tc22)
-    vertex_colors[ms("0011")] = 3  # its neighbours 1001 and 1010 have 3 and 2
-    clashing = verify_coloring(TotalColoring.from_labels(st22, vertex_colors, edge_colors, tc22.palette))
+    vertex_colors, edge_colors = _by_id(tc22)
+    vertex_colors[st22.index(ms("0011"))] = 3  # its neighbours 1001 and 1010 have 3 and 2
+    clashing = verify_coloring(_colored(st22.vertices, vertex_colors, edge_colors, tc22.palette))
     uneven = verify_coloring(_non_regular()[1])
     kinds = ("non-rainbow-neighborhood", "not-regular-with-matching-palette")
     witnesses = [next(w for w in clashing.witnesses + uneven.witnesses if w[0] == kind) for kind in kinds]

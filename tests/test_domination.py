@@ -13,7 +13,6 @@ from starperm import (
     code_search,
     color_class_decomposition,
     mstring,
-    oracle_check,
     pancake_chain_check,
     se_set,
     sigma_set,
@@ -66,10 +65,10 @@ def test_sigma_set_examples(st22, st32):
 
 
 def test_d_set_shared_dominator_values(st32):
-    s0 = labels_of(st32, se_set(st32, 0))
+    s0, adj = labels_of(st32, se_set(st32, 0)), adjacency_dict(st32)
 
     def dominators(v):
-        return frozenset(st32.neighbors(ms(v))) & s0
+        return adj[ms(v)] & s0
 
     assert dominators("100122") == {ms("010122"), ms("001122")}
     assert dominators("210120") == {ms("010122"), ms("012120")}
@@ -77,11 +76,12 @@ def test_d_set_shared_dominator_values(st32):
 
 
 def test_verify_se_sets_pass(st32):
+    adj = adjacency_dict(st32)
     for i in range(3):
         s = se_set(st32, i)
         assert verify_efficient_domination(st32, s, 2).passed
         labels = labels_of(st32, s)
-        assert all(len(frozenset(st32.neighbors(v)) & labels) == 2 for v in st32.vertices if v not in labels)
+        assert all(len(adj[v] & labels) == 2 for v in st32.vertices if v not in labels)
 
 
 def test_verify_k23_negative():
@@ -242,8 +242,6 @@ def test_domination_verifiers_refuse_an_id_outside_the_graph(st22):
     for x in (-1, st22.n):
         with pytest.raises(ValueError, match="outside range"):
             verify_efficient_domination(st22, [0, x], 1)
-        with pytest.raises(ValueError, match="outside range"):
-            oracle_check(st22, [0, x], 1)
 
 
 def test_constructed_sets_are_ascending_id_arrays(st22, st32):
@@ -254,6 +252,11 @@ def test_constructed_sets_are_ascending_id_arrays(st22, st32):
         assert list(ids) == sorted(set(ids))
 
 
+def _facts(cert):
+    """What a certificate records: its distance and its violations."""
+    return cert.min_internal_distance, [(v.kind, v.where, v.detail) for v in cert.violations]
+
+
 @pytest.mark.parametrize("graph,ell", [("st32", 2), ("st32", 1), ("st23", 3), ("pc32", 1)])
 def test_certificate_ignores_the_order_and_repeats_of_the_ids(graph, ell, request):
     g = request.getfixturevalue(graph)
@@ -261,7 +264,7 @@ def test_certificate_ignores_the_order_and_repeats_of_the_ids(graph, ell, reques
     for ids in ([0], se_set(g, 0), sorted(rng.sample(range(g.n), g.n // 4))):
         shuffled = list(ids) * 2
         rng.shuffle(shuffled)
-        assert verify_efficient_domination(g, shuffled, ell) == verify_efficient_domination(g, ids, ell)
+        assert _facts(verify_efficient_domination(g, shuffled, ell)) == _facts(verify_efficient_domination(g, ids, ell))
         for x in (-1, g.n):
             with pytest.raises(ValueError, match="outside range"):
                 verify_efficient_domination(g, shuffled + [x], ell)
@@ -334,8 +337,6 @@ def test_ell_below_one_is_refused_before_any_work(st22):
             code_search(g, 0)
         with pytest.raises(ValueError, match="need ell >= 1, got ell = 0"):
             verify_efficient_domination(g, [], 0)
-        with pytest.raises(ValueError, match="need ell >= 1, got ell = 0"):
-            oracle_check(g, [], 0)
 
 
 def test_code_search_st32_perfect_codes(st32):
@@ -346,25 +347,17 @@ def test_code_search_st32_perfect_codes(st32):
     assert all(len(c) == 18 for c in codes)
 
 
-def test_oracle_check_agrees_with_verifier(st32, st23):
-    for i in range(3):
-        assert oracle_check(st32, se_set(st32, i), 2)
-    for i in range(1, 6):
-        assert oracle_check(st32, sigma_set(st32, i), 1)
-    for i in range(2):
-        assert oracle_check(st23, se_set(st23, i), 3)
-    assert not oracle_check(st32, list(se_set(st32, 0))[:5], 2)
-
-
 def test_ei_avoidance(monkeypatch, st22, st32, pc22):
     rep = verify_ei_avoidance(st22)
-    assert rep["passed"] and rep["last_position_rationale"]
+    # facts only: the suite line decides
+    assert set(rep) == {"witnesses", "last_position_rationale"}
+    assert rep["witnesses"] == [] and rep["last_position_rationale"]
     # a prefix reversal's label is no color
     with pytest.raises(ValueError, match="star-family"):
         verify_ei_avoidance(pc22)
     e1 = {(u, v) for u, v, labels in st22.edges() if labels == (1,)}
     assert e1 == {(ms("0101"), ms("1001")), (ms("0110"), ms("1010"))}
-    assert verify_ei_avoidance(st32)["passed"]
+    assert verify_ei_avoidance(st32)["witnesses"] == []
     # the lower end of the first edge given that edge's color as its repeat
     # position is the one witness
     u, v, (c,) = next(st22.edges())
@@ -372,11 +365,11 @@ def test_ei_avoidance(monkeypatch, st22, st32, pc22):
     pos[st22.index(u)] = c
     monkeypatch.setattr(type(st22), "repeat_positions", lambda g: bytes(pos))
     rep = verify_ei_avoidance(st22)
-    assert not rep["passed"] and rep["witnesses"] == [(c, u, v)]
+    assert rep["witnesses"] == [(c, u, v)]
 
 
 def test_sigma_total_coloring_feeds_ei(st22, tc22):
     sigma1 = labels_of(st22, sigma_set(st22, 1))
-    for u, v, _ in st22.edges():
-        if tc22.edge_color(u, v) == 1:
+    for u, v, labels in tc22.graph.edges():
+        if labels == (1,):
             assert u not in sigma1 and v not in sigma1

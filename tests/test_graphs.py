@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,8 +14,8 @@ from starperm import (
     GeneratorFamily,
     Graph,
     Params,
+    TotalColoring,
     build_graph,
-    build_odd_complete_colored,
     enumerate_vertices,
     isomorphic,
     mstring,
@@ -31,12 +32,17 @@ from .oracles import (
     brute_cut,
     brute_edge_adjacency,
     brute_move_graph,
+    odd_complete_total_coloring,
 )
 
 ms = mstring
 
 STAR_CYCLE_ORDER = ["0011", "1001", "0101", "1100", "0110", "1010"]
 PANCAKE_CYCLE = ["0011", "1001", "0101", "1010", "0110", "1100"]
+
+
+def _adjacent(g, u, v):
+    return g.label(g.index(u), g.index(v)) is not None
 
 
 def _is_exactly_cycle(g, order):
@@ -81,7 +87,7 @@ def test_has_triangle_follows_edge_changes():
     assert g.has_triangle()
     path = g.subgraph(delete_edges=[(0, 2)])
     assert not path.has_triangle() and g.has_triangle()
-    assert build_odd_complete_colored(1)[0].has_triangle()
+    assert Graph(*odd_complete_total_coloring(1)[:2]).has_triangle()
 
 
 def test_parallel_edges_merge_their_labels():
@@ -105,8 +111,8 @@ def test_pc_same_vertex_set(st32, pc32):
 
 
 def test_edge_labels_agree_from_both_ends(st32):
-    for u, v, labels in st32.edges():
-        assert st32.edge_labels(v, u) == labels
+    for i, j, labels in st32.edge_ids():
+        assert st32.label(j, i) == labels
         assert len(labels) == 1
 
 
@@ -126,7 +132,7 @@ def test_six_cycles_are_cycles(st32):
     for cyc in six_cycles(st32):
         assert len(set(cyc)) == 6 and all(0 <= x < st32.n for x in cyc)
         for i in range(6):
-            assert st32.has_edge(st32.vertices[cyc[i]], st32.vertices[cyc[(i + 1) % 6]])
+            assert st32.label(cyc[i], cyc[(i + 1) % 6]) is not None
 
 
 def test_six_cycle_cap(monkeypatch):
@@ -146,8 +152,8 @@ def test_subgraph_and_components(st32):
     assert minus.is_connected()
 
     tc = sigma_total_coloring(st32)
-    e5 = [(u, v) for u, v, _ in st32.edges() if tc.edge_color(u, v) == 5]
-    kept = [e for e in e5 if minus.has_vertex(e[0]) and minus.has_vertex(e[1])]
+    left = set(minus.vertices)
+    kept = [(u, v) for u, v, labels in tc.graph.edges() if labels == (5,) and u in left and v in left]
     comps = minus.subgraph(delete_edges=kept).components()
     assert len(comps) == 12
     assert all(c.n == 6 and c.regularity() == ("regular", (2,)) for c in comps)
@@ -175,7 +181,7 @@ def test_isomorphic_basics(st22):
     ok, mapping = isomorphic(st22, c6)
     assert ok
     for u, v, _ in st22.edges():
-        assert c6.has_edge(mapping[u], mapping[v])
+        assert _adjacent(c6, mapping[u], mapping[v])
 
 
 def test_isomorphic_depth_is_not_bounded_by_the_recursion_limit():
@@ -191,7 +197,7 @@ def test_isomorphic_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert ok and sorted(mapping.values()) == list(range(n))
-    assert all(copy.has_edge(mapping[u], mapping[v]) for u, v, _ in cycle.edges())
+    assert all(_adjacent(copy, mapping[u], mapping[v]) for u, v, _ in cycle.edges())
 
 
 def test_isomorphic_st32_components(st32, st22):
@@ -199,29 +205,29 @@ def test_isomorphic_st32_components(st32, st22):
 
     tc = sigma_total_coloring(st32)
     minus = st32.subgraph(delete_vertices=[st32.vertices[x] for x in sigma_set(st32, 5)])
-    e5 = [(u, v) for u, v, _ in st32.edges() if tc.edge_color(u, v) == 5 and minus.has_vertex(u) and minus.has_vertex(v)]
+    left = set(minus.vertices)
+    e5 = [(u, v) for u, v, labels in tc.graph.edges() if labels == (5,) and u in left and v in left]
     for comp in minus.subgraph(delete_edges=e5).components():
         ok, mapping = isomorphic(comp, st22)
         assert ok
         for u, v, _ in comp.edges():
-            assert st22.has_edge(mapping[u], mapping[v])
+            assert _adjacent(st22, mapping[u], mapping[v])
 
 
 def test_odd_complete_k5_colors():
-    g, tc = build_odd_complete_colored(2)
+    verts, edges, colors = odd_complete_total_coloring(2)
+    g = Graph(verts, edges)
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (2, 4), (3, 0), (4, 1)]
-    assert [tc.edge_color(u, v) for u, v in pairs] == [3, 4, 0, 1, 2, 1, 2, 3, 4, 0]
-    assert [tc.vertex_color(j) for j in range(5)] == list(tc.vertex_colors) == list(range(5))
+    assert [g.label(u, v)[0] for u, v in pairs] == [3, 4, 0, 1, 2, 1, 2, 3, 4, 0]
+    assert colors == list(range(5))
     assert g.girth() == 3
-    assert verify_coloring(tc).passed
+    assert verify_coloring(TotalColoring(g, colors, frozenset(verts))).passed
 
 
 def test_odd_complete_k3_formula():
-    g, tc = build_odd_complete_colored(1)
+    g = Graph(*odd_complete_total_coloring(1)[:2])
     for j in range(3):
-        assert tc.edge_color((j - 1) % 3, (j + 1) % 3) == j
-    with pytest.raises(ValueError):
-        build_odd_complete_colored(0)
+        assert g.label((j - 1) % 3, (j + 1) % 3) == (j,)
 
 
 def test_custom_identity_family_equals_star(st32):
@@ -298,14 +304,12 @@ def test_core_matches_string_oracle(family, k, ell):
     assert g.vertices == tuple(sorted(adj))  # canonical order is lexicographic
     edges = [(u, v, adj[u][v]) for u in g.vertices for v in sorted(adj[u]) if v > u]
     assert list(g.edges()) == edges and g.m == len(edges)
-    for u in g.vertices:
-        assert g.neighbors(u) == tuple(sorted(adj[u])) and g.degree(u) == len(adj[u])
+    for i, u in enumerate(g.vertices):
+        assert list(g.row(i)) == [g.index(v) for v in sorted(adj[u])]
         for v, labels in adj[u].items():
-            assert g.has_edge(u, v) and g.edge_labels(u, v) == labels
+            assert g.label(i, g.index(v)) == labels
         for v in {x for w in adj[u] for x in adj[w]} - set(adj[u]):  # u itself, or at distance 2
-            assert not g.has_edge(u, v)
-            with pytest.raises(ValueError):
-                g.edge_labels(u, v)
+            assert g.label(i, g.index(v)) is None
     assert sorted(c.n for c in g.components()) == brute_component_sizes(adj)
 
 
@@ -320,7 +324,7 @@ def test_subgraph_matches_string_oracle(family, k, ell):
         adj[v].discard(u)
     h = g.subgraph(delete_vertices=gone, delete_edges=[(v, u) for u, v in cut])
     assert h.vertices == tuple(sorted(adj))
-    assert {u: set(h.neighbors(u)) for u in h.vertices} == adj
+    assert adjacency_dict(h) == adj
     assert all(labels == labeled[u][v] for u, v, labels in h.edges())
     assert sorted(c.n for c in h.components()) == brute_component_sizes(adj)
 
@@ -413,7 +417,7 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
     assert g.vertices == tuple(verts) and tuple(verts) == g.vertices
     assert g.vertices[1:3] == tuple(verts[1:3]) and g.vertices[-1] == verts[-1]
     for i, v in enumerate(verts):
-        assert g.index(v) == i and g.vertices[i] == v and g.has_vertex(v) and v in g.vertices
+        assert g.index(v) == i and g.vertices[i] == v and v in g.vertices
         assert g.vertices.find_text(render(v)) == i == g.vertices.find_text(",".join(map(str, v)))
         assert g.vertices.text(i) == render(v)
     v = verts[-1]
@@ -432,7 +436,7 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
         render(v),
     ] + ([(0,) * p.length] if k > 1 else [])  # below the first label
     for x in strangers:
-        assert not g.has_vertex(x) and x not in g.vertices and g.vertices.find(x) == -1, x
+        assert x not in g.vertices and g.vertices.find(x) == -1, x
         with pytest.raises(ValueError):
             g.index(x)
     assert g.vertices.find_text("9" * p.length) == g.vertices.find_text(render(v)[:-1]) == -1
@@ -494,6 +498,54 @@ def test_only_graphs_reads_the_core():
     assert not hasattr(build_graph(Params(2, 2)), "_adj")
 
 
+#: Public names that nothing in src/ calls but the benchmark pins; each goes
+#: with the perfbench change of ROADMAP item 9.
+BENCHMARK_PINS = {
+    # perfbench/tests reads the edge-list round trip through Graph.edges()
+    "graphs.Graph.edges",
+    # the tracer's METHODS: install reads Graph.__dict__[name] for each
+    "graphs.Graph.distance",
+    "graphs.Graph.induced_subgraph",
+    "graphs.Graph.subgraph",
+    "graphs.Graph.girth",
+    "graphs.Graph.is_bipartite",
+    # BENCHMARK.json names mstrings.enumerate_vertices.s
+    "mstrings.enumerate_vertices",
+}
+
+
+def test_src_keeps_no_uncalled_public_api():
+    # a public function must be named, and a method read as an attribute,
+    # somewhere in src/ outside its own definition; dunders are exempt
+    package = Path(starperm.__file__).parent
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    uses: dict[tuple[bool, str], list] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                for method in (False, True):
+                    uses.setdefault((method, node.attr), []).append((path, node.lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault((False, node.id), []).append((path, node.lineno))
+    defined, uncalled = set(), set()
+    for path, tree in trees.items():
+        scopes = [(tree.body, path.stem)]
+        while scopes:
+            body, prefix = scopes.pop()
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((node.body, f"{prefix}.{node.name}"))
+                elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    name = f"{prefix}.{node.name}"
+                    defined.add(name)
+                    method = prefix != path.stem
+                    inside = range(node.lineno, node.end_lineno + 1)
+                    if all(p == path and line in inside for p, line in uses.get((method, node.name), [])):
+                        uncalled.add(name)
+    assert BENCHMARK_PINS <= defined
+    assert uncalled - BENCHMARK_PINS == set()
+
+
 def test_record_constructors_declare_no_defaults():
     # each record takes exactly what its one caller passes; a field filled
     # in later starts in the constructor body
@@ -522,6 +574,25 @@ def test_every_package_export_resolves_once():
     names = starperm.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(starperm, n)] == []
+
+
+def test_readme_library_entry_points_run_as_commented():
+    # each expression line whose comment starts with a value, "# 2: ...",
+    # evaluates to that value
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Library entry points\s+```python\n(.*?)```", readme, re.S).group(1)
+    scope: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            want = ast.literal_eval(comment.split(":")[0].strip())
+        except (ValueError, SyntaxError):
+            exec(code, scope)
+            continue
+        assert eval(code, scope) == want, line
+        checked += 1
+    assert checked == 4
 
 
 def test_importing_the_cli_loads_no_code_introspection_modules():
