@@ -3,12 +3,13 @@
 Subcommands: build (emit an edge list), verify (run a named check suite),
 search-codes (the exhaustive oracle), export (edge list / DOT / coloring).
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage error, 3 size
-cap exceeded.
+cap exceeded, 141 stdout closed early (128 + SIGPIPE, as a shell reports).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -29,6 +30,7 @@ from .suites import SUITES, run_suite
 
 USAGE_EXIT = 2
 CAP_EXIT = 3
+PIPE_EXIT = 141
 
 
 def _family(args, length: int) -> GeneratorFamily:
@@ -166,6 +168,10 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return CAP_EXIT
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush goes to devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_EXIT
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

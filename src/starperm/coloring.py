@@ -49,6 +49,8 @@ class TotalColoring:
             for i, j, labels in graph.edge_ids():
                 if len(labels) != 1:
                     raise ValueError(f"edge ({graph.vertices[i]}, {graph.vertices[j]}) carries labels {labels}, want exactly one")
+        if vertex_colors is not None and len(vertex_colors) != graph.n:
+            raise ValueError(f"{len(vertex_colors)} vertex colors for a graph of {graph.n} vertices")
         self.graph, self.vertex_colors, self.palette = graph, vertex_colors, palette
 
     def restrict(self, keep: Sequence[int], drop: Container[tuple[int, int]] = ()) -> TotalColoring:
@@ -69,10 +71,9 @@ class ColoringReport:
         no_incidence_clash: Optional[bool],
         efficient: Optional[bool],
         witnesses: list,
-        truncated: bool,
     ) -> None:
         self.proper_edge, self.proper_vertex, self.no_incidence_clash = proper_edge, proper_vertex, no_incidence_clash
-        self.efficient, self.truncated, self.witnesses = efficient, truncated, witnesses
+        self.efficient, self.witnesses = efficient, witnesses
 
     @property
     def total(self) -> Optional[bool]:
@@ -124,10 +125,8 @@ def verify_coloring(tc: TotalColoring) -> ColoringReport:
         regular = shape == "regular" and degs[0] + 1 == len(tc.palette)
     # One buffer per witness kind, each capped; joined in WITNESS_KINDS order.
     kept: dict[str, list] = {kind: [] for kind in WITNESS_KINDS}
-    found = dict.fromkeys(WITNESS_KINDS, 0)
 
     def add(kind: str, *items) -> None:
-        found[kind] += 1
         keep_witnesses(kept[kind], [(kind, *items)])
 
     if total and not regular:
@@ -153,16 +152,15 @@ def verify_coloring(tc: TotalColoring) -> ColoringReport:
         if total and regular and closed != tc.palette:
             add("non-rainbow-neighborhood", verts[x], sorted(closed))
 
-    def decided(*kinds: str) -> Optional[bool]:
-        return not any(found[kind] for kind in kinds) if total else None
+    def decided(*kinds: str) -> Optional[bool]:  # a kind's buffer keeps its first witness
+        return not any(kept[kind] for kind in kinds) if total else None
 
     return ColoringReport(
-        proper_edge=not found["adjacent-edges"],
+        proper_edge=not kept["adjacent-edges"],
         proper_vertex=decided("adjacent-vertices"),
         no_incidence_clash=decided("vertex-incident-edge"),
         efficient=decided(*EFFICIENCY_KINDS),
         witnesses=[w for kind in WITNESS_KINDS for w in kept[kind]][:WITNESS_CAP],
-        truncated=sum(found.values()) > WITNESS_CAP,
     )
 
 

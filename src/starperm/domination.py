@@ -8,9 +8,9 @@ classic perfect 1-code (S independent, every outside vertex dominated once).
 The star graphs carry two constructions: S_i (first entry = i, one per
 symbol) and, for ell = 2, Sigma_i (repeat position = i, one per position).
 
-`code_search` re-derives all such sets from scratch by bitmask backtracking
-with unit propagation, so constructed sets can be checked against an
-independent path.
+`code_search` re-derives all such sets by bitmask backtracking with unit
+propagation, a path independent of the constructions; the predicate it
+applies to each leaf is `verify_efficient_domination`'s, the only one.
 
 A vertex set is an ascending ``array('i')`` of vertex ids throughout, and
 a verifier keeps only byte columns by vertex id beside it; labels appear
@@ -340,40 +340,12 @@ def _bit_indices(x: int):
         x ^= low
 
 
-def _check_unique_intersections(nbr: list[int], in_mask: int, n: int) -> bool:
-    universe = (1 << n) - 1
-    for v in range(n):
-        bit = 1 << v
-        if in_mask & bit:
-            continue
-        common = universe
-        for u in _bit_indices(nbr[v] & in_mask):
-            common &= nbr[u]
-        if common != bit:
-            return False
-    return True
-
-
 def _neighbor_masks(g: Graph) -> list[int]:
     nbr = [0] * g.n
     for i in range(g.n):
         for j in g.row(i):
             nbr[i] |= 1 << j
     return nbr
-
-
-def _is_code(nbr: list[int], in_mask: int, n: int, ell: int) -> bool:
-    """The oracle's bitmask form of the efficient dominating-ell predicate."""
-    ok = all(
-        (nbr[v] & in_mask).bit_count() == ell
-        for v in range(n)
-        if not in_mask >> v & 1
-    )
-    if ok and ell > 1:
-        ok = _check_unique_intersections(nbr, in_mask, n)
-    if ok and ell == 1:
-        ok = all(not nbr[v] & in_mask for v in _bit_indices(in_mask))
-    return ok
 
 
 def code_search(g: Graph, ell: int) -> list[array]:
@@ -383,9 +355,9 @@ def code_search(g: Graph, ell: int) -> list[array]:
     Complete backtracking over bitmask states with unit propagation: an
     outside vertex with ell dominators forces its undecided neighbors out,
     one that can only just reach ell forces them in, and for ell = 1 a
-    member forces its neighbors out.  Results are deduplicated,
-    deterministic, and re-checked by :func:`verify_efficient_domination`
-    before being returned.  Raises ValueError unless ell >= 1.
+    member forces its neighbors out.  Each full assignment is reached once,
+    and :func:`verify_efficient_domination` alone decides which are returned,
+    deterministically.  Raises ValueError unless ell >= 1.
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got ell = {ell}")
@@ -395,7 +367,7 @@ def code_search(g: Graph, ell: int) -> list[array]:
         raise CapExceeded(f"code search capped at {CODE_SEARCH_VERTEX_CAP} vertices, graph has {n}")
     nbr = _neighbor_masks(g)
     full = (1 << n) - 1
-    solutions: set[int] = set()
+    leaves: list[int] = []
     nodes = 0
 
     def apply(v: int, member: bool, in_mask: int, out_mask: int) -> Optional[tuple[int, int]]:
@@ -442,8 +414,7 @@ def code_search(g: Graph, ell: int) -> list[array]:
             raise CapExceeded(f"code search exceeded node budget {CODE_SEARCH_NODE_BUDGET}")
         undecided = full & ~(in_mask | out_mask)
         if not undecided:
-            if _is_code(nbr, in_mask, n, ell):
-                solutions.add(in_mask)
+            leaves.append(in_mask)
             continue
         v = (undecided & -undecided).bit_length() - 1
         for member in (False, True):
@@ -451,7 +422,7 @@ def code_search(g: Graph, ell: int) -> list[array]:
             if res is not None:
                 stack.append(res)
     found = []
-    for mask in sorted(solutions):
+    for mask in sorted(leaves):
         ids = array("i", _bit_indices(mask))
         if verify_efficient_domination(g, ids, ell).passed:
             found.append(ids)

@@ -260,22 +260,13 @@ class Graph:
 
     def components(self) -> list["Graph"]:
         """Connected components as induced subgraphs, ordered by least vertex."""
-        seen = [False] * self.n
+        seen: set[int] = set()
         comps = []
         for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self.row(x):
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        queue.append(y)
-            comps.append(self.restrict(sorted(comp)))
+            if start not in seen:
+                comp = self.bfs_ids(start)
+                seen.update(comp)
+                comps.append(self.restrict(sorted(comp)))
         return comps
 
     # -- surgery -----------------------------------------------------------

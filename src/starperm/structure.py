@@ -76,11 +76,10 @@ class DecompositionReport:
         self.h, self.cases = h, cases
 
 
-def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringReport] = None) -> DecompositionReport:
+def color_class_decomposition(tc: TotalColoring, checked: ColoringReport) -> DecompositionReport:
     """Run the per-color decomposition checks on tc's graph g = ST(k,2);
     raises Precondition when a hypothesis fails.  `checked` is
-    ``verify_coloring(tc)`` when the caller already has it; otherwise the
-    efficiency hypothesis runs it.
+    ``verify_coloring(tc)``, which the efficiency hypothesis reads.
 
     In ST(k,2) - W_i - E_i neither s = v[i] nor its other copy at p moves: a
     move at i is an E_i edge, and a move at p puts s in front, into W_i.  So
@@ -99,8 +98,7 @@ def color_class_decomposition(tc: TotalColoring, checked: Optional[ColoringRepor
         raise Precondition(f"need even h > 4, got h = {h}")
     if len(tc.palette) != h - 1:
         raise Precondition(f"palette has {len(tc.palette)} colors, want {h - 1}")
-    eff = checked if checked is not None else verify_coloring(tc)
-    if not (eff.passed and eff.efficient):
+    if not (checked.passed and checked.efficient):
         raise Precondition("coloring is not efficient")
 
     n, verts, label_sets, vcol = g.n, g.vertices, g.label_sets, tc.vertex_colors

@@ -26,9 +26,10 @@ class AlsoColorOne(int):
 def add_to_w1(monkeypatch, tc: TotalColoring, pick) -> TotalColoring:
     """tc with the vertex id ``pick(g, column)`` of its graph g a member of
     W_1 as well; the suites' repeat-position coloring gets the same fault.
-    chi's precondition passes on g, whose coloring is no longer total,
-    whether chi verifies the coloring itself or reads the suite's shared
-    report.  A component's coloring is verified, and sees the fault."""
+    chi's precondition passes on g, whose coloring is no longer total, when
+    it reads the patched ``starperm.structure.verify_coloring``'s report, as
+    the suite's shared one is.  A component's coloring is verified, and sees
+    the fault."""
 
     def faulted(tc):
         column = list(tc.vertex_colors)
@@ -37,7 +38,7 @@ def add_to_w1(monkeypatch, tc: TotalColoring, pick) -> TotalColoring:
         return TotalColoring(tc.graph, column, tc.palette)
 
     def verify_coloring(tc):
-        return ColoringReport(True, True, True, True, [], False) if isinstance(tc.graph, PermGraph) else _verify_coloring(tc)
+        return ColoringReport(True, True, True, True, []) if isinstance(tc.graph, PermGraph) else _verify_coloring(tc)
 
     monkeypatch.setattr(starperm.structure, "verify_coloring", verify_coloring)
     monkeypatch.setattr(starperm.suites, "verify_coloring", verify_coloring)

@@ -133,7 +133,7 @@ def test_c06_color_class_decomposition(st32, st42, st22, tc32, tc42):
     c = _Criterion(6, "color-class decomposition", 60.0)
     found = {}
     for g, tc, k, ref in ((st32, tc32, 3, st22), (st42, tc42, 4, st32)):
-        rep = color_class_decomposition(tc)
+        rep = color_class_decomposition(tc, verify_coloring(tc))
         h = 2 * k
         assert rep.h == h
         adj = adjacency_dict(g)

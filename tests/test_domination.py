@@ -16,6 +16,7 @@ from starperm import (
     pancake_chain_check,
     se_set,
     sigma_set,
+    verify_coloring,
     verify_efficient_domination,
     verify_ei_avoidance,
     verify_partition_and_edge_cover,
@@ -222,7 +223,7 @@ def test_pancake_and_chi_copy_no_whole_graph(tc42):
     checks = (
         (lambda: pancake_chain_check(4), lambda rep: rep.last_sigma_passes and rep.all_lower_sigmas_fail and rep.degrees_drop),
         (
-            lambda: color_class_decomposition(tc42),
+            lambda: color_class_decomposition(tc42, verify_coloring(tc42)),
             lambda rep: all(c.item1_ok(8) and c.item2_ok(8) and c.item3_ok(8) for c in rep.cases),
         ),
     )
@@ -313,6 +314,44 @@ def test_code_search_st22_exact():
                 brute.append(s)
         found = [labels_of(g, ids) for ids in code_search(g, ell)]
         assert sorted(map(sorted, found)) == sorted(map(sorted, brute))
+
+
+SMALL_GRAPHS = {
+    "c4": Graph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "k23": Graph(range(5), [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
+}
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_code_search_matches_the_oracle_on_every_subset(name, ell):
+    # unlike ST(2,2) and a matching, these have leaves whose counts all hold
+    # but whose dominators share a second neighbour
+    g = SMALL_GRAPHS[name]
+    adj = adjacency_dict(g)
+    subsets = ([i for i in range(g.n) if mask >> i & 1] for mask in range(1 << g.n))
+    brute = sorted(s for s in subsets if brute_is_e_ell_set(adj, s, ell))
+    found = [list(ids) for ids in code_search(g, ell)]
+    assert sorted(found) == brute
+    if ell == 2:
+        assert found == [list(range(g.n))]
+
+
+def test_code_search_leaves_are_decided_by_the_verifier(monkeypatch):
+    # in C_4, {0, 1, 2} gives vertex 3 its two dominators 0 and 2, which
+    # also share vertex 1: the search reaches it, and the verifier rejects it
+    c4 = SMALL_GRAPHS["c4"]
+    cert = verify_efficient_domination(c4, [0, 1, 2], 2)
+    assert [(v.kind, v.where) for v in cert.violations] == [("non-unique-intersection", (3,))]
+    decided = []
+
+    def verify(g, ids, ell):
+        decided.append(list(ids))
+        return verify_efficient_domination(g, ids, ell)
+
+    monkeypatch.setattr(starperm.domination, "verify_efficient_domination", verify)
+    assert code_search(c4, 2) == [array("i", range(4))]
+    assert [0, 1, 2] in decided
 
 
 def test_code_search_finds_constructions(st22):

@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,17 @@ def test_cli_code_search_bounds_exit_3(k, budget, message, monkeypatch, capsys):
         monkeypatch.setattr(starperm.domination, "CODE_SEARCH_NODE_BUDGET", budget)
     assert main(["search-codes", "--k", str(k), "--l", "2", "--ell", "1"]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_cli_closed_stdout_exits_141_silently():
+    # the 183 KB listing overfills the pipe, so a write meets the closed end
+    argv = ["search-codes", "--k", "2", "--l", "3", "--ell", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(starperm.__file__).parent.parent)}
+    with subprocess.Popen([sys.executable, "-m", "starperm.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"found 1648 efficient dominating-2 sets\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_cli_usage_exit_code():

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+import starperm.structure
 from starperm import (
     PermGraph,
     Precondition,
@@ -10,6 +11,7 @@ from starperm import (
     mstring,
     color_class_decomposition,
     toroidal_assembly,
+    verify_coloring,
 )
 
 from starperm.graphs import PackedLabels
@@ -22,7 +24,7 @@ ms = mstring
 
 
 def test_chi_suite_st32(tc32):
-    rep = color_class_decomposition(tc32)
+    rep = color_class_decomposition(tc32, verify_coloring(tc32))
     assert rep.h == 6 and [case.color for case in rep.cases] == [1, 2, 3, 4, 5]
     assert all(case.item1_ok(6) and case.item2_ok(6) and case.item3_ok(6) for case in rep.cases)
     for case in rep.cases:
@@ -46,7 +48,7 @@ def test_chi_suite_st32(tc32):
 
 
 def test_chi_suite_st42_actual_structure(tc42):
-    rep = color_class_decomposition(tc42)
+    rep = color_class_decomposition(tc42, verify_coloring(tc42))
     assert rep.h == 8 and len(rep.cases) == 7
     assert all(case.item1_ok(8) and case.item2_ok(8) and case.item3_ok(8) for case in rep.cases)
     for case in rep.cases:
@@ -69,7 +71,7 @@ def test_chi_copies_a_component_without_looking_up_edge_colors(monkeypatch, tc42
 
     monkeypatch.setattr(PermGraph, "index", refuse)
     monkeypatch.setattr(PackedLabels, "find", refuse)
-    rep = color_class_decomposition(tc42)
+    rep = color_class_decomposition(tc42, verify_coloring(tc42))
     assert all(case.item1_ok(8) and case.item2_ok(8) and case.item3_ok(8) for case in rep.cases)
     assert all(case.components[0].coloring_total and case.components[0].isomorphic_to_reference for case in rep.cases)
 
@@ -78,31 +80,34 @@ def test_chi_independence_sees_an_edge_inside_the_class(monkeypatch, tc32):
     # catches an independence check that never looks at W_i's edges:
     # W_1 gains a neighbour of its first vertex
     tc = add_to_w1(monkeypatch, tc32, lambda g, column: g.row(column.index(1))[0])
-    rep = color_class_decomposition(tc)
+    rep = color_class_decomposition(tc, starperm.structure.verify_coloring(tc))
     independent = {case.color: case.minus_edges_class_independent for case in rep.cases}
     assert independent == {1: False, 2: True, 3: True, 4: True, 5: True}
 
 
 def test_chi_hypotheses_raise_precondition(tc22, pc32, tc32):
     with pytest.raises(Precondition, match="^need even h > 4, got h = 4$"):
-        color_class_decomposition(tc22)
+        color_class_decomposition(tc22, verify_coloring(tc22))
     # the key map needs star moves
     with pytest.raises(Precondition, match="^need a 2-set star graph$"):
-        color_class_decomposition(TotalColoring(pc32, tc32.vertex_colors, tc32.palette))
+        tc = TotalColoring(pc32, tc32.vertex_colors, tc32.palette)
+        color_class_decomposition(tc, verify_coloring(tc))
     # the same colouring over a sixth, unused colour
     with pytest.raises(Precondition, match="^palette has 6 colors, want 5$"):
-        color_class_decomposition(TotalColoring(tc32.graph, tc32.vertex_colors, tc32.palette | {6}))
+        tc = TotalColoring(tc32.graph, tc32.vertex_colors, tc32.palette | {6})
+        color_class_decomposition(tc, verify_coloring(tc))
     # one vertex recoloured
     column = list(tc32.vertex_colors)
     column[0] = column[0] % 5 + 1
     with pytest.raises(Precondition, match="^coloring is not efficient$"):
-        color_class_decomposition(TotalColoring(tc32.graph, column, tc32.palette))
+        tc = TotalColoring(tc32.graph, column, tc32.palette)
+        color_class_decomposition(tc, verify_coloring(tc))
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_chi_components_agree_with_the_key_oracle(request, k):
     g, tc = request.getfixturevalue(f"st{k}2"), request.getfixturevalue(f"tc{k}2")
-    rep = color_class_decomposition(tc)
+    rep = color_class_decomposition(tc, verify_coloring(tc))
     adj = brute_move_graph(k, 2)
     for case in rep.cases:
         keyed = brute_component_keys(adj, case.color)
