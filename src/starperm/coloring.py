@@ -119,7 +119,8 @@ def verify_coloring(tc: TotalColoring) -> ColoringReport:
     """
     # The scan runs on vertex ids; vertex labels are looked up only for witnesses.
     g, vcol = tc.graph, tc.vertex_colors
-    verts, label_sets, total = g.vertices, g.label_sets, vcol is not None
+    verts, labeled_row, total = g.vertices, g.labeled_row, vcol is not None
+    position = [labels[0] for labels in g.label_sets]  # an edge's one label, by label id
     if total:
         shape, degs = g.regularity()
         regular = shape == "regular" and degs[0] + 1 == len(tc.palette)
@@ -134,8 +135,8 @@ def verify_coloring(tc: TotalColoring) -> ColoringReport:
     for x in range(g.n):
         seen: dict[int, int] = {}
         closed = {vcol[x]} if total else None
-        for y, lid in g.labeled_row(x):
-            c = label_sets[lid][0]
+        for y, lid in labeled_row(x):
+            c = position[lid]
             if c in seen:
                 add("adjacent-edges", verts[x], verts[seen[c]], verts[y], c)
             else:

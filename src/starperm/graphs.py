@@ -12,22 +12,26 @@ The adjacency is one compressed-row core of vertex ids, known to this
 module only: ``_nbr`` holds the rows of neighbour ids one after another,
 each ascending, and ``_lab`` holds each entry's index into ``_labels``, the
 tuple of distinct edge-label tuples (one byte per entry while there are at
-most 256 of them, as in every star graph).  A regular graph of degree d,
-as every graph the paper studies is, keeps ``_stride = d`` and no offsets:
-row i is ``_nbr[i * d : i * d + d]``.  Any other keeps ``_stride = None``
-and 4-byte row offsets: row i is ``_nbr[_start[i]:_start[i + 1]]``.  Other
-modules read the core through :meth:`Graph.row`, :meth:`Graph.labeled_row`
-(with :attr:`Graph.label_sets`), :meth:`Graph.row_index`,
-:meth:`Graph.row_entry`, :meth:`Graph.label` and :meth:`Graph.edge_ids`.
+most 256 of them).  A regular graph of degree d, as every graph the paper
+studies is, keeps ``_stride = d`` and no offsets: row i is
+``_nbr[i * d : i * d + d]``.  Any other keeps ``_stride = None`` and 4-byte
+row offsets: row i is ``_nbr[_start[i]:_start[i + 1]]``.  Other modules
+read the core through :meth:`Graph.row`, :meth:`Graph.labeled_row` (with
+:attr:`Graph.label_sets`), :meth:`Graph.row_index`, :meth:`Graph.row_entry`,
+:meth:`Graph.label` and :meth:`Graph.edge_ids`.
 
 A plain :class:`Graph` keeps its labels as a tuple and a label -> id dict.
 A :class:`PermGraph` keeps none of either: its labels are
 :class:`PackedLabels`, one integer code per string with 4 bits per symbol
 (so k <= 16), 8 bytes per vertex in one array for strings of up to 16
 symbols, unpacked to a tuple on access.  Its per-vertex columns (first
-symbol, repeat position) are bytes by vertex id.  The packing is known to
-this module only: the chain checks handle codes through the helpers beside
-:func:`_pack` and the lookup of :class:`PackedLabels`, never their digits.
+symbol, repeat position) are bytes by vertex id.  A star graph also keeps
+no ``_lab``: the label of its edge (0 j) is j, read off the two endpoints'
+codes through ``_moves`` once the row has shown the edge, so its core is
+the codes and ``_nbr`` alone (4.78 MB at ST(5,2)).  The packing is
+known to this module only: the chain checks handle codes through the
+helpers beside :func:`_pack` and the lookup of :class:`PackedLabels`, and
+chi reads a label's digits through :meth:`PackedLabels.digits`.
 """
 
 from __future__ import annotations
@@ -129,14 +133,19 @@ class Graph:
         return self._nbr[i * d : i * d + d]
 
     def labeled_row(self, i: int) -> Iterator[tuple[int, int]]:
-        """(neighbour id, label id) pairs of vertex id i, ids ascending: one
-        slice of each; ``label_sets[label id]`` is the edge's labels."""
+        """(neighbour id, label id) pairs of vertex id i, ids ascending;
+        ``label_sets[label id]`` is the edge's labels."""
         d = self._stride
         if d is None:
             lo, hi = self._start[i], self._start[i + 1]
         else:
             lo = i * d
             hi = lo + d
+        return self._labeled(i, lo, hi)
+
+    def _labeled(self, i: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """(neighbour id, label id) pairs of ``_nbr[lo:hi]``, a part of row
+        i: one slice of each column."""
         return zip(self._nbr[lo:hi], self._lab[lo:hi])
 
     def row_index(self, i: int, j: int) -> int:
@@ -177,16 +186,17 @@ class Graph:
         return self._labels[self._lab[p]] if p < hi and self._nbr[p] == j else None
 
     def edge_ids(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """Edges as (i, j, labels) by vertex id, i < j, in canonical order."""
-        d, start, nbr, lab, labels = self._stride, self._start, self._nbr, self._lab, self._labels
+        """Edges as (i, j, labels) by vertex id, i < j, in canonical order:
+        the part of each row past i."""
+        d, start, nbr, labels = self._stride, self._start, self._nbr, self._labels
         for i in range(self.n):
             if d is None:
                 lo, hi = start[i], start[i + 1]
             else:
                 lo = i * d
                 hi = lo + d
-            for p in range(bisect_right(nbr, i, lo, hi), hi):
-                yield i, nbr[p], labels[lab[p]]
+            for j, lid in self._labeled(i, bisect_right(nbr, i, lo, hi), hi):
+                yield i, j, labels[lid]
 
     # -- basic accessors ---------------------------------------------------
 
@@ -301,7 +311,7 @@ class Graph:
             new_id[old] = new
         g = Graph.__new__(Graph)
         g._set_vertices(tuple(self.vertices[i] for i in keep))
-        nbr, lab = array("i"), array(self._lab.typecode)
+        nbr, lab = array("i"), array("B" if len(self._labels) <= 256 else "i")
 
         def ends() -> Iterator[int]:
             for i in keep:
@@ -494,10 +504,6 @@ _TO_HEX = bytes(b"0123456789abcdef"[b] if b < 16 else ord("?") for b in range(25
 _FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 #: Codes of strings up to this long fit one unsigned 64-bit array entry.
 _ARRAY_LENGTH = 16
-#: Every _STRIDE-th code is also held in a list: reading an array entry makes
-#: a Python int and reading a list entry does not, so a lookup bisects that
-#: list first and then fewer than _STRIDE array entries.
-_STRIDE = 16
 
 
 def _pack(v) -> int:
@@ -528,15 +534,17 @@ class PackedLabels(SequenceABC):
     are the canonical vertex order, and a label is found by packing it and
     bisecting.  Codes of up to 16 symbols fit one ``array('Q')`` entry, 8
     bytes each; longer strings keep a list of ints, and nothing else
-    differs.  Entry i unpacks on access to the tuple it stands for; the
-    sequence compares equal to the tuple of them.
+    differs.  A lookup is one bisection of the codes.  At k = 5 it takes
+    0.77 us, against 0.71 us when it first bisected a list of every 16th
+    code (300k random codes, four runs each): that list held 0.28 MB at
+    ST(5,2) and about 19 MB at k = 6.  Entry i unpacks on access to the
+    tuple it stands for; the sequence compares equal to the tuple of them.
     """
 
-    __slots__ = ("_codes", "_heads", "_length", "_nbytes", "_odd")
+    __slots__ = ("_codes", "_length", "_nbytes", "_odd")
 
     def __init__(self, codes: Iterable[int], length: int) -> None:
         self._codes = _code_array(codes, length)
-        self._heads = list(self._codes[::_STRIDE])
         self._length = length
         # a code's L hex digits are those of its bytes, less a leading "0"
         # when L is odd
@@ -598,14 +606,16 @@ class PackedLabels(SequenceABC):
         digits = self._digits(self._codes[i])
         return digits if digits.isdigit() else render(self[i])
 
+    def digits(self, i: int) -> str:
+        """Label i as a string of one hex digit per symbol, ``"0"`` to
+        ``"f"``: a string of symbols that slices and compares without
+        unpacking to a tuple."""
+        return self._digits(self._codes[i])
+
     def _find_code(self, c: int) -> int:
         codes = self._codes
-        lo = (bisect_right(self._heads, c) - 1) * _STRIDE
-        if lo < 0:
-            return -1
-        n, hi = len(codes), lo + _STRIDE
-        i = bisect_left(codes, c, lo, hi if hi < n else n)
-        return i if i < n and codes[i] == c else -1
+        i = bisect_left(codes, c)
+        return i if i < len(codes) and codes[i] == c else -1
 
 
 def _disjoint(labels: Iterable[PackedLabels]) -> bool:
@@ -623,9 +633,14 @@ def _disjoint(labels: Iterable[PackedLabels]) -> bool:
 
 class PermGraph(Graph):
     """A multiset permutation graph: metadata and per-vertex columns on top
-    of :class:`Graph`, its labels held as :class:`PackedLabels`."""
+    of :class:`Graph`, its labels held as :class:`PackedLabels`.
 
-    __slots__ = ("params", "family", "nonstar_edges", "_first", "_repeat")
+    A star graph stores no label column (``_lab`` is None): its edge (i, w)
+    is the move (0 j) and carries the one label j, label id j - 1, read off
+    the codes as ``_moves[codes[w] - codes[i]]`` once the row has shown the
+    edge is there.  The other families keep the column."""
+
+    __slots__ = ("params", "family", "nonstar_edges", "_first", "_repeat", "_moves")
 
     vertices: PackedLabels
     params: Params
@@ -637,6 +652,22 @@ class PermGraph(Graph):
         if (i := self.vertices.find(u)) < 0:
             raise ValueError(f"unknown vertex {u!r}")
         return i
+
+    def _labeled(self, i: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        moves = self._moves
+        if moves is None:
+            return Graph._labeled(self, i, lo, hi)
+        ids, codes = self._nbr[lo:hi], self.vertices._codes
+        c = codes[i]
+        return zip(ids, [moves[codes[w] - c] for w in ids])
+
+    def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
+        if self._moves is None:
+            return Graph.label(self, i, j)
+        if j not in self.row(i):  # the row decides adjacency, never the codes
+            return None
+        codes = self.vertices._codes
+        return self._labels[self._moves[codes[j] - codes[i]]]
 
     def first_symbols(self) -> bytes:
         """v[0] of every vertex, by vertex id; computed on first use."""
@@ -666,8 +697,9 @@ def build_graph(
     Parallel edges (distinct generators, same endpoints) are collapsed into
     one edge carrying the set of generator positions as labels.  The codes
     and then the rows are written straight into the graph's core, one vertex
-    at a time, each move found as a packed code by bisection.  k > 16 is
-    refused with a ValueError: a code holds symbols 0..15 only.
+    at a time, each move found as a packed code by bisection; a star graph's
+    rows hold neighbour ids only.  k > 16 is refused with a ValueError: a
+    code holds symbols 0..15 only.
     """
     if p.k > 16:
         raise ValueError(f"packed codes hold symbols 0..15, so k <= 16, got k = {p.k}")
@@ -679,10 +711,14 @@ def build_graph(
 
     g = PermGraph.__new__(PermGraph)
     g.vertices = PackedLabels(map(_pack, iter_vertices(p, cap)), length)
-    codes, heads, digits = g.vertices._codes, g.vertices._heads, g.vertices._digits
-    n = len(codes)
-    step = _star_steps(length)
-    single = [(j,) for j in range(length)]
+    codes, digits = g.vertices._codes, g.vertices._digits
+    g.params = p
+    g.family = family
+    g._first = g._repeat = None
+    if family.kind == "star":
+        _set_star_rows(g)
+        g.nonstar_edges = frozenset()
+        return g
 
     def rows():
         # Every generator is an involution, so a row finds each of its edges,
@@ -690,19 +726,7 @@ def build_graph(
         # the ones the lower endpoint finds.
         for iv, c in enumerate(codes):
             h = digits(c)  # one hex digit per symbol
-            if family.kind == "star":  # distinct neighbours, one label each
-                v = h.encode().translate(_FROM_HEX)
-                v0 = v[0]
-                found = []
-                for j, s in enumerate(v):
-                    if s != v0:  # PackedLabels._find_code, inlined: the move is a vertex
-                        code = c + (s - v0) * step[j]
-                        lo = (bisect_right(heads, code) - 1) * _STRIDE
-                        found.append((bisect_left(codes, code, lo, lo + _STRIDE if lo + _STRIDE < n else n), single[j]))
-                found.sort()
-                yield found
-                continue
-            # the other moves permute the hex digits, which are the symbols
+            # the moves permute the hex digits, which are the symbols
             if family.kind == "pancake":
                 moves = [(j, prefix_reversal(h, j)) for j in range(1, length) if h[j] != h[0]]
             else:
@@ -718,11 +742,34 @@ def build_graph(
             yield sorted(row.items())
 
     g._set_rows(rows())
-    g.params = p
-    g.family = family
+    g._moves = None
     g.nonstar_edges = frozenset(nonstar)
-    g._first = g._repeat = None
     return g
+
+
+def _set_star_rows(g: PermGraph) -> None:
+    """Write a star graph's rows, neighbour ids only: the move (0 j) of v is
+    an edge when v[j] != v[0], and its end is the code it makes, found by
+    bisection.  The moves are distinct, so a row has no parallel edges."""
+    codes, digits = g.vertices._codes, g.vertices._digits
+    step = _star_steps(g.params.length)
+    nbr = g._nbr = array("i")
+
+    def ends() -> Iterator[int]:
+        for c in codes:
+            v = digits(c).encode().translate(_FROM_HEX)
+            v0 = v[0]
+            nbr.extend(sorted(bisect_left(codes, c + (s - v0) * step[j]) for j, s in enumerate(v) if s != v0))
+            yield len(nbr)
+
+    g._lay_out(ends())
+    g._lab = None
+    # label id j - 1 by the change the move (0 j) makes to a code; no two
+    # moves make one change, as its nonzero hex digits, at positions 0 and j
+    # and each under 16 in size, fix j and v[j] - v[0]
+    k = g.params.k
+    g._moves = {d * step[j]: j - 1 for j in range(1, len(step)) for d in range(1 - k, k) if d}
+    g._labels = tuple((j,) for j in range(1, g.params.length)) if nbr else ()
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ def color_class_decomposition(tc: TotalColoring, checked: ColoringReport) -> Dec
     if not (checked.passed and checked.efficient):
         raise Precondition("coloring is not efficient")
 
-    n, verts, label_sets, vcol = g.n, g.vertices, g.label_sets, tc.vertex_colors
+    n, digits, labeled_row, vcol = g.n, g.vertices.digits, g.labeled_row, tc.vertex_colors
+    position = [labels[0] for labels in g.label_sets]  # an edge's one label, by label id
     size = Params(g.params.k - 1, 2).vertex_count()
     reference = build_graph(Params(g.params.k - 1, 2)) if size <= ISO_CAP else None
     cases = []
@@ -117,21 +118,23 @@ def color_class_decomposition(tc: TotalColoring, checked: ColoringReport) -> Dec
         big_side_is_class = independent = True
         for root in range(n):
             if masked[root]:
-                kept = [y for y, lid in g.labeled_row(root) if label_sets[lid][0] != i]
+                kept = [y for y, lid in labeled_row(root) if position[lid] != i]
                 minus_e_degrees.add(len(kept))
                 big_side_is_class = big_side_is_class and len(kept) == h - 2
                 independent = independent and not any(masked[y] for y in kept)
                 continue
             if part[root] >= 0:
                 continue
-            part[root] = len(components)
+            here = part[root] = len(components)
             comp, degrees = [root], set()
-            key, image = _keyed(verts[root], i)
+            key, image = _keyed(digits(root), i)
+            p = key[1]
             images, typed = {root: image}, True
             for x in comp:  # grows as the traversal finds vertices
                 degree = w_degree = cross = 0
-                for y, lid in g.labeled_row(x):
-                    j = label_sets[lid][0]
+                a = images[x]
+                for y, lid in labeled_row(x):
+                    j = position[lid]
                     if j == i:
                         if x < y and not masked[y]:
                             e_ids.extend((x, y))
@@ -142,14 +145,13 @@ def color_class_decomposition(tc: TotalColoring, checked: ColoringReport) -> Dec
                         continue
                     degree += 1
                     if part[y] < 0:
-                        part[y] = part[root]
+                        part[y] = here
                         comp.append(y)
-                        y_key, images[y] = _keyed(verts[y], i)
+                        y_key, images[y] = _keyed(digits(y), i)
                         typed = typed and y_key == key
                     if x < y:  # the move at j must map to the move at rho(j)
-                        a = images[x]
-                        r = j - (j > i) - (j > key[1])
-                        if j in (i, key[1]) or images[y] != (a[r],) + a[1:r] + (a[0],) + a[r + 1 :]:
+                        r = j - (j > i) - (j > p)
+                        if j == p or images[y] != a[r] + a[1:r] + a[0] + a[r + 1 :]:
                             typed = False
                 degrees.add(degree)
                 minus_w_degrees.add(w_degree + degree)
@@ -179,13 +181,23 @@ def color_class_decomposition(tc: TotalColoring, checked: ColoringReport) -> Dec
     return DecompositionReport(h, cases)
 
 
-def _keyed(v: tuple, i: int) -> tuple[tuple[int, int], tuple[int, ...]]:
-    """The key (s, p) of a string v outside W_i, s = v[i] and p the other
-    position of s, and phi(v): v without positions i and p, the symbols
-    above s one down."""
+_HEX = "0123456789abcdef"
+#: by a symbol's hex digit s, the str.translate table that moves each digit
+#: above s one down
+_DOWN = {s: str.maketrans(_HEX[d + 1 :], _HEX[d:-1]) for d, s in enumerate(_HEX)}
+
+
+def _keyed(v: str, i: int) -> tuple[tuple[str, int], str]:
+    """The key (s, p) of a string v outside W_i, given as one hex digit per
+    symbol (:meth:`~starperm.graphs.PackedLabels.digits`): s = v[i] and p
+    the other position of s; and phi(v), in the same form: v without
+    positions i and p, the symbols above s one down."""
     s = v[i]
-    p = v.index(s) if v.index(s) != i else v.index(s, i + 1)
-    return (s, p), tuple(t - (t > s) for j, t in enumerate(v) if j != i and j != p)
+    p = v.find(s)
+    if p == i:
+        p = v.find(s, i + 1)
+    lo, hi = (i, p) if i < p else (p, i)
+    return (s, p), (v[:lo] + v[lo + 1 : hi] + v[hi + 1 :]).translate(_DOWN[s])
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,78 @@ def test_restrict_lays_out_its_own_rows(st32):
     _assert_core_is(g.restrict([1, 3, 4]), brute_cut(adj, [1, 3, 4]))  # 1 isolated, 3-4 an edge
 
 
+# ---------------------------------------------------------------------------
+# star labels read off the codes
+# ---------------------------------------------------------------------------
+
+
+def _assert_labels_are(h, adj):
+    """h's labels, read through labeled_row, label and edge_ids, are the
+    oracle adjacency adj's, a {u: {v: labels}} dict keyed by h's vertices."""
+    verts = h.vertices
+    for i, u in enumerate(verts):
+        row = [(verts[j], h.label_sets[lid]) for j, lid in h.labeled_row(i)]
+        assert row == sorted(adj[u].items())
+        assert [(verts[j], h.label(i, j)) for j in h.row(i)] == row
+    edges = [(u, v, adj[u][v]) for u in verts for v in sorted(adj[u]) if v > u]
+    assert [(verts[i], verts[j], labels) for i, j, labels in h.edge_ids()] == edges
+
+
+@pytest.mark.parametrize("k,ell", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
+def test_star_labels_are_the_transposition_positions(k, ell):
+    # a star graph keeps no label column: the edge (0 j) carries (j,),
+    # label id j - 1, read off its ends' codes
+    g, adj = build_graph(Params(k, ell)), brute_move_graph(k, ell)
+    assert g._lab is None and g.label_sets == tuple((j,) for j in range(1, k * ell))
+    _assert_labels_are(g, adj)
+    # a restricted copy stores the labels it read, in a column of its own
+    keep = [i for i in range(g.n) if i % 3]
+    sub = g.restrict(keep)
+    assert sub._lab is not None and sub.label_sets is g.label_sets
+    _assert_labels_are(sub, brute_cut(adj, dict.fromkeys(g.vertices[i] for i in keep)))
+
+
+class _EveryChange(dict):
+    """A star move table that holds every code difference, as label id 0."""
+
+    def __missing__(self, key):
+        return 0
+
+    def get(self, key, default=None):
+        return self[key]
+
+    def __contains__(self, key):
+        return True
+
+
+@pytest.mark.parametrize("k,ell", [(2, 2), (3, 2), (2, 3)])
+def test_only_the_row_decides_star_adjacency(k, ell):
+    # Below k = 9 no two non-adjacent strings' codes differ by a move's
+    # change (it changes digits 0 and j only, and no borrow leaves a digit
+    # under k), so the second pass makes every code difference a table entry.
+    g = build_graph(Params(k, ell))
+    rows = [set(g.row(i)) for i in range(g.n)]
+    labels = [[g.label(i, j) for j in sorted(rows[i])] for i in range(g.n)]
+    for moves in (g._moves, _EveryChange(g._moves)):
+        g._moves = moves
+        for i in range(g.n):
+            assert [g.label(i, j) for j in sorted(rows[i])] == labels[i]
+            assert all(g.label(i, j) is None for j in range(g.n) if j not in rows[i])
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_an_edgeless_star_graph_has_no_label_sets(ell):
+    g = build_graph(Params(1, ell))  # what build --k 1 writes: one vertex
+    assert g.n == 1 and g.m == 0 and g.label_sets == () and list(g.edge_ids()) == []
+
+
+@pytest.mark.parametrize("k,ell", [(3, 2), (2, 3)])
+def test_pancake_graph_keeps_its_stored_labels(k, ell):
+    g = build_graph(Params(k, ell), GeneratorFamily.pancake())
+    assert g._moves is None and len(g._lab) == 2 * g.m
+    _assert_labels_are(g, brute_move_graph(k, ell, "pancake"))
+
+
 def _family(name, length):
     if name == "custom":  # pi_4 = (1 3) where there is a pi_4
         return GeneratorFamily.custom(([[], [], [], [(1, 3)]] + [[]] * (length - 5))[: length - 1])
@@ -470,22 +542,24 @@ def _retained_by_build(p):
 def test_built_graph_holds_no_per_vertex_containers():
     # ST(4,2) held 1.37 MB with one neighbour dict per vertex, 0.57 MB with
     # one label tuple per vertex and a label -> id dict, 0.25 MB as a list
-    # of int codes with 4-byte label ids, and 115 KB with 4-byte row offsets;
-    # it retains 104 KB as 8 bytes of code per vertex, 1-byte label ids and
-    # one stride for its rows
+    # of int codes with 4-byte label ids, 115 KB with 4-byte row offsets and
+    # 104 KB with 1-byte label ids, one stride for its rows and a list of
+    # every 16th code; it retains 86 KB as 8 bytes of code per vertex and a
+    # stride, its labels read off the codes
     g, retained = _retained_by_build(Params(4, 2))
-    assert g.n == 2520 and retained < 0.11e6  # 5% above the measured 104 KB
+    assert g.n == 2520 and retained < 0.091e6  # 5% above the measured 86.3 KB
 
 
 def test_st52_core_fits_in_seven_megabytes():
     # 13.7 MB with a list of int codes, 4-byte label ids and 8-byte row
-    # offsets, 6.5 MB with 4-byte ones; 6.0 MB measured at a fixed stride
+    # offsets, 6.5 MB with 4-byte ones, 6.0 MB at a fixed stride; 4.78 MB
+    # measured with no label column and no list of every 16th code
     g, retained = _retained_by_build(Params(5, 2))
-    assert g.n == 113400 and retained <= 7e6
+    assert g.n == 113400 and retained <= 5.0e6
 
 
 def test_only_graphs_reads_the_core():
-    core = {"_adj", "_stride", "_start", "_nbr", "_lab", "_labels", "_index", "_codes"}
+    core = {"_adj", "_stride", "_start", "_nbr", "_lab", "_labels", "_moves", "_index", "_codes"}
     package = Path(starperm.__file__).parent
     reads = [
         f"{path.name}:{node.lineno} .{node.attr}"
