@@ -607,9 +607,8 @@ class PackedLabels(SequenceABC):
         return digits if digits.isdigit() else render(self[i])
 
     def digits(self, i: int) -> str:
-        """Label i as a string of one hex digit per symbol, ``"0"`` to
-        ``"f"``: a string of symbols that slices and compares without
-        unpacking to a tuple."""
+        """Label i as one hex digit per symbol, ``"0"`` to ``"f"``: a string
+        that slices and compares without unpacking to a tuple."""
         return self._digits(self._codes[i])
 
     def _find_code(self, c: int) -> int:
@@ -633,12 +632,9 @@ def _disjoint(labels: Iterable[PackedLabels]) -> bool:
 
 class PermGraph(Graph):
     """A multiset permutation graph: metadata and per-vertex columns on top
-    of :class:`Graph`, its labels held as :class:`PackedLabels`.
-
-    A star graph stores no label column (``_lab`` is None): its edge (i, w)
-    is the move (0 j) and carries the one label j, label id j - 1, read off
-    the codes as ``_moves[codes[w] - codes[i]]`` once the row has shown the
-    edge is there.  The other families keep the column."""
+    of :class:`Graph`, its labels held as :class:`PackedLabels`.  A star
+    graph's edge (i, w) carries label id j - 1 for its move (0 j), read as
+    ``_moves[codes[w] - codes[i]]``; the other families keep ``_lab``."""
 
     __slots__ = ("params", "family", "nonstar_edges", "_first", "_repeat", "_moves")
 
@@ -712,13 +708,7 @@ def build_graph(
     g = PermGraph.__new__(PermGraph)
     g.vertices = PackedLabels(map(_pack, iter_vertices(p, cap)), length)
     codes, digits = g.vertices._codes, g.vertices._digits
-    g.params = p
-    g.family = family
-    g._first = g._repeat = None
-    if family.kind == "star":
-        _set_star_rows(g)
-        g.nonstar_edges = frozenset()
-        return g
+    g.params, g.family, g._first, g._repeat, g._moves = p, family, None, None, None
 
     def rows():
         # Every generator is an involution, so a row finds each of its edges,
@@ -741,35 +731,28 @@ def build_graph(
                 row[iw] = row.get(iw, ()) + (j,)
             yield sorted(row.items())
 
-    g._set_rows(rows())
-    g._moves = None
-    g.nonstar_edges = frozenset(nonstar)
-    return g
-
-
-def _set_star_rows(g: PermGraph) -> None:
-    """Write a star graph's rows, neighbour ids only: the move (0 j) of v is
-    an edge when v[j] != v[0], and its end is the code it makes, found by
-    bisection.  The moves are distinct, so a row has no parallel edges."""
-    codes, digits = g.vertices._codes, g.vertices._digits
-    step = _star_steps(g.params.length)
-    nbr = g._nbr = array("i")
-
-    def ends() -> Iterator[int]:
+    def star_ends() -> Iterator[int]:
+        # neighbour ids only: the move (0 j) is an edge when v[j] != v[0],
+        # to the code it makes; the moves are distinct, so no edge is parallel
         for c in codes:
             v = digits(c).encode().translate(_FROM_HEX)
             v0 = v[0]
             nbr.extend(sorted(bisect_left(codes, c + (s - v0) * step[j]) for j, s in enumerate(v) if s != v0))
             yield len(nbr)
 
-    g._lay_out(ends())
-    g._lab = None
-    # label id j - 1 by the change the move (0 j) makes to a code; no two
-    # moves make one change, as its nonzero hex digits, at positions 0 and j
-    # and each under 16 in size, fix j and v[j] - v[0]
-    k = g.params.k
-    g._moves = {d * step[j]: j - 1 for j in range(1, len(step)) for d in range(1 - k, k) if d}
-    g._labels = tuple((j,) for j in range(1, g.params.length)) if nbr else ()
+    if family.kind == "star":
+        step = _star_steps(length)
+        nbr = g._nbr = array("i")
+        g._lay_out(star_ends())
+        # label id j - 1 by the change the move (0 j) makes to a code; no two
+        # moves make one change, as its nonzero hex digits, at positions 0 and
+        # j and each under 16 in size, fix j and v[j] - v[0]
+        g._moves = {d * step[j]: j - 1 for j in range(1, length) for d in range(1 - p.k, p.k) if d}
+        g._lab, g._labels = None, tuple((j,) for j in range(1, length)) if nbr else ()
+    else:
+        g._set_rows(rows())
+    g.nonstar_edges = frozenset(nonstar)
+    return g
 
 
 # ---------------------------------------------------------------------------
