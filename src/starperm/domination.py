@@ -54,10 +54,15 @@ class DominationCertificate:
 
 
 def se_set(g: PermGraph, i: int) -> array:
-    """S_i: the ids of the vertices whose first entry is the symbol i."""
-    if not 0 <= i < g.params.k:
-        raise ValueError(f"symbol {i} out of range [0, {g.params.k})")
-    return _ids_where(g.first_symbols(), i)
+    """S_i: the ids of the vertices whose first entry is the symbol i, one
+    block in lexicographic order: from i followed by the other symbols
+    ascending to i followed by them descending."""
+    k, ell = g.params.k, g.params.ell
+    if not 0 <= i < k:
+        raise ValueError(f"symbol {i} out of range [0, {k})")
+    rest = [s for s in range(k) for _ in range(ell - (s == i))]
+    find = g.vertices.find
+    return array("i", range(find((i, *rest)), find((i, *reversed(rest))) + 1))
 
 
 def _require_ell2(g: PermGraph) -> None:
@@ -85,14 +90,17 @@ def _ids_where(column, value: int) -> array:
 
 
 def _member_mask(g: Graph, s: Iterable[int]) -> tuple[bytearray, array]:
-    """s as a byte mask and as ascending ids; ValueError outside range(g.n)."""
+    """s as a byte mask and as ascending ids, s itself when it is an
+    ascending ``array('i')`` without repeats; ValueError outside range(g.n)."""
     n = g.n
     inside = bytearray(n)
+    ascending, prev = isinstance(s, array) and s.typecode == "i", -1
     for x in s:
         if not 0 <= x < n:
             raise ValueError(f"vertex id {x!r} outside range({n})")
         inside[x] = 1
-    return inside, _ids_where(inside, 1)
+        ascending, prev = ascending and x > prev, x
+    return inside, s if ascending else _ids_where(inside, 1)
 
 
 def _dominator_counts(g: Graph, members: array) -> tuple[array, bool]:
@@ -207,6 +215,8 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     clean = count.count(ell) == n - len(members)  # every outside vertex has ell dominators
     if clean and ell == 1:
         return cert
+    if ell > 1:
+        del count  # read below for ell = 1 only; freed before the lesser-dominator column
     # With two dominators each and no two members adjacent, another common
     # neighbour of v's two has the same two.
     if clean and ell == 2 and cert.min_internal_distance == 2 and _no_two_members_meet_twice(g, members):
@@ -286,7 +296,7 @@ def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
 
     # Edge {u, v} lies in the stars of u's sets that lead v and of v's that
     # lead u; u leads a star for each neighbour and set of u that leads it.
-    bad, memberships = [], bytearray(n)
+    bad, census = [], Counter()
     for u in range(n):
         su, lu, stars = sets[u], led[u], 0
         for v in row(u):
@@ -299,12 +309,11 @@ def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
                     bad.append((verts[u], verts[v]))
                 if k == 2 and a ^ b != full:  # each edge in one star of each S_i
                     rep.per_symbol_edge_partition_ok = False
-        memberships[u] = stars
+        census[stars] += 1
     if bad:
         rep.double_cover_ok = False
         keep_witnesses(rep.failures, [("edge-not-double-covered", bad)])
 
-    census = Counter(memberships)
     del census[0]
     rep.membership_census = dict(sorted(census.items()))
     return rep

@@ -109,9 +109,10 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     lines = _edge_lines(src, vertex)
     n, m = next(lines)
     length = g.params.length
-    # covered: bit (lower endpoint) * length + label of each edge line matched
+    # covered: bit (lower endpoint) * length + label of each edge line
+    # matched, counted in `matched` when it is first set
     seen, covered, foreign = bytearray(g.n), bytearray((g.n * length + 7) >> 3), set()
-    edge_lines, differs, loop = 0, False, None
+    edge_lines, matched, differs, loop = 0, 0, False, None
     for line in lines:
         for x in line[:2]:
             if type(x) is int:
@@ -128,12 +129,15 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
             differs = True
         elif labels:
             slot = min(u, v) * length + labels[0]
-            covered[slot >> 3] |= 1 << (slot & 7)
+            byte, bit = slot >> 3, 1 << (slot & 7)
+            if not covered[byte] & bit:
+                covered[byte] |= bit
+                matched += 1
     known = seen.count(1)
     _check_counts(n, m, known + len(foreign), edge_lines)
     if loop is not None:
         raise ValueError(f"loop at {g.vertices[loop] if type(loop) is int else loop!r}")
-    return not differs and not foreign and known == g.n and int.from_bytes(covered, "little").bit_count() == g.m
+    return not differs and not foreign and known == g.n and matched == g.m
 
 
 def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: str = "g") -> None:

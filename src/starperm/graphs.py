@@ -23,15 +23,17 @@ read the core through :meth:`Graph.row`, :meth:`Graph.labeled_row` (with
 A plain :class:`Graph` keeps its labels as a tuple and a label -> id dict.
 A :class:`PermGraph` keeps none of either: its labels are
 :class:`PackedLabels`, one integer code per string with 4 bits per symbol
-(so k <= 16), 8 bytes per vertex in one array for strings of up to 16
-symbols, unpacked to a tuple on access.  Its per-vertex columns (first
-symbol, repeat position) are bytes by vertex id.  A star graph also keeps
-no ``_lab``: the label of its edge (0 j) is j, read off the two endpoints'
-codes through ``_moves`` once the row has shown the edge, so its core is
-the codes and ``_nbr`` alone (4.78 MB at ST(5,2)).  The packing is
-known to this module only: the chain checks handle codes through the
-helpers beside :func:`_pack` and the lookup of :class:`PackedLabels`, and
-chi reads a label's digits through :meth:`PackedLabels.digits`.
+(so k <= 16), unpacked to a tuple on access.  It stores the codes of the
+lower half of the vertex ids only, 8 bytes each in one array for strings
+of up to 16 symbols: the symbol reversal b -> k-1-b maps id i to n-1-i,
+so the other half is read as their mirrors.  Its repeat-position column
+is bytes by vertex id.  A star graph also keeps no ``_lab``: the label of
+its edge (0 j) is j, read off the two endpoints' codes through ``_moves``
+once the row has shown the edge, so its core is half the codes and
+``_nbr`` (4.33 MB at ST(5,2)).  The packing is known to this module
+only: the chain checks handle codes through the helpers beside
+:func:`_pack` and the lookup of :class:`PackedLabels`, and chi reads a
+label's digits through :meth:`PackedLabels.digits`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Sequence as SequenceABC
+from itertools import chain, islice
 from typing import Callable, Container, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
@@ -526,7 +529,7 @@ def _star_steps(length: int) -> list[int]:
 
 class PackedLabels(SequenceABC):
     """The vertex labels of a permutation graph, a read-only sequence held
-    as one ascending sequence of packed codes.
+    as ascending packed codes.
 
     A string v of length L is the code whose L hex digits are its symbols,
     ``int(bytes(v).translate(_TO_HEX), 16)``.  Among strings of one length,
@@ -534,44 +537,80 @@ class PackedLabels(SequenceABC):
     are the canonical vertex order, and a label is found by packing it and
     bisecting.  Codes of up to 16 symbols fit one ``array('Q')`` entry, 8
     bytes each; longer strings keep a list of ints, and nothing else
-    differs.  A lookup is one bisection of the codes.  At k = 5 it takes
-    0.77 us, against 0.71 us when it first bisected a list of every 16th
-    code (300k random codes, four runs each): that list held 0.28 MB at
-    ST(5,2) and about 19 MB at k = 6.  Entry i unpacks on access to the
-    tuple it stands for; the sequence compares equal to the tuple of them.
+    differs.  A graph's whole vertex set (see :func:`_vertex_labels`) keeps
+    only the codes of ids 0..h-1, h = ceil(n/2): the symbol reversal
+    b -> k-1-b maps the set onto itself and reverses its order, so id n-1-i
+    has code K - codes[i], K = (k-1)(16^L-1)/15 being the code of the
+    string of k-1s.  That halves the codes, 0.87 -> 0.43 MB at ST(5,2)
+    and 59.9 -> 29.9 MB at ST(6,2); a set of codes given to the
+    constructor keeps them all.  Codes are read through :meth:`_code`,
+    :meth:`_all_codes` and :meth:`_find_code`, one bisection of the stored
+    codes (a list of every 16th code, bisected first, was 7% faster at
+    k = 5 and held 0.28 MB); the build's lookups and a star graph's label
+    rows repeat the mirror branch inline, as a call per entry costs more
+    than the branch.  Entry i unpacks on access to the tuple it stands
+    for; the sequence compares equal to the tuple of them.
     """
 
-    __slots__ = ("_codes", "_length", "_nbytes", "_odd")
+    __slots__ = ("_codes", "_n", "_top", "_length", "_nbytes", "_odd")
 
     def __init__(self, codes: Iterable[int], length: int) -> None:
         self._codes = _code_array(codes, length)
+        # n labels; ids from len(_codes) on are read as _top - _codes[n - 1 - id]
+        self._n, self._top = len(self._codes), 0
         self._length = length
         # a code's L hex digits are those of its bytes, less a leading "0"
         # when L is odd
         self._nbytes, self._odd = (length + 1) // 2, length % 2
+
+    def _code(self, i: int) -> int:
+        """The code of label id i, 0 <= i < n."""
+        codes = self._codes
+        if 0 <= i < len(codes):
+            return codes[i]
+        if len(codes) <= i < self._n:
+            return self._top - codes[self._n - 1 - i]
+        raise IndexError(f"label id {i} out of range({self._n})")
+
+    def _find_code(self, c: int) -> int:
+        """The id of code c; -1 for a code that is no label's."""
+        codes, top = self._codes, self._top
+        if 2 * c > top and len(codes) < self._n:  # past the stored half: found as its mirror
+            m = top - c
+            i = bisect_left(codes, m)
+            return self._n - 1 - i if i < len(codes) and codes[i] == m else -1
+        i = bisect_left(codes, c)
+        return i if i < len(codes) and codes[i] == c else -1
+
+    def _all_codes(self) -> Iterator[int]:
+        """Every code, by id: the stored ones, then the mirrored ones."""
+        codes, top = self._codes, self._top
+        return chain(codes, (top - codes[j] for j in range(self._n - len(codes) - 1, -1, -1)))
 
     def _digits(self, c: int) -> str:
         """The L hex digits of code c, one per symbol."""
         return c.to_bytes(self._nbytes, "big").hex()[self._odd :]
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return self._n
 
     def __getitem__(self, i):
+        ids = range(self._n)[i]  # negative indices and slices as a tuple reads them
         if isinstance(i, slice):
-            return tuple(self._unpacked(self._codes[i]))
-        return tuple(self._digits(self._codes[i]).encode().translate(_FROM_HEX))
+            return tuple(self._unpacked(map(self._code, ids)))
+        return tuple(self._digits(self._code(ids)).encode().translate(_FROM_HEX))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return self._unpacked(self._codes)
+        return self._unpacked(self._all_codes())
 
-    def _unpacked(self, codes) -> Iterator[tuple[int, ...]]:
+    def _unpacked(self, codes: Iterable[int]) -> Iterator[tuple[int, ...]]:
         digits = self._digits
         return (tuple(digits(c).encode().translate(_FROM_HEX)) for c in codes)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PackedLabels):
-            return self._length == other._length and self._codes == other._codes
+            mine, theirs = self._all_codes(), other._all_codes()
+            return self._length == other._length and self._n == other._n and all(map(int.__eq__, mine, theirs))
         return isinstance(other, tuple) and tuple(self) == other
 
     __hash__ = None  # type: ignore[assignment]
@@ -603,18 +642,32 @@ class PackedLabels(SequenceABC):
         """The text form of label i (see :func:`~starperm.mstrings.render`),
         the inverse of :meth:`find_text`: the code's hex digits while they
         are all decimal, one per symbol."""
-        digits = self._digits(self._codes[i])
+        digits = self._digits(self._code(i))
         return digits if digits.isdigit() else render(self[i])
 
     def digits(self, i: int) -> str:
         """Label i as one hex digit per symbol, ``"0"`` to ``"f"``: a string
         that slices and compares without unpacking to a tuple."""
-        return self._digits(self._codes[i])
+        return self._digits(self._code(i))
 
-    def _find_code(self, c: int) -> int:
-        codes = self._codes
-        i = bisect_left(codes, c)
-        return i if i < len(codes) and codes[i] == c else -1
+
+def _vertex_labels(p: Params, cap: int) -> PackedLabels:
+    """The labels of every vertex under p, the lower half of their codes
+    stored (see :class:`PackedLabels`).  Every string is still enumerated:
+    each one past the stored half must be the reversal of its mirror, or
+    RuntimeError is raised, so no label is taken on trust."""
+    strings = map(_pack, iter_vertices(p, cap))
+    n = p.vertex_count()
+    labels = PackedLabels(islice(strings, (n + 1) // 2), p.length)
+    codes, top = labels._codes, (p.k - 1) * (16**p.length - 1) // 15
+    last = len(codes) - 1
+    for last, c in enumerate(strings, len(codes)):
+        if last >= n or c != top - codes[n - 1 - last]:
+            raise RuntimeError(f"vertex {last} of {n} under {p} is not the symbol reversal of vertex {n - 1 - last}")
+    if last != n - 1:
+        raise RuntimeError(f"{last + 1} vertices under {p}, not {n}")
+    labels._n, labels._top = n, top
+    return labels
 
 
 def _disjoint(labels: Iterable[PackedLabels]) -> bool:
@@ -623,7 +676,7 @@ def _disjoint(labels: Iterable[PackedLabels]) -> bool:
     from heapq import merge  # imported here, not at load: only the chain check merges
 
     prev = None
-    for c in merge(*(lab._codes for lab in labels)):
+    for c in merge(*(lab._all_codes() for lab in labels)):
         if c == prev:
             return False
         prev = c
@@ -634,9 +687,9 @@ class PermGraph(Graph):
     """A multiset permutation graph: metadata and per-vertex columns on top
     of :class:`Graph`, its labels held as :class:`PackedLabels`.  A star
     graph's edge (i, w) carries label id j - 1 for its move (0 j), read as
-    ``_moves[codes[w] - codes[i]]``; the other families keep ``_lab``."""
+    ``_moves[code(w) - code(i)]``; the other families keep ``_lab``."""
 
-    __slots__ = ("params", "family", "nonstar_edges", "_first", "_repeat", "_moves")
+    __slots__ = ("params", "family", "nonstar_edges", "_repeat", "_moves")
 
     vertices: PackedLabels
     params: Params
@@ -653,24 +706,20 @@ class PermGraph(Graph):
         moves = self._moves
         if moves is None:
             return Graph._labeled(self, i, lo, hi)
-        ids, codes = self._nbr[lo:hi], self.vertices._codes
-        c = codes[i]
-        return zip(ids, [moves[codes[w] - c] for w in ids])
+        ids, verts = self._nbr[lo:hi], self.vertices
+        # each code as _code reads it, the mirror branch inline: no call per entry
+        codes, top = verts._codes, verts._top
+        h, last = len(codes), verts._n - 1
+        c = codes[i] if i < h else top - codes[last - i]
+        return zip(ids, [moves[(codes[w] if w < h else top - codes[last - w]) - c] for w in ids])
 
     def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         if self._moves is None:
             return Graph.label(self, i, j)
         if j not in self.row(i):  # the row decides adjacency, never the codes
             return None
-        codes = self.vertices._codes
-        return self._labels[self._moves[codes[j] - codes[i]]]
-
-    def first_symbols(self) -> bytes:
-        """v[0] of every vertex, by vertex id; computed on first use."""
-        if self._first is None:
-            shift = 4 * (self.params.length - 1)
-            self._first = bytes(c >> shift for c in self.vertices._codes)
-        return self._first
+        code = self.vertices._code
+        return self._labels[self._moves[code(j) - code(i)]]
 
     def repeat_positions(self) -> bytes:
         """The repeat position of every vertex (ell = 2), by vertex id;
@@ -692,9 +741,10 @@ def build_graph(
     differs from the source, flagged "non-star-like" when v[j] == v[0].
     Parallel edges (distinct generators, same endpoints) are collapsed into
     one edge carrying the set of generator positions as labels.  The codes
-    and then the rows are written straight into the graph's core, one vertex
-    at a time, each move found as a packed code by bisection; a star graph's
-    rows hold neighbour ids only.  k > 16 is refused with a ValueError: a
+    of the lower half of the vertices (see :func:`_vertex_labels`) and then
+    the rows are written straight into the graph's core, one vertex at a
+    time, each move found as a packed code by bisection; a star graph's rows
+    hold neighbour ids only.  k > 16 is refused with a ValueError: a
     code holds symbols 0..15 only.
     """
     if p.k > 16:
@@ -706,15 +756,15 @@ def build_graph(
         maps = family.position_maps(length)
 
     g = PermGraph.__new__(PermGraph)
-    g.vertices = PackedLabels(map(_pack, iter_vertices(p, cap)), length)
-    codes, digits = g.vertices._codes, g.vertices._digits
-    g.params, g.family, g._first, g._repeat, g._moves = p, family, None, None, None
+    g.vertices = _vertex_labels(p, cap)
+    digits = g.vertices._digits
+    g.params, g.family, g._repeat, g._moves = p, family, None, None
 
     def rows():
         # Every generator is an involution, so a row finds each of its edges,
         # and the edge's full label set, from its own end: the labels are
         # the ones the lower endpoint finds.
-        for iv, c in enumerate(codes):
+        for iv, c in enumerate(g.vertices._all_codes()):
             h = digits(c)  # one hex digit per symbol
             # the moves permute the hex digits, which are the symbols
             if family.kind == "pancake":
@@ -734,10 +784,14 @@ def build_graph(
     def star_ends() -> Iterator[int]:
         # neighbour ids only: the move (0 j) is an edge when v[j] != v[0],
         # to the code it makes; the moves are distinct, so no edge is parallel
-        for c in codes:
+        # each move's code found as _find_code does, the mirror branch inline
+        codes, top, last = g.vertices._codes, g.vertices._top, g.vertices._n - 1
+        half = top // 2  # w <= half when 2 w <= top
+        for c in g.vertices._all_codes():
             v = digits(c).encode().translate(_FROM_HEX)
             v0 = v[0]
-            nbr.extend(sorted(bisect_left(codes, c + (s - v0) * step[j]) for j, s in enumerate(v) if s != v0))
+            ends = [c + (s - v0) * step[j] for j, s in enumerate(v) if s != v0]
+            nbr.extend(sorted([bisect_left(codes, w) if w <= half else last - bisect_left(codes, top - w) for w in ends]))
             yield len(nbr)
 
     if family.kind == "star":

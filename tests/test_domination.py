@@ -9,7 +9,9 @@ import starperm.domination
 
 from starperm import (
     Graph,
+    Params,
     Precondition,
+    build_graph,
     code_search,
     color_class_decomposition,
     mstring,
@@ -22,7 +24,7 @@ from starperm import (
     verify_partition_and_edge_cover,
 )
 
-from .oracles import adjacency_dict, brute_distance, brute_is_e_ell_set, labels_of
+from .oracles import adjacency_dict, brute_distance, brute_is_e_ell_set, brute_multiset_perms, labels_of
 
 ms = mstring
 
@@ -243,6 +245,21 @@ def test_domination_verifiers_refuse_an_id_outside_the_graph(st22):
     for x in (-1, st22.n):
         with pytest.raises(ValueError, match="outside range"):
             verify_efficient_domination(st22, [0, x], 1)
+
+
+@pytest.mark.parametrize("k,ell", [(1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_se_sets_are_the_strings_of_each_first_symbol(k, ell):
+    g = build_graph(Params(k, ell))
+    for i in range(k):
+        assert labels_of(g, se_set(g, i)) == {v for v in brute_multiset_perms(k, ell) if v[0] == i}
+
+
+def test_an_ascending_id_array_is_checked_without_a_copy(st32):
+    s = se_set(st32, 0)
+    assert starperm.domination._member_mask(st32, s)[1] is s
+    for other in (list(s), array("i", reversed(s)), array("i", [*s, s[-1]]), array("l", s)):
+        members = starperm.domination._member_mask(st32, other)[1]
+        assert members is not other and members == s
 
 
 def test_constructed_sets_are_ascending_id_arrays(st22, st32):

@@ -18,6 +18,7 @@ from starperm import (
     build_graph,
     enumerate_vertices,
     isomorphic,
+    iter_vertices,
     mstring,
     render,
     six_cycles,
@@ -32,6 +33,7 @@ from .oracles import (
     brute_cut,
     brute_edge_adjacency,
     brute_move_graph,
+    brute_multiset_perms,
     odd_complete_total_coloring,
 )
 
@@ -479,19 +481,35 @@ def _family(name, length):
     return getattr(GeneratorFamily, name)()
 
 
+def _code(v) -> int:
+    """The packed code of a string: its symbols as hex digits."""
+    return int("".join(f"{s:x}" for s in v), 16)
+
+
 @pytest.mark.parametrize("family", ["star", "pancake", "custom"])
-@pytest.mark.parametrize("k,ell", [(1, 5), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 9)])
+@pytest.mark.parametrize("k,ell", [(1, 2), (1, 5), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 9)])
 def test_packed_labels_match_the_enumeration(family, k, ell):
     p = Params(k, ell)
     g = build_graph(p, _family(family, p.length))
     verts = enumerate_vertices(p)
+    if p.length <= 9:
+        assert verts == brute_multiset_perms(k, ell)
+    # the lower half of the codes is stored, the upper half read as its mirror
+    assert len(g.vertices._codes) == (g.n + 1) // 2
     assert list(g.vertices) == verts and len(g.vertices) == g.n == len(verts)
     assert g.vertices == tuple(verts) and tuple(verts) == g.vertices
-    assert g.vertices[1:3] == tuple(verts[1:3]) and g.vertices[-1] == verts[-1]
+    assert g.vertices == tuple(iter_vertices(p))
+    mid = g.n // 2
+    for cut in (slice(1, 3), slice(None, None, -1), slice(mid - 2, mid + 2), slice(-3, None), slice(None, None, 7), slice(5, 1)):
+        assert g.vertices[cut] == tuple(verts[cut]), cut
     for i, v in enumerate(verts):
-        assert g.index(v) == i and g.vertices[i] == v and v in g.vertices
+        assert g.index(v) == i and g.vertices[i] == v == g.vertices[i - g.n] and v in g.vertices
         assert g.vertices.find_text(render(v)) == i == g.vertices.find_text(",".join(map(str, v)))
         assert g.vertices.text(i) == render(v)
+        assert g.vertices.digits(i) == "".join(f"{s:x}" for s in v)
+    for i in (g.n, -g.n - 1):
+        with pytest.raises(IndexError):
+            g.vertices[i]
     v = verts[-1]
     strangers = [
         v[:-1],  # wrong length
@@ -512,6 +530,36 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
         with pytest.raises(ValueError):
             g.index(x)
     assert g.vertices.find_text("9" * p.length) == g.vertices.find_text(render(v)[:-1]) == -1
+    # strings of symbols 0..k-1 with a wrong multiplicity, on both sides of
+    # the reversal's centre K/2, K being the code of the string of k - 1s
+    top = _code((k - 1,) * p.length)
+    near = {u[:j] + (s,) + u[j + 1 :] for u in verts[max(mid - 3, 0) : mid + 3] for j in range(p.length) for s in range(k)}
+    wrong = [u for u in near if u not in set(verts)]
+    sides = {2 * _code(u) < top for u in wrong}
+    assert sides == ({False, True} if k > 1 else set())
+    for u in wrong:
+        assert g.vertices.find(u) == g.vertices.find_text(render(u)) == -1, u
+
+
+@pytest.mark.parametrize("family", ["star", "pancake", "custom"])
+@pytest.mark.parametrize("k,ell", [(2, 2), (3, 2), (2, 3), (2, 9)])
+def test_a_vertex_stream_that_is_not_its_own_reversal_is_refused(family, k, ell, monkeypatch):
+    # the build stores half the codes and checks each string past them
+    # against its mirror, so a changed, lost or extra string raises
+    p = Params(k, ell)
+    verts = enumerate_vertices(p)
+    n = len(verts)
+    other = tuple(reversed(verts[0]))  # a vertex, out of its place
+    changes = {
+        "upper": lambda vs: vs[: n - 2] + [other] + vs[n - 1 :],
+        "lower": lambda vs: vs[:1] + [other] + vs[2:],
+        "lost": lambda vs: vs[:-1],
+        "extra": lambda vs: vs + [vs[-1]],
+    }
+    for name, change in changes.items():
+        monkeypatch.setattr(starperm.graphs, "iter_vertices", lambda p, cap: iter(change(verts)))
+        with pytest.raises(RuntimeError):
+            build_graph(p, _family(family, p.length))
 
 
 def test_packed_label_text_takes_the_comma_form_past_symbol_nine():
@@ -544,22 +592,24 @@ def test_built_graph_holds_no_per_vertex_containers():
     # one label tuple per vertex and a label -> id dict, 0.25 MB as a list
     # of int codes with 4-byte label ids, 115 KB with 4-byte row offsets and
     # 104 KB with 1-byte label ids, one stride for its rows and a list of
-    # every 16th code; it retains 86 KB as 8 bytes of code per vertex and a
-    # stride, its labels read off the codes
+    # every 16th code, 86 KB as 8 bytes of code per vertex and a stride, its
+    # labels read off the codes; it retains 76 KB with the codes of half the
+    # vertices, the others read as their mirrors
     g, retained = _retained_by_build(Params(4, 2))
-    assert g.n == 2520 and retained < 0.091e6  # 5% above the measured 86.3 KB
+    assert g.n == 2520 and retained < 0.081e6  # 6% above the measured 76.4 KB
 
 
 def test_st52_core_fits_in_seven_megabytes():
     # 13.7 MB with a list of int codes, 4-byte label ids and 8-byte row
-    # offsets, 6.5 MB with 4-byte ones, 6.0 MB at a fixed stride; 4.78 MB
-    # measured with no label column and no list of every 16th code
+    # offsets, 6.5 MB with 4-byte ones, 6.0 MB at a fixed stride, 4.78 MB
+    # with no label column and no list of every 16th code; 4.33 MB measured
+    # with the codes of half the vertices
     g, retained = _retained_by_build(Params(5, 2))
-    assert g.n == 113400 and retained <= 5.0e6
+    assert g.n == 113400 and retained <= 4.4e6
 
 
 def test_only_graphs_reads_the_core():
-    core = {"_adj", "_stride", "_start", "_nbr", "_lab", "_labels", "_moves", "_index", "_codes"}
+    core = {"_adj", "_stride", "_start", "_nbr", "_lab", "_labels", "_moves", "_index", "_codes", "_n", "_top"}
     package = Path(starperm.__file__).parent
     reads = [
         f"{path.name}:{node.lineno} .{node.attr}"
