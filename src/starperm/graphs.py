@@ -642,7 +642,8 @@ class PackedLabels(SequenceABC):
         """The text form of label i (see :func:`~starperm.mstrings.render`),
         the inverse of :meth:`find_text`: the code's hex digits while they
         are all decimal, one per symbol."""
-        digits = self._digits(self._code(i))
+        # _digits inline: the edge-list writer names every edge end here
+        digits = self._code(i).to_bytes(self._nbytes, "big").hex()[self._odd :]
         return digits if digits.isdigit() else render(self[i])
 
     def digits(self, i: int) -> str:
@@ -718,8 +719,13 @@ class PermGraph(Graph):
             return Graph.label(self, i, j)
         if j not in self.row(i):  # the row decides adjacency, never the codes
             return None
-        code = self.vertices._code
-        return self._labels[self._moves[code(j) - code(i)]]
+        # each code as _code reads it, inline as in _labeled
+        verts = self.vertices
+        codes, top, last = verts._codes, verts._top, verts._n - 1
+        h = len(codes)
+        ci = codes[i] if i < h else top - codes[last - i]
+        cj = codes[j] if j < h else top - codes[last - j]
+        return self._labels[self._moves[cj - ci]]
 
     def repeat_positions(self) -> bytes:
         """The repeat position of every vertex (ell = 2), by vertex id;
