@@ -510,6 +510,10 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
     for i in (g.n, -g.n - 1):
         with pytest.raises(IndexError):
             g.vertices[i]
+    for read in (g.vertices.text, g.vertices.digits):  # by id, 0 <= id < n
+        for i in (g.n, -1):
+            with pytest.raises(IndexError):
+                read(i)
     v = verts[-1]
     strangers = [
         v[:-1],  # wrong length
@@ -534,7 +538,7 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
     # the reversal's centre K/2, K being the code of the string of k - 1s
     top = _code((k - 1,) * p.length)
     near = {u[:j] + (s,) + u[j + 1 :] for u in verts[max(mid - 3, 0) : mid + 3] for j in range(p.length) for s in range(k)}
-    wrong = [u for u in near if u not in set(verts)]
+    wrong = near.difference(verts)
     sides = {2 * _code(u) < top for u in wrong}
     assert sides == ({False, True} if k > 1 else set())
     for u in wrong:
@@ -556,7 +560,7 @@ def test_a_vertex_stream_that_is_not_its_own_reversal_is_refused(family, k, ell,
         "lost": lambda vs: vs[:-1],
         "extra": lambda vs: vs + [vs[-1]],
     }
-    for name, change in changes.items():
+    for change in changes.values():
         monkeypatch.setattr(starperm.graphs, "iter_vertices", lambda p, cap: iter(change(verts)))
         with pytest.raises(RuntimeError):
             build_graph(p, _family(family, p.length))
