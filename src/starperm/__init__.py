@@ -8,13 +8,6 @@ desk scale.
 
 __version__ = "0.1.0"
 
-from .chains import (
-    ChainEmbedding,
-    pancake_chain_check,
-    schreier_fibers,
-    schreier_quotient_check,
-    verify_chain,
-)
 from .coloring import (
     ColoringReport,
     TotalColoring,
@@ -41,7 +34,6 @@ from .graphs import (
     build_graph,
     six_cycles,
 )
-from .iso import isomorphic
 from .mstrings import (
     MString,
     Params,
@@ -54,11 +46,32 @@ from .mstrings import (
     repeat_position,
     star_neighbors,
 )
-from .structure import (
-    classify_six_cycles,
-    color_class_decomposition,
-    toroidal_assembly,
-)
+
+#: The names whose module is imported on first use, as only some suites run it.
+_DEFERRED = {
+    "ChainEmbedding": "chains",
+    "pancake_chain_check": "chains",
+    "schreier_fibers": "chains",
+    "schreier_quotient_check": "chains",
+    "verify_chain": "chains",
+    "isomorphic": "iso",
+    "classify_six_cycles": "structure",
+    "color_class_decomposition": "structure",
+    "toroidal_assembly": "structure",
+}
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_DEFERRED[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "CapExceeded",

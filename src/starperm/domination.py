@@ -89,18 +89,26 @@ def _ids_where(column, value: int) -> array:
     return ids
 
 
-def _member_mask(g: Graph, s: Iterable[int]) -> tuple[bytearray, array]:
-    """s as a byte mask and as ascending ids, s itself when it is an
-    ascending ``array('i')`` without repeats; ValueError outside range(g.n)."""
+def _member_ids(g: Graph, s: Iterable[int]) -> array:
+    """s as ascending ids without repeats, s itself when it is an ascending
+    ``array('i')``; ValueError for an id outside range(g.n)."""
     n = g.n
+    if isinstance(s, array) and s.typecode == "i" and all(map(int.__lt__, s, islice(s, 1, None))):
+        if s and not (0 <= s[0] and s[-1] < n):  # ascending: its two ends bound it
+            raise ValueError(f"vertex id {s[0] if s[0] < 0 else s[-1]!r} outside range({n})")
+        return s
+    return _ids_where(_mask(n, s), 1)
+
+
+def _mask(n: int, ids: Iterable[int]) -> bytearray:
+    """A byte column by vertex id that holds 1 at ids; ValueError for an id
+    outside range(n), which a bytearray index would otherwise wrap."""
     inside = bytearray(n)
-    ascending, prev = isinstance(s, array) and s.typecode == "i", -1
-    for x in s:
+    for x in ids:
         if not 0 <= x < n:
             raise ValueError(f"vertex id {x!r} outside range({n})")
         inside[x] = 1
-        ascending, prev = ascending and x > prev, x
-    return inside, s if ascending else _ids_where(inside, 1)
+    return inside
 
 
 def _dominator_counts(g: Graph, members: array) -> tuple[array, bool]:
@@ -199,13 +207,14 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     if ell < 1:
         raise ValueError(f"need ell >= 1, got ell = {ell}")
     require_girth_above_three(g)
-    inside, members = _member_mask(g, s)
+    members = _member_ids(g, s)
     cert = DominationCertificate()
     n, row, verts = g.n, g.row, g.vertices
     count, adjacent = _dominator_counts(g, members)
     cert.min_internal_distance = 1 if adjacent else _min_internal_distance(g, members, count)
     if ell == 1:
         if cert.min_internal_distance == 1:
+            inside = _mask(n, members)
             for x in members:
                 for y in row(x):
                     if y > x and inside[y]:
@@ -221,6 +230,7 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     # neighbour of v's two has the same two.
     if clean and ell == 2 and cert.min_internal_distance == 2 and _no_two_members_meet_twice(g, members):
         return cert
+    inside = _mask(n, members)
     for v in range(n):
         if inside[v] or (ell == 1 and count[v] == 1):
             continue
@@ -274,21 +284,26 @@ def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
     rep = PartitionReport(per_symbol_edge_partition_ok=True if k == 2 else None, expected_memberships=(k - 1) * ell)
     n, row, verts = g.n, g.row, g.vertices
     # k-bit masks by vertex id: bit i of sets[x] says S_i holds x, and of
-    # led[v] that v lies outside S_i and has ell dominators there
-    full = (1 << k) - 1
+    # mark[v] that v lies in S_i or has a wrong dominator count there, so v
+    # leads a star of S_i where mark[v] lacks bit i.  mark is sets itself
+    # unless a count fails; failed[v] holds those bits.
     sets = array("B" if k <= 8 else "H", [0]) * n
-    led = array(sets.typecode, [full]) * n
+    failed = None
     for i in range(k):
         bit, members = 1 << i, se_set(g, i)
         for x in members:
             sets[x] |= bit
-            led[x] &= ~bit
         count = _dominator_counts(g, members)[0]
         if count.count(ell) != n - len(members):
+            if failed is None:
+                failed = array(sets.typecode, [0]) * n
             for v in range(n):
-                if led[v] & bit and count[v] != ell:
-                    led[v] ^= bit
+                if not sets[v] & bit and count[v] != ell:
+                    failed[v] |= bit
                     keep_witnesses(rep.failures, [("wrong-dominator-count", verts[v], count[v])])
+        del members, count  # freed before the next set's are made
+    mark = sets if failed is None else array(sets.typecode, map(int.__or__, sets, failed))
+    del failed
     if sum(map(sets.count, (1 << i for i in range(k)))) != n:
         rep.is_partition = False
         shared = list(islice((verts[x] for x in range(n) if sets[x].bit_count() != 1), WITNESS_CAP))
@@ -296,15 +311,15 @@ def verify_partition_and_edge_cover(g: PermGraph) -> PartitionReport:
 
     # Edge {u, v} lies in the stars of u's sets that lead v and of v's that
     # lead u; u leads a star for each neighbour and set of u that leads it.
-    bad, census = [], Counter()
+    bad, census, full = [], Counter(), (1 << k) - 1
     for u in range(n):
-        su, lu, stars = sets[u], led[u], 0
+        su, mu, stars = sets[u], mark[u], 0
         for v in row(u):
-            a = su & led[v]
+            a = su & ~mark[v]
             c = a.bit_count()
             stars += c
             if v > u:
-                b = sets[v] & lu
+                b = sets[v] & ~mu
                 if c + b.bit_count() != 2 and len(bad) < WITNESS_CAP:
                     bad.append((verts[u], verts[v]))
                 if k == 2 and a ^ b != full:  # each edge in one star of each S_i

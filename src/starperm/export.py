@@ -137,7 +137,8 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     _check_counts(n, m, known + len(foreign), edge_lines)
     if loop is not None:
         raise ValueError(f"loop at {g.vertices[loop] if type(loop) is int else loop!r}")
-    return not differs and not foreign and known == g.n and matched == g.m
+    # the file's edge lines are its header's m; a repeated line makes them more than g.m
+    return not differs and not foreign and known == g.n and edge_lines == matched == g.m
 
 
 def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: str = "g") -> None:

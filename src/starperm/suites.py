@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .chains import pancake_chain_check, schreier_quotient_check, verify_chain
 from .coloring import (
     EFFICIENCY_KINDS,
     ColoringReport,
@@ -37,7 +36,11 @@ from .errors import CapExceeded, Precondition
 from .graphs import Params, PermGraph, build_graph
 from .mstrings import DEFAULT_VERTEX_CAP, list_assignment
 from .report import FAIL, PASS, PRECONDITION, SHOWN_WITNESSES, SKIP, CheckResult, SuiteReport
-from .structure import CycleGroups, classify_six_cycles, color_class_decomposition, toroidal_assembly, toroidal_colors
+
+# chains and structure (with iso) are imported by the parts that run them,
+# so a domination or coloring run never loads them.
+if TYPE_CHECKING:
+    from .structure import CycleGroups
 
 
 class _Runner:
@@ -115,6 +118,8 @@ class _Context:
 
     @cached_property
     def classified_cycles(self) -> tuple[CycleGroups, dict[str, int]]:
+        from .structure import classify_six_cycles
+
         return classify_six_cycles(self.coloring)
 
 
@@ -221,6 +226,8 @@ def _suite_coloring(run: _Runner, ctx: _Context) -> None:
 
 
 def _suite_chi(run: _Runner, ctx: _Context) -> None:
+    from .structure import color_class_decomposition
+
     rep = run.head(
         "chi-preconditions", _needs_l2(ctx.ell), lambda: color_class_decomposition(ctx.coloring, ctx.coloring_report)
     )
@@ -274,6 +281,8 @@ def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
     unmet = None if ell == 2 and k >= 3 else f"suite needs l = 2 and k >= 3, got k = {k}, l = {ell}"
 
     def assemble():
+        from .structure import toroidal_assembly, toroidal_colors
+
         d1 = ctx.d1 if ctx.d1 is not None else 2 * k - 1
         # a usage error, raised before a capped 6-cycle enumeration can SKIP
         quad = toroidal_colors(ctx.coloring, d1, ctx.quad or (1, 2, 3, 4))
@@ -301,6 +310,8 @@ def _suite_toroidal(run: _Runner, ctx: _Context) -> None:
 
 
 def _suite_chains(run: _Runner, ctx: _Context) -> None:
+    from .chains import verify_chain
+
     k = ctx.k
     rep = run.head("chain-embeddings", _needs_l2(ctx.ell), lambda: verify_chain(k, cap=ctx.cap))
     if rep is None:
@@ -311,6 +322,8 @@ def _suite_chains(run: _Runner, ctx: _Context) -> None:
 
 
 def _suite_schreier(run: _Runner, ctx: _Context) -> None:
+    from .chains import schreier_quotient_check
+
     rep = run.head("schreier-quotient", None, lambda: schreier_quotient_check(ctx.k, ctx.ell))
     if rep is None:
         return
@@ -320,6 +333,8 @@ def _suite_schreier(run: _Runner, ctx: _Context) -> None:
 
 
 def _suite_pancake(run: _Runner, ctx: _Context) -> None:
+    from .chains import pancake_chain_check
+
     rep = run.head("pancake-obstructions", _needs_l2(ctx.ell), lambda: pancake_chain_check(ctx.k, cap=ctx.cap))
     if rep is None:
         return

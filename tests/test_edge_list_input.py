@@ -27,7 +27,8 @@ def _text(g) -> str:
 
 def _oracle(path, k: int, ell: int, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int, str]:
     """Exit code and stderr line of reading the whole file, then comparing
-    vertices, distinct-edge count and merged labels with the built graph."""
+    vertices, edge-line count, distinct-edge count and merged labels with
+    the built graph."""
     try:
         graph = build_graph(Params(k, ell), cap=cap)
         with open(path) as fh:
@@ -36,9 +37,11 @@ def _oracle(path, k: int, ell: int, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int,
         return 3, f"cap exceeded: {exc}"
     except (OSError, ValueError) as exc:
         return 2, f"error: {exc}"
+    with open(path) as fh:
+        edge_lines = int(fh.readline().split()[4])  # the header's m, which read_edge_list checked
     matches = (
         loaded.vertices == graph.vertices
-        and loaded.m == graph.m
+        and edge_lines == loaded.m == graph.m
         and all(graph.label(graph.index(u), graph.index(v)) == labels for u, v, labels in loaded.edges())
     )
     return (0, "") if matches else (2, MISMATCH)
@@ -152,8 +155,10 @@ def test_corpus_covers_every_verdict(tmp_path):
         path = tmp_path / f"{name}.edges"
         path.write_text(text)
         verdicts[name] = _oracle(path, 3, 2)[1]
-    assert verdicts["unchanged"] == verdicts["duplicated-line-header-bumped"] == verdicts["swapped-endpoints"] == ""
-    assert verdicts["doubled-label"] == verdicts["comma-vertex-token"] == verdicts["no-label-beside-labelled"] == ""
+    assert verdicts["unchanged"] == verdicts["swapped-endpoints"] == ""
+    assert verdicts["doubled-label"] == verdicts["comma-vertex-token"] == ""
+    # one edge line more than the graph has edges, the header saying so
+    assert verdicts["duplicated-line-header-bumped"] == verdicts["no-label-beside-labelled"] == MISMATCH
     assert verdicts["vertex-line"] == "" and verdicts["stranger-vertex-line"] == MISMATCH
     assert verdicts["stranger-vertex-line-header-kept"].startswith("error: header says n=90 m=180, file has n=91 m=180")
     for name in ("dropped-line-header-bumped", "dropped-and-duplicated", "wrong-label", "extra-label", "no-label", "renamed-vertex", "generic-family"):
@@ -166,6 +171,20 @@ def test_corpus_covers_every_verdict(tmp_path):
     assert verdicts["mismatch-then-malformed"].startswith("error: malformed edge line")
     assert "invalid literal for int()" in verdicts["non-digit-token"]
     assert verdicts["empty-file"] == "error: malformed header ''"
+
+
+def test_a_repeated_edge_line_the_header_counts_is_not_matched(tmp_path, capsys):
+    # ST(2,2) has 6 vertices and 6 edges; the header states 7 edge lines
+    # and the first one comes again at the end
+    g = build_graph(Params(2, 2))
+    head, *body = _text(g).splitlines()
+    assert head == "star 2 2 6 6"
+    text = "\n".join(["star 2 2 6 7", *body, body[0]]) + "\n"
+    assert not edge_list_matches(io.StringIO(text), g)
+    assert read_edge_list(io.StringIO(text)).m == 6
+    path = tmp_path / "st22.edges"
+    path.write_text(text)
+    assert _cli(capsys, path, 2, 2) == _oracle(path, 2, 2) == (2, MISMATCH)
 
 
 def test_cap_is_checked_before_the_file_is_read(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import ast
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import starperm
+import starperm.chains
 import starperm.coloring
 import starperm.graphs
 import starperm.structure
@@ -282,14 +287,14 @@ def test_the_pancake_partition_line_decides_the_degrees(monkeypatch):
         return {c.name: (c.status, c.detail) for c in run_suite("pancake", 3, 2).checks}["black-removal-neighborhood-partition"]
 
     assert line() == ("pass", "degree_after_vertices=3 after_edges=2")
-    check = starperm.suites.pancake_chain_check
+    check = starperm.chains.pancake_chain_check
 
     def one_edge_kept(k, cap):
         rep = check(k, cap=cap)
         rep.remainder_regular_degree += 1
         return rep
 
-    monkeypatch.setattr(starperm.suites, "pancake_chain_check", one_edge_kept)
+    monkeypatch.setattr(starperm.chains, "pancake_chain_check", one_edge_kept)
     assert line() == ("fail", "degree_after_vertices=3 after_edges=3")
 
 
@@ -329,3 +334,58 @@ def test_chi_types_a_component_missing_a_vertex_as_false(monkeypatch, tc32):
         "color-4-components-regular-totally-colored": ("fail", "components=12"),
         "color-5-components-regular-totally-colored": ("fail", "components=12"),
     }
+
+
+# ---------------------------------------------------------------------------
+# chains, structure and iso load with the parts that run them
+# ---------------------------------------------------------------------------
+
+DEFERRED = ("starperm.chains", "starperm.structure", "starperm.iso")
+
+
+def _loaded_after(code: str) -> list[str]:
+    """Which of DEFERRED a fresh isolated interpreter holds after code."""
+    src = str(Path(starperm.__file__).parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
+        f"print(' '.join(m for m in {DEFERRED!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def test_importing_the_cli_and_package_loads_no_deferred_module():
+    assert _loaded_after("import starperm.cli, starperm") == []
+
+
+def test_only_the_suites_that_run_them_load_the_deferred_modules():
+    def verify(suite: str) -> str:
+        run = f"starperm.cli.main(['verify', '--suite', {suite!r}, '--k', '3', '--l', '2'])"
+        return f"import contextlib, io, starperm.cli\nwith contextlib.redirect_stdout(io.StringIO()): {run}"
+
+    assert _loaded_after(verify("domination")) == []
+    assert _loaded_after(verify("all")) == list(DEFERRED)
+
+
+def _defining_modules() -> dict[str, str]:
+    """Each top-level name of a starperm module's source: that module."""
+    owner = {}
+    for path in sorted(Path(starperm.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner[node.name] = path.stem
+            elif isinstance(node, ast.Assign):
+                owner.update((t.id, path.stem) for t in node.targets if isinstance(t, ast.Name))
+    return owner
+
+
+def test_every_package_name_is_its_defining_modules_object():
+    owner = _defining_modules()
+    for name in starperm.__all__:
+        module = __import__(f"starperm.{owner[name]}", fromlist=[name])
+        assert getattr(starperm, name) is getattr(module, name), name
+    assert set(starperm.__all__) <= set(dir(starperm))
+    with pytest.raises(AttributeError, match="no attribute 'verify_chains'"):
+        starperm.verify_chains
