@@ -209,9 +209,7 @@ def test_membership_census_counts_the_stars_of_well_dominated_vertices(st32, mon
     monkeypatch.setattr(starperm.domination, "se_set", lambda g, i: sets[i])
     adj, ell = adjacency_dict(st32), 2
     members = [labels_of(st32, s) for s in sets]
-    stars = Counter(
-        sum(len({v for v in adj[u] - s if len(adj[v] & s) == ell}) for s in members if u in s) for u in adj
-    )
+    stars = Counter(sum(len(adj[v] & s) == ell for s in members if u in s for v in adj[u] - s) for u in adj)
     del stars[0]
     rep = verify_partition_and_edge_cover(st32)
     assert rep.membership_census == dict(sorted(stars.items()))

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import starperm
 import starperm.chains
 import starperm.coloring
 import starperm.graphs
@@ -384,7 +384,7 @@ def _defining_modules() -> dict[str, str]:
 def test_every_package_name_is_its_defining_modules_object():
     owner = _defining_modules()
     for name in starperm.__all__:
-        module = __import__(f"starperm.{owner[name]}", fromlist=[name])
+        module = importlib.import_module(f"starperm.{owner[name]}")
         assert getattr(starperm, name) is getattr(module, name), name
     assert set(starperm.__all__) <= set(dir(starperm))
     with pytest.raises(AttributeError, match="no attribute 'verify_chains'"):
