@@ -21,7 +21,7 @@ from array import array
 from itertools import chain, groupby, permutations, product
 from typing import Iterator, Optional
 
-from .domination import sigma_set, verify_efficient_domination
+from .domination import _mask, sigma_set, verify_efficient_domination
 from .errors import CapExceeded
 from .graphs import GeneratorFamily, PackedLabels, _code_array, _disjoint, _pack, _star_steps, build_graph, regular_degree
 from .mstrings import DEFAULT_VERTEX_CAP, MString, Params, iter_vertices, star_neighbors
@@ -311,9 +311,7 @@ def pancake_chain_check(k: int, cap: int = DEFAULT_VERTEX_CAP) -> PancakeReport:
 
     # One scan: the degrees after deleting the class, then its full-reversal
     # edges too.
-    inside = bytearray(pc.n)
-    for x in black:
-        inside[x] = 1
+    inside = _mask(pc.n, black)
     minus_degrees, remainder_degrees, label_sets = set(), set(), pc.label_sets
     for x in range(pc.n):
         if inside[x]:

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: build (emit an edge list), verify (run a named check suite),
-search-codes (the exhaustive oracle), export (edge list / DOT / coloring).
+search-codes (the exhaustive oracle), export (DOT / coloring).
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage error, 3 size
 cap exceeded, 141 stdout closed early (128 + SIGPIPE, as a shell reports).
 """
@@ -77,9 +77,9 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", help="edge-list file to search instead of building")
     s.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
 
-    e = subs.add_parser("export", help="write edge list, DOT, or coloring text")
+    e = subs.add_parser("export", help="write DOT or coloring text")
     _add_params(e, family=True)
-    e.add_argument("--format", choices=("edges", "dot", "coloring"), required=True)
+    e.add_argument("--format", choices=("dot", "coloring"), required=True)
     e.add_argument("--out", required=True)
     return parser
 
@@ -139,14 +139,11 @@ def cmd_export(args) -> int:
     p = Params(args.k, args.l)
     g = build_graph(p, _family(args, p.length), cap=args.cap)
     # the coloring is decided before --out is opened, so a refused one leaves the file as it was
-    sigma = args.format != "edges" and args.l == 2 and args.family == "st"
-    tc = sigma_total_coloring(g) if sigma else None
+    tc = sigma_total_coloring(g) if args.l == 2 and args.family == "st" else None
     if args.format == "coloring" and tc is None:
         tc = positional_edge_coloring(g)
     with open(args.out, "w") as fh:
-        if args.format == "edges":
-            write_edge_list(g, fh)
-        elif args.format == "dot":
+        if args.format == "dot":
             write_dot(g, fh, tc=tc, name=f"{args.family}_{args.k}_{args.l}")
         else:
             write_coloring(tc, fh)

@@ -428,19 +428,11 @@ class GeneratorFamily:
     pi_j, a product of independent transpositions inside {1, ..., j-1}
     (pi_1 = pi_2 = identity).  pis[j-1] holds pi_j as a tuple of (a, b) pairs.
 
-    A value: families of one kind and equal pis compare, hash and print alike.
+    Families of one kind and equal pis print alike.
     """
 
     def __init__(self, kind: str, pis: Optional[tuple[tuple[Transposition, ...], ...]] = None) -> None:
         self.kind, self.pis = kind, pis
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GeneratorFamily:
-            return NotImplemented
-        return (self.kind, self.pis) == (other.kind, other.pis)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.pis))
 
     def __repr__(self) -> str:
         return f"GeneratorFamily(kind={self.kind!r}, pis={self.pis!r})"
@@ -549,7 +541,8 @@ class PackedLabels(SequenceABC):
     k = 5 and held 0.28 MB); the build's lookups and a star graph's label
     rows repeat the mirror branch inline, as a call per entry costs more
     than the branch.  Entry i unpacks on access to the tuple it stands
-    for; the sequence compares equal to the tuple of them.
+    for; compare the sequence through ``tuple(labels)``, and find a label
+    with :meth:`find` or a graph's :meth:`~PermGraph.index`.
     """
 
     __slots__ = ("_codes", "_n", "_top", "_length", "_nbytes", "_odd")
@@ -594,11 +587,9 @@ class PackedLabels(SequenceABC):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i):
-        ids = range(self._n)[i]  # negative indices and slices as a tuple reads them
-        if isinstance(i, slice):
-            return tuple(self._unpacked(map(self._code, ids)))
-        return tuple(self._digits(self._code(ids)).encode().translate(_FROM_HEX))
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        i = range(self._n)[i]  # a negative index as a tuple reads it
+        return tuple(self._digits(self._code(i)).encode().translate(_FROM_HEX))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return self._unpacked(self._all_codes())
@@ -606,14 +597,6 @@ class PackedLabels(SequenceABC):
     def _unpacked(self, codes: Iterable[int]) -> Iterator[tuple[int, ...]]:
         digits = self._digits
         return (tuple(digits(c).encode().translate(_FROM_HEX)) for c in codes)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PackedLabels):
-            mine, theirs = self._all_codes(), other._all_codes()
-            return self._length == other._length and self._n == other._n and all(map(int.__eq__, mine, theirs))
-        return isinstance(other, tuple) and tuple(self) == other
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __contains__(self, v) -> bool:
         return self.find(v) >= 0
@@ -690,13 +673,11 @@ class PermGraph(Graph):
     graph's edge (i, w) carries label id j - 1 for its move (0 j), read as
     ``_moves[code(w) - code(i)]``; the other families keep ``_lab``."""
 
-    __slots__ = ("params", "family", "nonstar_edges", "_repeat", "_moves")
+    __slots__ = ("params", "family", "_repeat", "_moves")
 
     vertices: PackedLabels
     params: Params
     family: GeneratorFamily
-    #: custom-family edges created by an application with v[j] == v[0], as id pairs i < j
-    nonstar_edges: frozenset[tuple[int, int]]
 
     def index(self, u: Label) -> int:
         if (i := self.vertices.find(u)) < 0:
@@ -744,7 +725,7 @@ def build_graph(
 
     Star and pancake edges exist only when the transposed/front entry
     differs from v[0]; custom edges exist whenever the generator image
-    differs from the source, flagged "non-star-like" when v[j] == v[0].
+    differs from the source, v[j] == v[0] included.
     Parallel edges (distinct generators, same endpoints) are collapsed into
     one edge carrying the set of generator positions as labels.  The codes
     of the lower half of the vertices (see :func:`_vertex_labels`) and then
@@ -756,7 +737,6 @@ def build_graph(
     if p.k > 16:
         raise ValueError(f"packed codes hold symbols 0..15, so k <= 16, got k = {p.k}")
     length = p.length
-    nonstar: set[tuple[int, int]] = set()
     if family.kind == "custom":
         family.validate_pis(length)
         maps = family.position_maps(length)
@@ -770,7 +750,7 @@ def build_graph(
         # Every generator is an involution, so a row finds each of its edges,
         # and the edge's full label set, from its own end: the labels are
         # the ones the lower endpoint finds.
-        for iv, c in enumerate(g.vertices._all_codes()):
+        for c in g.vertices._all_codes():
             h = digits(c)  # one hex digit per symbol
             # the moves permute the hex digits, which are the symbols
             if family.kind == "pancake":
@@ -782,8 +762,6 @@ def build_graph(
                 if w == h:
                     continue
                 iw = g.vertices._find_code(int(w, 16))
-                if family.kind == "custom" and h[j] == h[0]:
-                    nonstar.add((iv, iw) if iv < iw else (iw, iv))
                 row[iw] = row.get(iw, ()) + (j,)
             yield sorted(row.items())
 
@@ -811,7 +789,6 @@ def build_graph(
         g._lab, g._labels = None, tuple((j,) for j in range(1, length)) if nbr else ()
     else:
         g._set_rows(rows())
-    g.nonstar_edges = frozenset(nonstar)
     return g
 
 

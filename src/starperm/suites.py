@@ -155,13 +155,9 @@ def _suite_domination(run: _Runner, ctx: _Context) -> None:
     # Each Sigma_i is read off the graph's repeat-position column when a
     # check needs it, so one is alive at a time.
     def sigma_partition():
-        sizes, counts = [], bytearray(g.n)  # memberships per vertex id; fewer than 2k sets
-        for i in range(1, 2 * k):
-            sigma = sigma_set(g, i)
-            sizes.append(len(sigma))
-            for x in sigma:
-                counts[x] += 1
-        return counts.count(1) == g.n, f"sizes={sorted(sizes)}", []
+        column = g.repeat_positions()  # Sigma_i where it holds i: a partition iff the sizes sum to n
+        sizes = [column.count(i) for i in range(1, 2 * k)]
+        return sum(sizes) == g.n, f"sizes={sorted(sizes)}", []
 
     def sigma_e_set(i: int):
         cert = verify_efficient_domination(g, sigma_set(g, i), 1)

@@ -40,7 +40,7 @@ def _oracle(path, k: int, ell: int, cap: int = DEFAULT_VERTEX_CAP) -> tuple[int,
     with open(path) as fh:
         edge_lines = int(fh.readline().split()[4])  # the header's m, which read_edge_list checked
     matches = (
-        loaded.vertices == graph.vertices
+        tuple(loaded.vertices) == tuple(graph.vertices)
         and edge_lines == loaded.m == graph.m
         and all(graph.label(graph.index(u), graph.index(v)) == labels for u, v, labels in loaded.edges())
     )
@@ -143,7 +143,7 @@ def test_an_isolated_vertex_is_a_line_of_its_own(tmp_path, capsys):
         path.write_text(text)
         assert _cli(capsys, path, 1, 2) == _oracle(path, 1, 2) == verdict, text
     loaded = read_edge_list(io.StringIO(_text(g)))
-    assert loaded.vertices == tuple(g.vertices) and loaded.m == 0
+    assert tuple(loaded.vertices) == tuple(g.vertices) and loaded.m == 0
 
 
 def test_corpus_covers_every_verdict(tmp_path):

@@ -44,7 +44,7 @@ def test_edge_list_roundtrip(st32):
     buf = io.StringIO()
     write_edge_list(st32, buf)
     loaded = read_edge_list(io.StringIO(buf.getvalue()))
-    assert loaded.vertices == st32.vertices
+    assert tuple(loaded.vertices) == tuple(st32.vertices)
     assert list(loaded.edges()) == list(st32.edges())
 
 
