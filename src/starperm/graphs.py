@@ -9,31 +9,38 @@ lexicographically ordered ell-set permutations, with the edges of a
 generator family (star transpositions, prefix reversals, or custom ones).
 
 The adjacency is one compressed-row core of vertex ids, known to this
-module only: ``_nbr`` holds the rows of neighbour ids one after another,
-each ascending, and ``_lab`` holds each entry's index into ``_labels``, the
-tuple of distinct edge-label tuples (one byte per entry while there are at
-most 256 of them).  A regular graph of degree d, as every graph the paper
-studies is, keeps ``_stride = d`` and no offsets: row i is
-``_nbr[i * d : i * d + d]``.  Any other keeps ``_stride = None`` and 4-byte
-row offsets: row i is ``_nbr[_start[i]:_start[i + 1]]``.  Other modules
-read the core through :meth:`Graph.row`, :meth:`Graph.labeled_row` (with
-:attr:`Graph.label_sets`), :meth:`Graph.row_index`, :meth:`Graph.row_entry`,
-:meth:`Graph.label` and :meth:`Graph.edge_ids`.
+module only: ``_nbr`` holds the stored rows of neighbour ids one after
+another, each ascending, and ``_lab`` holds each entry's index into
+``_labels``, the tuple of distinct edge-label tuples (one byte per entry
+while there are at most 256 of them).  A regular graph of degree d, as
+every graph the paper studies is, keeps ``_stride = d`` and no offsets:
+stored row i is ``_nbr[i * d : i * d + d]``.  Any other keeps ``_stride =
+None`` and 4-byte row offsets: stored row i is ``_nbr[_start[i]:_start[i +
+1]]``.  Other modules read the core through :meth:`Graph.row`,
+:meth:`Graph.labeled_row` (with :attr:`Graph.label_sets`),
+:meth:`Graph.row_index`, :meth:`Graph.row_entry`, :meth:`Graph.label` and
+:meth:`Graph.edge_ids`.
 
-A plain :class:`Graph` keeps its labels as a tuple and a label -> id dict.
-A :class:`PermGraph` keeps none of either: its labels are
-:class:`PackedLabels`, one integer code per string with 4 bits per symbol
-(so k <= 16), unpacked to a tuple on access.  It stores the codes of the
-lower half of the vertex ids only, 8 bytes each in one array for strings
-of up to 16 symbols: the symbol reversal b -> k-1-b maps id i to n-1-i,
-so the other half is read as their mirrors.  Its repeat-position column
-is bytes by vertex id.  A star graph also keeps no ``_lab``: the label of
-its edge (0 j) is j, read off the two endpoints' codes through ``_moves``
-once the row has shown the edge, so its core is half the codes and
-``_nbr`` (4.33 MB at ST(5,2)).  The packing is known to this module
-only: the chain checks handle codes through the helpers beside
-:func:`_pack` and the lookup of :class:`PackedLabels`, and chi reads a
-label's digits through :meth:`PackedLabels.digits`.
+A plain :class:`Graph` stores every row, and keeps its labels as a tuple
+and a label -> id dict.  A :class:`PermGraph` keeps neither: its labels
+are :class:`PackedLabels`, one integer code per string with 4 bits per
+symbol (so k <= 16), unpacked to a tuple on access.  The symbol reversal
+b -> k-1-b is an automorphism of every permutation graph here, since each
+generator permutes positions only, and it keeps each edge's labels; it
+reverses the lexicographic order, so it maps id i to n-1-i.  A PermGraph
+therefore stores the codes and the rows of ids 0..h-1 only, h = ceil(n/2),
+and reads row n-1-i as the mirror of row i: each id w as n-1-w, in reverse
+order, the label ids reversed with them.  n is odd only at k = 1: the
+reversal pairs off the strings, save one it fixes, whose symbols would
+all be (k-1)/2; there the one row, the middle one, is stored.  Codes take 8 bytes each in one
+array for strings of up to 16 symbols.  Its repeat-position column is
+bytes by vertex id.  A star graph also keeps no ``_lab``: the label of its
+edge (0 j) is j, read off the two endpoints' codes through ``_moves``
+once the row has shown the edge, so its core is half the codes and half
+the rows, 2.34 MB at ST(5,2), about 20.6 bytes a vertex.  The packing is
+known to this module only: the chain checks handle codes through the
+helpers beside :func:`_pack` and the lookup of :class:`PackedLabels`, and
+chi reads a label's digits through :meth:`PackedLabels.digits`.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ class Graph:
     operation downstream is deterministic.
     """
 
-    __slots__ = ("vertices", "_index", "_stride", "_start", "_nbr", "_lab", "_labels", "_triangle")
+    __slots__ = ("vertices", "n", "_index", "_stored", "_stride", "_start", "_nbr", "_lab", "_labels", "_triangle")
 
     def __init__(
         self,
@@ -69,7 +76,7 @@ class Graph:
         edges: Iterable[tuple] = (),
     ) -> None:
         self._set_vertices(tuple(vertices))
-        if len(self._index) != len(self.vertices):
+        if len(self._index) != self.n:
             raise ValueError("duplicate vertex labels")
         # Parallel edges merge their labels here before the rows are packed.
         rows: list[dict[int, set]] = [{} for _ in self.vertices]
@@ -82,12 +89,12 @@ class Graph:
         self._set_rows(sorted((iw, tuple(sorted(labels))) for iw, labels in row.items()) for row in rows)
 
     def _set_vertices(self, vertices: tuple) -> None:
-        self.vertices = vertices
+        self.vertices, self.n = vertices, len(vertices)
         self._index = {v: i for i, v in enumerate(vertices)}
 
     def _set_rows(self, rows: Iterable[Iterable[tuple[int, tuple]]]) -> None:
         """Pack the core from one row of (neighbour id, labels) pairs per
-        vertex, ids ascending in each."""
+        stored vertex, ids ascending in each."""
         nbr, lab, ids = array("i"), array("B"), {}
 
         def ends() -> Iterator[int]:
@@ -107,12 +114,14 @@ class Graph:
         self._nbr, self._lab, self._labels = nbr, lab, tuple(ids)
 
     def _lay_out(self, ends: Iterable[int]) -> None:
-        """Decide the row layout from each row's end in ``_nbr``, read as
-        the rows are filled, in vertex order: a fixed stride d while every
-        row has d entries, and 4-byte row offsets from the first row that
-        does not, which is the only time they are built (an offset of 2^31
-        would stand for 8 GB of neighbour ids)."""
-        stride, start = None, None
+        """Decide the row layout from each stored row's end in ``_nbr``,
+        read as the rows are filled, in vertex order: a fixed stride d while
+        every row has d entries, and 4-byte row offsets from the first row
+        that does not, which is the only time they are built (an offset of
+        2^31 would stand for 8 GB of neighbour ids).  The rows given are
+        the stored ones: all n, or the first ceil(n/2), the others read as
+        their mirrors (see the module docstring)."""
+        stride, start, i = None, None, -1
         for i, end in enumerate(ends):
             if start is not None:
                 start.append(end)
@@ -121,16 +130,34 @@ class Graph:
             elif end != (i + 1) * stride:
                 start = array("i", (p * stride for p in range(i + 1)))
                 start.append(end)
+        self._stored = i + 1
         self._stride = (stride or 0) if start is None else None
         self._start = start
         #: has_triangle's verdict, None until asked
         self._triangle: Optional[bool] = None
 
     # -- the core, by vertex id ----------------------------------------------
+    # Row i < _stored is _nbr[lo:hi], lo and hi from the stride or the
+    # offsets; row i >= _stored is row n-1-i mirrored, each id w read as
+    # n-1-w, in reverse order, with the label ids reversed alongside.
 
-    def row(self, i: int) -> array:
-        """Neighbour ids of vertex id i, ascending."""
+    def _span(self, i: int) -> tuple[int, int]:
+        """Where stored row i lies in ``_nbr``: its first and past-last entry."""
         d = self._stride
+        if d is None:
+            return self._start[i], self._start[i + 1]
+        return i * d, i * d + d
+
+    def row(self, i: int) -> Sequence[int]:
+        """Neighbour ids of vertex id i, ascending: an array slice of a
+        stored row, a list for a mirrored one."""
+        d = self._stride
+        if i >= self._stored:
+            last = self.n - 1
+            r = last - i
+            lo = self._start[r] if d is None else r * d
+            hi = self._start[r + 1] if d is None else lo + d
+            return [last - w for w in reversed(self._nbr[lo:hi])]
         if d is None:
             return self._nbr[self._start[i] : self._start[i + 1]]
         return self._nbr[i * d : i * d + d]
@@ -138,37 +165,45 @@ class Graph:
     def labeled_row(self, i: int) -> Iterator[tuple[int, int]]:
         """(neighbour id, label id) pairs of vertex id i, ids ascending;
         ``label_sets[label id]`` is the edge's labels."""
-        d = self._stride
-        if d is None:
-            lo, hi = self._start[i], self._start[i + 1]
-        else:
-            lo = i * d
-            hi = lo + d
-        return self._labeled(i, lo, hi)
+        if i < self._stored:
+            lo, hi = self._span(i)
+            ids = self._nbr[lo:hi]
+            return zip(ids, self._label_ids(i, ids, lo, hi))
+        last = self.n - 1
+        r = last - i
+        lo, hi = self._span(r)
+        ids = self._nbr[lo:hi]
+        return zip([last - w for w in reversed(ids)], reversed(self._label_ids(r, ids, lo, hi)))
 
-    def _labeled(self, i: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-        """(neighbour id, label id) pairs of ``_nbr[lo:hi]``, a part of row
-        i: one slice of each column."""
-        return zip(self._nbr[lo:hi], self._lab[lo:hi])
+    def _label_ids(self, i: int, ids: Sequence[int], lo: int, hi: int) -> Sequence[int]:
+        """The label ids of ``_nbr[lo:hi]``, a part of stored row i whose
+        entries are ids."""
+        return self._lab[lo:hi]
 
     def row_index(self, i: int, j: int) -> int:
         """The index of vertex id j in row i, by bisection: ``row(i).index(j)``
         without the slice.  ValueError if j is not in the row."""
-        d = self._stride
+        d, r, t, mirrored = self._stride, i, j, i >= self._stored
+        if mirrored:
+            r, t = self.n - 1 - i, self.n - 1 - j
         if d is None:
-            lo, hi = self._start[i], self._start[i + 1]
+            lo, hi = self._start[r], self._start[r + 1]
         else:
-            lo = i * d
+            lo = r * d
             hi = lo + d
-        p = bisect_left(self._nbr, j, lo, hi)
-        if p == hi or self._nbr[p] != j:
+        p = bisect_left(self._nbr, t, lo, hi)
+        if p == hi or self._nbr[p] != t:
             raise ValueError(f"vertex id {j} is not in row {i}")
-        return p - lo
+        return hi - 1 - p if mirrored else p - lo
 
     def row_entry(self, i: int, p: int) -> int:
         """Entry p of row i, ``0 <= p < len(row(i))``: ``row(i)[p]`` without
         the slice."""
         d = self._stride
+        if i >= self._stored:
+            last = self.n - 1
+            r = last - i
+            return last - self._nbr[(self._start[r + 1] if d is None else r * d + d) - 1 - p]
         return self._nbr[(self._start[i] if d is None else i * d) + p]
 
     @property
@@ -179,37 +214,38 @@ class Graph:
 
     def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         """Labels of the edge between vertex ids i and j; None if there is none."""
-        d = self._stride
-        if d is None:
-            lo, hi = self._start[i], self._start[i + 1]
-        else:
-            lo = i * d
-            hi = lo + d
+        if i >= self._stored:  # the mirrored edge carries the same labels
+            i, j = self.n - 1 - i, self.n - 1 - j
+        lo, hi = self._span(i)
         p = bisect_left(self._nbr, j, lo, hi)
         return self._labels[self._lab[p]] if p < hi and self._nbr[p] == j else None
 
     def edge_ids(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """Edges as (i, j, labels) by vertex id, i < j, in canonical order:
-        the part of each row past i."""
-        d, start, nbr, labels = self._stride, self._start, self._nbr, self._labels
-        for i in range(self.n):
-            if d is None:
-                lo, hi = start[i], start[i + 1]
-            else:
-                lo = i * d
-                hi = lo + d
-            for j, lid in self._labeled(i, bisect_right(nbr, i, lo, hi), hi):
+        the part of each row past i.  Past the stored rows, that part of row
+        i is the mirror of the part of row n-1-i before n-1-i."""
+        nbr, labels, last, span = self._nbr, self._labels, self.n - 1, self._span
+        for i in range(self._stored):
+            lo, hi = span(i)
+            lo = bisect_right(nbr, i, lo, hi)
+            ids = nbr[lo:hi]
+            for j, lid in zip(ids, self._label_ids(i, ids, lo, hi)):
                 yield i, j, labels[lid]
+        for i in range(self._stored, last + 1):
+            r = last - i
+            lo, hi = span(r)
+            hi = bisect_left(nbr, r, lo, hi)
+            ids = nbr[lo:hi]
+            for w, lid in zip(reversed(ids), reversed(self._label_ids(r, ids, lo, hi))):
+                yield i, last - w, labels[lid]
 
     # -- basic accessors ---------------------------------------------------
 
     @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    @property
     def m(self) -> int:
-        return len(self._nbr) // 2
+        # the mirrored rows hold the entries of the first n - _stored rows again
+        r, d = self.n - self._stored, self._stride
+        return (len(self._nbr) + (self._start[r] if d is None else r * d)) // 2
 
     def index(self, u: Label) -> int:
         try:
@@ -229,7 +265,9 @@ class Graph:
         if self._stride is not None:
             return {self._stride: self.n} if self.n else {}
         start = self._start
-        return dict(sorted(Counter(start[i + 1] - start[i] for i in range(self.n)).items()))
+        degrees = [start[i + 1] - start[i] for i in range(self._stored)]
+        # mirrored row i has the degree of row n-1-i, one of the first n - _stored
+        return dict(sorted(Counter(chain(degrees, islice(degrees, self.n - self._stored))).items()))
 
     def regularity(self) -> tuple[str, tuple[int, ...]]:
         """("regular", (d,)) / ("biregular", (a, b)) / ("irregular", degrees)."""
@@ -332,12 +370,14 @@ class Graph:
 
     def has_triangle(self) -> bool:
         """Whether any three vertices are pairwise adjacent; scanned once
-        per graph."""
+        per graph.  Two stored vertices root the scan: a triangle with two
+        mirrored vertices is the mirror of one with two stored ones."""
         if self._triangle is None:
             self._triangle = False
-            for i in range(self.n):
+            h = self._stored
+            for i in range(h):
                 nbrs = set(self.row(i))
-                if any(j > i and not nbrs.isdisjoint(self.row(j)) for j in nbrs):
+                if any(i < j < h and not nbrs.isdisjoint(self.row(j)) for j in nbrs):
                     self._triangle = True
                     break
         return self._triangle
@@ -598,8 +638,22 @@ class PackedLabels(SequenceABC):
         digits = self._digits
         return (tuple(digits(c).encode().translate(_FROM_HEX)) for c in codes)
 
+    # in, index and count answer through find: the Sequence mixin's would
+    # unpack every label in turn
+
     def __contains__(self, v) -> bool:
         return self.find(v) >= 0
+
+    def index(self, v, start: int = 0, stop: Optional[int] = None) -> int:
+        """The id of label v, if it lies in ``range(n)[start:stop]``;
+        ValueError otherwise."""
+        if (i := self.find(v)) < 0 or i not in range(self._n)[start:stop]:
+            raise ValueError(f"{v!r} is not in the labels")
+        return i
+
+    def count(self, v) -> int:
+        """1 for a label, 0 for anything else: the labels are distinct."""
+        return int(self.find(v) >= 0)
 
     def find(self, v) -> int:
         """The id of label v; -1 for anything that is not one of the labels."""
@@ -669,9 +723,13 @@ def _disjoint(labels: Iterable[PackedLabels]) -> bool:
 
 class PermGraph(Graph):
     """A multiset permutation graph: metadata and per-vertex columns on top
-    of :class:`Graph`, its labels held as :class:`PackedLabels`.  A star
-    graph's edge (i, w) carries label id j - 1 for its move (0 j), read as
-    ``_moves[code(w) - code(i)]``; the other families keep ``_lab``."""
+    of :class:`Graph`, its labels held as :class:`PackedLabels`.  It stores
+    the rows of ids 0..h-1, h = ceil(n/2), and reads row n-1-i as the
+    mirror of row i under the symbol reversal (see the module docstring).
+    A star graph's edge (i, w) carries label id j - 1 for its move (0 j),
+    read as ``_moves[code(w) - code(i)]``, which holds both signs of each
+    difference, so a mirrored edge reads the label of the edge it mirrors;
+    the other families keep ``_lab``, reversed with the mirrored rows."""
 
     __slots__ = ("params", "family", "_repeat", "_moves")
 
@@ -684,29 +742,31 @@ class PermGraph(Graph):
             raise ValueError(f"unknown vertex {u!r}")
         return i
 
-    def _labeled(self, i: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    def _label_ids(self, i: int, ids: Sequence[int], lo: int, hi: int) -> Sequence[int]:
         moves = self._moves
         if moves is None:
-            return Graph._labeled(self, i, lo, hi)
-        ids, verts = self._nbr[lo:hi], self.vertices
-        # each code as _code reads it, the mirror branch inline: no call per entry
+            return self._lab[lo:hi]
+        # each code as _code reads it, the mirror branch inline: no call per
+        # entry; stored row i has a stored code
+        verts = self.vertices
         codes, top = verts._codes, verts._top
-        h, last = len(codes), verts._n - 1
-        c = codes[i] if i < h else top - codes[last - i]
-        return zip(ids, [moves[(codes[w] if w < h else top - codes[last - w]) - c] for w in ids])
+        h, last, c = len(codes), verts._n - 1, codes[i]
+        return [moves[(codes[w] if w < h else top - codes[last - w]) - c] for w in ids]
 
     def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
         if self._moves is None:
             return Graph.label(self, i, j)
-        if j not in self.row(i):  # the row decides adjacency, never the codes
-            return None
-        # each code as _code reads it, inline as in _labeled
         verts = self.vertices
         codes, top, last = verts._codes, verts._top, verts._n - 1
-        h = len(codes)
-        ci = codes[i] if i < h else top - codes[last - i]
-        cj = codes[j] if j < h else top - codes[last - j]
-        return self._labels[self._moves[cj - ci]]
+        if i >= self._stored:  # the mirrored edge carries the same labels
+            i, j = last - i, last - j
+        lo, hi = self._span(i)
+        p = bisect_left(self._nbr, j, lo, hi)
+        if p == hi or self._nbr[p] != j:  # the row decides adjacency, never the codes
+            return None
+        # j's code as _code reads it, inline as in _label_ids
+        cj = codes[j] if j < len(codes) else top - codes[last - j]
+        return self._labels[self._moves[cj - codes[i]]]
 
     def repeat_positions(self) -> bytes:
         """The repeat position of every vertex (ell = 2), by vertex id;
@@ -727,12 +787,16 @@ def build_graph(
     differs from v[0]; custom edges exist whenever the generator image
     differs from the source, v[j] == v[0] included.
     Parallel edges (distinct generators, same endpoints) are collapsed into
-    one edge carrying the set of generator positions as labels.  The codes
-    of the lower half of the vertices (see :func:`_vertex_labels`) and then
-    the rows are written straight into the graph's core, one vertex at a
-    time, each move found as a packed code by bisection; a star graph's rows
-    hold neighbour ids only.  k > 16 is refused with a ValueError: a
-    code holds symbols 0..15 only.
+    one edge carrying the set of generator positions as labels.  Every
+    string is enumerated and checked against its mirror (see
+    :func:`_vertex_labels`); the codes and then the rows of the lower half,
+    ids 0..ceil(n/2)-1, are written straight into the graph's core, one
+    vertex at a time, each move found as a packed code by bisection.  The
+    upper half's rows are read as mirrors of these, which is sound because
+    the symbol reversal commutes with every generator, a permutation of
+    positions, and keeps the edge rule, a test on the symbols' equality.  A
+    star graph's rows hold neighbour ids only.  k > 16 is refused with a
+    ValueError: a code holds symbols 0..15 only.
     """
     if p.k > 16:
         raise ValueError(f"packed codes hold symbols 0..15, so k <= 16, got k = {p.k}")
@@ -743,14 +807,14 @@ def build_graph(
 
     g = PermGraph.__new__(PermGraph)
     g.vertices = _vertex_labels(p, cap)
-    digits = g.vertices._digits
+    g.n, digits = len(g.vertices), g.vertices._digits
     g.params, g.family, g._repeat, g._moves = p, family, None, None
 
     def rows():
         # Every generator is an involution, so a row finds each of its edges,
         # and the edge's full label set, from its own end: the labels are
         # the ones the lower endpoint finds.
-        for c in g.vertices._all_codes():
+        for c in g.vertices._codes:  # the stored rows: ids 0..h-1
             h = digits(c)  # one hex digit per symbol
             # the moves permute the hex digits, which are the symbols
             if family.kind == "pancake":
@@ -771,7 +835,7 @@ def build_graph(
         # each move's code found as _find_code does, the mirror branch inline
         codes, top, last = g.vertices._codes, g.vertices._top, g.vertices._n - 1
         half = top // 2  # w <= half when 2 w <= top
-        for c in g.vertices._all_codes():
+        for c in codes:  # the stored rows: ids 0..h-1
             v = digits(c).encode().translate(_FROM_HEX)
             v0 = v[0]
             ends = [c + (s - v0) * step[j] for j, s in enumerate(v) if s != v0]

@@ -392,6 +392,51 @@ def test_built_core_layouts_match_the_string_oracle(family, k, ell):
     assert g.degree_census() == ({4: 78, 5: 12} if family == "custom" else {(k - 1) * ell: g.n})
 
 
+# ---------------------------------------------------------------------------
+# a permutation graph stores the rows of ids 0..ceil(n/2)-1, the others
+# read as mirrors under the symbol reversal
+# ---------------------------------------------------------------------------
+
+MIRROR_SIZES = [(1, 2), (2, 2), (3, 2), (2, 3), (4, 2)]
+PI_4, PI_5 = {4: [(1, 3)]}, {5: [(1, 2)]}  # custom involutions pi_j, by generator j
+MIRROR_CASES = (
+    [(family, {}, k, ell) for family in ("star", "pancake", "custom") for k, ell in MIRROR_SIZES]
+    + [("custom", PI_4, k, ell) for k, ell in ((3, 2), (2, 3), (4, 2))]  # irregular: {4: 78, 5: 12} at (3,2)
+    + [("custom", PI_5, 2, 3)]  # has triangles
+)
+
+
+@pytest.mark.parametrize("family,moved,k,ell", MIRROR_CASES)
+def test_every_core_reader_agrees_with_the_oracle_in_both_halves(family, moved, k, ell):
+    pis = [moved.get(j, []) for j in range(1, k * ell)]
+    fam = GeneratorFamily.custom(pis) if family == "custom" else getattr(GeneratorFamily, family)()
+    g, adj = build_graph(Params(k, ell), fam), brute_move_graph(k, ell, family, pis)
+    verts = brute_multiset_perms(k, ell)  # the canonical order, by id
+    pos = {v: i for i, v in enumerate(verts)}
+    rows = [sorted((pos[w], labels) for w, labels in adj[v].items()) for v in verts]
+    n = len(verts)
+    assert g.n == n and g._stored == (n + 1) // 2  # ids from ceil(n/2) on are mirrored
+    for i, row in enumerate(rows):
+        ids = [j for j, _ in row]
+        assert list(g.row(i)) == ids
+        assert [(j, g.label_sets[lid]) for j, lid in g.labeled_row(i)] == row
+        for p, (j, labels) in enumerate(row):
+            assert g.row_index(i, j) == p and g.row_entry(i, p) == j and g.label(i, j) == labels
+        # a non-adjacent pair: i itself, and one at distance 2 where there is one
+        far = [x for j in ids for x in map(pos.get, adj[verts[j]]) if x != i and x not in ids]
+        for j in [i] + far[:1]:
+            assert g.label(i, j) is None
+            with pytest.raises(ValueError):
+                g.row_index(i, j)
+    assert list(g.edge_ids()) == [(i, j, labels) for i, row in enumerate(rows) for j, labels in row if j > i]
+    assert g.m == sum(map(len, rows)) // 2
+    assert g.degree_census() == dict(sorted(Counter(map(len, rows)).items()))
+    triangle = any(set(adj[u]) & set(adj[v]) for u in adj for v in adj[u])
+    assert g.has_triangle() == triangle
+    if moved is PI_5:  # the scan meets a yes as well as a no
+        assert triangle
+
+
 def test_restrict_lays_out_its_own_rows(st32):
     adj = brute_move_graph(3, 2)
     # without its first vertex ST(3,2) is irregular; the other cuts are regular
@@ -472,7 +517,8 @@ def test_an_edgeless_star_graph_has_no_label_sets(ell):
 @pytest.mark.parametrize("k,ell", [(3, 2), (2, 3)])
 def test_pancake_graph_keeps_its_stored_labels(k, ell):
     g = build_graph(Params(k, ell), GeneratorFamily.pancake())
-    assert g._moves is None and len(g._lab) == 2 * g.m
+    # the stored rows, ids 0..n/2-1, hold half of the 2m row entries and label ids
+    assert g._moves is None and len(g._lab) == len(g._nbr) == g.m
     _assert_labels_are(g, brute_move_graph(k, ell, "pancake"))
 
 
@@ -548,6 +594,30 @@ def test_packed_labels_match_the_enumeration(family, k, ell):
         assert g.vertices.find(u) == g.vertices.find_text(render(u)) == -1, u
 
 
+def test_packed_labels_index_and_count_through_find(monkeypatch):
+    # the Sequence mixin's index and count would unpack every label in turn
+    g = build_graph(Params(3, 2))
+    verts, n = g.vertices, g.n
+    labels = [verts[i] for i in range(n)]
+
+    def unpacked(*args):
+        raise AssertionError("a label was unpacked")
+
+    monkeypatch.setattr(PackedLabels, "__getitem__", unpacked)
+    monkeypatch.setattr(PackedLabels, "__iter__", unpacked)
+    for i in (0, n // 2 - 1, n // 2, n - 1):  # first, either side of the middle, last
+        v = labels[i]
+        assert verts.index(v) == verts.find(v) == i and verts.count(v) == 1
+        assert verts.index(v, i) == verts.index(v, 0, i + 1) == verts.index(v, i - n) == i
+        for start, stop in ((i + 1, None), (0, i), (0, i - n)):
+            with pytest.raises(ValueError):
+                verts.index(v, start, stop)
+    for x in ((0,) * 6, (3, 0, 0, 1, 1, 2), (0, 0, 1, 1, 2), list(labels[0]), "001122", None):
+        assert verts.find(x) == -1 and verts.count(x) == 0, x
+        with pytest.raises(ValueError):
+            verts.index(x)
+
+
 @pytest.mark.parametrize("family", ["star", "pancake", "custom"])
 @pytest.mark.parametrize("k,ell", [(2, 2), (3, 2), (2, 3), (2, 9)])
 def test_a_vertex_stream_that_is_not_its_own_reversal_is_refused(family, k, ell, monkeypatch):
@@ -601,22 +671,24 @@ def test_built_graph_holds_no_per_vertex_containers():
     # 104 KB with 1-byte label ids, one stride for its rows and a list of
     # every 16th code, 86 KB as 8 bytes of code per vertex and a stride, its
     # labels read off the codes; it retains 76 KB with the codes of half the
-    # vertices, the others read as their mirrors
+    # vertices, the others read as their mirrors, and 45.7 KB with the rows
+    # of half the vertices too
     g, retained = _retained_by_build(Params(4, 2))
-    assert g.n == 2520 and retained < 0.081e6  # 6% above the measured 76.4 KB
+    assert g.n == 2520 and retained < 0.0485e6  # 6% above the measured 45.7 KB
 
 
 def test_st52_core_fits_in_seven_megabytes():
     # 13.7 MB with a list of int codes, 4-byte label ids and 8-byte row
     # offsets, 6.5 MB with 4-byte ones, 6.0 MB at a fixed stride, 4.78 MB
-    # with no label column and no list of every 16th code; 4.33 MB measured
-    # with the codes of half the vertices
+    # with no label column and no list of every 16th code, 4.33 MB with the
+    # codes of half the vertices; 2.34 MB measured with their rows halved too
     g, retained = _retained_by_build(Params(5, 2))
-    assert g.n == 113400 and retained <= 4.4e6
+    assert g.n == 113400 and retained <= 2.45e6
 
 
 def test_only_graphs_reads_the_core():
-    core = {"_adj", "_stride", "_start", "_nbr", "_lab", "_labels", "_moves", "_index", "_codes", "_n", "_top"}
+    core = {"_adj", "_stored", "_stride", "_start", "_span", "_nbr", "_lab", "_label_ids", "_labels", "_moves", "_index"}
+    core |= {"_codes", "_n", "_top"}
     package = Path(starperm.__file__).parent
     reads = [
         f"{path.name}:{node.lineno} .{node.attr}"
