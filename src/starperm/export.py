@@ -81,24 +81,33 @@ def _check_counts(n: int, m: int, file_n: int, file_m: int) -> None:
         raise ValueError(f"header says n={n} m={m}, file has n={file_n} m={file_m}")
 
 
+def _check_distinct(edge_lines: int, edges: int) -> None:
+    if edges != edge_lines:
+        raise ValueError(f"{edge_lines} edge lines name {edges} distinct edges")
+
+
 def read_edge_list(src: TextIO) -> Graph:
     """Rebuild a graph from :func:`write_edge_list` output.
 
     Permutation families come back as plain Graphs carrying the file's
-    vertices in sorted order; the header is validated against the contents.
+    vertices in sorted order; the header is validated against the contents,
+    and an edge named on two lines, either way round, is refused.
     """
     (n, m), *lines = _edge_lines(src)
     edges = [line for line in lines if len(line) == 3]
     seen = {x for line in lines for x in line[:2]}
     _check_counts(n, m, len(seen), len(edges))
-    return Graph(sorted(seen), edges)
+    g = Graph(sorted(seen), edges)
+    _check_distinct(len(edges), g.m)
+    return g
 
 
 def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     """Whether an edge list holds the star graph g's vertices, edges and
-    merged edge labels, read line by line into a byte per vertex and a bit
-    per edge of g (the labels g lacks are kept too, to count them).  A file
-    :func:`read_edge_list` refuses raises its ValueError."""
+    edge labels, read line by line into a byte per vertex and a bit per
+    edge of g; the pairs of the lines that name no edge of g are kept, to
+    count them.  A file :func:`read_edge_list` refuses raises its
+    ValueError."""
     find = g.vertices.find_text
 
     def vertex(token: str):
@@ -109,10 +118,10 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
     lines = _edge_lines(src, vertex)
     n, m = next(lines)
     length = g.params.length
-    # covered: bit (lower endpoint) * length + label of each edge line
-    # matched, counted in `matched` when it is first set
-    seen, covered, foreign = bytearray(g.n), bytearray((g.n * length + 7) >> 3), set()
-    edge_lines, matched, differs, loop = 0, 0, False, None
+    # covered: bit (lower endpoint) * length + label of each edge of g a
+    # line names, counted in `edges` when it is first set
+    seen, covered, foreign, others = bytearray(g.n), bytearray((g.n * length + 7) >> 3), set(), set()
+    edge_lines, edges, differs, loop = 0, 0, False, None
     for line in lines:
         for x in line[:2]:
             if type(x) is int:
@@ -125,20 +134,21 @@ def edge_list_matches(src: TextIO, g: PermGraph) -> bool:
         edge_lines += 1
         if u == v:
             loop = u if loop is None else loop
-        elif type(u) is not int or type(v) is not int or (own := g.label(u, v)) is None or any(j != own[0] for j in labels):
-            differs = True
-        elif labels:
-            slot = min(u, v) * length + labels[0]
+        elif type(u) is not int or type(v) is not int or (own := g.label(u, v)) is None:
+            others.add(frozenset((u, v)))
+        else:
+            differs |= not labels or any(j != own[0] for j in labels)
+            slot = min(u, v) * length + own[0]
             byte, bit = slot >> 3, 1 << (slot & 7)
             if not covered[byte] & bit:
                 covered[byte] |= bit
-                matched += 1
+                edges += 1
     known = seen.count(1)
     _check_counts(n, m, known + len(foreign), edge_lines)
     if loop is not None:
         raise ValueError(f"loop at {g.vertices[loop] if type(loop) is int else loop!r}")
-    # the file's edge lines are its header's m; a repeated line makes them more than g.m
-    return not differs and not foreign and known == g.n and edge_lines == matched == g.m
+    _check_distinct(edge_lines, edges + len(others))
+    return not differs and not others and not foreign and known == g.n and edges == g.m
 
 
 def write_dot(g: Graph, out: TextIO, tc: Optional[TotalColoring] = None, name: str = "g") -> None:

@@ -19,7 +19,10 @@ None`` and 4-byte row offsets: stored row i is ``_nbr[_start[i]:_start[i +
 1]]``.  Other modules read the core through :meth:`Graph.row`,
 :meth:`Graph.labeled_row` (with :attr:`Graph.label_sets`),
 :meth:`Graph.row_index`, :meth:`Graph.row_entry`, :meth:`Graph.label` and
-:meth:`Graph.edge_ids`.
+:meth:`Graph.edge_ids`.  The layout is decided in :meth:`Graph._lay_out`
+when the core is written, and ``Graph._span`` alone locates a row, stored
+or mirrored, for every one of these readers; :class:`PermGraph` overrides
+only the reads of label ids.
 
 A plain :class:`Graph` stores every row, and keeps its labels as a tuple
 and a label -> id dict.  A :class:`PermGraph` keeps neither: its labels
@@ -137,74 +140,68 @@ class Graph:
         self._triangle: Optional[bool] = None
 
     # -- the core, by vertex id ----------------------------------------------
-    # Row i < _stored is _nbr[lo:hi], lo and hi from the stride or the
-    # offsets; row i >= _stored is row n-1-i mirrored, each id w read as
-    # n-1-w, in reverse order, with the label ids reversed alongside.
+    # Every reader locates row i through _span, which names the stored row
+    # r it is read from.  r != i means row i is r mirrored: each id w read
+    # as n-1-w, in reverse order, with the label ids reversed alongside.
 
-    def _span(self, i: int) -> tuple[int, int]:
-        """Where stored row i lies in ``_nbr``: its first and past-last entry."""
-        d = self._stride
-        if d is None:
-            return self._start[i], self._start[i + 1]
-        return i * d, i * d + d
+    def _span(self, i: int) -> tuple[int, int, int]:
+        """Where row i lies: the stored row r it is read from, i itself or,
+        past the stored rows, n-1-i, and r's first and past-last entry in
+        ``_nbr``."""
+        r = i if i < self._stored else self.n - 1 - i
+        if (d := self._stride) is None:
+            return r, self._start[r], self._start[r + 1]
+        lo = r * d
+        return r, lo, lo + d
 
     def row(self, i: int) -> Sequence[int]:
         """Neighbour ids of vertex id i, ascending: an array slice of a
         stored row, a list for a mirrored one."""
-        d = self._stride
-        if i >= self._stored:
-            last = self.n - 1
-            r = last - i
-            lo = self._start[r] if d is None else r * d
-            hi = self._start[r + 1] if d is None else lo + d
-            return [last - w for w in reversed(self._nbr[lo:hi])]
-        if d is None:
-            return self._nbr[self._start[i] : self._start[i + 1]]
-        return self._nbr[i * d : i * d + d]
+        r, lo, hi = self._span(i)
+        if r == i:
+            return self._nbr[lo:hi]
+        last = self.n - 1
+        return [last - w for w in reversed(self._nbr[lo:hi])]
 
     def labeled_row(self, i: int) -> Iterator[tuple[int, int]]:
         """(neighbour id, label id) pairs of vertex id i, ids ascending;
         ``label_sets[label id]`` is the edge's labels."""
-        if i < self._stored:
-            lo, hi = self._span(i)
-            ids = self._nbr[lo:hi]
-            return zip(ids, self._label_ids(i, ids, lo, hi))
-        last = self.n - 1
-        r = last - i
-        lo, hi = self._span(r)
-        ids = self._nbr[lo:hi]
-        return zip([last - w for w in reversed(ids)], reversed(self._label_ids(r, ids, lo, hi)))
+        return self._entries(i, *self._span(i))
 
-    def _label_ids(self, i: int, ids: Sequence[int], lo: int, hi: int) -> Sequence[int]:
-        """The label ids of ``_nbr[lo:hi]``, a part of stored row i whose
+    def _entries(self, i: int, r: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """(neighbour id, label id) pairs of ``_nbr[lo:hi]``, a part of stored
+        row r, read as a part of row i."""
+        ids = self._nbr[lo:hi]
+        lids = self._label_ids(r, ids, lo, hi)
+        if r == i:
+            return zip(ids, lids)
+        last = self.n - 1
+        return zip([last - w for w in reversed(ids)], reversed(lids))
+
+    def _label_ids(self, r: int, ids: Sequence[int], lo: int, hi: int) -> Sequence[int]:
+        """The label ids of ``_nbr[lo:hi]``, a part of stored row r whose
         entries are ids."""
         return self._lab[lo:hi]
+
+    def _label_id(self, r: int, p: int) -> int:
+        """The label id of ``_nbr[p]``, an entry of stored row r."""
+        return self._lab[p]
 
     def row_index(self, i: int, j: int) -> int:
         """The index of vertex id j in row i, by bisection: ``row(i).index(j)``
         without the slice.  ValueError if j is not in the row."""
-        d, r, t, mirrored = self._stride, i, j, i >= self._stored
-        if mirrored:
-            r, t = self.n - 1 - i, self.n - 1 - j
-        if d is None:
-            lo, hi = self._start[r], self._start[r + 1]
-        else:
-            lo = r * d
-            hi = lo + d
+        r, lo, hi = self._span(i)
+        t = j if r == i else self.n - 1 - j
         p = bisect_left(self._nbr, t, lo, hi)
         if p == hi or self._nbr[p] != t:
             raise ValueError(f"vertex id {j} is not in row {i}")
-        return hi - 1 - p if mirrored else p - lo
+        return p - lo if r == i else hi - 1 - p
 
     def row_entry(self, i: int, p: int) -> int:
         """Entry p of row i, ``0 <= p < len(row(i))``: ``row(i)[p]`` without
         the slice."""
-        d = self._stride
-        if i >= self._stored:
-            last = self.n - 1
-            r = last - i
-            return last - self._nbr[(self._start[r + 1] if d is None else r * d + d) - 1 - p]
-        return self._nbr[(self._start[i] if d is None else i * d) + p]
+        r, lo, hi = self._span(i)
+        return self._nbr[lo + p] if r == i else self.n - 1 - self._nbr[hi - 1 - p]
 
     @property
     def label_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -213,31 +210,26 @@ class Graph:
         return self._labels
 
     def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
-        """Labels of the edge between vertex ids i and j; None if there is none."""
-        if i >= self._stored:  # the mirrored edge carries the same labels
-            i, j = self.n - 1 - i, self.n - 1 - j
-        lo, hi = self._span(i)
-        p = bisect_left(self._nbr, j, lo, hi)
-        return self._labels[self._lab[p]] if p < hi and self._nbr[p] == j else None
+        """Labels of the edge between vertex ids i and j; None if there is
+        none.  A mirrored edge carries the labels of the edge it mirrors."""
+        r, lo, hi = self._span(i)
+        t = j if r == i else self.n - 1 - j
+        p = bisect_left(self._nbr, t, lo, hi)
+        return self._labels[self._label_id(r, p)] if p < hi and self._nbr[p] == t else None
 
     def edge_ids(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """Edges as (i, j, labels) by vertex id, i < j, in canonical order:
-        the part of each row past i.  Past the stored rows, that part of row
-        i is the mirror of the part of row n-1-i before n-1-i."""
-        nbr, labels, last, span = self._nbr, self._labels, self.n - 1, self._span
-        for i in range(self._stored):
-            lo, hi = span(i)
-            lo = bisect_right(nbr, i, lo, hi)
-            ids = nbr[lo:hi]
-            for j, lid in zip(ids, self._label_ids(i, ids, lo, hi)):
+        the part of each row past i, which for a mirrored row i is the
+        mirror of the part of row n-1-i before n-1-i."""
+        nbr, labels = self._nbr, self._labels
+        for i in range(self.n):
+            r, lo, hi = self._span(i)
+            if r == i:
+                lo = bisect_right(nbr, i, lo, hi)
+            else:
+                hi = bisect_left(nbr, r, lo, hi)
+            for j, lid in self._entries(i, r, lo, hi):
                 yield i, j, labels[lid]
-        for i in range(self._stored, last + 1):
-            r = last - i
-            lo, hi = span(r)
-            hi = bisect_left(nbr, r, lo, hi)
-            ids = nbr[lo:hi]
-            for w, lid in zip(reversed(ids), reversed(self._label_ids(r, ids, lo, hi))):
-                yield i, last - w, labels[lid]
 
     # -- basic accessors ---------------------------------------------------
 
@@ -288,17 +280,18 @@ class Graph:
     def bfs_ids(self, src: int, limit: Optional[int] = None) -> dict[int, int]:
         """:meth:`bfs_distances` by vertex id: from vertex id src to the id
         of every reachable vertex (within limit if given)."""
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            d = dist[x]
-            if limit is not None and d >= limit:
-                continue
-            for y in self.row(x):
-                if y not in dist:
-                    dist[y] = d + 1
-                    queue.append(y)
+        dist, row = {src: 0}, self.row
+        level, d = [src], 0
+        # one level at a time: the ids enter dist in the order a queue gives
+        while level and (limit is None or d < limit):
+            d += 1
+            nxt = []
+            for x in level:
+                for y in row(x):
+                    if y not in dist:
+                        dist[y] = d
+                        nxt.append(y)
+            level = nxt
         return dist
 
     def distance(self, u: Label, v: Label) -> Optional[int]:
@@ -632,11 +625,8 @@ class PackedLabels(SequenceABC):
         return tuple(self._digits(self._code(i)).encode().translate(_FROM_HEX))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return self._unpacked(self._all_codes())
-
-    def _unpacked(self, codes: Iterable[int]) -> Iterator[tuple[int, ...]]:
         digits = self._digits
-        return (tuple(digits(c).encode().translate(_FROM_HEX)) for c in codes)
+        return (tuple(digits(c).encode().translate(_FROM_HEX)) for c in self._all_codes())
 
     # in, index and count answer through find: the Sequence mixin's would
     # unpack every label in turn
@@ -729,7 +719,9 @@ class PermGraph(Graph):
     A star graph's edge (i, w) carries label id j - 1 for its move (0 j),
     read as ``_moves[code(w) - code(i)]``, which holds both signs of each
     difference, so a mirrored edge reads the label of the edge it mirrors;
-    the other families keep ``_lab``, reversed with the mirrored rows."""
+    the other families keep ``_lab``, reversed with the mirrored rows.  It
+    overrides only the label-id reads, ``_label_ids`` for a part of a row
+    and ``_label_id`` for one entry; rows are located as in :class:`Graph`."""
 
     __slots__ = ("params", "family", "_repeat", "_moves")
 
@@ -742,31 +734,24 @@ class PermGraph(Graph):
             raise ValueError(f"unknown vertex {u!r}")
         return i
 
-    def _label_ids(self, i: int, ids: Sequence[int], lo: int, hi: int) -> Sequence[int]:
+    def _label_ids(self, r: int, ids: Sequence[int], lo: int, hi: int) -> Sequence[int]:
         moves = self._moves
         if moves is None:
             return self._lab[lo:hi]
         # each code as _code reads it, the mirror branch inline: no call per
-        # entry; stored row i has a stored code
+        # entry; stored row r has a stored code
         verts = self.vertices
         codes, top = verts._codes, verts._top
-        h, last, c = len(codes), verts._n - 1, codes[i]
+        h, last, c = len(codes), verts._n - 1, codes[r]
         return [moves[(codes[w] if w < h else top - codes[last - w]) - c] for w in ids]
 
-    def label(self, i: int, j: int) -> Optional[tuple[int, ...]]:
+    def _label_id(self, r: int, p: int) -> int:
         if self._moves is None:
-            return Graph.label(self, i, j)
-        verts = self.vertices
-        codes, top, last = verts._codes, verts._top, verts._n - 1
-        if i >= self._stored:  # the mirrored edge carries the same labels
-            i, j = last - i, last - j
-        lo, hi = self._span(i)
-        p = bisect_left(self._nbr, j, lo, hi)
-        if p == hi or self._nbr[p] != j:  # the row decides adjacency, never the codes
-            return None
-        # j's code as _code reads it, inline as in _label_ids
-        cj = codes[j] if j < len(codes) else top - codes[last - j]
-        return self._labels[self._moves[cj - codes[i]]]
+            return self._lab[p]
+        # the code of the entry, a neighbour id, inline as in _label_ids
+        verts, w = self.vertices, self._nbr[p]
+        codes = verts._codes
+        return self._moves[(codes[w] if w < len(codes) else verts._top - codes[verts._n - 1 - w]) - codes[r]]
 
     def repeat_positions(self) -> bytes:
         """The repeat position of every vertex (ell = 2), by vertex id;

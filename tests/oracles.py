@@ -17,30 +17,34 @@ def brute_multiset_perms(k, ell):
     return sorted(set(permutations(base)))
 
 
-def brute_move_graph(k, ell, family="star", pis=None):
-    """{u: {v: labels}} of a permutation graph read off the strings.
+def brute_moves(v, family="star", pis=None):
+    """{w: labels} of the neighbours of the string v in a permutation graph.
 
-    Generator j (1 <= j < k*ell) swaps entries 0 and j ("star"), reverses
+    Generator j (1 <= j < len(v)) swaps entries 0 and j ("star"), reverses
     entries 0..j ("pancake"), or swaps entries 0 and j and then each pair in
     pis[j-1] ("custom").  A star or pancake move is an edge when entries 0
     and j differ, a custom move whenever it changes the string; the labels
     of an edge are the generators joining its ends, ascending.
     """
-    adj = {}
-    for v in brute_multiset_perms(k, ell):
-        adj[v] = {}
-        for j in range(1, len(v)):
-            w = list(v)
-            if family == "pancake":
-                w[: j + 1] = reversed(w[: j + 1])
-            else:
-                w[0], w[j] = w[j], w[0]
-                for a, b in pis[j - 1] if family == "custom" else ():
-                    w[a], w[b] = w[b], w[a]
-            w = tuple(w)
-            if w != v and (family == "custom" or v[j] != v[0]):
-                adj[v][w] = adj[v].get(w, ()) + (j,)
-    return adj
+    moves = {}
+    for j in range(1, len(v)):
+        w = list(v)
+        if family == "pancake":
+            w[: j + 1] = reversed(w[: j + 1])
+        else:
+            w[0], w[j] = w[j], w[0]
+            for a, b in pis[j - 1] if family == "custom" else ():
+                w[a], w[b] = w[b], w[a]
+        w = tuple(w)
+        if w != v and (family == "custom" or v[j] != v[0]):
+            moves[w] = moves.get(w, ()) + (j,)
+    return moves
+
+
+def brute_move_graph(k, ell, family="star", pis=None):
+    """{u: {v: labels}} of a permutation graph read off the strings, each
+    row by :func:`brute_moves`."""
+    return {v: brute_moves(v, family, pis) for v in brute_multiset_perms(k, ell)}
 
 
 def brute_edge_adjacency(vertices, edges):

@@ -157,11 +157,13 @@ def test_corpus_covers_every_verdict(tmp_path):
         verdicts[name] = _oracle(path, 3, 2)[1]
     assert verdicts["unchanged"] == verdicts["swapped-endpoints"] == ""
     assert verdicts["doubled-label"] == verdicts["comma-vertex-token"] == ""
-    # one edge line more than the graph has edges, the header saying so
-    assert verdicts["duplicated-line-header-bumped"] == verdicts["no-label-beside-labelled"] == MISMATCH
+    # an edge named on two lines, the header counting both
+    twice = "error: 181 edge lines name 180 distinct edges"
+    assert verdicts["duplicated-line-header-bumped"] == verdicts["no-label-beside-labelled"] == twice
+    assert verdicts["dropped-and-duplicated"] == "error: 180 edge lines name 179 distinct edges"
     assert verdicts["vertex-line"] == "" and verdicts["stranger-vertex-line"] == MISMATCH
     assert verdicts["stranger-vertex-line-header-kept"].startswith("error: header says n=90 m=180, file has n=91 m=180")
-    for name in ("dropped-line-header-bumped", "dropped-and-duplicated", "wrong-label", "extra-label", "no-label", "renamed-vertex", "generic-family"):
+    for name in ("dropped-line-header-bumped", "wrong-label", "extra-label", "no-label", "renamed-vertex", "generic-family"):
         assert verdicts[name] == MISMATCH, name
     assert verdicts["dropped-line"].startswith("error: header says n=90 m=180, file has n=90 m=179")
     assert verdicts["unknown-vertex"].startswith("error: header says n=90 m=180, file has n=91 m=180")
@@ -174,17 +176,22 @@ def test_corpus_covers_every_verdict(tmp_path):
 
 
 def test_a_repeated_edge_line_the_header_counts_is_not_matched(tmp_path, capsys):
-    # ST(2,2) has 6 vertices and 6 edges; the header states 7 edge lines
-    # and the first one comes again at the end
+    # ST(2,2) has 6 vertices and 6 edges; the header states 7 edge lines,
+    # and the 7th names an edge again, as written or reversed with another label
     g = build_graph(Params(2, 2))
     head, *body = _text(g).splitlines()
-    assert head == "star 2 2 6 6"
-    text = "\n".join(["star 2 2 6 7", *body, body[0]]) + "\n"
-    assert not edge_list_matches(io.StringIO(text), g)
-    assert read_edge_list(io.StringIO(text)).m == 6
-    path = tmp_path / "st22.edges"
-    path.write_text(text)
-    assert _cli(capsys, path, 2, 2) == _oracle(path, 2, 2) == (2, MISMATCH)
+    assert head == "star 2 2 6 6" and "0011 1001 2" in body
+    error = "7 edge lines name 6 distinct edges"
+    for again in (body[0], "1001 0011 3"):
+        text = "\n".join(["star 2 2 6 7", *body, again]) + "\n"
+        for read in (read_edge_list, lambda fh: edge_list_matches(fh, g)):
+            with pytest.raises(ValueError, match=error):
+                read(io.StringIO(text))
+        path = tmp_path / "st22.edges"
+        path.write_text(text)
+        assert _cli(capsys, path, 2, 2) == _oracle(path, 2, 2) == (2, f"error: {error}")
+        assert main(["search-codes", "--input", str(path), "--ell", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_cap_is_checked_before_the_file_is_read(tmp_path, capsys):

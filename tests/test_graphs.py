@@ -33,6 +33,7 @@ from .oracles import (
     brute_cut,
     brute_edge_adjacency,
     brute_move_graph,
+    brute_moves,
     brute_multiset_perms,
     odd_complete_total_coloring,
 )
@@ -437,6 +438,23 @@ def test_every_core_reader_agrees_with_the_oracle_in_both_halves(family, moved, 
         assert triangle
 
 
+
+def test_core_readers_agree_with_the_star_moves_past_sixteen_symbols():
+    # 18 symbols: the codes are a list of Python ints, and the star labels
+    # are read off them through the inline mirror; ids on both sides of
+    # the stored half, h = ceil(n/2), and at both ends
+    g = build_graph(Params(2, 9))
+    n, h = g.n, (g.n + 1) // 2
+    assert n == 48620 and g._stored == h and type(g.vertices._codes) is list
+    for i in (0, 1, h - 2, h - 1, h, h + 1, n - 2, n - 1):
+        row = sorted(brute_moves(tuple(g.vertices[i])).items())  # ids ascend with the strings
+        ids = list(g.row(i))
+        assert [tuple(g.vertices[j]) for j in ids] == [w for w, _ in row]
+        assert [(tuple(g.vertices[j]), g.label_sets[lid]) for j, lid in g.labeled_row(i)] == row
+        for p, (j, (_, labels)) in enumerate(zip(ids, row)):
+            assert g.row_index(i, j) == p and g.row_entry(i, p) == j and g.label(i, j) == labels
+        assert g.label(i, i) is None
+
 def test_restrict_lays_out_its_own_rows(st32):
     adj = brute_move_graph(3, 2)
     # without its first vertex ST(3,2) is irregular; the other cuts are regular
@@ -687,7 +705,7 @@ def test_st52_core_fits_in_seven_megabytes():
 
 
 def test_only_graphs_reads_the_core():
-    core = {"_adj", "_stored", "_stride", "_start", "_span", "_nbr", "_lab", "_label_ids", "_labels", "_moves", "_index"}
+    core = {"_adj", "_stored", "_stride", "_start", "_span", "_entries", "_nbr", "_lab", "_label_ids", "_label_id", "_labels", "_moves", "_index"}
     core |= {"_codes", "_n", "_top"}
     package = Path(starperm.__file__).parent
     reads = [
@@ -699,6 +717,20 @@ def test_only_graphs_reads_the_core():
     ]
     assert not reads
     assert not hasattr(build_graph(Params(2, 2)), "_adj")
+
+
+def test_only_span_locates_a_row():
+    # the layout is written by _lay_out and read back by _span alone; m and
+    # degree_census count entries without locating a row
+    tree = ast.parse((Path(starperm.__file__).parent / "graphs.py").read_text())
+    readers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr in ("_stride", "_start")
+    }
+    assert readers == {"_lay_out", "_span", "m", "degree_census"}
 
 
 #: Public names that nothing in src/ calls but the benchmark pins; each goes
