@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 
 from . import __version__
 from .coloring import positional_edge_coloring, sigma_total_coloring
-from .domination import code_search
+from .domination import _require_searchable, code_search
 from .errors import CapExceeded
 from .export import (
+    _edge_lines,
     edge_list_matches,
     load_pi_file,
     read_edge_list,
@@ -123,11 +125,15 @@ def cmd_verify(args) -> int:
 def cmd_search_codes(args) -> int:
     if args.input:
         with open(args.input) as fh:
-            g = read_edge_list(fh)
+            header = next(fh, "")
+            _require_searchable(next(_edge_lines([header]))[0], args.ell)  # before the body is read
+            g = read_edge_list(chain([header], fh))
     else:
         if args.k is None or args.l is None:
             raise ValueError("search-codes needs either --input or both --k and --l")
-        g = build_graph(Params(args.k, args.l), cap=args.cap)
+        p = Params(args.k, args.l)
+        _require_searchable(p.vertex_count(), args.ell)  # before the graph is built
+        g = build_graph(p, cap=args.cap)
     codes = code_search(g, args.ell)
     print(f"found {len(codes)} efficient dominating-{args.ell} sets")
     for code in codes:

@@ -114,16 +114,11 @@ def _mask(n: int, ids: Iterable[int]) -> bytearray:
 def _dominator_counts(g: Graph, members: array) -> tuple[array, bool]:
     """Each outside vertex's member neighbours, by vertex id, 0 for the
     members, and whether two members are adjacent; one byte a vertex unless
-    one has 256 member neighbours."""
-    for typecode in "Bi":
-        count = array(typecode, [0]) * g.n
-        try:
-            for x in members:
-                for y in g.row(x):
-                    count[y] += 1
-            break
-        except OverflowError:
-            pass
+    the graph has a vertex of 256 neighbours or more."""
+    count = array("B" if max(g.degree_census(), default=0) < 256 else "i", [0]) * g.n
+    for x in members:
+        for y in g.row(x):
+            count[y] += 1
     adjacent = any(map(count.__getitem__, members))  # they counted each other
     for x in members:
         count[x] = 0
@@ -172,27 +167,27 @@ def _min_internal_distance(g: Graph, members: array, count: array) -> Optional[i
     return best
 
 
-def _no_two_members_meet_twice(g: Graph, members: array) -> bool:
-    """Whether no two members share two neighbours, no two being adjacent and
-    every outside vertex having two dominators.  The first ascending member
-    to reach a vertex, its lesser dominator, leaves its index in the vertex's
-    row plus one; a later one finds its neighbours' lesser dominators distinct."""
-    row, row_index, row_entry = g.row, g.row_index, g.row_entry
-    for typecode in "Bi":  # one byte a vertex unless a row index reaches 255
-        lesser = array(typecode, [0]) * g.n
-        try:
-            for x in members:
-                seen = set()
-                for y in row(x):
-                    if not (p := lesser[y]):
-                        lesser[y] = row_index(y, x) + 1
-                    elif (w := row_entry(y, p - 1)) in seen:
-                        return False
-                    else:
-                        seen.add(w)
-            return True
-        except OverflowError:
-            pass
+def _no_two_members_meet_twice(g: Graph, members: array, count: array) -> bool:
+    """Whether no two members share two neighbours, given the dominator
+    counts of a set with no two members adjacent and two dominators at every
+    outside vertex, which it spends.  The first ascending member to reach a
+    vertex, its lesser dominator, counts it down to 1; a later one reads it
+    back as the vertex's first neighbour of count 0, a member, and finds
+    those of its own neighbours distinct."""
+    row = g.row
+    for x in members:
+        seen = set()
+        for y in row(x):
+            if count[y] == 2:
+                count[y] = 1
+                continue
+            for w in row(y):
+                if not count[w]:
+                    break
+            if w in seen:
+                return False
+            seen.add(w)
+    return True
 
 
 def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> DominationCertificate:
@@ -224,12 +219,12 @@ def verify_efficient_domination(g: Graph, s: Iterable[int], ell: int) -> Dominat
     clean = count.count(ell) == n - len(members)  # every outside vertex has ell dominators
     if clean and ell == 1:
         return cert
-    if ell > 1:
-        del count  # read below for ell = 1 only; freed before the lesser-dominator column
     # With two dominators each and no two members adjacent, another common
     # neighbour of v's two has the same two.
-    if clean and ell == 2 and cert.min_internal_distance == 2 and _no_two_members_meet_twice(g, members):
+    if clean and ell == 2 and cert.min_internal_distance == 2 and _no_two_members_meet_twice(g, members, count):
         return cert
+    if ell > 1:
+        del count  # read below for ell = 1 only; freed before the member mask
     inside = _mask(n, members)
     for v in range(n):
         if inside[v] or (ell == 1 and count[v] == 1):
@@ -372,6 +367,15 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return nbr
 
 
+def _require_searchable(n: int, ell: int) -> None:
+    """code_search's refusals before any work: ValueError unless ell >= 1,
+    and CapExceeded for a graph of n vertices, more than it takes."""
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got ell = {ell}")
+    if n > CODE_SEARCH_VERTEX_CAP:
+        raise CapExceeded(f"code search capped at {CODE_SEARCH_VERTEX_CAP} vertices, graph has {n}")
+
+
 def code_search(g: Graph, ell: int) -> list[array]:
     """Every vertex set satisfying the efficient dominating-ell predicate,
     as ascending vertex ids.
@@ -381,14 +385,12 @@ def code_search(g: Graph, ell: int) -> list[array]:
     one that can only just reach ell forces them in, and for ell = 1 a
     member forces its neighbors out.  Each full assignment is reached once,
     and :func:`verify_efficient_domination` alone decides which are returned,
-    deterministically.  Raises ValueError unless ell >= 1.
+    deterministically.  Raises ValueError unless ell >= 1, and CapExceeded
+    past CODE_SEARCH_VERTEX_CAP vertices, before the girth is checked.
     """
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got ell = {ell}")
+    _require_searchable(g.n, ell)
     require_girth_above_three(g)
     n = g.n
-    if n > CODE_SEARCH_VERTEX_CAP:
-        raise CapExceeded(f"code search capped at {CODE_SEARCH_VERTEX_CAP} vertices, graph has {n}")
     nbr = _neighbor_masks(g)
     full = (1 << n) - 1
     leaves: list[int] = []

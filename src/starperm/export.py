@@ -12,7 +12,7 @@ DOT uses the fixed palette-to-name table 1=red 2=blue 3=green 4=hazel
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .coloring import TotalColoring
 from .graphs import GeneratorFamily, Graph, PermGraph
@@ -51,12 +51,13 @@ def write_edge_list(g: Graph, out: TextIO) -> None:
                 out.write(f"{u} {text(j)}{tails[lid]}\n")
 
 
-def _edge_lines(src: TextIO, parse: Callable[[str], object] = mstring) -> Iterator[tuple]:
-    """The edge-list grammar: yields the header's (n, m), then (u, v, labels)
-    per edge line and (u,) per vertex line, a permutation family's vertex
-    tokens read by `parse`; a malformed line or integer raises ValueError
-    where it is."""
-    header = src.readline().split()
+def _edge_lines(src: Iterable[str], parse: Callable[[str], object] = mstring) -> Iterator[tuple]:
+    """The edge-list grammar, over a file or any iterable of its lines:
+    yields the header's (n, m), then (u, v, labels) per edge line and (u,)
+    per vertex line, a permutation family's vertex tokens read by `parse`;
+    a malformed line or integer raises ValueError where it is."""
+    src = iter(src)
+    header = next(src, "").split()
     if len(header) != 5:
         raise ValueError(f"malformed header {' '.join(header)!r}")
     family, _, _, n, m = header[0], int(header[1]), int(header[2]), int(header[3]), int(header[4])
@@ -86,8 +87,9 @@ def _check_distinct(edge_lines: int, edges: int) -> None:
         raise ValueError(f"{edge_lines} edge lines name {edges} distinct edges")
 
 
-def read_edge_list(src: TextIO) -> Graph:
-    """Rebuild a graph from :func:`write_edge_list` output.
+def read_edge_list(src: Iterable[str]) -> Graph:
+    """Rebuild a graph from :func:`write_edge_list` output, a file or any
+    iterable of its lines.
 
     Permutation families come back as plain Graphs carrying the file's
     vertices in sorted order; the header is validated against the contents,

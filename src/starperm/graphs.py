@@ -18,11 +18,10 @@ stored row i is ``_nbr[i * d : i * d + d]``.  Any other keeps ``_stride =
 None`` and 4-byte row offsets: stored row i is ``_nbr[_start[i]:_start[i +
 1]]``.  Other modules read the core through :meth:`Graph.row`,
 :meth:`Graph.labeled_row` (with :attr:`Graph.label_sets`),
-:meth:`Graph.row_index`, :meth:`Graph.row_entry`, :meth:`Graph.label` and
-:meth:`Graph.edge_ids`.  The layout is decided in :meth:`Graph._lay_out`
-when the core is written, and ``Graph._span`` alone locates a row, stored
-or mirrored, for every one of these readers; :class:`PermGraph` overrides
-only the reads of label ids.
+:meth:`Graph.label` and :meth:`Graph.edge_ids`.  The layout is decided in
+:meth:`Graph._lay_out` when the core is written, and ``Graph._span`` alone
+locates a row, stored or mirrored, for every one of these readers;
+:class:`PermGraph` overrides only the reads of label ids.
 
 A plain :class:`Graph` stores every row, and keeps its labels as a tuple
 and a label -> id dict.  A :class:`PermGraph` keeps neither: its labels
@@ -186,22 +185,6 @@ class Graph:
     def _label_id(self, r: int, p: int) -> int:
         """The label id of ``_nbr[p]``, an entry of stored row r."""
         return self._lab[p]
-
-    def row_index(self, i: int, j: int) -> int:
-        """The index of vertex id j in row i, by bisection: ``row(i).index(j)``
-        without the slice.  ValueError if j is not in the row."""
-        r, lo, hi = self._span(i)
-        t = j if r == i else self.n - 1 - j
-        p = bisect_left(self._nbr, t, lo, hi)
-        if p == hi or self._nbr[p] != t:
-            raise ValueError(f"vertex id {j} is not in row {i}")
-        return p - lo if r == i else hi - 1 - p
-
-    def row_entry(self, i: int, p: int) -> int:
-        """Entry p of row i, ``0 <= p < len(row(i))``: ``row(i)[p]`` without
-        the slice."""
-        r, lo, hi = self._span(i)
-        return self._nbr[lo + p] if r == i else self.n - 1 - self._nbr[hi - 1 - p]
 
     @property
     def label_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -887,9 +870,7 @@ def _rooted_six_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
                     x2, y2 = halves[b]
                     if x1 == x2 or y1 == y2 or x1 == y2 or x2 == y1:
                         continue
-                    if x1 < x2:
-                        cycles.append((r, x1, y1, z, y2, x2))
-                    else:
-                        cycles.append((r, x2, y2, z, y1, x1))
+                    # a bucket's halves ascend in x, as the rows do, so x1 < x2
+                    cycles.append((r, x1, y1, z, y2, x2))
         cycles.sort()
         yield from cycles

@@ -155,8 +155,10 @@ def test_min_internal_distance_matches_the_oracle(g, s, distance):
 
 
 def test_two_dominators_read_past_index_255_of_a_row():
-    # y's row holds z_0..z_299 and then a and b, its two dominators, so a sits
-    # at index 300; each z_i has its own two dominators c_i and d_i.
+    # y's row holds z_0..z_299 and then a and b, its two dominators, so its
+    # 302 neighbours make the dominator counts 4-byte ints, and the
+    # uniqueness check reads a, y's first neighbour of count 0, at index
+    # 300; each z_i has its own two dominators c_i and d_i.
     zs, cs, ds = [("z", i) for i in range(300)], [("c", i) for i in range(300)], [("d", i) for i in range(300)]
     edges = [("y", "a"), ("y", "b")] + [("y", z) for z in zs]
     edges += [(z, c) for z, c in zip(zs, cs)] + [(z, d) for z, d in zip(zs, ds)]
@@ -164,13 +166,31 @@ def test_two_dominators_read_past_index_255_of_a_row():
     for second, verdict in ((False, True), (True, False)):  # a second common neighbour of a and b
         g = Graph([*zs, "a", "b", "y", *cs, *ds, *["y2"] * second], edges + [("y2", "a"), ("y2", "b")] * second)
         assert g.row(g.index("y")).index(g.index("a")) == 300
-        cert = verify_efficient_domination(g, [g.index(v) for v in s], 2)
+        members = array("i", sorted(map(g.index, s)))
+        assert starperm.domination._dominator_counts(g, members)[0].typecode == "i"
+        cert = verify_efficient_domination(g, members, 2)
         assert cert.passed is verdict is brute_is_e_ell_set(adjacency_dict(g), s, 2)
         if second:
             assert [(v.kind, v.where, v.detail) for v in cert.violations] == [
                 ("non-unique-intersection", ("y",), ("y", "y2")),
                 ("non-unique-intersection", ("y2",), ("y", "y2")),
             ]
+
+
+def test_a_vertex_of_300_dominators_is_counted_past_a_byte():
+    # K_{1,300} with S the leaves: the centre's 300 dominators would wrap a
+    # byte, so its degree makes the counts 4-byte ints
+    leaves = [("leaf", i) for i in range(300)]
+    g = Graph(["centre", *leaves], [("centre", v) for v in leaves])
+    s = array("i", range(1, 301))
+    count, adjacent = starperm.domination._dominator_counts(g, s)
+    assert count.typecode == "i" and count[0] == 300 and not adjacent
+    cert = verify_efficient_domination(g, s, 1)
+    assert [(v.kind, v.where, v.detail) for v in cert.violations] == [
+        ("distance", (), (2,)),
+        ("wrong-count", ("centre",), tuple(leaves)),
+    ]
+    assert verify_efficient_domination(g, [0], 1).passed
 
 
 def test_partition_and_edge_cover_reports_an_overlap(st32, monkeypatch):

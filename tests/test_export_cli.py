@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import starperm.cli
 import starperm.domination
 from starperm import GeneratorFamily, Params, build_graph, mstring, positional_edge_coloring, render, sigma_total_coloring
 from starperm.cli import main
@@ -181,6 +182,38 @@ def test_cli_code_search_bounds_exit_3(k, budget, message, monkeypatch, capsys):
         monkeypatch.setattr(starperm.domination, "CODE_SEARCH_NODE_BUDGET", budget)
     assert main(["search-codes", "--k", str(k), "--l", "2", "--ell", "1"]) == 3
     assert message in capsys.readouterr().err
+
+
+ST52_CAP_MESSAGE = "cap exceeded: code search capped at 1000 vertices, graph has 113400\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["", "not an edge line at all\n"],
+    ids=["header-only", "malformed-body"],
+)
+def test_cli_code_search_refuses_a_file_on_its_header(body, tmp_path, capsys):
+    # ST(5,2)'s header: the cap is decided before the body is read, so a
+    # missing or malformed body, which reading it would refuse with exit 2,
+    # is never reached
+    path = tmp_path / "st52.edges"
+    path.write_text(f"star 5 2 113400 453600\n{body}")
+    assert main(["search-codes", "--input", str(path), "--ell", "1"]) == 3
+    assert capsys.readouterr() == ("", ST52_CAP_MESSAGE)
+
+
+@pytest.mark.parametrize(
+    "ell, code, message",
+    [("1", 3, ST52_CAP_MESSAGE), ("0", 2, "error: need ell >= 1, got ell = 0\n")],
+    ids=["over-the-cap", "ell-below-one"],
+)
+def test_cli_code_search_refuses_parameters_before_building(ell, code, message, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a graph the search refuses")
+
+    monkeypatch.setattr(starperm.cli, "build_graph", refuse)
+    assert main(["search-codes", "--k", "5", "--l", "2", "--ell", ell]) == code
+    assert capsys.readouterr() == ("", message)
 
 
 def test_cli_closed_stdout_exits_141_silently():

@@ -349,12 +349,10 @@ def _assert_core_is(g, adj):
     for i, row in enumerate(rows):
         assert list(g.row(i)) == [j for j, _ in row]
         assert [(j, g.label_sets[lid]) for j, lid in g.labeled_row(i)] == row
-        for p, (j, labels) in enumerate(row):
-            assert g.label(i, j) == labels and g.row_index(i, j) == p and g.row_entry(i, p) == j
+        for j, labels in row:
+            assert g.label(i, j) == labels
         for j in set(range(g.n)) - {j for j, _ in row}:
             assert g.label(i, j) is None
-            with pytest.raises(ValueError):
-                g.row_index(i, j)
     assert list(g.edge_ids()) == [(i, j, labels) for i, row in enumerate(rows) for j, labels in row if j > i]
     assert g.degree_census() == dict(sorted(degrees.items()))
     kind = {1: "regular", 2: "biregular"}.get(len(degrees), "irregular")
@@ -421,14 +419,12 @@ def test_every_core_reader_agrees_with_the_oracle_in_both_halves(family, moved, 
         ids = [j for j, _ in row]
         assert list(g.row(i)) == ids
         assert [(j, g.label_sets[lid]) for j, lid in g.labeled_row(i)] == row
-        for p, (j, labels) in enumerate(row):
-            assert g.row_index(i, j) == p and g.row_entry(i, p) == j and g.label(i, j) == labels
+        for j, labels in row:
+            assert g.label(i, j) == labels
         # a non-adjacent pair: i itself, and one at distance 2 where there is one
         far = [x for j in ids for x in map(pos.get, adj[verts[j]]) if x != i and x not in ids]
         for j in [i] + far[:1]:
             assert g.label(i, j) is None
-            with pytest.raises(ValueError):
-                g.row_index(i, j)
     assert list(g.edge_ids()) == [(i, j, labels) for i, row in enumerate(rows) for j, labels in row if j > i]
     assert g.m == sum(map(len, rows)) // 2
     assert g.degree_census() == dict(sorted(Counter(map(len, rows)).items()))
@@ -451,8 +447,8 @@ def test_core_readers_agree_with_the_star_moves_past_sixteen_symbols():
         ids = list(g.row(i))
         assert [tuple(g.vertices[j]) for j in ids] == [w for w, _ in row]
         assert [(tuple(g.vertices[j]), g.label_sets[lid]) for j, lid in g.labeled_row(i)] == row
-        for p, (j, (_, labels)) in enumerate(zip(ids, row)):
-            assert g.row_index(i, j) == p and g.row_entry(i, p) == j and g.label(i, j) == labels
+        for j, (_, labels) in zip(ids, row):
+            assert g.label(i, j) == labels
         assert g.label(i, i) is None
 
 def test_restrict_lays_out_its_own_rows(st32):

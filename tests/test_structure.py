@@ -14,6 +14,7 @@ from starperm import (
     verify_coloring,
 )
 
+from starperm.cli import main
 from starperm.graphs import PackedLabels
 from starperm.structure import toroidal_colors
 
@@ -83,6 +84,23 @@ def test_chi_independence_sees_an_edge_inside_the_class(monkeypatch, tc32):
     rep = color_class_decomposition(tc, starperm.structure.verify_coloring(tc))
     independent = {case.color: case.minus_edges_class_independent for case in rep.cases}
     assert independent == {1: False, 2: True, 3: True, 4: True, 5: True}
+
+
+def test_chi_types_a_component_by_the_edges_phi_maps(monkeypatch, capsys):
+    # phi with the images 0011 and 1100 swapped at colour 1 stays one-to-one
+    # and onto ST(2,2), and the first component's isomorphism cross-check
+    # does not read it: only the check that phi maps each edge to an edge
+    # can see the fault
+    keyed, swap = starperm.structure._keyed, {"0011": "1100", "1100": "0011"}
+
+    def swapped(v, i):
+        key, image = keyed(v, i)
+        return key, swap.get(image, image) if i == 1 else image
+
+    monkeypatch.setattr(starperm.structure, "_keyed", swapped)
+    assert main(["verify", "--suite", "chi", "--k", "3", "--l", "2"]) == 1
+    failed = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("  FAIL")]
+    assert [(words[1], words[3:]) for words in failed] == [("color-1-component-count-and-type", ["count=12", "expected=12"])]
 
 
 def test_chi_hypotheses_raise_precondition(tc22, pc32, tc32):
